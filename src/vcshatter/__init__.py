@@ -58,6 +58,7 @@ from .setsystem import (
     k_fold_union,
     project,
     sauer_shelah_bound,
+    shattered_sets,
     shatters,
     vc_dim,
 )

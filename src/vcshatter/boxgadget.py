@@ -18,8 +18,7 @@ from itertools import product
 from typing import Iterable, Mapping, Sequence
 
 from .geometry import AxisBox, Point, box_contains
-
-VERIFY_GUARD = 24  # refuse exhaustive verification above 2^24 sub-families
+from .setsystem import VERIFY_GUARD, subset_mask
 
 
 @dataclass(frozen=True)
@@ -96,20 +95,6 @@ def candidate_points(gadget: BoxGadget) -> tuple[Point, ...]:
         menu.append(values[-1] + 1)
         axes.append(menu)
     return tuple(Point(coords) for coords in product(*axes))
-
-
-def _subset_mask(gadget: BoxGadget, subset: Iterable[int] | int) -> int:
-    if isinstance(subset, int):
-        mask = subset
-        if not 0 <= mask < (1 << len(gadget.boxes)):
-            raise ValueError(f"subset mask {mask} out of range")
-        return mask
-    mask = 0
-    for i in subset:
-        if not 0 <= i < len(gadget.boxes):
-            raise ValueError(f"box index {i} out of range")
-        mask |= 1 << i
-    return mask
 
 
 def _hit_masks(gadget: BoxGadget, candidates: Sequence[Point]) -> list[int]:
@@ -216,7 +201,7 @@ def witness_for(gadget: BoxGadget, subset: Iterable[int] | int) -> tuple[Point, 
     Returns None when no such set of at most 2^(n-1) candidate points exists;
     infeasibility is a value, not an error. Valid cached witnesses are reused.
     """
-    smask = _subset_mask(gadget, subset)
+    smask = subset_mask(len(gadget.boxes), subset)
     if gadget.witnesses is not None and smask in gadget.witnesses:
         cached = tuple(gadget.witnesses[smask])
         if _witness_is_valid(gadget, smask, cached):

@@ -43,9 +43,7 @@ from .geometry import (
     induced_system_points_in_halfspaces,
     side_of,
 )
-from .setsystem import k_fold_union, mask_to_indices, vc_dim
-
-VERIFY_GUARD = 24  # refuse exhaustive verification above 2^24 subsets
+from .setsystem import VERIFY_GUARD, SetSystem, k_fold_union, mask_to_indices, subset_mask, vc_dim
 
 AlphaTables = tuple[tuple[tuple[Fraction, Fraction], ...], ...]
 
@@ -220,20 +218,6 @@ def build_theorem1(d: int, k: int, gadget: BoxGadget) -> Theorem1Instance:
     return Theorem1Instance(d=d, k=k, gadget=gadget, points=points, alpha=alpha)
 
 
-def _point_mask(inst: Theorem1Instance, subset: Iterable[int] | int) -> int:
-    if isinstance(subset, int):
-        mask = subset
-        if not 0 <= mask < (1 << len(inst.points)):
-            raise ValueError(f"subset mask {mask} out of range")
-        return mask
-    mask = 0
-    for i in subset:
-        if not 0 <= i < len(inst.points):
-            raise ValueError(f"point index {i} out of range")
-        mask |= 1 << i
-    return mask
-
-
 def union_witness(
     inst: Theorem1Instance,
     subset: Iterable[int] | int,
@@ -247,7 +231,7 @@ def union_witness(
     assigned; thresholds are d + 1/2 + j*step with step defaulting to 1/(4k),
     so they stay strictly inside (d, d+1) and distinct per half-space.
     """
-    pmask = _point_mask(inst, subset)
+    pmask = subset_mask(len(inst.points), subset)
     nboxes = len(inst.gadget.boxes)
     avoid = [i for i in range(nboxes) if not (pmask >> i) & 1]
     q_points = witness_for(inst.gadget, avoid)
@@ -310,28 +294,29 @@ def verify_theorem1(
 ) -> VerificationReport:
     """Check that every selected subset is realized exactly by its witness union.
 
-    With compute_vc_dim, additionally assembles the system induced by every
-    witness half-space produced during the run and reports the VC-dimension
-    of its k-fold union (it must reach |P| when the instance shatters).
+    With compute_vc_dim, additionally collects the sets that the witness
+    half-spaces of the run cut out of P and reports the VC-dimension of the
+    k-fold union of that system (it must reach |P| when the instance
+    shatters).
     """
     masks = _selected_masks(len(inst.points), mode, count, seed)
     failing: list[tuple[int, ...]] = []
     max_size = 0
-    all_halfspaces: list[RestrictedHalfspace] = []
+    members: set[int] = set()
     for pmask in masks:
         witness = union_witness(inst, pmask)
         max_size = max(max_size, len(witness))
-        if compute_vc_dim:
-            all_halfspaces.extend(witness)
         induced = induced_system_points_in_halfspaces(inst.points, witness)
+        if compute_vc_dim:
+            members.update(induced.sets)
         got = 0
         for member in induced.sets:
             got |= member
         if got != pmask:
             failing.append(tuple(mask_to_indices(pmask)))
     union_dim: int | None = None
-    if compute_vc_dim and all_halfspaces:
-        system = induced_system_points_in_halfspaces(inst.points, all_halfspaces)
+    if compute_vc_dim and members:
+        system = SetSystem.from_masks(len(inst.points), members)
         union_dim = vc_dim(k_fold_union(system, inst.k))[0]
     return VerificationReport(
         shattered=not failing,
@@ -376,7 +361,7 @@ def simplex_witness(inst2: Theorem2Instance, subset: Iterable[int] | int) -> Ope
     Affine independence is retried over alternative threshold spacings.
     """
     base = inst2.base
-    pmask = _point_mask(base, subset)
+    pmask = subset_mask(len(base.points), subset)
     apex = Point(tuple(Fraction(0) for _ in range(base.d - 1)) + (_apex_height(base),))
     last_error: Exception | None = None
     for numerator in _TAU_STEP_NUMERATORS:

@@ -26,6 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 from .setsystem import SetSystem
@@ -414,17 +416,45 @@ def realizable_halfspace_subsets(points: Sequence[Point]) -> SetSystem:
 # ---------------------------------------------------------------------------
 
 
+def _integer_row(h: RestrictedHalfspace, scale: int) -> tuple[tuple[int, ...], int]:
+    """Integer weights w and bound r with: sum_i x_i / b_i <= tau exactly when
+    sum_i w_i * (scale * x_i) <= r, for any point x with scale * x integral.
+
+    With b_i = p_i/q_i, tau = s/t and N = lcm(t, p_1, ..., p_d), multiplying
+    the inequality by N * scale > 0 gives w_i = q_i * N / p_i and
+    r = s * (N / t) * scale.
+    """
+    n = lcm(h.tau.denominator, *(v.numerator for v in h.b))
+    weights = tuple(v.denominator * (n // v.numerator) for v in h.b)
+    return weights, h.tau.numerator * (n // h.tau.denominator) * scale
+
+
 def induced_system_points_in_halfspaces(
     points: Sequence[Point], halfspaces: Sequence[RestrictedHalfspace]
 ) -> SetSystem:
-    """Ground set = point indices; one member set per half-space (deduplicated)."""
+    """Ground set = point indices; one member set per half-space (deduplicated).
+
+    Membership is decided in integers: the points are scaled once by the lcm
+    of their coordinate denominators and every distinct half-space becomes
+    one integer row (see ``_integer_row``), so the result equals
+    ``halfspace_contains`` point by point, exactly.
+    """
     if not points:
         raise ValueError("need at least one point")
+    scale = lcm(*(x.denominator for p in points for x in p.coords))
+    scaled = [tuple(x.numerator * (scale // x.denominator) for x in p.coords) for p in points]
+    dims = {p.dim for p in points}
     masks = []
-    for h in halfspaces:
+    for h in dict.fromkeys(halfspaces):
+        mismatched = dims - {h.dim}
+        if mismatched:
+            raise ValueError(
+                f"half-space dimension {h.dim} != point dimension {min(mismatched)}"
+            )
+        weights, bound = _integer_row(h, scale)
         mask = 0
-        for i, p in enumerate(points):
-            if halfspace_contains(h, p):
+        for i, xs in enumerate(scaled):
+            if sum(map(mul, weights, xs)) <= bound:
                 mask |= 1 << i
         masks.append(mask)
     return SetSystem.from_masks(len(points), masks)

@@ -9,9 +9,20 @@ operations are pure functions; nothing here mutates a system in place.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations
 from math import comb
+from operator import and_, or_
 from typing import Iterable
+
+VERIFY_GUARD = 24  # refuse exponential work over more than 2^24 subsets
+
+
+def _check_guard(ground_size: int, operation: str) -> None:
+    if ground_size > VERIFY_GUARD:
+        raise ValueError(
+            f"{operation} refused: ground size {ground_size} exceeds the guard of {VERIFY_GUARD}"
+        )
 
 
 def indices_to_mask(ground_size: int, indices: Iterable[int]) -> int:
@@ -31,6 +42,19 @@ def indices_to_mask(ground_size: int, indices: Iterable[int]) -> int:
 
 def mask_to_indices(mask: int) -> list[int]:
     return [i for i in range(mask.bit_length()) if (mask >> i) & 1]
+
+
+def subset_mask(ground_size: int, subset: Iterable[int] | int) -> int:
+    """A subset given as a bitmask or as an iterable of indices, as a bitmask.
+
+    Repeated indices are allowed; a mask or index outside the ground set
+    raises ValueError.
+    """
+    if isinstance(subset, int):
+        if not 0 <= subset < (1 << ground_size):
+            raise ValueError(f"subset mask {subset} out of range")
+        return subset
+    return indices_to_mask(ground_size, set(subset))
 
 
 @dataclass(frozen=True)
@@ -119,38 +143,73 @@ def shatters(system: SetSystem, elements: Iterable[int]) -> bool:
     return len(_projected_masks(system, ys, stop_at=want)) == want
 
 
+def _shattered_masks(masks: Iterable[int]) -> list[int]:
+    """Every set shattered by the nonempty family ``masks``, as bitmasks in
+    ``itertools.combinations`` order within each size.
+
+    The shattered-set recursion from the proof of Pajor's lemma, walked by
+    smallest element: with F1 the members containing x and F0 the rest, a set
+    S with smallest element x is shattered by F exactly when S - x is
+    shattered by both F0 and F1. A node of the walk holds the classes of F by
+    trace on S (deduplicated) and extends S only by larger elements that
+    split every class, so each node is a shattered set. An element that
+    fails to split a class never splits its sub-classes, so the traces are
+    cut down to the elements still splitting, which merges classes too.
+    """
+    found: list[int] = []
+
+    def walk(prefix: int, families: Iterable[frozenset[int]]) -> None:
+        found.append(prefix)
+        free = -1
+        for family in families:
+            free &= reduce(or_, family) & ~reduce(and_, family)
+        while free:
+            bit = free & -free
+            free ^= bit
+            split = set()
+            for family in families:
+                split.add(frozenset([m & free for m in family if m & bit]))
+                split.add(frozenset([m & free for m in family if not m & bit]))
+            walk(prefix | bit, split)
+
+    walk(0, (frozenset(masks),))
+    return found
+
+
+def shattered_sets(system: SetSystem) -> SetSystem:
+    """The family of all subsets of the ground set that ``system`` shatters.
+
+    The result is downward closed and has at least len(system) members
+    (Pajor's lemma). The empty family shatters nothing, not even the empty
+    set.
+    """
+    _check_guard(system.ground_size, "shattered-set enumeration")
+    found = _shattered_masks(system.sets) if system.sets else ()
+    return SetSystem.from_masks(system.ground_size, found)
+
+
 def vc_dim(system: SetSystem) -> tuple[int, tuple[int, ...]]:
     """The VC-dimension and a lexicographically smallest witness of that size.
 
-    Walks the subset lattice level by level, extending only shattered sets:
-    the shattered family is downward closed, so the first empty level ends the
-    search. Raises ValueError for the empty family, whose VC-dimension is
-    undefined here.
+    Both come from the shattered family: the dimension is its largest size
+    and the witness is the first set of that size in
+    ``itertools.combinations`` order. The cost follows the family and its
+    shattered sets, not 2^n, so no ground-size guard applies. Raises
+    ValueError for the empty family, whose VC-dimension is undefined here.
     """
     if not system.sets:
         raise ValueError("VC-dimension of an empty family is undefined")
-    n = system.ground_size
-    level: list[tuple[int, ...]] = [()]
-    best: tuple[int, ...] = ()
-    while True:
-        nxt: list[tuple[int, ...]] = []
-        for ys in level:
-            start = ys[-1] + 1 if ys else 0
-            for j in range(start, n):
-                cand = ys + (j,)
-                want = 1 << len(cand)
-                if len(_projected_masks(system, cand, stop_at=want)) == want:
-                    nxt.append(cand)
-        if not nxt:
-            return len(best), best
-        level = nxt
-        best = level[0]
+    found = _shattered_masks(system.sets)
+    dim = max(m.bit_count() for m in found)
+    witness = next(m for m in found if m.bit_count() == dim)
+    return dim, tuple(mask_to_indices(witness))
 
 
 def k_fold_union(system: SetSystem, k: int) -> SetSystem:
     """Unions of k (not necessarily distinct) members; contains the input family."""
     if k < 1:
         raise ValueError("fold count k must be >= 1")
+    _check_guard(system.ground_size, "k-fold union")
     base = system.sets
     acc = set(base)
     for _ in range(k - 1):
@@ -162,6 +221,7 @@ def k_fold_intersection(system: SetSystem, k: int) -> SetSystem:
     """Intersections of k (not necessarily distinct) members."""
     if k < 1:
         raise ValueError("fold count k must be >= 1")
+    _check_guard(system.ground_size, "k-fold intersection")
     base = system.sets
     acc = set(base)
     for _ in range(k - 1):
@@ -184,6 +244,7 @@ def growth_function(system: SetSystem, m: int) -> int:
         raise ValueError("m must be a non-negative integer")
     if m > system.ground_size:
         raise ValueError(f"m={m} exceeds ground size {system.ground_size}")
+    _check_guard(system.ground_size, "growth function")
     best = 0
     for ys in combinations(range(system.ground_size), m):
         best = max(best, len(_projected_masks(system, ys)))

@@ -261,6 +261,15 @@ class TestVerifyTheorem1:
         assert report.union_vc_dim == 5
         assert report.failing_subsets == ()
 
+    def test_integer_kernel_matches_fraction_masks(self, bundled_instance):
+        inst = bundled_instance
+        for pmask in range(1 << len(inst.points)):
+            for h in union_witness(inst, pmask):
+                expected = sum(
+                    1 << i for i, p in enumerate(inst.points) if halfspace_contains(h, p)
+                )
+                assert induced_system_points_in_halfspaces(inst.points, [h]).sets == (expected,)
+
     def test_mutated_point_fails(self, bundled_instance):
         # bump one coordinate of one point a full rescale level up
         points = list(bundled_instance.points)

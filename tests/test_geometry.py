@@ -285,7 +285,57 @@ class TestRealizableSubsets:
                 assert vc_dim(system)[0] <= d + 1
 
 
+def fraction_masks(points, halfspaces) -> set[int]:
+    """Reference for the integer kernel: one halfspace_contains call per pair."""
+    masks = set()
+    for h in halfspaces:
+        mask = 0
+        for i, p in enumerate(points):
+            if halfspace_contains(h, p):
+                mask |= 1 << i
+        masks.add(mask)
+    return masks
+
+
+@st.composite
+def points_and_halfspaces(draw):
+    """Rational points and half-spaces in dimensions 1-5, with duplicated
+    half-spaces and half-spaces built so that some point lies exactly on
+    the boundary (sum_i x_i / b_i == tau)."""
+    d = draw(st.integers(1, 5))
+    coords = st.fractions(min_value=F(-30), max_value=F(30), max_denominator=60)
+    pts = draw(st.lists(st.tuples(*[coords] * d), min_size=1, max_size=7))
+    points = [Point(c) for c in pts]
+    coefficients = st.fractions(min_value=F(1, 50), max_value=F(50), max_denominator=60)
+    halfspaces = []
+    for _ in range(draw(st.integers(0, 6))):
+        b = draw(st.tuples(*[coefficients] * d))
+        boundary = sum((x / v for x, v in zip(draw(st.sampled_from(pts)), b)), start=F(0))
+        if boundary > 0 and draw(st.booleans()):
+            tau = boundary
+        else:
+            tau = draw(st.fractions(min_value=F(1, 50), max_value=F(60), max_denominator=60))
+        halfspaces.append(RestrictedHalfspace(b=b, tau=tau))
+    if halfspaces:
+        halfspaces += draw(st.lists(st.sampled_from(halfspaces), max_size=3))
+    return points, halfspaces
+
+
 class TestInducedSystems:
+    @given(points_and_halfspaces())
+    @settings(max_examples=120, deadline=None)
+    def test_integer_kernel_matches_fraction_predicate(self, case):
+        points, halfspaces = case
+        system = induced_system_points_in_halfspaces(points, halfspaces)
+        assert set(system.sets) == fraction_masks(points, halfspaces)
+
+    def test_integer_kernel_on_boundary_with_denominators(self):
+        # 1/2 / (3/4) + (5/3) / (7/2) = 2/3 + 10/21 = 8/7, exactly on the boundary
+        pts = [Point.of(F(1, 2), F(5, 3)), Point.of(F(1, 2), F(12, 7))]
+        h = RestrictedHalfspace(b=(F(3, 4), F(7, 2)), tau=F(8, 7))
+        system = induced_system_points_in_halfspaces(pts, [h, h])
+        assert system.member_lists() == [[0]]
+
     def test_no_halfspaces_gives_empty_family(self):
         system = induced_system_points_in_halfspaces([Point.of(1, 1)], [])
         assert system.sets == ()

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -15,9 +16,12 @@ from vcshatter.setsystem import (
     growth_function,
     k_fold_intersection,
     k_fold_union,
+    mask_to_indices,
     project,
     sauer_shelah_bound,
+    shattered_sets,
     shatters,
+    subset_mask,
     vc_dim,
 )
 
@@ -115,8 +119,8 @@ class TestVcDim:
             s = random_system(rng, max_ground=7, max_sets=24)
             dim, witness = vc_dim(s)
             assert dim == brute_force_vc_dim(s)
-            assert shatters(s, witness)
-            assert len(witness) == dim
+            first = next(ys for ys in combinations(range(s.ground_size), dim) if shatters(s, ys))
+            assert witness == first
 
     @given(systems())
     @settings(max_examples=60, deadline=None)
@@ -129,6 +133,72 @@ class TestVcDim:
     def test_sauer_shelah(self, s):
         dim, _ = vc_dim(s)
         assert len(s.sets) <= sauer_shelah_bound(s.ground_size, dim)
+
+
+class TestShatteredSets:
+    @given(systems())
+    @settings(max_examples=80, deadline=None)
+    def test_is_exactly_the_shattered_subsets(self, s):
+        expected = {
+            mask for mask in range(1 << s.ground_size) if shatters(s, mask_to_indices(mask))
+        }
+        assert set(shattered_sets(s).sets) == expected
+
+    @given(systems(max_ground=8, max_sets=40))
+    @settings(max_examples=80, deadline=None)
+    def test_downward_closed_and_pajor(self, s):
+        family = set(shattered_sets(s).sets)
+        assert len(family) >= len(s.sets)
+        for mask in family:
+            for i in mask_to_indices(mask):
+                assert mask & ~(1 << i) in family
+
+    def test_empty_family_shatters_nothing(self):
+        assert shattered_sets(SetSystem.from_masks(3, ())).sets == ()
+
+    def test_powerset_shatters_every_subset(self):
+        assert shattered_sets(powerset_system(5)).sets == tuple(range(1 << 5))
+
+
+class TestGuards:
+    @pytest.mark.parametrize(
+        "operation",
+        [
+            lambda s: k_fold_union(s, 2),
+            lambda s: k_fold_intersection(s, 2),
+            lambda s: growth_function(s, 2),
+            shattered_sets,
+        ],
+        ids=["k_fold_union", "k_fold_intersection", "growth_function", "shattered_sets"],
+    )
+    def test_refuses_ground_above_guard(self, operation):
+        s = SetSystem.from_members(25, [[0], [1, 24]])
+        with pytest.raises(ValueError, match="guard"):
+            operation(s)
+
+    def test_ground_at_guard_is_allowed(self):
+        s = SetSystem.from_members(24, [[0], [1, 23]])
+        assert k_fold_union(s, 2).member_lists() == [[0], [1, 23], [0, 1, 23]]
+        assert vc_dim(s) == (1, (0,))
+
+    def test_vc_dim_has_no_guard(self):
+        # Sparse families over more than VERIFY_GUARD elements stay cheap; the
+        # expected answers are the level walk's that vc_dim used before.
+        s = SetSystem.from_members(30, [[], [3], [27], [3, 5, 27], [29]])
+        assert vc_dim(s) == (2, (3, 27))
+        rng = random.Random(7)
+        s = SetSystem.from_masks(40, [sum(1 << i for i in rng.sample(range(40), 5)) for _ in range(80)])
+        assert vc_dim(s) == (3, (0, 9, 38))
+
+
+class TestSubsetMask:
+    def test_mask_and_indices_agree(self):
+        assert subset_mask(4, 0b1010) == subset_mask(4, [1, 3]) == subset_mask(4, (3, 1, 3))
+
+    @pytest.mark.parametrize("subset", [16, -1, [4], [-1]])
+    def test_out_of_range(self, subset):
+        with pytest.raises(ValueError, match="out of range"):
+            subset_mask(4, subset)
 
 
 class TestKFold:
