@@ -3,37 +3,33 @@
 A gadget is a family B of axis-parallel boxes with strictly positive
 coordinates such that for EVERY sub-family S of B there is a point set Q of
 at most 2^(n-1) points avoiding every box of S while hitting every box of
-B \\ S. The certificate is checked exhaustively over all 2^|B| sub-families;
-witnesses come from a finite candidate menu (one generic point per cell of
-the axis-parallel arrangement), and the hit-set decision is solved by exact
-branch and bound, never by a heuristic.
+B \\ S. The certificate is checked exhaustively over all 2^|B| sub-families.
+Each witness is solved from a finite candidate menu (one generic point per
+cell of the axis-parallel arrangement), built once per gadget, and the
+hit-set decision is made by exact branch and bound, never by a heuristic.
+A gadget counts as verified when ``verify(gadget)`` reports ok.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .geometry import AxisBox, Point, box_contains
-from .setsystem import VERIFY_GUARD, subset_mask
+from .setsystem import VERIFY_GUARD, mask_to_indices, subset_mask
 
 
 @dataclass(frozen=True)
 class BoxGadget:
-    """A certificate: box family plus optional cached per-subset witnesses.
-
-    ``witnesses`` maps a subset-of-boxes bitmask S to the cached point list
-    avoiding S and hitting the complement. Cached entries are never trusted
-    blindly; they are re-validated with raw containment tests before use.
-    """
+    """A certificate: a family of solid boxes with strictly positive coordinates."""
 
     n: int
     dim: int
     boxes: tuple[AxisBox, ...]
-    witnesses: Mapping[int, tuple[Point, ...]] | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         if self.n < 2 or self.dim < 2:
@@ -45,28 +41,16 @@ class BoxGadget:
                 raise ValueError("gadget boxes must have strictly positive coordinates")
             if any(a >= b_ for a, b_ in zip(box.lo, box.hi)):
                 raise ValueError("gadget boxes must be solid (lo < hi per coordinate)")
-        if self.witnesses is not None:
-            full = 1 << len(self.boxes)
-            for mask, pts in self.witnesses.items():
-                if not 0 <= mask < full:
-                    raise ValueError(f"witness subset mask {mask} out of range")
-                if len(pts) > self.max_witness_size:
-                    raise ValueError(
-                        f"cached witness for subset {mask} exceeds {self.max_witness_size} points"
-                    )
-                for p in pts:
-                    if p.dim != self.dim:
-                        raise ValueError("witness point dimension mismatch")
 
     @property
     def max_witness_size(self) -> int:
         return 1 << (self.n - 1)
 
-    def is_fully_witnessed(self) -> bool:
-        """Whether a cached witness exists for every subset of boxes."""
-        if self.witnesses is None:
-            return False
-        return len(self.witnesses) == 1 << len(self.boxes)
+    @cached_property
+    def _menu(self) -> tuple[tuple[Point, ...], list[int]]:
+        """The candidate points and the hit mask of each, computed on first use."""
+        candidates = candidate_points(self)
+        return candidates, _hit_masks(self, candidates)
 
 
 def nominal_box_count(n: int, dim: int) -> int:
@@ -108,27 +92,9 @@ def _hit_masks(gadget: BoxGadget, candidates: Sequence[Point]) -> list[int]:
     return masks
 
 
-def _witness_is_valid(gadget: BoxGadget, smask: int, pts: Sequence[Point]) -> bool:
-    """Re-check a cached witness with raw containment tests."""
-    if len(pts) > gadget.max_witness_size or not pts:
-        return False
-    for p in pts:
-        if p.dim != gadget.dim:
-            return False
-    for j, box in enumerate(gadget.boxes):
-        hit = any(box_contains(box, p) for p in pts)
-        if (smask >> j) & 1:
-            if hit:
-                return False
-        elif not hit:
-            return False
-    return True
-
-
 def _solve_cover(
     smask: int,
     budget: int,
-    candidates: Sequence[Point],
     hit_masks: Sequence[int],
     nboxes: int,
 ) -> list[int] | None:
@@ -199,19 +165,23 @@ def witness_for(gadget: BoxGadget, subset: Iterable[int] | int) -> tuple[Point, 
     """A point set avoiding the boxes of ``subset`` and hitting all others.
 
     Returns None when no such set of at most 2^(n-1) candidate points exists;
-    infeasibility is a value, not an error. Valid cached witnesses are reused.
+    infeasibility is a value, not an error.
     """
     smask = subset_mask(len(gadget.boxes), subset)
-    if gadget.witnesses is not None and smask in gadget.witnesses:
-        cached = tuple(gadget.witnesses[smask])
-        if _witness_is_valid(gadget, smask, cached):
-            return cached
-    candidates = candidate_points(gadget)
-    hits = _hit_masks(gadget, candidates)
-    chosen = _solve_cover(smask, gadget.max_witness_size, candidates, hits, len(gadget.boxes))
+    candidates, hits = gadget._menu
+    chosen = _solve_cover(smask, gadget.max_witness_size, hits, len(gadget.boxes))
     if chosen is None:
         return None
     return tuple(candidates[i] for i in sorted(chosen))
+
+
+def _failing_masks(gadget: BoxGadget) -> Iterator[int]:
+    """The subset masks with no witness, in ascending order."""
+    _, hits = gadget._menu
+    nboxes = len(gadget.boxes)
+    for smask in range(1 << nboxes):
+        if _solve_cover(smask, gadget.max_witness_size, hits, nboxes) is None:
+            yield smask
 
 
 @dataclass(frozen=True)
@@ -222,36 +192,18 @@ class GadgetReport:
 
 
 def verify(gadget: BoxGadget) -> tuple[GadgetReport, BoxGadget]:
-    """Run witness_for over every subset of boxes, in ascending bitmask order.
+    """Solve for a witness of every subset of boxes, in ascending bitmask order.
 
-    Returns the report and, on success, a copy of the gadget with its witness
-    cache fully populated. Refuses families larger than the 2^24 guard.
+    Returns the report and the gadget itself. Refuses families larger than
+    the 2^24 guard.
     """
     nboxes = len(gadget.boxes)
     if nboxes > VERIFY_GUARD:
         raise ValueError(
             f"exhaustive verification refused: {nboxes} boxes exceeds the guard of {VERIFY_GUARD}"
         )
-    candidates = candidate_points(gadget)
-    hits = _hit_masks(gadget, candidates)
-    failing: list[tuple[int, ...]] = []
-    cache: dict[int, tuple[Point, ...]] = {}
-    for smask in range(1 << nboxes):
-        cached = None
-        if gadget.witnesses is not None and smask in gadget.witnesses:
-            candidate_cached = tuple(gadget.witnesses[smask])
-            if _witness_is_valid(gadget, smask, candidate_cached):
-                cached = candidate_cached
-        if cached is None:
-            chosen = _solve_cover(smask, gadget.max_witness_size, candidates, hits, nboxes)
-            cached = tuple(candidates[i] for i in sorted(chosen)) if chosen is not None else None
-        if cached is None:
-            failing.append(tuple(i for i in range(nboxes) if (smask >> i) & 1))
-        else:
-            cache[smask] = cached
-    ok = not failing
-    report = GadgetReport(ok=ok, checked=1 << nboxes, failing_subsets=tuple(failing))
-    return report, (replace(gadget, witnesses=cache) if ok else gadget)
+    failing = tuple(tuple(mask_to_indices(smask)) for smask in _failing_masks(gadget))
+    return GadgetReport(ok=not failing, checked=1 << nboxes, failing_subsets=failing), gadget
 
 
 # ---------------------------------------------------------------------------
@@ -266,19 +218,12 @@ def _score(gadget: BoxGadget, max_failures: int | None = None) -> int | None:
     allowed; hill climbing uses this to reject bad proposals early without
     changing which proposals are accepted.
     """
-    candidates = candidate_points(gadget)
-    hits = _hit_masks(gadget, candidates)
-    nboxes = len(gadget.boxes)
-    good = 0
     failures = 0
-    for smask in range(1 << nboxes):
-        if _solve_cover(smask, gadget.max_witness_size, candidates, hits, nboxes) is not None:
-            good += 1
-        else:
-            failures += 1
-            if max_failures is not None and failures > max_failures:
-                return None
-    return good
+    for _ in _failing_masks(gadget):
+        failures += 1
+        if max_failures is not None and failures > max_failures:
+            return None
+    return (1 << len(gadget.boxes)) - failures
 
 
 def _staircase_seed(rng: random.Random, n: int, dim: int, count: int) -> BoxGadget:
@@ -450,9 +395,7 @@ def _search_impl(
         restart_cap = min(remaining_cap, 60 * target)
         found = _climb(rng, candidate, budget, restart_cap, stall_limit)
         if found is not None:
-            report, witnessed = verify(found)
-            if report.ok:
-                return witnessed
+            return found
     return None
 
 
@@ -470,9 +413,9 @@ def search(
     templates, or (for n >= 3) assemblies of separated clusters found by
     nested n=2 searches. ``budget`` caps the total number of scored candidate
     families across all restarts and nested searches; the result is
-    deterministic for a fixed seed. Returns the first gadget that verifies
-    exhaustively (with its witness cache attached), or None at budget
-    exhaustion. A zero budget always fails.
+    deterministic for a fixed seed. Returns the first gadget that scores
+    every subset feasible, which is exactly what ``verify`` checks, or None at
+    budget exhaustion. A zero budget always fails.
     """
     if n < 2 or dim < 2:
         raise ValueError("search requires n >= 2 and dim >= 2")

@@ -81,21 +81,9 @@ def _resolve_instance(args, notes: list[str]) -> constructions.Theorem1Instance:
         if args.k is None:
             raise jsonio.SchemaError("--k is required when --d is given")
         d = _effective_d(args.d, notes)
-        gadget = _resolve_gadget(args)
-        if not gadget.is_fully_witnessed():
-            _, gadget = _require_verified(gadget)
-        return constructions.build_theorem1(d, args.k, gadget)
+        return constructions.build_theorem1(d, args.k, _resolve_gadget(args))
     notes.append("using the bundled d=4, k=2 instance")
     return _load_bundled_instance()
-
-
-def _require_verified(gadget: boxgadget.BoxGadget):
-    report, witnessed = boxgadget.verify(gadget)
-    if not report.ok:
-        raise ConstructionError(
-            f"gadget failed verification on {len(report.failing_subsets)} subsets"
-        )
-    return report, witnessed
 
 
 # -- command handlers ---------------------------------------------------------
@@ -130,7 +118,7 @@ def _cmd_gadget_search(args) -> int:
 def _cmd_gadget_verify(args) -> int:
     started = time.monotonic()
     gadget = jsonio.gadget_from_dict(jsonio.load_json(args.file))
-    g_report, witnessed = boxgadget.verify(gadget)
+    g_report, _ = boxgadget.verify(gadget)
     result = {
         "ok": g_report.ok,
         "checked_subsets": g_report.checked,
@@ -143,8 +131,6 @@ def _cmd_gadget_verify(args) -> int:
         started,
         failing=[list(s) for s in g_report.failing_subsets],
     )
-    if args.output and g_report.ok:
-        jsonio.dump_json(jsonio.gadget_to_dict(witnessed), args.output)
     _emit(
         report,
         f"gadget verify: {'ok' if g_report.ok else 'FAILED'} "
@@ -157,10 +143,7 @@ def _cmd_construct(args) -> int:
     started = time.monotonic()
     notes: list[str] = []
     d = _effective_d(args.d, notes)
-    gadget = _resolve_gadget(args)
-    if not gadget.is_fully_witnessed():
-        _, gadget = _require_verified(gadget)
-    inst = constructions.build_theorem1(d, args.k, gadget)
+    inst = constructions.build_theorem1(d, args.k, _resolve_gadget(args))
     if args.which == "theorem1":
         payload = jsonio.instance_to_dict(inst)
         result = {"points": len(inst.points), "d": d, "k": args.k}
@@ -323,7 +306,6 @@ def _build_parser() -> argparse.ArgumentParser:
     gs.set_defaults(func=_cmd_gadget_search)
     gv = gsub.add_parser("verify", help="exhaustively verify a certificate file")
     gv.add_argument("file")
-    gv.add_argument("--output", default=None, help="write back with witnesses on success")
     gv.set_defaults(func=_cmd_gadget_verify)
 
     construct = top.add_parser("construct", help="build shattering instances")

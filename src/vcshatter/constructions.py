@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+from . import boxgadget  # boxgadget.verify is looked up where perfbench's tracer wraps it
 from .boxgadget import BoxGadget, witness_for
 from .geometry import (
     AxisBox,
@@ -170,9 +171,6 @@ class Theorem1Instance:
         if len(self.points) != len(self.gadget.boxes):
             raise ValueError("one point per gadget box required")
 
-    def box_for_point(self, i: int) -> AxisBox:
-        return self.gadget.boxes[i]
-
 
 @dataclass(frozen=True)
 class Theorem2Instance:
@@ -197,8 +195,9 @@ def required_gadget_n(k: int) -> int:
 def build_theorem1(d: int, k: int, gadget: BoxGadget) -> Theorem1Instance:
     """Assemble the point set for dimension d (even, >= 4) and fold count k.
 
-    The gadget must be verified (full witness cache) and match d and k:
-    its dimension is d/2 and its n parameter is floor(log2 k) + 1.
+    The gadget must match d and k (its dimension is d/2 and its n parameter
+    is floor(log2 k) + 1) and pass ``verify``; a gadget that fails raises
+    ConstructionError with the number of failing subsets.
     """
     if d % 2 != 0 or d < 4:
         raise ValueError("d must be an even integer >= 4 (odd d delegates to d-1)")
@@ -209,8 +208,11 @@ def build_theorem1(d: int, k: int, gadget: BoxGadget) -> Theorem1Instance:
     expected_n = required_gadget_n(k)
     if gadget.n != expected_n:
         raise ValueError(f"gadget has n={gadget.n}, but k={k} requires n={expected_n}")
-    if not gadget.is_fully_witnessed():
-        raise ValueError("refusing to build from an unverified gadget; run verify first")
+    report, _ = boxgadget.verify(gadget)
+    if not report.ok:
+        raise ConstructionError(
+            f"gadget failed verification on {len(report.failing_subsets)} subsets"
+        )
     lifted = [lift_box(box) for box in gadget.boxes]
     if len({p.coords for p in lifted}) != len(lifted):
         raise ValueError("gadget boxes must lift to distinct points")
@@ -294,7 +296,8 @@ def verify_theorem1(
 ) -> VerificationReport:
     """Check that every selected subset is realized exactly by its witness union.
 
-    With compute_vc_dim, additionally collects the sets that the witness
+    A subset whose witness cannot be built counts as failing. With
+    compute_vc_dim, additionally collects the sets that the witness
     half-spaces of the run cut out of P and reports the VC-dimension of the
     k-fold union of that system (it must reach |P| when the instance
     shatters).
@@ -304,7 +307,11 @@ def verify_theorem1(
     max_size = 0
     members: set[int] = set()
     for pmask in masks:
-        witness = union_witness(inst, pmask)
+        try:
+            witness = union_witness(inst, pmask)
+        except ConstructionError:
+            failing.append(tuple(mask_to_indices(pmask)))
+            continue
         max_size = max(max_size, len(witness))
         induced = induced_system_points_in_halfspaces(inst.points, witness)
         if compute_vc_dim:
@@ -329,14 +336,10 @@ def verify_theorem1(
     )
 
 
-def build_theorem2(
-    inst: Theorem1Instance, k: int | None = None, allow_unverified: bool = False
-) -> Theorem2Instance:
+def build_theorem2(inst: Theorem1Instance, k: int | None = None) -> Theorem2Instance:
     """Dualize every point of the base instance into a hyperplane."""
     if k is not None and k != inst.k:
         raise ValueError(f"fold count {k} does not match the instance's k={inst.k}")
-    if not allow_unverified and not inst.gadget.is_fully_witnessed():
-        raise ValueError("base instance gadget is unverified; pass allow_unverified to bypass")
     hyperplanes = tuple(dual_point_to_hyperplane(p) for p in inst.points)
     return Theorem2Instance(base=inst, hyperplanes=hyperplanes, k=inst.k)
 
@@ -394,14 +397,19 @@ def verify_theorem2(
 
     Also counts sign-zero evaluations across every (vertex, hyperplane) pair;
     a sound run reports zero_signs == 0, since all incidences were engineered
-    away by the threshold choice and the apex height.
+    away by the threshold choice and the apex height. A subset whose simplex
+    cannot be built counts as failing.
     """
     masks = _selected_masks(len(inst2.hyperplanes), mode, count, seed)
     failing: list[tuple[int, ...]] = []
     zero_signs = 0
     max_size = 0
     for hmask in masks:
-        simplex = simplex_witness(inst2, hmask)
+        try:
+            simplex = simplex_witness(inst2, hmask)
+        except ConstructionError:
+            failing.append(tuple(mask_to_indices(hmask)))
+            continue
         max_size = max(max_size, len(simplex.vertices) - 1)
         for h in inst2.hyperplanes:
             zero_signs += sum(1 for v in simplex.vertices if side_of(h, v) == 0)

@@ -236,38 +236,19 @@ def _sub(a: tuple[Fraction, ...], b: tuple[Fraction, ...]) -> list[Fraction]:
     return [x - y for x, y in zip(a, b)]
 
 
-def _rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    """Rank by fraction-free-ish Gaussian elimination over the rationals."""
-    mat = [list(r) for r in rows]
-    if not mat:
-        return 0
-    ncols = len(mat[0])
-    rank = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, len(mat)) if mat[r][col] != 0), None)
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        prow = mat[rank]
-        for r in range(rank + 1, len(mat)):
-            if mat[r][col] != 0:
-                f = mat[r][col] / prow[col]
-                mat[r] = [x - f * y for x, y in zip(mat[r], prow)]
-        rank += 1
-        if rank == len(mat):
-            break
-    return rank
+def _echelon(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
+    """Forward Gaussian elimination over the rationals.
 
-
-def _pivot_columns(rows: Sequence[Sequence[Fraction]]) -> list[int]:
-    """Column indices of pivots after elimination; their count is the rank."""
+    Returns the nonzero rows of a row echelon form of ``rows`` and the pivot
+    column of each; the number of pivots is the rank.
+    """
     mat = [list(r) for r in rows]
     pivots: list[int] = []
-    if not mat:
-        return pivots
-    ncols = len(mat[0])
-    rank = 0
+    ncols = len(mat[0]) if mat else 0
     for col in range(ncols):
+        rank = len(pivots)
+        if rank == len(mat):
+            break
         pivot = next((r for r in range(rank, len(mat)) if mat[r][col] != 0), None)
         if pivot is None:
             continue
@@ -278,10 +259,11 @@ def _pivot_columns(rows: Sequence[Sequence[Fraction]]) -> list[int]:
                 f = mat[r][col] / prow[col]
                 mat[r] = [x - f * y for x, y in zip(mat[r], prow)]
         pivots.append(col)
-        rank += 1
-        if rank == len(mat):
-            break
-    return pivots
+    return mat[: len(pivots)], pivots
+
+
+def _rank(rows: Sequence[Sequence[Fraction]]) -> int:
+    return len(_echelon(rows)[1])
 
 
 def _normal_through(points: Sequence[tuple[Fraction, ...]]) -> tuple[Fraction, ...] | None:
@@ -291,32 +273,15 @@ def _normal_through(points: Sequence[tuple[Fraction, ...]]) -> tuple[Fraction, .
     The normal is canonicalized so its first nonzero entry is +1.
     """
     d = len(points[0])
-    rows = [_sub(p, points[0]) for p in points[1:]]
-    if _rank(rows) != d - 1:
+    echelon, pivots = _echelon([_sub(p, points[0]) for p in points[1:]])
+    if len(pivots) != d - 1:
         return None
-    # Solve rows * a = 0 for a one-dimensional null space.
-    mat = [list(r) for r in rows]
-    pivots: list[int] = []
-    rank = 0
-    for col in range(d):
-        pivot = next((r for r in range(rank, len(mat)) if mat[r][col] != 0), None)
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        prow = mat[rank]
-        inv = Fraction(1) / prow[col]
-        mat[rank] = [x * inv for x in prow]
-        for r in range(len(mat)):
-            if r != rank and mat[r][col] != 0:
-                f = mat[r][col]
-                mat[r] = [x - f * y for x, y in zip(mat[r], mat[rank])]
-        pivots.append(col)
-        rank += 1
-    free = next(c for c in range(d) if c not in pivots)
+    # The null space is one-dimensional: fix the free coordinate to 1 and
+    # back-substitute through the echelon rows, last pivot first.
     a = [Fraction(0)] * d
-    a[free] = Fraction(1)
-    for row, col in zip(mat, pivots):
-        a[col] = -row[free]
+    a[next(c for c in range(d) if c not in pivots)] = Fraction(1)
+    for row, col in reversed(list(zip(echelon, pivots))):
+        a[col] = -sum((row[c] * a[c] for c in range(col + 1, d)), start=Fraction(0)) / row[col]
     lead = next(x for x in a if x != 0)
     return tuple(x / lead for x in a)
 
@@ -329,8 +294,7 @@ def _affine_chart(points: Sequence[tuple[Fraction, ...]]) -> tuple[int, list[tup
     hull, so the chart preserves all half-space dichotomies.
     """
     base = points[0]
-    rows = [_sub(p, base) for p in points[1:]]
-    cols = _pivot_columns(rows)
+    _, cols = _echelon([_sub(p, base) for p in points[1:]])
     m = len(cols)
     charted = [tuple(p[c] for c in cols) for p in points]
     return m, charted

@@ -177,7 +177,7 @@ def simplex_from_dict(data: Any) -> OpenSimplex:
 
 
 def gadget_to_dict(gadget: BoxGadget) -> dict:
-    out: dict = {
+    return {
         "n": gadget.n,
         "dim": gadget.dim,
         "boxes": [
@@ -185,15 +185,10 @@ def gadget_to_dict(gadget: BoxGadget) -> dict:
             for box in gadget.boxes
         ],
     }
-    if gadget.witnesses is not None:
-        out["witnesses"] = {
-            str(mask): [[format_scalar(c) for c in p.coords] for p in pts]
-            for mask, pts in sorted(gadget.witnesses.items())
-        }
-    return out
 
 
 def gadget_from_dict(data: Any) -> BoxGadget:
+    # Reads n, dim and boxes only; a "witnesses" key from older files is ignored.
     n = _int_field(data, "n", "gadget", minimum=2)
     dim = _int_field(data, "dim", "gadget", minimum=2)
     raw_boxes = _require(data, "boxes", "gadget")
@@ -209,28 +204,8 @@ def gadget_from_dict(data: Any) -> BoxGadget:
             boxes.append(AxisBox(lo, hi))
         except ValueError as err:
             raise SchemaError(f"gadget.boxes[{i}]: {err}") from None
-    witnesses = None
-    if isinstance(data, dict) and "witnesses" in data and data["witnesses"] is not None:
-        raw_w = data["witnesses"]
-        if not isinstance(raw_w, dict):
-            raise SchemaError("gadget.witnesses: expected an object keyed by subset masks")
-        witnesses = {}
-        for key, rows in raw_w.items():
-            try:
-                mask = int(key)
-            except ValueError:
-                raise SchemaError(f"gadget.witnesses: bad subset key {key!r}") from None
-            if not isinstance(rows, list):
-                raise SchemaError(f"gadget.witnesses[{key}]: expected a list of points")
-            pts = []
-            for i, coords in enumerate(rows):
-                values = _scalar_list(coords, f"gadget.witnesses[{key}][{i}]")
-                if len(values) != dim:
-                    raise SchemaError(f"gadget.witnesses[{key}][{i}]: expected {dim} coordinates")
-                pts.append(Point(values))
-            witnesses[mask] = tuple(pts)
     try:
-        return BoxGadget(n=n, dim=dim, boxes=tuple(boxes), witnesses=witnesses)
+        return BoxGadget(n=n, dim=dim, boxes=tuple(boxes))
     except ValueError as err:
         raise SchemaError(f"gadget: {err}") from None
 

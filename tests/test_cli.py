@@ -3,10 +3,11 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
-from vcshatter import jsonio
+from vcshatter import boxgadget, jsonio
 from vcshatter.cli import cli_main
 from vcshatter.setsystem import SetSystem
 
@@ -197,6 +198,34 @@ class TestGadgetCommands:
         assert report["result"]["ok"] is False
         assert report["failing"]
 
+    def test_verify_has_no_output_flag(self, capsys, tmp_path):
+        from vcshatter.cli import BUNDLED_GADGET, _asset_path
+
+        out = tmp_path / "g.json"
+        code = cli_main(
+            ["gadget", "verify", str(_asset_path(BUNDLED_GADGET)), "--output", str(out)]
+        )
+        assert code == 2
+        assert not out.exists()
+
+    def test_failing_gadget_aborts_theorem_commands(self, capsys, tmp_path, bundled_gadget):
+        data = jsonio.gadget_to_dict(bundled_gadget)
+        lo = [Fraction(v) for v in data["boxes"][1]["lo"]]
+        data["boxes"][0] = {  # nested strictly inside box 1
+            "lo": [jsonio.format_scalar(v + Fraction(1, 4)) for v in lo],
+            "hi": [jsonio.format_scalar(v + Fraction(1, 2)) for v in lo],
+        }
+        path = tmp_path / "nested.json"
+        jsonio.dump_json(data, path)
+        for argv in (
+            ["verify", "theorem1", "--d", "4", "--k", "2", "--gadget", str(path)],
+            ["verify", "theorem2", "--d", "4", "--k", "2", "--gadget", str(path)],
+            ["construct", "theorem1", "--d", "4", "--k", "2", "--gadget", str(path)],
+        ):
+            code, report = run_cli(capsys, *argv)
+            assert code == 1, argv
+            assert "failed verification" in report["error"]
+
     def test_search_writes_verified_certificate(self, capsys, tmp_path):
         out = tmp_path / "g.json"
         code, report = run_cli(
@@ -204,8 +233,9 @@ class TestGadgetCommands:
             "--seed", "0", "--budget", "20000", "--output", str(out),
         )
         assert code == 0 and report["result"]["found"] is True
-        gadget = jsonio.gadget_from_dict(jsonio.load_json(out))
-        assert gadget.is_fully_witnessed()
+        data = jsonio.load_json(out)
+        assert set(data) == {"n", "dim", "boxes"}
+        assert boxgadget.verify(jsonio.gadget_from_dict(data))[0].ok
 
     def test_search_budget_zero_exits_1(self, capsys):
         code, report = run_cli(

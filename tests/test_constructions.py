@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vcshatter import constructions
-from vcshatter.boxgadget import BoxGadget, verify
+from vcshatter.boxgadget import BoxGadget, verify, witness_for
 from vcshatter.constructions import (
     ConstructionError,
     anchored_box_of,
@@ -56,6 +56,27 @@ def positive_boxes(draw, dim=2):
         hi.append(max(a, b))
     return AxisBox(tuple(lo), tuple(hi))
 
+
+def _nested_box_gadget(gadget: BoxGadget) -> BoxGadget:
+    """Box 0 moved strictly inside box 1: no point hits box 0 and avoids box 1."""
+    boxes = list(gadget.boxes)
+    outer = boxes[1]
+    boxes[0] = AxisBox(
+        tuple(lo + F(1, 4) for lo in outer.lo),
+        tuple(lo + F(1, 2) for lo in outer.lo),
+    )
+    return BoxGadget(n=gadget.n, dim=gadget.dim, boxes=tuple(boxes))
+
+
+def _raising_on(witness, bad_mask: int):
+    """``witness`` with ConstructionError raised for one subset mask."""
+
+    def wrapped(inst, subset, *args, **kwargs):
+        if subset == bad_mask:
+            raise ConstructionError(f"no witness for subset mask {bad_mask}")
+        return witness(inst, subset, *args, **kwargs)
+
+    return wrapped
 
 class TestLiftBox:
     def test_example(self):
@@ -172,8 +193,8 @@ class TestSnapAndHalfspace:
         # p in snapped anchored box of q  <=>  lifted point in original B(q)
         inst = bundled_instance
         lifted = [lift_box(box) for box in inst.gadget.boxes]
-        for smask, q_points in sorted(inst.gadget.witnesses.items()):
-            for q in q_points:
+        for smask in range(1 << len(inst.gadget.boxes)):
+            for q in witness_for(inst.gadget, smask):
                 original = anchored_box_of(q)
                 snapped = snap_anchored_box(original, inst.alpha)
                 h = box_to_halfspace(snapped, inst.d)
@@ -201,11 +222,17 @@ class TestBuildTheorem1:
             build_theorem1(5, 2, bundled_gadget)
 
     def test_unverified_gadget_refused(self, bundled_gadget):
-        bare = BoxGadget(
-            n=bundled_gadget.n, dim=bundled_gadget.dim, boxes=bundled_gadget.boxes
-        )
-        with pytest.raises(ValueError, match="unverified"):
-            build_theorem1(4, 2, bare)
+        nested = _nested_box_gadget(bundled_gadget)
+        failing = len(verify(nested)[0].failing_subsets)
+        assert failing > 0
+        with pytest.raises(ConstructionError, match=f"failed verification on {failing} subsets"):
+            build_theorem1(4, 2, nested)
+
+    def test_verify_returns_a_gadget_that_builds(self, bundled_gadget):
+        report, gadget = verify(bundled_gadget)
+        assert report.ok
+        inst = build_theorem1(4, 2, gadget)
+        assert inst.gadget is bundled_gadget
 
     def test_parameter_mismatches(self, bundled_gadget):
         with pytest.raises(ValueError, match="n="):
@@ -232,16 +259,8 @@ class TestUnionWitness:
             assert len(union_witness(bundled_instance, mask)) <= limit
 
     def test_broken_gadget_raises_construction_error(self, bundled_instance):
-        # a witness table claiming infeasibility everywhere cannot fool the
-        # validator, so drop to a gadget whose cache is empty and whose boxes
-        # are made uncoverable by nesting one inside another
-        boxes = list(bundled_instance.gadget.boxes)
-        outer = boxes[1]
-        boxes[0] = AxisBox(
-            tuple(lo + F(1, 3) for lo in outer.lo),
-            tuple(lo + F(2, 3) for lo in outer.lo),
-        )
-        broken = BoxGadget(n=2, dim=2, boxes=tuple(boxes))
+        # build_theorem1 refuses a failing gadget, so swap one into a built instance
+        broken = _nested_box_gadget(bundled_instance.gadget)
         report, _ = verify(broken)
         assert not report.ok
         inst = dataclasses.replace(bundled_instance, gadget=broken)
@@ -295,6 +314,15 @@ class TestVerifyTheorem1:
         with pytest.raises(ValueError, match="mode"):
             verify_theorem1(bundled_instance, mode="bogus")
 
+    def test_witness_error_is_a_failing_subset(self, bundled_instance, monkeypatch):
+        monkeypatch.setattr(
+            constructions, "union_witness", _raising_on(constructions.union_witness, 13)
+        )
+        report = verify_theorem1(bundled_instance, mode="exhaustive", compute_vc_dim=True)
+        assert not report.shattered
+        assert report.checked == 32
+        assert report.failing_subsets == ((0, 2, 3),)
+
 
 class TestTheorem2:
     def test_build_counts(self, bundled_instance):
@@ -332,6 +360,17 @@ class TestTheorem2:
         report = verify_theorem2(inst2, mode="exhaustive")
         assert report.shattered
         assert report.checked == 32
+        assert report.zero_signs == 0
+
+    def test_simplex_error_is_a_failing_subset(self, bundled_instance, monkeypatch):
+        inst2 = build_theorem2(bundled_instance)
+        monkeypatch.setattr(
+            constructions, "simplex_witness", _raising_on(constructions.simplex_witness, 13)
+        )
+        report = verify_theorem2(inst2, mode="exhaustive")
+        assert not report.shattered
+        assert report.checked == 32
+        assert report.failing_subsets == ((0, 2, 3),)
         assert report.zero_signs == 0
 
     def test_apex_above_everything_breaks_the_construction(self, bundled_instance, monkeypatch):

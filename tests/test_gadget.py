@@ -13,8 +13,9 @@ from vcshatter.boxgadget import (
     verify,
     witness_for,
 )
-from vcshatter.geometry import AxisBox, Point, box_contains
-from vcshatter.jsonio import gadget_from_dict, gadget_to_dict
+from vcshatter.cli import BUNDLED_INSTANCE, _asset_path
+from vcshatter.geometry import AxisBox, box_contains
+from vcshatter.jsonio import gadget_from_dict, gadget_to_dict, instance_from_dict, load_json
 
 F = Fraction
 
@@ -122,31 +123,19 @@ class TestWitnessFor:
 
 class TestVerify:
     def test_bundled_certificate_passes(self, bundled_gadget):
-        report, witnessed = verify(bundled_gadget)
+        report, same = verify(bundled_gadget)
         assert report.ok
         assert report.checked == 1 << len(bundled_gadget.boxes)
-        assert witnessed.is_fully_witnessed()
+        assert same is bundled_gadget
 
-    def test_witness_cache_is_sound(self, bundled_gadget):
-        _, witnessed = verify(bundled_gadget)
-        for smask, pts in witnessed.witnesses.items():
-            assert len(pts) <= witnessed.max_witness_size
-            for j, box in enumerate(witnessed.boxes):
+    def test_every_witness_is_sound(self, bundled_gadget):
+        g = bundled_gadget
+        for smask in range(1 << len(g.boxes)):
+            pts = witness_for(g, smask)
+            assert pts is not None and 1 <= len(pts) <= g.max_witness_size
+            for j, box in enumerate(g.boxes):
                 hit = any(box_contains(box, q) for q in pts)
                 assert hit == (not (smask >> j) & 1)
-
-    def test_invalid_cached_witnesses_are_recomputed(self, bundled_gadget):
-        bogus = {0: (Point.of(F(10**6), F(10**6)),)}
-        tampered = BoxGadget(
-            n=bundled_gadget.n,
-            dim=bundled_gadget.dim,
-            boxes=bundled_gadget.boxes,
-            witnesses=bogus,
-        )
-        pts = witness_for(tampered, 0)
-        assert pts is not None
-        for box in tampered.boxes:
-            assert any(box_contains(box, q) for q in pts)
 
     def test_nested_box_fails_with_counterexample(self, bundled_gadget):
         boxes = list(bundled_gadget.boxes)
@@ -201,15 +190,22 @@ class TestSearch:
 
 class TestJsonRoundTrip:
     def test_round_trip_with_witnesses(self, bundled_gadget):
-        _, witnessed = verify(bundled_gadget)
-        data = gadget_to_dict(witnessed)
-        again = gadget_from_dict(data)
-        assert again.boxes == witnessed.boxes
-        assert again.witnesses == dict(witnessed.witnesses)
+        # a "witnesses" key is accepted and ignored, even one no reader could parse
+        data = gadget_to_dict(bundled_gadget)
+        data["witnesses"] = {"not a mask": [["1/0"]], "0": [["1", "2", "3"]], "-5": "junk"}
+        loaded = gadget_from_dict(data)
+        assert loaded == bundled_gadget
+        assert verify(loaded)[0].ok
+        assert gadget_to_dict(loaded) == {key: data[key] for key in ("n", "dim", "boxes")}
 
     def test_round_trip_without_witnesses(self, bundled_gadget):
-        bare = BoxGadget(
-            n=bundled_gadget.n, dim=bundled_gadget.dim, boxes=bundled_gadget.boxes
-        )
-        again = gadget_from_dict(gadget_to_dict(bare))
-        assert again == bare and again.witnesses is None
+        again = gadget_from_dict(gadget_to_dict(bundled_gadget))
+        assert again == bundled_gadget
+        assert set(gadget_to_dict(again)) == {"n", "dim", "boxes"}
+
+    def test_instance_bundle_with_boxes_only_gadget(self, bundled_instance):
+        data = load_json(_asset_path(BUNDLED_INSTANCE))
+        del data["gadget"]["witnesses"]
+        inst = instance_from_dict(data)
+        assert inst.points == bundled_instance.points
+        assert inst.alpha == bundled_instance.alpha
