@@ -221,17 +221,15 @@ def build_theorem1(d: int, k: int, gadget: BoxGadget) -> Theorem1Instance:
 
 
 def union_witness(
-    inst: Theorem1Instance,
-    subset: Iterable[int] | int,
-    tau_step: Fraction | None = None,
+    inst: Theorem1Instance, subset: Iterable[int] | int
 ) -> tuple[RestrictedHalfspace, ...]:
     """At most k half-spaces whose union meets P exactly in the given subset.
 
     The boxes of the complement subset are handed to the gadget; each witness
     point becomes an anchored box, snaps onto the rescaled grid and turns into
     one half-space. Duplicate half-spaces are merged before thresholds are
-    assigned; thresholds are d + 1/2 + j*step with step defaulting to 1/(4k),
-    so they stay strictly inside (d, d+1) and distinct per half-space.
+    assigned; thresholds are d + 1/2 + j/(4k), so they stay strictly inside
+    (d, d+1) and distinct per half-space.
     """
     pmask = subset_mask(len(inst.points), subset)
     nboxes = len(inst.gadget.boxes)
@@ -241,7 +239,6 @@ def union_witness(
         raise ConstructionError(
             f"gadget has no witness for box subset {avoid}; the certificate is invalid"
         )
-    step = Fraction(1, 4 * inst.k) if tau_step is None else Fraction(tau_step)
     snapped: list[AxisBox] = []
     seen: set[tuple[Fraction, ...]] = set()
     for q in q_points:
@@ -251,7 +248,8 @@ def union_witness(
             snapped.append(box)
     base = Fraction(2 * inst.d + 1, 2)
     return tuple(
-        box_to_halfspace(box, inst.d, tau=base + j * step) for j, box in enumerate(snapped)
+        box_to_halfspace(box, inst.d, tau=base + Fraction(j, 4 * inst.k))
+        for j, box in enumerate(snapped)
     )
 
 
@@ -344,47 +342,34 @@ def build_theorem2(inst: Theorem1Instance, k: int | None = None) -> Theorem2Inst
     return Theorem2Instance(base=inst, hyperplanes=hyperplanes, k=inst.k)
 
 
-# Numerators m for threshold spacing m/(8k); the first matches the default
-# 1/(4k). All keep j * step < 1/2 for j < k, so tau stays inside (d, d+1).
-_TAU_STEP_NUMERATORS = (2, 1, 3, 4)
+def _apex(d: int) -> Point:
+    """The apex (1, 2, ..., d-1, 0) shared by every witness simplex.
 
-
-def _apex_height(inst: Theorem1Instance) -> Fraction:
-    return min(p.coords[-1] for p in inst.points) / 2
+    Every rescaled p is strictly positive, so s_p(apex) = sum_{i<d} i*p_i + p_d
+    > 0: the apex lies strictly on the +1 side of every H(p).
+    """
+    return Point(tuple(Fraction(i) for i in range(1, d)) + (Fraction(0),))
 
 
 def simplex_witness(inst2: Theorem2Instance, subset: Iterable[int] | int) -> OpenSimplex:
     """An open simplex meeting exactly the hyperplanes of the given subset.
 
     Vertices are the dual points of the union witness for the generating
-    points, plus the apex (0, ..., 0, t) with t = (min_p p_d) / 2. Every
-    vertex lands strictly on the +1 side of each hyperplane except that a
-    witness half-space containing p puts its dual vertex strictly on the -1
-    side of H(p), so the open hull crosses H(p) exactly when p is selected.
-    Affine independence is retried over alternative threshold spacings.
+    points, plus the apex (1, 2, ..., d-1, 0). Every vertex lands strictly on
+    the +1 side of each hyperplane except that a witness half-space containing
+    p puts its dual vertex strictly on the -1 side of H(p), so the open hull
+    crosses H(p) exactly when p is selected. Affinely dependent vertices raise
+    ConstructionError.
     """
     base = inst2.base
     pmask = subset_mask(len(base.points), subset)
-    apex = Point(tuple(Fraction(0) for _ in range(base.d - 1)) + (_apex_height(base),))
-    last_error: Exception | None = None
-    for numerator in _TAU_STEP_NUMERATORS:
-        step = Fraction(numerator, 8 * inst2.k)
-        witness = union_witness(base, pmask, tau_step=step)
-        vertices: list[Point] = []
-        seen: set[tuple[Fraction, ...]] = set()
-        for h in witness:
-            v = dual_halfspace_to_point(h)
-            if v.coords not in seen:
-                seen.add(v.coords)
-                vertices.append(v)
-        vertices.append(apex)
-        try:
-            return OpenSimplex(ambient_dim=base.d, vertices=tuple(vertices))
-        except DegenerateSimplexError as err:
-            last_error = err
-    raise ConstructionError(
-        f"could not build an affinely independent simplex for subset mask {pmask}: {last_error}"
-    )
+    vertices = tuple(dual_halfspace_to_point(h) for h in union_witness(base, pmask))
+    try:
+        return OpenSimplex(ambient_dim=base.d, vertices=vertices + (_apex(base.d),))
+    except DegenerateSimplexError as err:
+        raise ConstructionError(
+            f"could not build an affinely independent simplex for subset mask {pmask}: {err}"
+        ) from err
 
 
 def verify_theorem2(
@@ -397,8 +382,8 @@ def verify_theorem2(
 
     Also counts sign-zero evaluations across every (vertex, hyperplane) pair;
     a sound run reports zero_signs == 0, since all incidences were engineered
-    away by the threshold choice and the apex height. A subset whose simplex
-    cannot be built counts as failing.
+    away by the threshold choice and the apex. A subset whose simplex cannot
+    be built counts as failing.
     """
     masks = _selected_masks(len(inst2.hyperplanes), mode, count, seed)
     failing: list[tuple[int, ...]] = []

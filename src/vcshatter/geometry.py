@@ -53,7 +53,7 @@ def _scalar_tuple(values: Iterable) -> tuple[Fraction, ...]:
 
 
 class DegenerateSimplexError(ValueError):
-    """Vertex list is affinely dependent; callers may perturb and retry."""
+    """Vertex list is affinely dependent, so it spans no simplex of its size."""
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,12 @@ import pytest
 from oracles import brute_force_vc_dim
 from vcshatter.boxgadget import BoxGadget, search, verify, witness_for
 from vcshatter.cli import cli_main
-from vcshatter.constructions import build_theorem1, verify_theorem1
+from vcshatter.constructions import (
+    build_theorem1,
+    build_theorem2,
+    verify_theorem1,
+    verify_theorem2,
+)
 from vcshatter.geometry import (
     AxisBox,
     Point,
@@ -288,4 +293,51 @@ def test_criterion_9_stretch_n3_search():
     inst = build_theorem1(4, 4, found)
     report = verify_theorem1(inst, mode="exhaustive")
     assert report.shattered and report.checked == 4096
-    report_pass("9 stretch n=3", f"12 points, 4096/4096 subsets with <= 4 half-spaces")
+    report2 = verify_theorem2(build_theorem2(inst), mode="exhaustive")
+    assert report2.shattered and report2.checked == 4096
+    assert report2.zero_signs == 0
+    report_pass(
+        "9 stretch n=3",
+        "12 points, 4096/4096 subsets with <= 4 half-spaces and with open <=4-simplices",
+    )
+
+
+def test_criterion_10_theorem1_k4_instance(capsys, n3_gadget_path):
+    started = time.monotonic()
+    code, report = run_cli_json(
+        capsys, "verify", "theorem1", "--d", "4", "--k", "4",
+        "--gadget", str(n3_gadget_path), "--vcdim",
+    )
+    elapsed = time.monotonic() - started
+    assert code == 0
+    result = report["result"]
+    assert result["checked_subsets"] == 4096
+    assert result["shattered"] is True
+    assert result["union_vc_dim"] == 12
+    assert report["failing"] == []
+    report_pass(
+        "10 theorem1 k=4 instance",
+        f"12 points in R^4, 4096/4096 subsets, union VC-dimension 12, {elapsed:.1f}s",
+    )
+
+
+def test_criterion_11_theorem2_k4_sample(capsys, n3_gadget_path):
+    # Exhaustive Theorem 2 at d=4, k=4 is too slow for this suite; a seeded
+    # sample of 256 draws (250 distinct subsets) runs the same pipeline.
+    started = time.monotonic()
+    code, report = run_cli_json(
+        capsys, "verify", "theorem2", "--d", "4", "--k", "4",
+        "--gadget", str(n3_gadget_path), "--mode", "sample", "--count", "256", "--seed", "0",
+    )
+    elapsed = time.monotonic() - started
+    assert code == 0
+    result = report["result"]
+    assert result["checked_subsets"] == 250
+    assert result["shattered"] is True
+    assert result["zero_signs"] == 0
+    assert result["max_witness_size"] <= 4
+    assert report["failing"] == []
+    report_pass(
+        "11 theorem2 k=4 sample",
+        f"250 sampled subsets of 12 hyperplanes by open <=4-simplices, {elapsed:.1f}s",
+    )

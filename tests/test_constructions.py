@@ -30,8 +30,11 @@ from vcshatter.geometry import (
     AxisBox,
     Point,
     box_contains,
+    dual_point_to_hyperplane,
     halfspace_contains,
     induced_system_points_in_halfspaces,
+    side_of,
+    simplex_hyperplane_intersects,
 )
 from vcshatter.setsystem import (
     complement_system,
@@ -338,15 +341,11 @@ class TestTheorem2:
     def test_empty_subset_simplex_misses_everything(self, bundled_instance):
         inst2 = build_theorem2(bundled_instance)
         simplex = simplex_witness(inst2, [])
-        from vcshatter.geometry import simplex_hyperplane_intersects
-
         assert not any(simplex_hyperplane_intersects(simplex, h) for h in inst2.hyperplanes)
 
     def test_full_subset_simplex_meets_everything(self, bundled_instance):
         inst2 = build_theorem2(bundled_instance)
         simplex = simplex_witness(inst2, range(5))
-        from vcshatter.geometry import simplex_hyperplane_intersects
-
         assert all(simplex_hyperplane_intersects(simplex, h) for h in inst2.hyperplanes)
 
     def test_simplex_dimension_bound(self, bundled_instance):
@@ -373,10 +372,33 @@ class TestTheorem2:
         assert report.failing_subsets == ((0, 2, 3),)
         assert report.zero_signs == 0
 
+    @given(
+        st.lists(
+            st.fractions(min_value=0, max_value=10**6, max_denominator=10**6).filter(
+                lambda x: x > 0
+            ),
+            min_size=2,
+            max_size=8,
+        )
+    )
+    def test_apex_is_above_every_positive_hyperplane(self, coords):
+        h = dual_point_to_hyperplane(Point(tuple(coords)))
+        assert side_of(h, constructions._apex(len(coords))) == 1
+
+    def test_degenerate_masks_at_k4_build(self, n3_gadget):
+        # Each of these masks has a witness point with equal coordinates on
+        # both gadget axes, which puts every dual vertex in the hyperplane
+        # x_1 = x_3; the simplex is full only if the apex lies off it.
+        inst2 = build_theorem2(build_theorem1(4, 4, n3_gadget))
+        for mask in (1748, 1750, 1781, 2474, 2488, 2490, 2538, 2552, 2554):
+            simplex = simplex_witness(inst2, mask)
+            crossed = [simplex_hyperplane_intersects(simplex, h) for h in inst2.hyperplanes]
+            assert crossed == [bool(mask >> i & 1) for i in range(12)], mask
+
     def test_apex_above_everything_breaks_the_construction(self, bundled_instance, monkeypatch):
         inst2 = build_theorem2(bundled_instance)
         top = max(p.coords[-1] for p in bundled_instance.points)
-        monkeypatch.setattr(constructions, "_apex_height", lambda inst: 2 * top)
+        monkeypatch.setattr(constructions, "_apex", lambda d: Point((0,) * (d - 1) + (2 * top,)))
         report = verify_theorem2(inst2, mode="exhaustive")
         assert not report.shattered
         assert report.failing_subsets

@@ -13,9 +13,16 @@ from vcshatter.boxgadget import (
     verify,
     witness_for,
 )
-from vcshatter.cli import BUNDLED_INSTANCE, _asset_path
+from vcshatter.cli import BUNDLED_GADGET, BUNDLED_INSTANCE, _asset_path
 from vcshatter.geometry import AxisBox, box_contains
-from vcshatter.jsonio import gadget_from_dict, gadget_to_dict, instance_from_dict, load_json
+from vcshatter.jsonio import (
+    dump_json,
+    gadget_from_dict,
+    gadget_to_dict,
+    instance_from_dict,
+    instance_to_dict,
+    load_json,
+)
 
 F = Fraction
 
@@ -203,9 +210,15 @@ class TestJsonRoundTrip:
         assert again == bundled_gadget
         assert set(gadget_to_dict(again)) == {"n", "dim", "boxes"}
 
-    def test_instance_bundle_with_boxes_only_gadget(self, bundled_instance):
-        data = load_json(_asset_path(BUNDLED_INSTANCE))
-        del data["gadget"]["witnesses"]
-        inst = instance_from_dict(data)
-        assert inst.points == bundled_instance.points
-        assert inst.alpha == bundled_instance.alpha
+    @pytest.mark.parametrize(
+        "name, read, write",
+        [
+            (BUNDLED_GADGET, gadget_from_dict, gadget_to_dict),
+            ("gadget_n3_dim2.json", gadget_from_dict, gadget_to_dict),
+            (BUNDLED_INSTANCE, instance_from_dict, instance_to_dict),
+        ],
+    )
+    def test_bundled_assets_are_writer_output(self, tmp_path, name, read, write):
+        path = _asset_path(name)
+        dump_json(write(read(load_json(path))), tmp_path / name)
+        assert (tmp_path / name).read_bytes() == path.read_bytes()
