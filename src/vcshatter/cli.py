@@ -339,7 +339,8 @@ def _build_parser() -> argparse.ArgumentParser:
         vp.add_argument("--k", type=int, default=None)
         vp.add_argument("--gadget", default=None)
         vp.add_argument("--mode", choices=("exhaustive", "sample"), default="exhaustive")
-        vp.add_argument("--count", type=int, default=None)
+        vp.add_argument("--count", type=int, default=None,
+                        help="distinct subsets checked in sample mode (at most all of them)")
         vp.add_argument("--seed", type=int, default=None)
         vp.add_argument("--vcdim", action="store_true",
                         help="also report the k-fold union VC-dimension (theorem1 only)")

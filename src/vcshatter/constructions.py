@@ -25,8 +25,10 @@ both sides for any tau strictly between d and d+1.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from . import boxgadget  # boxgadget.verify is looked up where perfbench's tracer wraps it
@@ -38,11 +40,11 @@ from .geometry import (
     OpenSimplex,
     Point,
     RestrictedHalfspace,
+    _crossings,
+    _hyperplane_row,
     dual_halfspace_to_point,
     dual_point_to_hyperplane,
-    induced_system_hyperplanes_in_simplices,
     induced_system_points_in_halfspaces,
-    side_of,
 )
 from .setsystem import VERIFY_GUARD, SetSystem, k_fold_union, mask_to_indices, subset_mask, vc_dim
 
@@ -118,14 +120,9 @@ def snap_anchored_box(box: AxisBox, alpha: AlphaTables) -> AxisBox:
     if len(alpha) != box.dim:
         raise ValueError("alpha tables do not match box dimension")
     hi: list[Fraction] = []
-    for i, bound in enumerate(box.hi):
-        snapped = Fraction(1)
-        for original, image in alpha[i]:
-            if original <= bound:
-                snapped = image
-            else:
-                break
-        hi.append(snapped)
+    for table, bound in zip(alpha, box.hi):
+        j = bisect_right(table, bound, key=itemgetter(0))
+        hi.append(table[j - 1][1] if j else Fraction(1))
     return AxisBox(tuple(Fraction(0) for _ in hi), tuple(hi))
 
 
@@ -279,8 +276,13 @@ def _selected_masks(
             raise ValueError("sample mode requires a positive count")
         if seed is None:
             raise ValueError("sample mode requires a seed")
+        # Draw until enough distinct masks are held; random.sample over
+        # range(1 << npoints) would overflow len() past 63 points.
         rng = random.Random(seed)
-        masks = {rng.getrandbits(npoints) for _ in range(count)}
+        wanted = min(count, 1 << npoints)
+        masks: set[int] = set()
+        while len(masks) < wanted:
+            masks.add(rng.getrandbits(npoints))
         return sorted(masks)
     raise ValueError(f"unknown mode {mode!r}; expected 'exhaustive' or 'sample'")
 
@@ -382,10 +384,12 @@ def verify_theorem2(
 
     Also counts sign-zero evaluations across every (vertex, hyperplane) pair;
     a sound run reports zero_signs == 0, since all incidences were engineered
-    away by the threshold choice and the apex. A subset whose simplex cannot
-    be built counts as failing.
+    away by the threshold choice and the apex. Each sign is evaluated once,
+    in integers, for both the count and the crossing mask. A subset whose
+    simplex cannot be built counts as failing.
     """
     masks = _selected_masks(len(inst2.hyperplanes), mode, count, seed)
+    rows = [_hyperplane_row(h) for h in inst2.hyperplanes]
     failing: list[tuple[int, ...]] = []
     zero_signs = 0
     max_size = 0
@@ -396,10 +400,8 @@ def verify_theorem2(
             failing.append(tuple(mask_to_indices(hmask)))
             continue
         max_size = max(max_size, len(simplex.vertices) - 1)
-        for h in inst2.hyperplanes:
-            zero_signs += sum(1 for v in simplex.vertices if side_of(h, v) == 0)
-        induced = induced_system_hyperplanes_in_simplices(inst2.hyperplanes, [simplex])
-        got = induced.sets[0] if induced.sets else 0
+        got, zeros = _crossings(rows, simplex.vertices)
+        zero_signs += zeros
         if got != hmask:
             failing.append(tuple(mask_to_indices(hmask)))
     return VerificationReport(

@@ -424,17 +424,66 @@ def induced_system_points_in_halfspaces(
     return SetSystem.from_masks(len(points), masks)
 
 
+def _hyperplane_row(h: DualHyperplane) -> tuple[int, ...]:
+    """L * (p_1, ..., p_{d-1}, p_d, -1) with L the lcm of p's denominators.
+
+    Its dot product with ``_vertex_column(x)`` is L * M * s_p(x), with
+    L, M > 0, so it has the sign of ``side_of(h, x)`` for any rationals.
+    """
+    p = h.p.coords
+    n = lcm(*(v.denominator for v in p))
+    return tuple(v.numerator * (n // v.denominator) for v in p) + (-n,)
+
+
+def _vertex_column(x: Point) -> tuple[int, ...]:
+    """M * (x_1, ..., x_{d-1}, 1, x_d) with M the lcm of x's denominators."""
+    m = lcm(*(v.denominator for v in x.coords))
+    scaled = [v.numerator * (m // v.denominator) for v in x.coords]
+    return (*scaled[:-1], m, scaled[-1])
+
+
+def _crossings(rows: Sequence[tuple[int, ...]], vertices: Sequence[Point]) -> tuple[int, int]:
+    """Which hyperplanes an open simplex meets, and how many signs are zero.
+
+    ``rows`` are ``_hyperplane_row`` images of hyperplanes of the vertices'
+    dimension. Each (hyperplane, vertex) sign is evaluated once, in
+    integers; bit i of the mask is ``simplex_hyperplane_intersects`` for
+    hyperplane i, and the count is the number of pairs with side_of == 0.
+    """
+    columns = [_vertex_column(v) for v in vertices]
+    mask = 0
+    zeros = 0
+    for i, row in enumerate(rows):
+        pos = neg = on = 0
+        for column in columns:
+            s = sum(map(mul, row, column))
+            if s > 0:
+                pos = 1
+            elif s < 0:
+                neg = 1
+            else:
+                on += 1
+        if (pos and neg) or on == len(columns):
+            mask |= 1 << i
+        zeros += on
+    return mask, zeros
+
+
 def induced_system_hyperplanes_in_simplices(
     hyperplanes: Sequence[DualHyperplane], simplices: Sequence[OpenSimplex]
 ) -> SetSystem:
-    """Ground set = hyperplane indices; one member set per simplex (deduplicated)."""
+    """Ground set = hyperplane indices; one member set per simplex (deduplicated).
+
+    Signs are decided in integers (see ``_crossings``), so the result equals
+    ``simplex_hyperplane_intersects`` pair by pair, exactly.
+    """
     if not hyperplanes:
         raise ValueError("need at least one hyperplane")
+    dims = {h.dim for h in hyperplanes}
+    rows = [_hyperplane_row(h) for h in hyperplanes]
     masks = []
     for s in simplices:
-        mask = 0
-        for i, h in enumerate(hyperplanes):
-            if simplex_hyperplane_intersects(s, h):
-                mask |= 1 << i
-        masks.append(mask)
+        if dims != {s.ambient_dim}:
+            raise ValueError("ambient dimensions differ")
+        masks.append(_crossings(rows, s.vertices)[0])
     return SetSystem.from_masks(len(hyperplanes), masks)

@@ -321,23 +321,20 @@ def test_criterion_10_theorem1_k4_instance(capsys, n3_gadget_path):
     )
 
 
-def test_criterion_11_theorem2_k4_sample(capsys, n3_gadget_path):
-    # Exhaustive Theorem 2 at d=4, k=4 is too slow for this suite; a seeded
-    # sample of 256 draws (250 distinct subsets) runs the same pipeline.
+def test_criterion_11_theorem2_k4_instance(capsys, n3_gadget_path):
     started = time.monotonic()
     code, report = run_cli_json(
-        capsys, "verify", "theorem2", "--d", "4", "--k", "4",
-        "--gadget", str(n3_gadget_path), "--mode", "sample", "--count", "256", "--seed", "0",
+        capsys, "verify", "theorem2", "--d", "4", "--k", "4", "--gadget", str(n3_gadget_path),
     )
     elapsed = time.monotonic() - started
     assert code == 0
     result = report["result"]
-    assert result["checked_subsets"] == 250
+    assert result["checked_subsets"] == 4096
     assert result["shattered"] is True
     assert result["zero_signs"] == 0
     assert result["max_witness_size"] <= 4
     assert report["failing"] == []
     report_pass(
-        "11 theorem2 k=4 sample",
-        f"250 sampled subsets of 12 hyperplanes by open <=4-simplices, {elapsed:.1f}s",
+        "11 theorem2 k=4 instance",
+        f"12 hyperplanes in R^4, 4096/4096 subsets by open <=4-simplices, {elapsed:.1f}s",
     )

@@ -119,6 +119,18 @@ class TestVerifyCommands:
         assert code1 == code2 == 0
         assert canon(report1) == canon(report2)
 
+    def test_sample_count_is_exact(self, capsys, n3_gadget_path):
+        argv = (
+            "verify", "theorem2", "--d", "4", "--k", "4", "--gadget", str(n3_gadget_path),
+            "--mode", "sample", "--count", "256", "--seed", "0",
+        )
+        code1, report1 = run_cli(capsys, *argv)
+        code2, report2 = run_cli(capsys, *argv)
+        assert code1 == code2 == 0
+        assert report1["result"]["checked_subsets"] == 256
+        assert report1["result"]["zero_signs"] == 0
+        assert canon(report1) == canon(report2)
+
     def test_odd_d_delegates(self, capsys):
         code, report = run_cli(
             capsys, "verify", "theorem1", "--d", "5", "--k", "2", "--mode", "exhaustive"

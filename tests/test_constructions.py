@@ -317,6 +317,11 @@ class TestVerifyTheorem1:
         with pytest.raises(ValueError, match="mode"):
             verify_theorem1(bundled_instance, mode="bogus")
 
+    def test_sample_count_beyond_the_subsets_checks_them_all(self, bundled_instance):
+        report = verify_theorem1(bundled_instance, mode="sample", count=100, seed=3)
+        assert report.checked == 32
+        assert report.shattered
+
     def test_witness_error_is_a_failing_subset(self, bundled_instance, monkeypatch):
         monkeypatch.setattr(
             constructions, "union_witness", _raising_on(constructions.union_witness, 13)
@@ -394,6 +399,15 @@ class TestTheorem2:
             simplex = simplex_witness(inst2, mask)
             crossed = [simplex_hyperplane_intersects(simplex, h) for h in inst2.hyperplanes]
             assert crossed == [bool(mask >> i & 1) for i in range(12)], mask
+
+    def test_apex_on_a_hyperplane_counts_zero_signs(self, bundled_instance, monkeypatch):
+        inst2 = build_theorem2(bundled_instance)
+        height = bundled_instance.points[0].coords[-1]
+        monkeypatch.setattr(constructions, "_apex", lambda d: Point((0,) * (d - 1) + (height,)))
+        assert side_of(inst2.hyperplanes[0], constructions._apex(4)) == 0
+        report = verify_theorem2(inst2, mode="exhaustive")
+        # One zero per simplex: the apex lies on H(p_0) and off the others.
+        assert report.zero_signs == report.checked == 32
 
     def test_apex_above_everything_breaks_the_construction(self, bundled_instance, monkeypatch):
         inst2 = build_theorem2(bundled_instance)

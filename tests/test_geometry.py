@@ -4,16 +4,19 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import brute_halfspace_dichotomy_masks
 from vcshatter.geometry import (
     AxisBox,
+    DualHyperplane,
     DegenerateSimplexError,
     OpenSimplex,
     Point,
     RestrictedHalfspace,
+    _crossings,
+    _hyperplane_row,
     box_contains,
     dual_halfspace_to_point,
     dual_point_to_hyperplane,
@@ -321,7 +324,43 @@ def points_and_halfspaces(draw):
     return points, halfspaces
 
 
+@st.composite
+def hyperplanes_and_simplex(draw):
+    """Rational hyperplanes (negative entries allowed) in dimensions 2-6 and
+    an open simplex whose vertices have mixed denominators; some vertices
+    are moved exactly onto a hyperplane, sometimes all onto the first."""
+    d = draw(st.integers(2, 6))
+    coords = st.fractions(min_value=F(-30), max_value=F(30), max_denominator=60)
+    ps = draw(st.lists(st.tuples(*[coords] * d), min_size=1, max_size=6))
+    hyperplanes = [DualHyperplane(Point(p)) for p in ps]
+    all_on_first = draw(st.booleans())
+    vertices = []
+    for _ in range(draw(st.integers(1, d if all_on_first else d + 1))):
+        x = list(draw(st.tuples(*[coords] * d)))
+        target = 0 if all_on_first else draw(st.one_of(st.none(), st.integers(0, len(ps) - 1)))
+        if target is not None:
+            p = ps[target]
+            x[-1] = sum((pi * xi for pi, xi in zip(p[:-1], x[:-1])), start=p[-1])
+        vertices.append(Point(tuple(x)))
+    try:
+        simplex = OpenSimplex(d, tuple(vertices))
+    except DegenerateSimplexError:
+        assume(False)
+    return hyperplanes, simplex
+
+
 class TestInducedSystems:
+    @given(hyperplanes_and_simplex())
+    @settings(max_examples=100, deadline=None)
+    def test_integer_signs_match_fraction_predicates(self, case):
+        hyperplanes, simplex = case
+        mask, zeros = _crossings([_hyperplane_row(h) for h in hyperplanes], simplex.vertices)
+        for i, h in enumerate(hyperplanes):
+            assert bool(mask >> i & 1) == simplex_hyperplane_intersects(simplex, h)
+        assert zeros == sum(side_of(h, v) == 0 for h in hyperplanes for v in simplex.vertices)
+        system = induced_system_hyperplanes_in_simplices(hyperplanes, [simplex])
+        assert system.sets == (mask,)
+
     @given(points_and_halfspaces())
     @settings(max_examples=120, deadline=None)
     def test_integer_kernel_matches_fraction_predicate(self, case):
@@ -364,4 +403,8 @@ class TestInducedSystems:
         with pytest.raises(ValueError):
             induced_system_points_in_halfspaces(
                 [Point.of(1, 1, 1)], [RestrictedHalfspace(b=(1, 1), tau=2)]
+            )
+        with pytest.raises(ValueError):
+            induced_system_hyperplanes_in_simplices(
+                [dual_point_to_hyperplane(Point.of(1, 1))], [OpenSimplex(3, (Point.of(0, 0, 0),))]
             )
