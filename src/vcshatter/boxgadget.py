@@ -4,20 +4,25 @@ A gadget is a family B of axis-parallel boxes with strictly positive
 coordinates such that for EVERY sub-family S of B there is a point set Q of
 at most 2^(n-1) points avoiding every box of S while hitting every box of
 B \\ S. The certificate is checked exhaustively over all 2^|B| sub-families.
-Each witness is solved from a finite candidate menu (one generic point per
-cell of the axis-parallel arrangement), built once per gadget, and the
-hit-set decision is made by exact branch and bound, never by a heuristic.
+Witnesses come from a finite candidate menu (one generic point per cell of
+the axis-parallel arrangement), built once per gadget. Q avoids S exactly
+when every hit pattern of Q lies inside B \\ S, so S has a witness exactly
+when B \\ S is a union of at most 2^(n-1) hit patterns: the gadget is a
+certificate when the 2^(n-1)-fold union of its hit-pattern system is the
+whole power set. That closure is computed once per gadget, with one
+back-pointer per reached union from which every witness is read.
 A gadget counts as verified when ``verify(gadget)`` reports ok.
 """
 
 from __future__ import annotations
 
 import random
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .geometry import AxisBox, Point, box_contains
 from .setsystem import VERIFY_GUARD, mask_to_indices, subset_mask
@@ -51,6 +56,11 @@ class BoxGadget:
         """The candidate points and the hit mask of each, computed on first use."""
         candidates = candidate_points(self)
         return candidates, _hit_masks(self, candidates)
+
+    @cached_property
+    def _closure(self) -> tuple[array, array]:
+        """The union closure of ``_unions``, computed on first use."""
+        return _unions(self)
 
 
 def nominal_box_count(n: int, dim: int) -> int:
@@ -92,96 +102,63 @@ def _hit_masks(gadget: BoxGadget, candidates: Sequence[Point]) -> list[int]:
     return masks
 
 
-def _solve_cover(
-    smask: int,
-    budget: int,
-    hit_masks: Sequence[int],
-    nboxes: int,
-) -> list[int] | None:
-    """Indices of <= budget candidates avoiding smask and covering its complement."""
-    full = (1 << nboxes) - 1
-    targets = full & ~smask
-    if targets == 0:
-        first = next((i for i, hm in enumerate(hit_masks) if hm & smask == 0), None)
-        return [first] if first is not None else None
-    # One representative per distinct usable hit pattern, then dominance
-    # pruning: a pattern is dropped when another usable pattern covers a
-    # strict superset of boxes.
-    by_mask: dict[int, int] = {}
-    for i, hm in enumerate(hit_masks):
-        if hm & smask == 0 and hm != 0 and hm not in by_mask:
-            by_mask[hm] = i
-    usable = sorted(by_mask.values(), key=lambda i: (-bin(hit_masks[i]).count("1"), i))
-    kept: list[int] = []
-    for i in usable:
-        hm = hit_masks[i]
-        if any(hm & hit_masks[j] == hm for j in kept):
-            continue
-        kept.append(i)
-    options_per_box: list[list[int]] = [[] for _ in range(nboxes)]
-    for i in kept:
-        hm = hit_masks[i]
-        for j in range(nboxes):
-            if (hm >> j) & 1:
-                options_per_box[j].append(i)
-    for j in range(nboxes):
-        if (targets >> j) & 1 and not options_per_box[j]:
-            return None
+def _unions(gadget: BoxGadget) -> tuple[array, array]:
+    """The b-fold union closure of the menu's hit patterns, b = 2^(n-1).
 
-    best_hit = max(bin(hit_masks[i]).count("1") for i in kept)
-
-    def dfs(left: int, chosen: list[int]) -> list[int] | None:
-        if left == 0:
-            return chosen
-        remaining = budget - len(chosen)
-        if remaining == 0:
-            return None
-        need = bin(left).count("1")
-        if need > remaining * best_hit:
-            return None
-        # branch on the uncovered box with the fewest usable candidates
-        pick = -1
-        pick_opts: list[int] = []
-        for j in range(nboxes):
-            if (left >> j) & 1:
-                opts = [i for i in options_per_box[j] if hit_masks[i] & left]
-                if pick < 0 or len(opts) < len(pick_opts):
-                    pick, pick_opts = j, opts
-                    if len(opts) <= 1:
-                        break
-        if not pick_opts:
-            return None
-        pick_opts.sort(key=lambda i: (-bin(hit_masks[i] & left).count("1"), i))
-        for i in pick_opts:
-            res = dfs(left & ~hit_masks[i], chosen + [i])
-            if res is not None:
-                return res
-        return None
-
-    return dfs(targets, [])
+    A subset S has a witness of at most b points exactly when the complement
+    of S is the union of at most b hit patterns: every point avoids S, so its
+    pattern lies inside the complement. Reached unions grow fold by fold from
+    the distinct patterns, each keeping the first menu index that has it.
+    Both tables are indexed by union mask: ``pick[v]`` is the menu index of
+    the point added last (-1 where v is unreached) and ``prev[v]`` the union
+    before it (-1 for none). A union is recorded at the first fold that
+    reaches it, so walking the back-pointers gives a fewest-point witness.
+    """
+    nboxes = len(gadget.boxes)
+    if nboxes > VERIFY_GUARD:
+        raise ValueError(
+            f"exhaustive verification refused: {nboxes} boxes exceeds the guard of {VERIFY_GUARD}"
+        )
+    _, hits = gadget._menu
+    patterns: dict[int, int] = {}
+    for i, hm in enumerate(hits):
+        patterns.setdefault(hm, i)
+    pick = array("i", [-1]) * (1 << nboxes)
+    prev = array("i", [-1]) * (1 << nboxes)
+    for p, i in patterns.items():
+        pick[p] = i
+    frontier = list(patterns)
+    for _ in range(gadget.max_witness_size - 1):
+        reached = []
+        for u in frontier:
+            for p, i in patterns.items():
+                v = u | p
+                if pick[v] < 0:
+                    pick[v] = i
+                    prev[v] = u
+                    reached.append(v)
+        frontier = reached
+    return pick, prev
 
 
 def witness_for(gadget: BoxGadget, subset: Iterable[int] | int) -> tuple[Point, ...] | None:
-    """A point set avoiding the boxes of ``subset`` and hitting all others.
+    """A fewest-point set avoiding the boxes of ``subset`` and hitting all others.
 
     Returns None when no such set of at most 2^(n-1) candidate points exists;
-    infeasibility is a value, not an error.
+    infeasibility is a value, not an error. Refuses families larger than the
+    2^24 guard.
     """
-    smask = subset_mask(len(gadget.boxes), subset)
-    candidates, hits = gadget._menu
-    chosen = _solve_cover(smask, gadget.max_witness_size, hits, len(gadget.boxes))
-    if chosen is None:
-        return None
-    return tuple(candidates[i] for i in sorted(chosen))
-
-
-def _failing_masks(gadget: BoxGadget) -> Iterator[int]:
-    """The subset masks with no witness, in ascending order."""
-    _, hits = gadget._menu
     nboxes = len(gadget.boxes)
-    for smask in range(1 << nboxes):
-        if _solve_cover(smask, gadget.max_witness_size, hits, nboxes) is None:
-            yield smask
+    union = ((1 << nboxes) - 1) & ~subset_mask(nboxes, subset)
+    pick, prev = gadget._closure
+    if pick[union] < 0:
+        return None
+    candidates, _ = gadget._menu
+    chosen = []
+    while union >= 0:
+        chosen.append(pick[union])
+        union = prev[union]
+    return tuple(candidates[i] for i in sorted(chosen))
 
 
 @dataclass(frozen=True)
@@ -192,18 +169,17 @@ class GadgetReport:
 
 
 def verify(gadget: BoxGadget) -> tuple[GadgetReport, BoxGadget]:
-    """Solve for a witness of every subset of boxes, in ascending bitmask order.
+    """Check every subset of boxes for a witness; failures in ascending bitmask order.
 
     Returns the report and the gadget itself. Refuses families larger than
     the 2^24 guard.
     """
-    nboxes = len(gadget.boxes)
-    if nboxes > VERIFY_GUARD:
-        raise ValueError(
-            f"exhaustive verification refused: {nboxes} boxes exceeds the guard of {VERIFY_GUARD}"
-        )
-    failing = tuple(tuple(mask_to_indices(smask)) for smask in _failing_masks(gadget))
-    return GadgetReport(ok=not failing, checked=1 << nboxes, failing_subsets=failing), gadget
+    pick, _ = gadget._closure
+    full = len(pick) - 1
+    failing = tuple(
+        tuple(mask_to_indices(smask)) for smask in range(len(pick)) if pick[full ^ smask] < 0
+    )
+    return GadgetReport(ok=not failing, checked=len(pick), failing_subsets=failing), gadget
 
 
 # ---------------------------------------------------------------------------
@@ -211,19 +187,10 @@ def verify(gadget: BoxGadget) -> tuple[GadgetReport, BoxGadget]:
 # ---------------------------------------------------------------------------
 
 
-def _score(gadget: BoxGadget, max_failures: int | None = None) -> int | None:
-    """Number of feasible subsets; the target is 2^|boxes|.
-
-    With ``max_failures`` set, returns None as soon as more subsets fail than
-    allowed; hill climbing uses this to reject bad proposals early without
-    changing which proposals are accepted.
-    """
-    failures = 0
-    for _ in _failing_masks(gadget):
-        failures += 1
-        if max_failures is not None and failures > max_failures:
-            return None
-    return (1 << len(gadget.boxes)) - failures
+def _score(gadget: BoxGadget) -> int:
+    """Number of feasible subsets, one per reached union; the target is 2^|boxes|."""
+    pick, _ = gadget._closure
+    return len(pick) - pick.count(-1)
 
 
 def _staircase_seed(rng: random.Random, n: int, dim: int, count: int) -> BoxGadget:
@@ -338,10 +305,10 @@ def _climb(
         if proposal is None:
             stall += 1
             continue
-        proposal_score = _score(proposal, max_failures=perfect - current_score)
+        proposal_score = _score(proposal)
         budget.charge()
         spent += 1
-        if proposal_score is not None and proposal_score >= current_score:
+        if proposal_score >= current_score:
             stall = stall + 1 if proposal_score == current_score else 0
             current, current_score = proposal, proposal_score
         else:

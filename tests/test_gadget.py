@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from oracles import brute_cover_feasible, finer_grid_points
 from vcshatter.boxgadget import (
     BoxGadget,
+    _mutate,
     candidate_points,
     nominal_box_count,
     search,
@@ -110,22 +112,50 @@ class TestWitnessFor:
         with pytest.raises(ValueError):
             witness_for(bundled_gadget, [99])
 
-    def test_matches_finer_grid_brute_force(self):
-        # candidate menu completeness: the exact solver over midpoint candidates
+    def test_matches_finer_grid_brute_force(self, bundled_gadget):
+        # candidate menu completeness: the union closure over midpoint candidates
         # agrees with exhaustive search over a strictly denser grid
         families = [
             [((1, 1), (4, 4)), ((2, 2), (6, 3))],
             [((1, 1), (2, 2)), ((3, 3), (4, 4))],
             [((1, 1), (6, 6)), ((2, 2), (3, 3)), ((4, 4), (5, 5))],
             [((1, 2), (5, 6)), ((2, 1), (6, 5)), ((3, 3), (4, 4))],
+            # pairwise disjoint: hitting all three takes 3 > 2^(n-1) points
+            [((1, 1), (2, 2)), ((3, 3), (4, 4)), ((5, 5), (6, 6))],
         ]
-        for fam in families:
-            g = make_gadget(fam)
+        gadgets = [make_gadget(fam) for fam in families]
+        assert witness_for(gadgets[4], []) is None
+        upper = max(v for box in bundled_gadget.boxes for v in box.hi) + len(bundled_gadget.boxes)
+        for seed in range(4):
+            rng = random.Random(seed)
+            mutant = None
+            while mutant is None:
+                mutant = _mutate(rng, bundled_gadget, upper)
+            gadgets.append(mutant)
+        for g in gadgets:
             grid = finer_grid_points(g.boxes, g.dim)
             for smask in range(1 << len(g.boxes)):
                 mine = witness_for(g, smask) is not None
                 brute = brute_cover_feasible(g.boxes, smask, g.max_witness_size, grid)
-                assert mine == brute, (fam, smask)
+                assert mine == brute, (g.boxes, smask)
+
+    def test_witnesses_have_fewest_points(self, bundled_gadget):
+        g = bundled_gadget
+        grid = finer_grid_points(g.boxes, g.dim)
+        for smask in range(1 << len(g.boxes)):
+            m = len(witness_for(g, smask))
+            if m > 1:
+                assert not brute_cover_feasible(g.boxes, smask, m - 1, grid), smask
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="the menu holds open-cell midpoints only, so no candidate lies on the face A and B share",
+    )
+    def test_boxes_sharing_a_face(self):
+        # {(2, 2), (10, 10)} hits exactly {A, B} and {C}
+        g = make_gadget([((1, 1), (2, 3)), ((2, 1), (3, 3)), ((10, 10), (11, 11))])
+        assert witness_for(g, []) is not None
 
 
 class TestVerify:
@@ -167,8 +197,11 @@ class TestVerify:
         boxes = tuple(
             AxisBox((F(i + 1), F(1)), (F(i + 2), F(2))) for i in range(25)
         )
+        g = BoxGadget(n=2, dim=2, boxes=boxes)
         with pytest.raises(ValueError, match="guard"):
-            verify(BoxGadget(n=2, dim=2, boxes=boxes))
+            verify(g)
+        with pytest.raises(ValueError, match="guard"):
+            witness_for(g, [0])
 
 
 class TestSearch:
@@ -193,6 +226,11 @@ class TestSearch:
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
             search(1, 2, seed=0, budget=10)
+
+    def test_reproduces_bundled_n3_gadget(self, tmp_path, n3_gadget_path):
+        # pins the climb: any change to scoring or proposals shows up here
+        dump_json(gadget_to_dict(search(3, 2, seed=0, budget=2500)), tmp_path / "g.json")
+        assert (tmp_path / "g.json").read_bytes() == n3_gadget_path.read_bytes()
 
 
 class TestJsonRoundTrip:
