@@ -5,12 +5,16 @@ coordinates such that for EVERY sub-family S of B there is a point set Q of
 at most 2^(n-1) points avoiding every box of S while hitting every box of
 B \\ S. The certificate is checked exhaustively over all 2^|B| sub-families.
 Witnesses come from a finite candidate menu (one generic point per cell of
-the axis-parallel arrangement), built once per gadget. Q avoids S exactly
-when every hit pattern of Q lies inside B \\ S, so S has a witness exactly
-when B \\ S is a union of at most 2^(n-1) hit patterns: the gadget is a
-certificate when the 2^(n-1)-fold union of its hit-pattern system is the
-whole power set. That closure is computed once per gadget, with one
-back-pointer per reached union from which every witness is read.
+the axis-parallel arrangement): the product of per-axis menus of midpoints
+between consecutive endpoints. Hit patterns are built per axis, as one
+bitset of boxes per menu value from integer endpoint ranks, and combined by
+a staged product that keeps only the distinct patterns, each with the
+lowest menu index that has it. Q avoids S exactly when every hit pattern of
+Q lies inside B \\ S, so S has a witness exactly when B \\ S is a union of
+at most 2^(n-1) hit patterns: the gadget is a certificate when the
+2^(n-1)-fold union of its hit-pattern system is the whole power set. That
+closure is computed once per gadget, with one back-pointer per reached
+union from which every witness is read.
 A gadget counts as verified when ``verify(gadget)`` reports ok.
 """
 
@@ -22,9 +26,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from .geometry import AxisBox, Point, box_contains
+from .geometry import AxisBox, Point
 from .setsystem import VERIFY_GUARD, mask_to_indices, subset_mask
 
 
@@ -52,10 +56,15 @@ class BoxGadget:
         return 1 << (self.n - 1)
 
     @cached_property
-    def _menu(self) -> tuple[tuple[Point, ...], list[int]]:
-        """The candidate points and the hit mask of each, computed on first use."""
-        candidates = candidate_points(self)
-        return candidates, _hit_masks(self, candidates)
+    def _menu(self) -> tuple[tuple[list[Fraction], ...], dict[int, int]]:
+        """The sorted endpoints per axis and the distinct hit patterns, computed on first use."""
+        return _hit_masks(self)
+
+    @cached_property
+    def _pattern_points(self) -> tuple[Point, ...]:
+        """The menu point of each distinct hit pattern, in pattern order, computed on first use."""
+        axes, patterns = self._menu
+        return tuple(_menu_point(axes, i) for i in patterns.values())
 
     @cached_property
     def _closure(self) -> tuple[array, array]:
@@ -70,36 +79,71 @@ def nominal_box_count(n: int, dim: int) -> int:
     return (dim // 2) * (n + 3) * (1 << (n - 2))
 
 
+def _menu_value(values: list[Fraction], m: int) -> Fraction:
+    """Menu value m of an axis whose sorted distinct endpoints are ``values``."""
+    if not values:
+        return Fraction(1)
+    if m == 0:
+        return values[0] / 2
+    if m == len(values):
+        return values[-1] + 1
+    return (values[m - 1] + values[m]) / 2
+
+
 def candidate_points(gadget: BoxGadget) -> tuple[Point, ...]:
     """A finite point menu meeting every full-dimensional arrangement cell.
 
     Per coordinate: all box endpoints, sorted; the menu holds the midpoints of
     consecutive distinct values plus one value below the minimum and one above
     the maximum. Menus avoid box boundaries entirely, and the cross product
-    covers every open cell, including the all-outside region.
+    covers every open cell, including the all-outside region. Menu index i of
+    the gadget is entry i of this tuple.
+    """
+    axes, _ = gadget._menu
+    menus = [[_menu_value(values, m) for m in range(len(values) + 1)] for values in axes]
+    return tuple(Point(coords) for coords in product(*menus))
+
+
+def _menu_point(axes: tuple[list[Fraction], ...], index: int) -> Point:
+    """Entry ``index`` of ``candidate_points``, decoded from its mixed-radix digits."""
+    coords = []
+    for values in reversed(axes):
+        index, m = divmod(index, len(values) + 1)
+        coords.append(_menu_value(values, m))
+    return Point(tuple(reversed(coords)))
+
+
+def _hit_masks(gadget: BoxGadget) -> tuple[tuple[list[Fraction], ...], dict[int, int]]:
+    """Per axis, the sorted distinct endpoints; and each distinct hit pattern
+    of the menu with the lowest menu index that has it, in ascending index order.
+
+    Menu value m of an axis lies in a closed interval with endpoint ranks a
+    and b exactly when a < m <= b, so each axis gives one bitset of boxes per
+    menu value with no ``Fraction`` comparison. A point's pattern is the AND
+    of its axes' bitsets; the product is taken axis by axis over the distinct
+    bitsets only, each represented by its first menu value. Visiting the
+    partial patterns in ascending index order keeps, for every pattern, the
+    lowest index of ``candidate_points`` that has it.
     """
     axes: list[list[Fraction]] = []
+    patterns = {(1 << len(gadget.boxes)) - 1: 0}
     for i in range(gadget.dim):
         values = sorted({box.lo[i] for box in gadget.boxes} | {box.hi[i] for box in gadget.boxes})
-        if not values:
-            axes.append([Fraction(1)])
-            continue
-        menu = [values[0] / 2]
-        menu.extend((a + b) / 2 for a, b in zip(values, values[1:]))
-        menu.append(values[-1] + 1)
-        axes.append(menu)
-    return tuple(Point(coords) for coords in product(*axes))
-
-
-def _hit_masks(gadget: BoxGadget, candidates: Sequence[Point]) -> list[int]:
-    masks = []
-    for q in candidates:
-        m = 0
+        rank = {v: r for r, v in enumerate(values)}
+        bits = [0] * (len(values) + 1)
         for j, box in enumerate(gadget.boxes):
-            if box_contains(box, q):
-                m |= 1 << j
-        masks.append(m)
-    return masks
+            for m in range(rank[box.lo[i]] + 1, rank[box.hi[i]] + 1):
+                bits[m] |= 1 << j
+        first: dict[int, int] = {}
+        for m, am in enumerate(bits):
+            first.setdefault(am, m)
+        staged: dict[int, int] = {}
+        for pm, index in patterns.items():
+            for am, m in first.items():
+                staged.setdefault(pm & am, index * len(bits) + m)
+        patterns = staged
+        axes.append(values)
+    return tuple(axes), patterns
 
 
 def _unions(gadget: BoxGadget) -> tuple[array, array]:
@@ -108,30 +152,29 @@ def _unions(gadget: BoxGadget) -> tuple[array, array]:
     A subset S has a witness of at most b points exactly when the complement
     of S is the union of at most b hit patterns: every point avoids S, so its
     pattern lies inside the complement. Reached unions grow fold by fold from
-    the distinct patterns, each keeping the first menu index that has it.
-    Both tables are indexed by union mask: ``pick[v]`` is the menu index of
-    the point added last (-1 where v is unreached) and ``prev[v]`` the union
-    before it (-1 for none). A union is recorded at the first fold that
-    reaches it, so walking the back-pointers gives a fewest-point witness.
+    the distinct patterns of ``_menu``, numbered in ascending menu index
+    order. Both tables are indexed by union mask: ``pick[v]`` is the number
+    of the pattern added last (-1 where v is unreached) and ``prev[v]`` the
+    union before it (-1 for none). Pattern numbers stay below 2^|B|, so they
+    fit the tables where menu indices may not. A union is recorded at the
+    first fold that reaches it, so walking the back-pointers gives a
+    fewest-point witness.
     """
     nboxes = len(gadget.boxes)
     if nboxes > VERIFY_GUARD:
         raise ValueError(
             f"exhaustive verification refused: {nboxes} boxes exceeds the guard of {VERIFY_GUARD}"
         )
-    _, hits = gadget._menu
-    patterns: dict[int, int] = {}
-    for i, hm in enumerate(hits):
-        patterns.setdefault(hm, i)
+    _, patterns = gadget._menu
     pick = array("i", [-1]) * (1 << nboxes)
     prev = array("i", [-1]) * (1 << nboxes)
-    for p, i in patterns.items():
+    for i, p in enumerate(patterns):
         pick[p] = i
     frontier = list(patterns)
     for _ in range(gadget.max_witness_size - 1):
         reached = []
         for u in frontier:
-            for p, i in patterns.items():
+            for i, p in enumerate(patterns):
                 v = u | p
                 if pick[v] < 0:
                     pick[v] = i
@@ -153,12 +196,12 @@ def witness_for(gadget: BoxGadget, subset: Iterable[int] | int) -> tuple[Point, 
     pick, prev = gadget._closure
     if pick[union] < 0:
         return None
-    candidates, _ = gadget._menu
+    points = gadget._pattern_points
     chosen = []
     while union >= 0:
         chosen.append(pick[union])
         union = prev[union]
-    return tuple(candidates[i] for i in sorted(chosen))
+    return tuple(points[i] for i in sorted(chosen))
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 import time
+from functools import cache
 from importlib import resources
 from pathlib import Path
 
@@ -286,6 +287,7 @@ def _cmd_sys(args) -> int:
 # -- parser -------------------------------------------------------------------
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="vcshatter",

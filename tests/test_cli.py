@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from vcshatter import boxgadget, jsonio
-from vcshatter.cli import cli_main
+from vcshatter.cli import _build_parser, cli_main
 from vcshatter.setsystem import SetSystem
 
 
@@ -130,6 +130,17 @@ class TestVerifyCommands:
         assert report1["result"]["checked_subsets"] == 256
         assert report1["result"]["zero_signs"] == 0
         assert canon(report1) == canon(report2)
+
+    def test_usage_error_leaves_the_parser_reusable(self, capsys):
+        # cli_main builds its parser once; a rejected call must not change the next one
+        code, alone = run_cli(capsys, "verify", "theorem1")
+        assert code == 0
+        assert cli_main(["verify", "theorem1", "--vcdim", "--d", "x"]) == 2
+        capsys.readouterr()
+        code, again = run_cli(capsys, "verify", "theorem1")
+        assert code == 0
+        assert canon(again) == canon(alone)
+        assert _build_parser() is _build_parser()
 
     def test_odd_d_delegates(self, capsys):
         code, report = run_cli(

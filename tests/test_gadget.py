@@ -2,8 +2,11 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import brute_cover_feasible, finer_grid_points
 from vcshatter.boxgadget import (
@@ -31,6 +34,42 @@ F = Fraction
 
 def make_gadget(boxes, n=2, dim=2) -> BoxGadget:
     return BoxGadget(n=n, dim=dim, boxes=tuple(AxisBox(lo, hi) for lo, hi in boxes))
+
+
+# Few distinct coordinates, so boxes often share faces and touch at corners.
+COORDS = (F(1), F(3, 2), F(2), F(3), F(4), F(6))
+
+
+@st.composite
+def box_families(draw):
+    """Gadgets in dims 2-4 with 1-8 boxes, including nested and duplicate boxes."""
+    dim = draw(st.integers(2, 4))
+    boxes: list[AxisBox] = []
+    for _ in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(("fresh", "nested", "duplicate"))) if boxes else "fresh"
+        if kind == "duplicate":
+            boxes.append(draw(st.sampled_from(boxes)))
+            continue
+        outer = draw(st.sampled_from(boxes)) if kind == "nested" else None
+        lo, hi = [], []
+        for i in range(dim):
+            pool = [c for c in COORDS if outer is None or outer.lo[i] <= c <= outer.hi[i]]
+            a, b = sorted(draw(st.lists(st.sampled_from(pool), min_size=2, max_size=2, unique=True)))
+            lo.append(a)
+            hi.append(b)
+        boxes.append(AxisBox(tuple(lo), tuple(hi)))
+    return BoxGadget(n=draw(st.integers(2, 3)), dim=dim, boxes=tuple(boxes))
+
+
+def midpoint_menu(g: BoxGadget) -> list[tuple[Fraction, ...]]:
+    """The candidate menu as first defined: per axis the sorted endpoints give
+    one value below them, the midpoints between neighbours and one above."""
+    axes = []
+    for i in range(g.dim):
+        values = sorted({box.lo[i] for box in g.boxes} | {box.hi[i] for box in g.boxes})
+        mids = [(a + b) / 2 for a, b in zip(values, values[1:])]
+        axes.append([values[0] / 2, *mids, values[-1] + 1])
+    return list(product(*axes))
 
 
 class TestConstruction:
@@ -70,6 +109,20 @@ class TestCandidatePoints:
     def test_zero_boxes_single_candidate(self):
         g = BoxGadget(n=2, dim=2, boxes=())
         assert len(candidate_points(g)) == 1
+
+    @given(box_families())
+    @settings(max_examples=80, deadline=None)
+    def test_bitset_patterns_match_fraction_predicate(self, g):
+        # the per-axis bitsets give exactly the distinct box_contains masks of
+        # the menu, each with the lowest menu index that has it, in index order
+        cands = candidate_points(g)
+        assert [q.coords for q in cands] == midpoint_menu(g)
+        lowest: dict[int, int] = {}
+        for i, q in enumerate(cands):
+            mask = sum(1 << j for j, box in enumerate(g.boxes) if box_contains(box, q))
+            lowest.setdefault(mask, i)
+        _, patterns = g._menu
+        assert list(patterns.items()) == list(lowest.items())
 
     def test_every_box_and_the_outside_get_candidates(self, bundled_gadget):
         cands = candidate_points(bundled_gadget)
@@ -147,6 +200,16 @@ class TestWitnessFor:
             if m > 1:
                 assert not brute_cover_feasible(g.boxes, smask, m - 1, grid), smask
 
+    def test_menu_indices_past_32_bits(self):
+        # 12 nested boxes in dim 8: the menu has 25^8 points, and the
+        # innermost cell's index does not fit a 32-bit table entry
+        boxes = [(tuple([i + 1] * 8), tuple([30 - i] * 8)) for i in range(12)]
+        g = make_gadget(boxes, dim=8)
+        pts = witness_for(g, [])
+        assert pts is not None and len(pts) == 1
+        assert all(box_contains(box, pts[0]) for box in g.boxes)
+        assert max(g._menu[1].values()) >= 1 << 31
+
     @pytest.mark.xfail(
         strict=True,
         raises=AssertionError,
@@ -165,14 +228,32 @@ class TestVerify:
         assert report.checked == 1 << len(bundled_gadget.boxes)
         assert same is bundled_gadget
 
-    def test_every_witness_is_sound(self, bundled_gadget):
-        g = bundled_gadget
+    @staticmethod
+    def assert_witnesses_sound(g: BoxGadget) -> int:
+        """Every witness is a set of menu points hitting exactly the boxes
+        outside its subset; returns how many subsets have one."""
+        menu = set(candidate_points(g))
+        found = 0
         for smask in range(1 << len(g.boxes)):
             pts = witness_for(g, smask)
-            assert pts is not None and 1 <= len(pts) <= g.max_witness_size
+            if pts is None:
+                continue
+            found += 1
+            assert 1 <= len(pts) <= g.max_witness_size
+            assert menu.issuperset(pts)
             for j, box in enumerate(g.boxes):
                 hit = any(box_contains(box, q) for q in pts)
                 assert hit == (not (smask >> j) & 1)
+        return found
+
+    def test_every_witness_is_sound(self, bundled_gadget):
+        g = bundled_gadget
+        assert self.assert_witnesses_sound(g) == 1 << len(g.boxes)
+
+    @given(box_families())
+    @settings(max_examples=60, deadline=None)
+    def test_every_witness_is_sound_on_random_families(self, g):
+        self.assert_witnesses_sound(g)
 
     def test_nested_box_fails_with_counterexample(self, bundled_gadget):
         boxes = list(bundled_gadget.boxes)
