@@ -18,15 +18,13 @@ from .constructions import (
     Theorem1Instance,
     Theorem2Instance,
     VerificationReport,
-    anchored_box_of,
-    box_to_halfspace,
     build_theorem1,
     build_theorem2,
     lift_box,
     required_gadget_n,
     rescale,
     simplex_witness,
-    snap_anchored_box,
+    snap,
     union_witness,
     verify_theorem1,
     verify_theorem2,

@@ -29,7 +29,7 @@ from itertools import product
 from typing import Iterable
 
 from .geometry import AxisBox, Point
-from .setsystem import VERIFY_GUARD, mask_to_indices, subset_mask
+from .setsystem import _check_guard, mask_to_indices, subset_mask
 
 
 @dataclass(frozen=True)
@@ -161,10 +161,7 @@ def _unions(gadget: BoxGadget) -> tuple[array, array]:
     fewest-point witness.
     """
     nboxes = len(gadget.boxes)
-    if nboxes > VERIFY_GUARD:
-        raise ValueError(
-            f"exhaustive verification refused: {nboxes} boxes exceeds the guard of {VERIFY_GUARD}"
-        )
+    _check_guard(nboxes, "exhaustive verification")
     _, patterns = gadget._menu
     pick = array("i", [-1]) * (1 << nboxes)
     prev = array("i", [-1]) * (1 << nboxes)
@@ -409,14 +406,7 @@ def _search_impl(
     return None
 
 
-def search(
-    n: int,
-    dim: int,
-    seed: int,
-    budget: int,
-    count: int | None = None,
-    grid: int | None = None,
-) -> BoxGadget | None:
+def search(n: int, dim: int, seed: int, budget: int) -> BoxGadget | None:
     """Randomized-restart hill climbing for a fully verified gadget.
 
     Restarts draw either uniform random families, randomized staircase
@@ -429,10 +419,7 @@ def search(
     """
     if n < 2 or dim < 2:
         raise ValueError("search requires n >= 2 and dim >= 2")
-    target = count if count is not None else nominal_box_count(n, dim)
-    if target < 1:
-        raise ValueError("box count must be positive")
-    grid_size = grid if grid is not None else 4 * target
+    target = nominal_box_count(n, dim)
     rng = random.Random(seed)
     state = _Budget(budget)
-    return _search_impl(n, dim, rng, state, budget, target, grid_size)
+    return _search_impl(n, dim, rng, state, budget, target, 4 * target)

@@ -76,13 +76,18 @@ def _resolve_gadget(args) -> boxgadget.BoxGadget:
 
 
 def _resolve_instance(args, notes: list[str]) -> constructions.Theorem1Instance:
-    if getattr(args, "input", None):
+    build = [f"--{name}" for name in ("d", "k", "gadget") if getattr(args, name) is not None]
+    if args.input is not None:
+        if build:
+            raise jsonio.SchemaError(f"--input cannot be combined with {', '.join(build)}")
         return jsonio.instance_from_dict(jsonio.load_json(args.input))
-    if getattr(args, "d", None) is not None:
+    if args.d is not None:
         if args.k is None:
             raise jsonio.SchemaError("--k is required when --d is given")
         d = _effective_d(args.d, notes)
         return constructions.build_theorem1(d, args.k, _resolve_gadget(args))
+    if build:
+        raise jsonio.SchemaError(f"{', '.join(build)} requires --d")
     notes.append("using the bundled d=4, k=2 instance")
     return _load_bundled_instance()
 
@@ -93,9 +98,7 @@ def _resolve_instance(args, notes: list[str]) -> constructions.Theorem1Instance:
 def _cmd_gadget_search(args) -> int:
     started = time.monotonic()
     budget = args.budget if args.budget is not None else DEFAULT_SEARCH_BUDGET
-    gadget = boxgadget.search(
-        args.n, args.dim, seed=args.seed, budget=budget, count=args.count, grid=args.grid
-    )
+    gadget = boxgadget.search(args.n, args.dim, seed=args.seed, budget=budget)
     params = {"n": args.n, "dim": args.dim, "seed": args.seed, "budget": budget}
     if gadget is None:
         report = _report(
@@ -165,15 +168,15 @@ def _cmd_witness(args) -> int:
     started = time.monotonic()
     notes: list[str] = []
     inst = _resolve_instance(args, notes)
-    subset = _parse_index_list(args.subset)
+    subset = sorted(set(_parse_index_list(args.subset)))
     if args.which == "union":
         halfspaces = constructions.union_witness(inst, subset)
-        payload = jsonio.union_witness_to_dict(sorted(subset), halfspaces)
+        payload = jsonio.union_witness_to_dict(subset, halfspaces)
         result = {"halfspaces": len(halfspaces)}
     else:
         inst2 = constructions.build_theorem2(inst)
         simplex = constructions.simplex_witness(inst2, subset)
-        payload = jsonio.simplex_witness_to_dict(sorted(subset), simplex)
+        payload = jsonio.simplex_witness_to_dict(subset, simplex)
         result = {"vertices": len(simplex.vertices), "simplex_dim": simplex.simplex_dim}
     if args.output:
         jsonio.dump_json(payload, args.output)
@@ -182,7 +185,7 @@ def _cmd_witness(args) -> int:
         result["witness"] = payload
     report = _report(
         f"witness {args.which}",
-        {"subset": sorted(subset), "input": getattr(args, "input", None)},
+        {"subset": subset, "input": args.input},
         result,
         started,
         notes=notes,
@@ -221,8 +224,7 @@ def _cmd_verify_theorem(args) -> int:
         result["union_vc_dim"] = v_report.union_vc_dim
     report = _report(
         f"verify {args.which}",
-        {"mode": args.mode, "count": args.count, "input": getattr(args, "input", None),
-         "d": getattr(args, "d", None), "k": getattr(args, "k", None)},
+        {"mode": args.mode, "count": args.count, "input": args.input, "d": args.d, "k": args.k},
         result,
         started,
         failing=[list(s) for s in v_report.failing_subsets],
@@ -302,8 +304,6 @@ def _build_parser() -> argparse.ArgumentParser:
     gs.add_argument("--dim", type=int, required=True)
     gs.add_argument("--seed", type=int, required=True)
     gs.add_argument("--budget", type=int, default=None)
-    gs.add_argument("--count", type=int, default=None, help="override the family size")
-    gs.add_argument("--grid", type=int, default=None, help="coordinate grid bound")
     gs.add_argument("--output", default=None)
     gs.set_defaults(func=_cmd_gadget_search)
     gv = gsub.add_parser("verify", help="exhaustively verify a certificate file")
@@ -344,8 +344,9 @@ def _build_parser() -> argparse.ArgumentParser:
         vp.add_argument("--count", type=int, default=None,
                         help="distinct subsets checked in sample mode (at most all of them)")
         vp.add_argument("--seed", type=int, default=None)
-        vp.add_argument("--vcdim", action="store_true",
-                        help="also report the k-fold union VC-dimension (theorem1 only)")
+        if which == "theorem1":
+            vp.add_argument("--vcdim", action="store_true",
+                            help="also report the k-fold union VC-dimension")
         vp.set_defaults(func=_cmd_verify_theorem, which=which)
 
     sysp = top.add_parser("sys", help="finite set-system operations")

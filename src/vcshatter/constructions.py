@@ -12,14 +12,16 @@ k. Every step is exact; verification never tolerates a sign of zero.
 The chain behind Theorem 1, per subset P' of P:
 
   boxes of P \\ P'  --witness_for-->  points Q in R^{d/2}
-  q in Q  --anchored_box_of-->  box [0, q_1] x [0, 1/q_1] x ... in R^d
-         --snap to the rescaled value grid-->  box [0, b_1] x ... x [0, b_d]
-         --box_to_halfspace-->  { x : sum x_i / b_i <= tau }
+  q in Q  --lift-->  corner (q_1, 1/q_1, ..., q_m, 1/q_m) in R^d
+         --snap to the rescaled value grid-->  bounds (b_1, ..., b_d)
+         --half-space-->  { x : sum x_i / b_i <= tau }
 
-Coordinates of P are rescaled to powers of d+1 per coordinate, so a point
-outside a snapped box overshoots some b_i by a factor of at least d+1,
-making half-space membership match box membership with strict slack on
-both sides for any tau strictly between d and d+1.
+A box B lifts to (lo_1, 1/hi_1, ...), and q lies in B exactly when
+lift(B) <= lift([q, q]) coordinatewise, so the corner alone encodes which
+boxes q hits. Coordinates of P are rescaled to powers of d+1 per coordinate,
+so a point beyond a snapped bound overshoots some b_i by a factor of at
+least d+1, making half-space membership match corner dominance with strict
+slack on both sides for any tau strictly between d and d+1.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from .geometry import (
     dual_point_to_hyperplane,
     induced_system_points_in_halfspaces,
 )
-from .setsystem import VERIFY_GUARD, SetSystem, k_fold_union, mask_to_indices, subset_mask, vc_dim
+from .setsystem import SetSystem, _check_guard, k_fold_union, mask_to_indices, subset_mask, vc_dim
 
 AlphaTables = tuple[tuple[tuple[Fraction, Fraction], ...], ...]
 
@@ -55,27 +57,20 @@ class ConstructionError(RuntimeError):
     """A witness could not be produced; signals an invalid instance or gadget."""
 
 
+def _lift(lo: Sequence[Fraction], hi: Sequence[Fraction]) -> tuple[Fraction, ...]:
+    """(lo_1, 1/hi_1, ..., lo_m, 1/hi_m), the lifted corner of the box [lo, hi].
+
+    A point q lies in the box exactly when _lift(lo, hi) <= _lift(q, q)
+    coordinatewise.
+    """
+    if any(v <= 0 for v in lo):
+        raise ValueError("lifting requires strictly positive coordinates")
+    return tuple(c for a, b in zip(lo, hi) for c in (a, Fraction(1) / b))
+
+
 def lift_box(box: AxisBox) -> Point:
     """Map a positive box in R^m to (lo_1, 1/hi_1, ..., lo_m, 1/hi_m) in R^{2m}."""
-    if any(v <= 0 for v in box.lo):
-        raise ValueError("lifting requires strictly positive box coordinates")
-    coords: list[Fraction] = []
-    for lo, hi in zip(box.lo, box.hi):
-        coords.append(lo)
-        coords.append(Fraction(1) / hi)
-    return Point(tuple(coords))
-
-
-def anchored_box_of(q: Point) -> AxisBox:
-    """The box [0, q_1] x [0, 1/q_1] x ... whose membership encodes membership
-    of q in original boxes: q lies in B exactly when lift_box(B) lies here."""
-    if any(v <= 0 for v in q.coords):
-        raise ValueError("anchored boxes require strictly positive coordinates")
-    hi: list[Fraction] = []
-    for v in q.coords:
-        hi.append(v)
-        hi.append(Fraction(1) / v)
-    return AxisBox(tuple(Fraction(0) for _ in hi), tuple(hi))
+    return Point(_lift(box.lo, box.hi))
 
 
 def rescale(points: Sequence[Point], d: int) -> tuple[tuple[Point, ...], AlphaTables]:
@@ -105,44 +100,22 @@ def rescale(points: Sequence[Point], d: int) -> tuple[tuple[Point, ...], AlphaTa
     return rescaled, tuple(tables)
 
 
-def snap_anchored_box(box: AxisBox, alpha: AlphaTables) -> AxisBox:
-    """Snap an anchored box's upper corner down onto the rescaled value grid.
+def snap(corner: Sequence[Fraction], alpha: AlphaTables) -> tuple[Fraction, ...]:
+    """Snap a lifted corner down onto the rescaled value grid.
 
-    Per coordinate the new hi is the rescaled image of the largest original
-    value <= hi; when every original value exceeds hi, the coordinate snaps
-    to 1, which sits strictly below the smallest rescaled value and therefore
-    keeps every point out in that coordinate. Intersection with the rescaled
-    point set is exactly the intersection the original box had with the
-    original points.
+    Per coordinate the bound is the rescaled image of the largest original
+    value <= the corner's; when every original value exceeds it, the bound is
+    1, which sits strictly below the smallest rescaled value and therefore
+    keeps every point out in that coordinate. A rescaled point lies below the
+    snapped bounds exactly when its original lies below the corner.
     """
-    if not box.is_anchored():
-        raise ValueError("snapping applies to anchored boxes (lo = 0)")
-    if len(alpha) != box.dim:
-        raise ValueError("alpha tables do not match box dimension")
-    hi: list[Fraction] = []
-    for table, bound in zip(alpha, box.hi):
-        j = bisect_right(table, bound, key=itemgetter(0))
-        hi.append(table[j - 1][1] if j else Fraction(1))
-    return AxisBox(tuple(Fraction(0) for _ in hi), tuple(hi))
-
-
-def box_to_halfspace(box: AxisBox, d: int, tau: Fraction | None = None) -> RestrictedHalfspace:
-    """The half-space { x : sum_i x_i / hi_i <= tau } of a snapped anchored box.
-
-    tau defaults to d + 1/2. Any tau strictly between d and d+1 works: points
-    of the box contribute at most 1 per term (sum <= d < tau) and points
-    outside overshoot one term by a factor >= d+1 (sum >= d+1 > tau).
-    """
-    if box.dim != d:
-        raise ValueError("box dimension does not match d")
-    if not box.is_anchored():
-        raise ValueError("expected an anchored box")
-    if any(v <= 0 for v in box.hi):
-        raise ValueError("half-space coefficients must be strictly positive")
-    t = Fraction(2 * d + 1, 2) if tau is None else Fraction(tau)
-    if not Fraction(d) < t < Fraction(d + 1):
-        raise ValueError(f"tau must lie strictly between {d} and {d + 1}, got {t}")
-    return RestrictedHalfspace(b=box.hi, tau=t)
+    if len(alpha) != len(corner):
+        raise ValueError("alpha tables do not match corner dimension")
+    bounds: list[Fraction] = []
+    for table, value in zip(alpha, corner):
+        j = bisect_right(table, value, key=itemgetter(0))
+        bounds.append(table[j - 1][1] if j else Fraction(1))
+    return tuple(bounds)
 
 
 # ---------------------------------------------------------------------------
@@ -223,10 +196,10 @@ def union_witness(
     """At most k half-spaces whose union meets P exactly in the given subset.
 
     The boxes of the complement subset are handed to the gadget; each witness
-    point becomes an anchored box, snaps onto the rescaled grid and turns into
-    one half-space. Duplicate half-spaces are merged before thresholds are
-    assigned; thresholds are d + 1/2 + j/(4k), so they stay strictly inside
-    (d, d+1) and distinct per half-space.
+    point lifts to its corner, which snaps onto the rescaled grid and gives
+    the bounds of one half-space. Duplicate bounds are merged before
+    thresholds are assigned; thresholds are d + 1/2 + j/(4k), which must stay
+    strictly inside (d, d+1) and are distinct per half-space.
     """
     pmask = subset_mask(len(inst.points), subset)
     nboxes = len(inst.gadget.boxes)
@@ -236,18 +209,17 @@ def union_witness(
         raise ConstructionError(
             f"gadget has no witness for box subset {avoid}; the certificate is invalid"
         )
-    snapped: list[AxisBox] = []
-    seen: set[tuple[Fraction, ...]] = set()
-    for q in q_points:
-        box = snap_anchored_box(anchored_box_of(q), inst.alpha)
-        if box.hi not in seen:
-            seen.add(box.hi)
-            snapped.append(box)
+    bounds = dict.fromkeys(snap(_lift(q.coords, q.coords), inst.alpha) for q in q_points)
     base = Fraction(2 * inst.d + 1, 2)
-    return tuple(
-        box_to_halfspace(box, inst.d, tau=base + Fraction(j, 4 * inst.k))
-        for j, box in enumerate(snapped)
+    halfspaces = tuple(
+        RestrictedHalfspace(b=b, tau=base + Fraction(j, 4 * inst.k)) for j, b in enumerate(bounds)
     )
+    if any(not inst.d < h.tau < inst.d + 1 for h in halfspaces):
+        raise ConstructionError(
+            f"{len(halfspaces)} half-spaces for subset mask {pmask} push a threshold "
+            f"out of ({inst.d}, {inst.d + 1})"
+        )
+    return halfspaces
 
 
 @dataclass(frozen=True)
@@ -266,10 +238,7 @@ def _selected_masks(
     npoints: int, mode: str, count: int | None, seed: int | None
 ) -> list[int]:
     if mode == "exhaustive":
-        if npoints > VERIFY_GUARD:
-            raise ValueError(
-                f"exhaustive verification refused: {npoints} points exceeds the guard of {VERIFY_GUARD}"
-            )
+        _check_guard(npoints, "exhaustive verification")
         return list(range(1 << npoints))
     if mode == "sample":
         if count is None or count < 1:

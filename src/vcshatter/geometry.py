@@ -94,9 +94,6 @@ class AxisBox:
     def dim(self) -> int:
         return len(self.lo)
 
-    def is_anchored(self) -> bool:
-        return all(a == 0 for a in self.lo)
-
 
 @dataclass(frozen=True)
 class RestrictedHalfspace:

@@ -142,6 +142,34 @@ class TestVerifyCommands:
         assert canon(again) == canon(alone)
         assert _build_parser() is _build_parser()
 
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            pytest.param(["--k", "2"], id="k-without-d"),
+            pytest.param(["--gadget", "GADGET"], id="gadget-without-d"),
+            pytest.param(["--input", "INSTANCE", "--d", "4"], id="input-with-d"),
+            pytest.param(["--input", "INSTANCE", "--k", "2"], id="input-with-k"),
+            pytest.param(["--input", "INSTANCE", "--gadget", "GADGET"], id="input-with-gadget"),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "command",
+        [["verify", "theorem1"], ["witness", "union", "--subset", "0"]],
+        ids=["verify", "witness"],
+    )
+    def test_ignored_instance_flags_exit_2(self, capsys, n3_gadget_path, command, extra):
+        from vcshatter.cli import BUNDLED_INSTANCE, _asset_path
+
+        paths = {"GADGET": str(n3_gadget_path), "INSTANCE": str(_asset_path(BUNDLED_INSTANCE))}
+        code = cli_main(command + [paths.get(arg, arg) for arg in extra])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "--" in json.loads(captured.out)["error"]
+
+    def test_vcdim_is_theorem1_only(self, capsys):
+        assert cli_main(["verify", "theorem2", "--vcdim"]) == 2
+        assert "--vcdim" in capsys.readouterr().err
+
     def test_odd_d_delegates(self, capsys):
         code, report = run_cli(
             capsys, "verify", "theorem1", "--d", "5", "--k", "2", "--mode", "exhaustive"
@@ -195,6 +223,15 @@ class TestConstructAndWitness:
         data = jsonio.load_json(out)
         simplex = jsonio.simplex_from_dict(data["simplex"])
         assert simplex.simplex_dim <= 2
+
+    @pytest.mark.parametrize("which", ["union", "simplex"])
+    def test_repeated_subset_indices_are_reported_once(self, capsys, which):
+        code, once = run_cli(capsys, "witness", which, "--subset", "2,0")
+        assert code == 0
+        code, repeated = run_cli(capsys, "witness", which, "--subset", "0,2,0,2")
+        assert code == 0
+        assert repeated["params"]["subset"] == repeated["result"]["witness"]["subset"] == [0, 2]
+        assert canon(repeated) == canon(once)
 
     def test_bad_subset_exits_2(self, capsys):
         code = cli_main(["witness", "union", "--subset", "0,x"])
@@ -259,6 +296,13 @@ class TestGadgetCommands:
         data = jsonio.load_json(out)
         assert set(data) == {"n", "dim", "boxes"}
         assert boxgadget.verify(jsonio.gadget_from_dict(data))[0].ok
+
+    @pytest.mark.parametrize("flag", ["--count", "--grid"])
+    def test_search_has_no_size_flags(self, capsys, flag):
+        code = cli_main(
+            ["gadget", "search", "--n", "2", "--dim", "2", "--seed", "0", flag, "1"]
+        )
+        assert code == 2
 
     def test_search_budget_zero_exits_1(self, capsys):
         code, report = run_cli(

@@ -13,15 +13,14 @@ from vcshatter import constructions
 from vcshatter.boxgadget import BoxGadget, verify, witness_for
 from vcshatter.constructions import (
     ConstructionError,
-    anchored_box_of,
-    box_to_halfspace,
+    _lift,
     build_theorem1,
     build_theorem2,
     lift_box,
     required_gadget_n,
     rescale,
     simplex_witness,
-    snap_anchored_box,
+    snap,
     union_witness,
     verify_theorem1,
     verify_theorem2,
@@ -29,6 +28,7 @@ from vcshatter.constructions import (
 from vcshatter.geometry import (
     AxisBox,
     Point,
+    RestrictedHalfspace,
     box_contains,
     dual_point_to_hyperplane,
     halfspace_contains,
@@ -99,17 +99,22 @@ class TestLiftBox:
             assert lift_box(b1).coords != lift_box(b2).coords
 
 
+def _dominated(lower, upper) -> bool:
+    return all(a <= b for a, b in zip(lower, upper, strict=True))
+
+
 class TestAnchoredBox:
+    """The anchored box [0, _lift(q, q)] of a witness point q, held as its corner."""
+
     def test_example(self):
-        box = anchored_box_of(Point.of(F(3, 2), F(7, 2)))
-        assert box.lo == (F(0), F(0), F(0), F(0))
-        assert box.hi == (F(3, 2), F(2, 3), F(7, 2), F(2, 7))
+        q = Point.of(F(3, 2), F(7, 2))
+        assert _lift(q.coords, q.coords) == (F(3, 2), F(2, 3), F(7, 2), F(2, 7))
 
     def test_membership_equivalence_example(self):
         box = AxisBox((1, 3), (2, 4))
         q = Point.of(F(3, 2), F(7, 2))
         assert box_contains(box, q)
-        assert box_contains(anchored_box_of(q), lift_box(box))
+        assert _dominated(lift_box(box).coords, _lift(q.coords, q.coords))
 
     def test_membership_equivalence_on_boundaries(self):
         box = AxisBox((1, 3), (2, 4))
@@ -117,13 +122,15 @@ class TestAnchoredBox:
         values_y = [F(2), F(3), F(7, 2), F(4), F(5)]
         for qx, qy in product(values_x, values_y):
             q = Point.of(qx, qy)
-            assert box_contains(box, q) == box_contains(anchored_box_of(q), lift_box(box))
+            assert box_contains(box, q) == _dominated(
+                lift_box(box).coords, _lift(q.coords, q.coords)
+            )
 
     @given(positive_boxes(), st.tuples(positive, positive))
     @settings(max_examples=80, deadline=None)
     def test_membership_equivalence_random(self, box, q_coords):
         q = Point(q_coords)
-        assert box_contains(box, q) == box_contains(anchored_box_of(q), lift_box(box))
+        assert box_contains(box, q) == _dominated(lift_box(box).coords, _lift(q.coords, q.coords))
 
 
 class TestRescale:
@@ -159,51 +166,59 @@ class TestSnapAndHalfspace:
     def test_snap_exact_value(self):
         pts = [Point.of(1, 2), Point.of(2, 1)]
         rescaled, alpha = rescale(pts, 2)
-        box = AxisBox((0, 0), (1, 2))  # hi equals the original values (1, 2)
-        snapped = snap_anchored_box(box, alpha)
-        assert snapped.hi == (F(3), F(9))  # images of 1 and 2
+        assert snap((F(1), F(2)), alpha) == (F(3), F(9))  # images of 1 and 2
 
     def test_snap_below_everything_excludes(self):
         pts = [Point.of(2, 2), Point.of(3, 3)]
         rescaled, alpha = rescale(pts, 2)
-        snapped = snap_anchored_box(AxisBox((0, 0), (1, 1)), alpha)
-        assert snapped.hi == (F(1), F(1))
+        bounds = snap((F(1), F(1)), alpha)
+        assert bounds == (F(1), F(1))
         for p in rescaled:
-            assert not box_contains(snapped, p)
+            assert not _dominated(p.coords, bounds)
 
-    def test_snap_requires_anchored(self):
+    def test_snap_rejects_dimension_mismatch(self):
         _, alpha = rescale([Point.of(1, 1)], 2)
-        with pytest.raises(ValueError):
-            snap_anchored_box(AxisBox((1, 1), (2, 2)), alpha)
+        with pytest.raises(ValueError, match="dimension"):
+            snap((F(1), F(1), F(1)), alpha)
 
     def test_halfspace_boundary_cases(self):
         d = 4
-        box = AxisBox((0,) * d, (F(5), F(25), F(5), F(5)))
-        h = box_to_halfspace(box, d)
+        h = RestrictedHalfspace(b=(F(5), F(25), F(5), F(5)), tau=F(2 * d + 1, 2))
         corner = Point.of(F(5), F(25), F(5), F(5))  # every term equals 1
         assert halfspace_contains(h, corner)
         bumped = Point.of(F(25), F(25), F(5), F(5))  # one term equals d + 1
         assert not halfspace_contains(h, bumped)
 
-    def test_halfspace_rejects_bad_tau(self):
-        box = AxisBox((0, 0), (1, 1))
-        with pytest.raises(ValueError):
-            box_to_halfspace(box, 2, tau=F(2))
-        with pytest.raises(ValueError):
-            box_to_halfspace(box, 2, tau=F(3))
+    def test_union_witness_taus_inside_the_window(self, bundled_instance, n3_gadget):
+        for inst in (bundled_instance, build_theorem1(4, 4, n3_gadget)):
+            for pmask in range(1 << len(inst.points)):
+                witness = union_witness(inst, pmask)
+                taus = [h.tau for h in witness]
+                assert len(witness) <= inst.k
+                assert len(set(taus)) == len(taus)
+                assert all(inst.d < t < inst.d + 1 for t in taus)
+
+    def test_halfspace_rejects_bad_tau(self, bundled_instance, monkeypatch):
+        # 2k + 1 distinct bounds push the last threshold d + 1/2 + 2k/(4k) to d + 1
+        inst = bundled_instance
+        gadget_points = inst.gadget._pattern_points[: 2 * inst.k + 1]
+        assert len(gadget_points) == 2 * inst.k + 1
+        monkeypatch.setattr(constructions, "witness_for", lambda gadget, avoid: gadget_points)
+        with pytest.raises(ConstructionError, match="threshold"):
+            union_witness(inst, 0)
 
     def test_full_pipeline_membership_match(self, bundled_instance):
-        # p in snapped anchored box of q  <=>  lifted point in original B(q)
+        # p under the snapped corner of q  <=>  lifted point under the corner of q
         inst = bundled_instance
         lifted = [lift_box(box) for box in inst.gadget.boxes]
         for smask in range(1 << len(inst.gadget.boxes)):
             for q in witness_for(inst.gadget, smask):
-                original = anchored_box_of(q)
-                snapped = snap_anchored_box(original, inst.alpha)
-                h = box_to_halfspace(snapped, inst.d)
+                corner = _lift(q.coords, q.coords)
+                bounds = snap(corner, inst.alpha)
+                h = RestrictedHalfspace(b=bounds, tau=F(2 * inst.d + 1, 2))
                 for i, p in enumerate(inst.points):
-                    in_original = box_contains(original, lifted[i])
-                    assert box_contains(snapped, p) == in_original
+                    in_original = _dominated(lifted[i].coords, corner)
+                    assert _dominated(p.coords, bounds) == in_original
                     assert halfspace_contains(h, p) == in_original
 
 
