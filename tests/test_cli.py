@@ -1,12 +1,15 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import vcshatter
 from vcshatter import boxgadget, jsonio
 from vcshatter.cli import _build_parser, cli_main
 from vcshatter.setsystem import SetSystem
@@ -312,20 +315,24 @@ class TestGadgetCommands:
         assert report["result"]["found"] is False
 
 
+def run_module(*argv) -> subprocess.CompletedProcess:
+    """``python -m vcshatter.cli`` on the package under test, installed or not."""
+    package_root = str(Path(vcshatter.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (package_root, os.environ.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, "-m", "vcshatter.cli", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+
+
 class TestConsoleEntryPoint:
     def test_module_invocation(self, powerset4):
-        proc = subprocess.run(
-            [sys.executable, "-m", "vcshatter.cli", "sys", "vcdim", "--input", powerset4],
-            capture_output=True,
-            text=True,
-        )
+        proc = run_module("sys", "vcdim", "--input", powerset4)
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["result"]["vc_dim"] == 4
 
     def test_usage_error_exits_2(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "vcshatter.cli", "sys", "vcdim"],
-            capture_output=True,
-            text=True,
-        )
+        proc = run_module("sys", "vcdim")
         assert proc.returncode == 2
