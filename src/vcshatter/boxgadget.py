@@ -181,6 +181,23 @@ def _unions(gadget: BoxGadget) -> tuple[array, array]:
     return pick, prev
 
 
+def _witness_patterns(gadget: BoxGadget, subset: Iterable[int] | int) -> list[int] | None:
+    """The pattern numbers of ``witness_for``'s witness, ascending; None when it has none.
+
+    They are read from the closure's back-pointers, one per fold.
+    """
+    nboxes = len(gadget.boxes)
+    union = ((1 << nboxes) - 1) & ~subset_mask(nboxes, subset)
+    pick, prev = gadget._closure
+    if pick[union] < 0:
+        return None
+    chosen = []
+    while union >= 0:
+        chosen.append(pick[union])
+        union = prev[union]
+    return sorted(chosen)
+
+
 def witness_for(gadget: BoxGadget, subset: Iterable[int] | int) -> tuple[Point, ...] | None:
     """A fewest-point set avoiding the boxes of ``subset`` and hitting all others.
 
@@ -188,17 +205,11 @@ def witness_for(gadget: BoxGadget, subset: Iterable[int] | int) -> tuple[Point, 
     infeasibility is a value, not an error. Refuses families larger than the
     2^24 guard.
     """
-    nboxes = len(gadget.boxes)
-    union = ((1 << nboxes) - 1) & ~subset_mask(nboxes, subset)
-    pick, prev = gadget._closure
-    if pick[union] < 0:
+    numbers = _witness_patterns(gadget, subset)
+    if numbers is None:
         return None
     points = gadget._pattern_points
-    chosen = []
-    while union >= 0:
-        chosen.append(pick[union])
-        union = prev[union]
-    return tuple(points[i] for i in sorted(chosen))
+    return tuple(points[i] for i in numbers)
 
 
 @dataclass(frozen=True)

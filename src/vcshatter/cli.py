@@ -197,6 +197,10 @@ def _cmd_witness(args) -> int:
 def _cmd_verify_theorem(args) -> int:
     started = time.monotonic()
     notes: list[str] = []
+    if args.mode == "exhaustive":
+        ignored = [f"--{name}" for name in ("count", "seed") if getattr(args, name) is not None]
+        if ignored:
+            raise jsonio.SchemaError(f"{', '.join(ignored)} only applies to --mode sample")
     inst = _resolve_instance(args, notes)
     if args.which == "theorem1":
         v_report = constructions.verify_theorem1(

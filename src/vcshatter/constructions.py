@@ -22,6 +22,13 @@ boxes q hits. Coordinates of P are rescaled to powers of d+1 per coordinate,
 so a point beyond a snapped bound overshoots some b_i by a factor of at
 least d+1, making half-space membership match corner dominance with strict
 slack on both sides for any tau strictly between d and d+1.
+
+Witness points are menu points of the gadget's distinct hit patterns, so an
+instance snaps each pattern's corner once and keeps, per pattern and
+threshold slot, the half-space and its dual vertex; a subset's witness is
+read from that table. The verifiers check whatever the public witness
+functions return, memoizing the exact integer mask (Theorem 1) or sign masks
+(Theorem 2) per half-space or vertex object they receive.
 """
 
 from __future__ import annotations
@@ -30,11 +37,12 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property, partial
 from operator import itemgetter
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence, TypeVar
 
 from . import boxgadget  # boxgadget.verify is looked up where perfbench's tracer wraps it
-from .boxgadget import BoxGadget, witness_for
+from .boxgadget import BoxGadget, _witness_patterns
 from .geometry import (
     AxisBox,
     DegenerateSimplexError,
@@ -42,15 +50,22 @@ from .geometry import (
     OpenSimplex,
     Point,
     RestrictedHalfspace,
-    _crossings,
+    _crossing_mask,
+    _halfspace_mask,
     _hyperplane_row,
+    _scaled_points,
+    _vertex_signs,
     dual_halfspace_to_point,
     dual_point_to_hyperplane,
-    induced_system_points_in_halfspaces,
 )
 from .setsystem import SetSystem, _check_guard, k_fold_union, mask_to_indices, subset_mask, vc_dim
 
 AlphaTables = tuple[tuple[tuple[Fraction, Fraction], ...], ...]
+# A witness half-space and its dual vertex; one per (snapped corner, threshold slot).
+Slot = tuple[RestrictedHalfspace, Point]
+# Snapped bounds, and the slots built from them so far, by threshold slot.
+Row = tuple[tuple[Fraction, ...], dict[int, Slot]]
+T = TypeVar("T")
 
 
 class ConstructionError(RuntimeError):
@@ -141,6 +156,21 @@ class Theorem1Instance:
         if len(self.points) != len(self.gadget.boxes):
             raise ValueError("one point per gadget box required")
 
+    @cached_property
+    def _witness_rows(self) -> tuple[Row, ...]:
+        """Per gadget pattern number, the row of its menu point's snapped corner.
+
+        Every corner is snapped once, on first use of the table; patterns
+        whose corners snap to equal bounds share one row. Slots are added by
+        ``_slot``.
+        """
+        rows: dict[tuple[Fraction, ...], Row] = {}
+        table = []
+        for q in self.gadget._pattern_points:
+            bounds = snap(_lift(q.coords, q.coords), self.alpha)
+            table.append(rows.setdefault(bounds, (bounds, {})))
+        return tuple(table)
+
 
 @dataclass(frozen=True)
 class Theorem2Instance:
@@ -153,6 +183,11 @@ class Theorem2Instance:
     def __post_init__(self) -> None:
         if len(self.hyperplanes) != len(self.base.points):
             raise ValueError("one hyperplane per base point required")
+
+    @cached_property
+    def _apex_point(self) -> Point:
+        """``_apex(d)``, built on first use and shared by every witness simplex."""
+        return _apex(self.base.d)
 
 
 def required_gadget_n(k: int) -> int:
@@ -190,6 +225,39 @@ def build_theorem1(d: int, k: int, gadget: BoxGadget) -> Theorem1Instance:
     return Theorem1Instance(d=d, k=k, gadget=gadget, points=points, alpha=alpha)
 
 
+def _slot(inst: Theorem1Instance, row: Row, j: int) -> Slot:
+    """The half-space with the row's bounds and threshold d + 1/2 + j/(4k),
+    and its dual vertex, built on first use."""
+    bounds, slots = row
+    slot = slots.get(j)
+    if slot is None:
+        tau = Fraction(2 * inst.d + 1, 2) + Fraction(j, 4 * inst.k)
+        h = RestrictedHalfspace(b=bounds, tau=tau)
+        slot = slots[j] = (h, dual_halfspace_to_point(h))
+    return slot
+
+
+def _witness_slots(inst: Theorem1Instance, pmask: int) -> list[Slot]:
+    """The union witness for the subset mask as table slots; see ``union_witness``."""
+    nboxes = len(inst.gadget.boxes)
+    avoid = ((1 << nboxes) - 1) & ~pmask
+    numbers = _witness_patterns(inst.gadget, avoid)
+    if numbers is None:
+        raise ConstructionError(
+            f"gadget has no witness for box subset {mask_to_indices(avoid)}; "
+            "the certificate is invalid"
+        )
+    table = inst._witness_rows
+    rows = list({id(table[i]): table[i] for i in numbers}.values())
+    # Slot j has threshold d + 1/2 + j/(4k), inside (d, d+1) exactly when j < 2k.
+    if len(rows) > 2 * inst.k:
+        raise ConstructionError(
+            f"{len(rows)} half-spaces for subset mask {pmask} push a threshold "
+            f"out of ({inst.d}, {inst.d + 1})"
+        )
+    return [_slot(inst, row, j) for j, row in enumerate(rows)]
+
+
 def union_witness(
     inst: Theorem1Instance, subset: Iterable[int] | int
 ) -> tuple[RestrictedHalfspace, ...]:
@@ -199,27 +267,20 @@ def union_witness(
     point lifts to its corner, which snaps onto the rescaled grid and gives
     the bounds of one half-space. Duplicate bounds are merged before
     thresholds are assigned; thresholds are d + 1/2 + j/(4k), which must stay
-    strictly inside (d, d+1) and are distinct per half-space.
+    strictly inside (d, d+1) and are distinct per half-space. The half-spaces
+    come from the instance's per-pattern table.
     """
     pmask = subset_mask(len(inst.points), subset)
-    nboxes = len(inst.gadget.boxes)
-    avoid = [i for i in range(nboxes) if not (pmask >> i) & 1]
-    q_points = witness_for(inst.gadget, avoid)
-    if q_points is None:
-        raise ConstructionError(
-            f"gadget has no witness for box subset {avoid}; the certificate is invalid"
-        )
-    bounds = dict.fromkeys(snap(_lift(q.coords, q.coords), inst.alpha) for q in q_points)
-    base = Fraction(2 * inst.d + 1, 2)
-    halfspaces = tuple(
-        RestrictedHalfspace(b=b, tau=base + Fraction(j, 4 * inst.k)) for j, b in enumerate(bounds)
-    )
-    if any(not inst.d < h.tau < inst.d + 1 for h in halfspaces):
-        raise ConstructionError(
-            f"{len(halfspaces)} half-spaces for subset mask {pmask} push a threshold "
-            f"out of ({inst.d}, {inst.d + 1})"
-        )
-    return halfspaces
+    return tuple(h for h, _ in _witness_slots(inst, pmask))
+
+
+def _once(cache: dict[int, tuple[object, T]], obj: object, compute: Callable[..., T]) -> T:
+    """compute(obj), once per object. The cache holds obj itself, so no other
+    object can take its id while the entry lives."""
+    entry = cache.get(id(obj))
+    if entry is None:
+        entry = cache[id(obj)] = (obj, compute(obj))
+    return entry[1]
 
 
 @dataclass(frozen=True)
@@ -236,10 +297,10 @@ class VerificationReport:
 
 def _selected_masks(
     npoints: int, mode: str, count: int | None, seed: int | None
-) -> list[int]:
+) -> Sequence[int]:
     if mode == "exhaustive":
         _check_guard(npoints, "exhaustive verification")
-        return list(range(1 << npoints))
+        return range(1 << npoints)
     if mode == "sample":
         if count is None or count < 1:
             raise ValueError("sample mode requires a positive count")
@@ -269,12 +330,15 @@ def verify_theorem1(
     compute_vc_dim, additionally collects the sets that the witness
     half-spaces of the run cut out of P and reports the VC-dimension of the
     k-fold union of that system (it must reach |P| when the instance
-    shatters).
+    shatters). The points are scaled to integers once per run, and the exact
+    integer mask of each half-space object received is computed once.
     """
     masks = _selected_masks(len(inst.points), mode, count, seed)
+    scale, scaled = _scaled_points(inst.points)
+    mask_of = partial(_halfspace_mask, scale=scale, scaled=scaled)
     failing: list[tuple[int, ...]] = []
     max_size = 0
-    members: set[int] = set()
+    seen: dict[int, tuple[object, int]] = {}
     for pmask in masks:
         try:
             witness = union_witness(inst, pmask)
@@ -282,17 +346,14 @@ def verify_theorem1(
             failing.append(tuple(mask_to_indices(pmask)))
             continue
         max_size = max(max_size, len(witness))
-        induced = induced_system_points_in_halfspaces(inst.points, witness)
-        if compute_vc_dim:
-            members.update(induced.sets)
         got = 0
-        for member in induced.sets:
-            got |= member
+        for h in witness:
+            got |= _once(seen, h, mask_of)
         if got != pmask:
             failing.append(tuple(mask_to_indices(pmask)))
     union_dim: int | None = None
-    if compute_vc_dim and members:
-        system = SetSystem.from_masks(len(inst.points), members)
+    if compute_vc_dim and seen:
+        system = SetSystem.from_masks(len(inst.points), {m for _, m in seen.values()})
         union_dim = vc_dim(k_fold_union(system, inst.k))[0]
     return VerificationReport(
         shattered=not failing,
@@ -330,13 +391,14 @@ def simplex_witness(inst2: Theorem2Instance, subset: Iterable[int] | int) -> Ope
     the +1 side of each hyperplane except that a witness half-space containing
     p puts its dual vertex strictly on the -1 side of H(p), so the open hull
     crosses H(p) exactly when p is selected. Affinely dependent vertices raise
-    ConstructionError.
+    ConstructionError. The dual points come from the base instance's
+    per-pattern table.
     """
     base = inst2.base
     pmask = subset_mask(len(base.points), subset)
-    vertices = tuple(dual_halfspace_to_point(h) for h in union_witness(base, pmask))
+    vertices = tuple(v for _, v in _witness_slots(base, pmask))
     try:
-        return OpenSimplex(ambient_dim=base.d, vertices=vertices + (_apex(base.d),))
+        return OpenSimplex(ambient_dim=base.d, vertices=vertices + (inst2._apex_point,))
     except DegenerateSimplexError as err:
         raise ConstructionError(
             f"could not build an affinely independent simplex for subset mask {pmask}: {err}"
@@ -353,15 +415,17 @@ def verify_theorem2(
 
     Also counts sign-zero evaluations across every (vertex, hyperplane) pair;
     a sound run reports zero_signs == 0, since all incidences were engineered
-    away by the threshold choice and the apex. Each sign is evaluated once,
-    in integers, for both the count and the crossing mask. A subset whose
-    simplex cannot be built counts as failing.
+    away by the threshold choice and the apex. The signs of each vertex object
+    received are evaluated once, in integers, over every hyperplane, and give
+    both the count and the crossing mask. A subset whose simplex cannot be
+    built counts as failing.
     """
     masks = _selected_masks(len(inst2.hyperplanes), mode, count, seed)
-    rows = [_hyperplane_row(h) for h in inst2.hyperplanes]
+    signs_of = partial(_vertex_signs, [_hyperplane_row(h) for h in inst2.hyperplanes])
     failing: list[tuple[int, ...]] = []
     zero_signs = 0
     max_size = 0
+    seen: dict[int, tuple[object, tuple[int, int, int]]] = {}
     for hmask in masks:
         try:
             simplex = simplex_witness(inst2, hmask)
@@ -369,7 +433,7 @@ def verify_theorem2(
             failing.append(tuple(mask_to_indices(hmask)))
             continue
         max_size = max(max_size, len(simplex.vertices) - 1)
-        got, zeros = _crossings(rows, simplex.vertices)
+        got, zeros = _crossing_mask(_once(seen, v, signs_of) for v in simplex.vertices)
         zero_signs += zeros
         if got != hmask:
             failing.append(tuple(mask_to_indices(hmask)))

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from math import lcm
 from operator import mul
@@ -72,6 +73,14 @@ class Point:
     @classmethod
     def of(cls, *values) -> "Point":
         return cls(tuple(values))
+
+    @cached_property
+    def _vertex_column(self) -> tuple[int, ...]:
+        """M * (x_1, ..., x_{d-1}, 1, x_d) with M the lcm of the denominators,
+        computed on first use; see ``_hyperplane_row``."""
+        m = lcm(*(v.denominator for v in self.coords))
+        scaled = [v.numerator * (m // v.denominator) for v in self.coords]
+        return (*scaled[:-1], m, scaled[-1])
 
 
 @dataclass(frozen=True)
@@ -155,8 +164,9 @@ class OpenSimplex:
                 f"{len(self.vertices)} vertices cannot be affinely independent "
                 f"in dimension {self.ambient_dim}"
             )
-        diffs = [_sub(v.coords, self.vertices[0].coords) for v in self.vertices[1:]]
-        if _rank(diffs) != len(diffs):
+        # Affine independence of the vertices is linear independence of their
+        # (v, 1) vectors, which the integer vertex columns permute and scale.
+        if _integer_rank([v._vertex_column for v in self.vertices]) != len(self.vertices):
             raise DegenerateSimplexError("vertices are affinely dependent")
 
     @property
@@ -261,6 +271,32 @@ def _echelon(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], 
 
 def _rank(rows: Sequence[Sequence[Fraction]]) -> int:
     return len(_echelon(rows)[1])
+
+
+def _integer_rank(rows: Sequence[Sequence[int]]) -> int:
+    """Rank of an integer matrix by fraction-free (Bareiss) elimination.
+
+    After each pivot step every remaining entry is a minor of the input, so
+    the division by the previous pivot is exact and no rational is built.
+    """
+    mat = [list(r) for r in rows]
+    rank = 0
+    last = 1
+    for col in range(len(mat[0]) if mat else 0):
+        pivot = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
+        if pivot is None:
+            continue
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        prow = mat[rank]
+        p = prow[col]
+        for r in range(rank + 1, len(mat)):
+            a = mat[r][col]
+            mat[r] = [(p * x - a * y) // last for x, y in zip(mat[r], prow)]
+        last = p
+        rank += 1
+        if rank == len(mat):
+            break
+    return rank
 
 
 def _normal_through(points: Sequence[tuple[Fraction, ...]]) -> tuple[Fraction, ...] | None:
@@ -390,6 +426,29 @@ def _integer_row(h: RestrictedHalfspace, scale: int) -> tuple[tuple[int, ...], i
     return weights, h.tau.numerator * (n // h.tau.denominator) * scale
 
 
+def _scaled_points(points: Sequence[Point]) -> tuple[int, list[tuple[int, ...]]]:
+    """The lcm of the points' coordinate denominators, and the points times it."""
+    scale = lcm(*(x.denominator for p in points for x in p.coords))
+    return scale, [tuple(x.numerator * (scale // x.denominator) for x in p.coords) for p in points]
+
+
+def _halfspace_mask(h: RestrictedHalfspace, scale: int, scaled: Sequence[tuple[int, ...]]) -> int:
+    """Bit i set when point i lies in h, for ``_scaled_points`` output (scale, scaled).
+
+    Decided on the integer row of h (see ``_integer_row``), so it equals
+    ``halfspace_contains`` point by point, exactly.
+    """
+    mismatched = {len(xs) for xs in scaled} - {h.dim}
+    if mismatched:
+        raise ValueError(f"half-space dimension {h.dim} != point dimension {min(mismatched)}")
+    weights, bound = _integer_row(h, scale)
+    mask = 0
+    for i, xs in enumerate(scaled):
+        if sum(map(mul, weights, xs)) <= bound:
+            mask |= 1 << i
+    return mask
+
+
 def induced_system_points_in_halfspaces(
     points: Sequence[Point], halfspaces: Sequence[RestrictedHalfspace]
 ) -> SetSystem:
@@ -397,34 +456,19 @@ def induced_system_points_in_halfspaces(
 
     Membership is decided in integers: the points are scaled once by the lcm
     of their coordinate denominators and every distinct half-space becomes
-    one integer row (see ``_integer_row``), so the result equals
-    ``halfspace_contains`` point by point, exactly.
+    one integer row (see ``_halfspace_mask``).
     """
     if not points:
         raise ValueError("need at least one point")
-    scale = lcm(*(x.denominator for p in points for x in p.coords))
-    scaled = [tuple(x.numerator * (scale // x.denominator) for x in p.coords) for p in points]
-    dims = {p.dim for p in points}
-    masks = []
-    for h in dict.fromkeys(halfspaces):
-        mismatched = dims - {h.dim}
-        if mismatched:
-            raise ValueError(
-                f"half-space dimension {h.dim} != point dimension {min(mismatched)}"
-            )
-        weights, bound = _integer_row(h, scale)
-        mask = 0
-        for i, xs in enumerate(scaled):
-            if sum(map(mul, weights, xs)) <= bound:
-                mask |= 1 << i
-        masks.append(mask)
+    scale, scaled = _scaled_points(points)
+    masks = [_halfspace_mask(h, scale, scaled) for h in dict.fromkeys(halfspaces)]
     return SetSystem.from_masks(len(points), masks)
 
 
 def _hyperplane_row(h: DualHyperplane) -> tuple[int, ...]:
     """L * (p_1, ..., p_{d-1}, p_d, -1) with L the lcm of p's denominators.
 
-    Its dot product with ``_vertex_column(x)`` is L * M * s_p(x), with
+    Its dot product with ``x._vertex_column`` is L * M * s_p(x), with
     L, M > 0, so it has the sign of ``side_of(h, x)`` for any rationals.
     """
     p = h.p.coords
@@ -432,38 +476,46 @@ def _hyperplane_row(h: DualHyperplane) -> tuple[int, ...]:
     return tuple(v.numerator * (n // v.denominator) for v in p) + (-n,)
 
 
-def _vertex_column(x: Point) -> tuple[int, ...]:
-    """M * (x_1, ..., x_{d-1}, 1, x_d) with M the lcm of x's denominators."""
-    m = lcm(*(v.denominator for v in x.coords))
-    scaled = [v.numerator * (m // v.denominator) for v in x.coords]
-    return (*scaled[:-1], m, scaled[-1])
+def _vertex_signs(rows: Sequence[tuple[int, ...]], x: Point) -> tuple[int, int, int]:
+    """Bitmasks of the rows i with side_of > 0, < 0 and == 0 at vertex x.
+
+    ``rows`` are ``_hyperplane_row`` images of hyperplanes of x's dimension;
+    each sign is one integer dot product with ``x._vertex_column``.
+    """
+    column = x._vertex_column
+    pos = neg = on = 0
+    for i, row in enumerate(rows):
+        s = sum(map(mul, row, column))
+        if s > 0:
+            pos |= 1 << i
+        elif s < 0:
+            neg |= 1 << i
+        else:
+            on |= 1 << i
+    return pos, neg, on
+
+
+def _crossing_mask(signs: Iterable[tuple[int, int, int]]) -> tuple[int, int]:
+    """Which hyperplanes an open simplex meets, from ``_vertex_signs`` of its
+    (at least one) vertices, and how many (hyperplane, vertex) signs are zero.
+
+    Bit i is ``simplex_hyperplane_intersects`` for hyperplane i: some vertex
+    is strictly on each side, or every vertex lies on it.
+    """
+    pos = neg = zeros = 0
+    on = -1
+    for p, n, z in signs:
+        pos |= p
+        neg |= n
+        on &= z
+        zeros += z.bit_count()
+    return (pos & neg) | on, zeros
 
 
 def _crossings(rows: Sequence[tuple[int, ...]], vertices: Sequence[Point]) -> tuple[int, int]:
-    """Which hyperplanes an open simplex meets, and how many signs are zero.
-
-    ``rows`` are ``_hyperplane_row`` images of hyperplanes of the vertices'
-    dimension. Each (hyperplane, vertex) sign is evaluated once, in
-    integers; bit i of the mask is ``simplex_hyperplane_intersects`` for
-    hyperplane i, and the count is the number of pairs with side_of == 0.
-    """
-    columns = [_vertex_column(v) for v in vertices]
-    mask = 0
-    zeros = 0
-    for i, row in enumerate(rows):
-        pos = neg = on = 0
-        for column in columns:
-            s = sum(map(mul, row, column))
-            if s > 0:
-                pos = 1
-            elif s < 0:
-                neg = 1
-            else:
-                on += 1
-        if (pos and neg) or on == len(columns):
-            mask |= 1 << i
-        zeros += on
-    return mask, zeros
+    """``_crossing_mask`` of the vertices' signs against ``rows``; each
+    (hyperplane, vertex) sign is evaluated once, in integers."""
+    return _crossing_mask(_vertex_signs(rows, v) for v in vertices)
 
 
 def induced_system_hyperplanes_in_simplices(

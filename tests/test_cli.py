@@ -169,6 +169,14 @@ class TestVerifyCommands:
         assert code == 2
         assert "--" in json.loads(captured.out)["error"]
 
+    @pytest.mark.parametrize("flag", [["--count", "5"], ["--seed", "3"]], ids=["count", "seed"])
+    @pytest.mark.parametrize("which", ["theorem1", "theorem2"])
+    def test_sample_flags_in_exhaustive_mode_exit_2(self, capsys, which, flag):
+        code = cli_main(["verify", which, *flag])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert flag[0] in json.loads(captured.out)["error"]
+
     def test_vcdim_is_theorem1_only(self, capsys):
         assert cli_main(["verify", "theorem2", "--vcdim"]) == 2
         assert "--vcdim" in capsys.readouterr().err

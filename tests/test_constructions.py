@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vcshatter import constructions
+from vcshatter import constructions, geometry
 from vcshatter.boxgadget import BoxGadget, verify, witness_for
 from vcshatter.constructions import (
     ConstructionError,
@@ -80,6 +80,29 @@ def _raising_on(witness, bad_mask: int):
         return witness(inst, subset, *args, **kwargs)
 
     return wrapped
+
+
+def _swapped_on(witness, bad_mask: int, other_mask: int):
+    """``witness`` with the witness of ``other_mask`` returned for ``bad_mask``."""
+
+    def wrapped(inst, subset, *args, **kwargs):
+        return witness(inst, other_mask if subset == bad_mask else subset, *args, **kwargs)
+
+    return wrapped
+
+
+def _counting(monkeypatch, module, name: str) -> list:
+    """Replace module.name by a wrapper that records its calls; returns the record."""
+    calls = []
+    original = getattr(module, name)
+
+    def wrapped(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapped)
+    return calls
+
 
 class TestLiftBox:
     def test_example(self):
@@ -201,9 +224,9 @@ class TestSnapAndHalfspace:
     def test_halfspace_rejects_bad_tau(self, bundled_instance, monkeypatch):
         # 2k + 1 distinct bounds push the last threshold d + 1/2 + 2k/(4k) to d + 1
         inst = bundled_instance
-        gadget_points = inst.gadget._pattern_points[: 2 * inst.k + 1]
-        assert len(gadget_points) == 2 * inst.k + 1
-        monkeypatch.setattr(constructions, "witness_for", lambda gadget, avoid: gadget_points)
+        numbers = list(range(2 * inst.k + 1))
+        assert len(inst.gadget._pattern_points) >= len(numbers)
+        monkeypatch.setattr(constructions, "_witness_patterns", lambda gadget, avoid: numbers)
         with pytest.raises(ConstructionError, match="threshold"):
             union_witness(inst, 0)
 
@@ -346,6 +369,16 @@ class TestVerifyTheorem1:
         assert report.checked == 32
         assert report.failing_subsets == ((0, 2, 3),)
 
+    def test_memoized_masks_never_hide_a_wrong_witness(self, bundled_instance, monkeypatch):
+        # mask 13 gets the half-spaces of mask 11, whose masks the run has already memoized
+        monkeypatch.setattr(
+            constructions, "union_witness", _swapped_on(constructions.union_witness, 13, 11)
+        )
+        report = verify_theorem1(bundled_instance, mode="exhaustive", compute_vc_dim=True)
+        assert not report.shattered
+        assert report.checked == 32
+        assert report.failing_subsets == ((0, 2, 3),)
+
 
 class TestTheorem2:
     def test_build_counts(self, bundled_instance):
@@ -391,6 +424,30 @@ class TestTheorem2:
         assert report.checked == 32
         assert report.failing_subsets == ((0, 2, 3),)
         assert report.zero_signs == 0
+
+    def test_memoized_signs_never_hide_a_wrong_witness(self, bundled_instance, monkeypatch):
+        # mask 13 gets the simplex of mask 11, whose vertex signs the run has already memoized
+        inst2 = build_theorem2(bundled_instance)
+        monkeypatch.setattr(
+            constructions, "simplex_witness", _swapped_on(constructions.simplex_witness, 13, 11)
+        )
+        report = verify_theorem2(inst2, mode="exhaustive")
+        assert not report.shattered
+        assert report.checked == 32
+        assert report.failing_subsets == ((0, 2, 3),)
+        assert report.zero_signs == 0
+
+    def test_each_distinct_witness_is_processed_once(self, n3_gadget, monkeypatch):
+        inst = build_theorem1(4, 4, n3_gadget)
+        snaps = _counting(monkeypatch, constructions, "snap")
+        duals = _counting(monkeypatch, constructions, "dual_halfspace_to_point")
+        ranks = _counting(monkeypatch, geometry, "_rank")
+        assert verify_theorem1(inst, mode="exhaustive", compute_vc_dim=True).shattered
+        assert verify_theorem2(build_theorem2(inst), mode="exhaustive").shattered
+        halfspaces = {h for mask in range(1 << 12) for h in union_witness(inst, mask)}
+        assert len(snaps) <= len(n3_gadget._pattern_points)
+        assert len(duals) <= len(halfspaces)
+        assert ranks == []
 
     @given(
         st.lists(

@@ -17,6 +17,9 @@ from vcshatter.geometry import (
     RestrictedHalfspace,
     _crossings,
     _hyperplane_row,
+    _integer_rank,
+    _rank,
+    _sub,
     box_contains,
     dual_halfspace_to_point,
     dual_point_to_hyperplane,
@@ -200,6 +203,55 @@ class TestSimplexIntersection:
             elif not got:
                 strict = {(v > 0) - (v < 0) for v in values}
                 assert strict in ({1}, {-1}, {1, 0}, {-1, 0})
+
+
+@st.composite
+def vertex_sets(draw):
+    """Small rational vertex sets in dimensions 2-5, some forced affinely
+    dependent: a repeated vertex, the midpoint of two others, or more than
+    d + 1 vertices."""
+    d = draw(st.integers(2, 5))
+    coords = st.builds(F, st.integers(-12, 12), st.integers(1, 4))
+    vertex = st.tuples(*[coords] * d)
+    vertices = draw(st.lists(vertex, min_size=1, max_size=d + 1))
+    kind = draw(st.sampled_from(("free", "repeat", "midpoint", "too-many")))
+    if kind == "repeat":
+        vertices.append(draw(st.sampled_from(vertices)))
+    elif kind == "midpoint" and len(vertices) >= 2:
+        index = st.integers(0, len(vertices) - 1)
+        i, j = draw(st.lists(index, min_size=2, max_size=2, unique=True))
+        vertices.append(tuple((x + y) / 2 for x, y in zip(vertices[i], vertices[j])))
+    elif kind == "too-many":
+        vertices += draw(st.lists(vertex, min_size=d + 2 - len(vertices), max_size=d + 3))
+    return d, [Point(v) for v in draw(st.permutations(vertices))]
+
+
+class TestIntegerRank:
+    @given(vertex_sets())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_fraction_rank_on_vertex_columns(self, case):
+        d, vertices = case
+        affine = _rank([_sub(v.coords, vertices[0].coords) for v in vertices[1:]])
+        columns = [v._vertex_column for v in vertices]
+        assert _integer_rank(columns) == _rank([[F(x) for x in c] for c in columns]) == affine + 1
+        try:
+            OpenSimplex(d, tuple(vertices))
+            degenerate = False
+        except DegenerateSimplexError:
+            degenerate = True
+        assert degenerate == (affine != len(vertices) - 1)
+
+    @given(
+        st.integers(1, 5).flatmap(
+            lambda ncols: st.lists(
+                st.lists(st.integers(-3, 3), min_size=ncols, max_size=ncols), max_size=6
+            )
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_fraction_rank_on_integer_matrices(self, rows):
+        # small entries give zero columns and repeated rows, so pivots get skipped
+        assert _integer_rank(rows) == _rank([[F(x) for x in r] for r in rows])
 
 
 class TestRealizableSubsets:
