@@ -12,9 +12,12 @@ a staged product that keeps only the distinct patterns, each with the
 lowest menu index that has it. Q avoids S exactly when every hit pattern of
 Q lies inside B \\ S, so S has a witness exactly when B \\ S is a union of
 at most 2^(n-1) hit patterns: the gadget is a certificate when the
-2^(n-1)-fold union of its hit-pattern system is the whole power set. That
-closure is computed once per gadget, with one back-pointer per reached
-union from which every witness is read.
+2^(n-1)-fold union of its hit-pattern system is the whole power set.
+``verify`` and the search's score read that closure as one 2^|B|-bit
+integer, grown fold by fold with shifts (``_reached``); ``witness_for``
+reads a witness from the same closure kept as back-pointer tables, one per
+reached union (``_unions``). The search climbs on plain integer boxes and
+builds a ``BoxGadget`` only for the family it returns.
 A gadget counts as verified when ``verify(gadget)`` reports ok.
 """
 
@@ -26,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
-from typing import Iterable
+from typing import Collection, Iterable, Sequence
 
 from .geometry import AxisBox, Point
 from .setsystem import _check_guard, mask_to_indices, subset_mask
@@ -58,7 +61,7 @@ class BoxGadget:
     @cached_property
     def _menu(self) -> tuple[tuple[list[Fraction], ...], dict[int, int]]:
         """The sorted endpoints per axis and the distinct hit patterns, computed on first use."""
-        return _hit_masks(self)
+        return _hit_masks([(box.lo, box.hi) for box in self.boxes], self.dim)
 
     @cached_property
     def _pattern_points(self) -> tuple[Point, ...]:
@@ -113,26 +116,30 @@ def _menu_point(axes: tuple[list[Fraction], ...], index: int) -> Point:
     return Point(tuple(reversed(coords)))
 
 
-def _hit_masks(gadget: BoxGadget) -> tuple[tuple[list[Fraction], ...], dict[int, int]]:
+def _hit_masks(
+    boxes: Sequence[tuple[Sequence, Sequence]], dim: int
+) -> tuple[tuple[list, ...], dict[int, int]]:
     """Per axis, the sorted distinct endpoints; and each distinct hit pattern
     of the menu with the lowest menu index that has it, in ascending index order.
 
-    Menu value m of an axis lies in a closed interval with endpoint ranks a
-    and b exactly when a < m <= b, so each axis gives one bitset of boxes per
-    menu value with no ``Fraction`` comparison. A point's pattern is the AND
-    of its axes' bitsets; the product is taken axis by axis over the distinct
+    ``boxes`` holds one ``(lo, hi)`` pair per box, of any ordered values: the
+    search passes integers, ``BoxGadget`` its ``Fraction`` boxes. Menu value
+    m of an axis lies in a closed interval with endpoint ranks a and b
+    exactly when a < m <= b, so each axis gives one bitset of boxes per menu
+    value with no point-in-box test. A point's pattern is the AND of its
+    axes' bitsets; the product is taken axis by axis over the distinct
     bitsets only, each represented by its first menu value. Visiting the
     partial patterns in ascending index order keeps, for every pattern, the
     lowest index of ``candidate_points`` that has it.
     """
-    axes: list[list[Fraction]] = []
-    patterns = {(1 << len(gadget.boxes)) - 1: 0}
-    for i in range(gadget.dim):
-        values = sorted({box.lo[i] for box in gadget.boxes} | {box.hi[i] for box in gadget.boxes})
+    axes: list[list] = []
+    patterns = {(1 << len(boxes)) - 1: 0}
+    for i in range(dim):
+        values = sorted({lo[i] for lo, _ in boxes} | {hi[i] for _, hi in boxes})
         rank = {v: r for r, v in enumerate(values)}
         bits = [0] * (len(values) + 1)
-        for j, box in enumerate(gadget.boxes):
-            for m in range(rank[box.lo[i]] + 1, rank[box.hi[i]] + 1):
+        for j, (lo, hi) in enumerate(boxes):
+            for m in range(rank[lo[i]] + 1, rank[hi[i]] + 1):
                 bits[m] |= 1 << j
         first: dict[int, int] = {}
         for m, am in enumerate(bits):
@@ -144,6 +151,46 @@ def _hit_masks(gadget: BoxGadget) -> tuple[tuple[list[Fraction], ...], dict[int,
         patterns = staged
         axes.append(values)
     return tuple(axes), patterns
+
+
+def _reached(patterns: Collection[int], nboxes: int, b: int) -> int:
+    """The unions of at most b of ``patterns``, as one int with bit v set for each reached union v.
+
+    Reached unions grow fold by fold from the patterns themselves. ORing
+    every reached union with a pattern p moves bit v to bit v | p; it is
+    applied one bit j of p at a time, moving the bits of the masks with bit j
+    clear (``low[j]``) up by 2^j. This is the set of unions ``_unions``
+    reaches, as one 2^nboxes-bit integer instead of two tables; the folds
+    stop early once one adds nothing. Refuses families larger than the 2^24
+    guard.
+    """
+    _check_guard(nboxes, "exhaustive verification")
+    size = 1 << nboxes
+    low = []
+    for j in range(nboxes):
+        # masks 0 .. 2^j - 1 have bit j clear, and the pattern repeats every 2^(j+1)
+        mask, width = (1 << (1 << j)) - 1, 2 << j
+        while width < size:
+            mask |= mask << width
+            width <<= 1
+        low.append(mask)
+    reached = 0
+    for p in patterns:
+        reached |= 1 << p
+    for _ in range(b - 1):
+        grown = reached
+        for p in patterns:
+            x = reached
+            while p:
+                j = (p & -p).bit_length() - 1
+                p &= p - 1
+                moved = x & low[j]
+                x = (x ^ moved) | (moved << (1 << j))
+            grown |= x
+        if grown == reached:
+            break
+        reached = grown
+    return reached
 
 
 def _unions(gadget: BoxGadget) -> tuple[array, array]:
@@ -158,7 +205,8 @@ def _unions(gadget: BoxGadget) -> tuple[array, array]:
     union before it (-1 for none). Pattern numbers stay below 2^|B|, so they
     fit the tables where menu indices may not. A union is recorded at the
     first fold that reaches it, so walking the back-pointers gives a
-    fewest-point witness.
+    fewest-point witness. Only ``witness_for`` needs the tables; ``verify``
+    and the search read the same set of unions from ``_reached``.
     """
     nboxes = len(gadget.boxes)
     _check_guard(nboxes, "exhaustive verification")
@@ -225,26 +273,39 @@ def verify(gadget: BoxGadget) -> tuple[GadgetReport, BoxGadget]:
     Returns the report and the gadget itself. Refuses families larger than
     the 2^24 guard.
     """
-    pick, _ = gadget._closure
-    full = len(pick) - 1
-    failing = tuple(
-        tuple(mask_to_indices(smask)) for smask in range(len(pick)) if pick[full ^ smask] < 0
-    )
-    return GadgetReport(ok=not failing, checked=len(pick), failing_subsets=failing), gadget
+    nboxes = len(gadget.boxes)
+    _check_guard(nboxes, "exhaustive verification")  # before the menu is built
+    _, patterns = gadget._menu
+    reached = _reached(patterns, nboxes, gadget.max_witness_size)
+    # digit s of the 2^|B|-digit binary string is bit (2^|B| - 1) ^ s: the
+    # union of the boxes outside subset s
+    digits = format(reached, f"0{1 << nboxes}b")
+    failing = []
+    smask = digits.find("0")
+    while smask >= 0:
+        failing.append(tuple(mask_to_indices(smask)))
+        smask = digits.find("0", smask + 1)
+    return GadgetReport(ok=not failing, checked=1 << nboxes, failing_subsets=tuple(failing)), gadget
 
 
 # ---------------------------------------------------------------------------
 # randomized search
 # ---------------------------------------------------------------------------
 
+# A family of integer boxes, one (lo, hi) pair per box: the climb's state.
+_Boxes = tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
 
-def _score(gadget: BoxGadget) -> int:
-    """Number of feasible subsets, one per reached union; the target is 2^|boxes|."""
-    pick, _ = gadget._closure
-    return len(pick) - pick.count(-1)
+# (lo step, hi step) of the moves lo-, lo+, hi-, hi+, shift- and shift+.
+_MOVES = ((-1, 0), (1, 0), (0, -1), (0, 1), (-1, -1), (1, 1))
 
 
-def _staircase_seed(rng: random.Random, n: int, dim: int, count: int) -> BoxGadget:
+def _score(boxes: _Boxes, dim: int, b: int) -> int:
+    """Number of subsets of ``boxes`` with a witness of at most b points; 2^len(boxes) is perfect."""
+    _, patterns = _hit_masks(boxes, dim)
+    return _reached(patterns, len(boxes), b).bit_count()
+
+
+def _staircase_seed(rng: random.Random, dim: int, count: int) -> _Boxes:
     """A random 'wrapped staircase' start: per axis, interval slot i covers
     [2s, 2s + 2*count - 1] where s is a rotated (and possibly reflected)
     position of the box index. Long overlapping runs of this shape realize
@@ -261,58 +322,42 @@ def _staircase_seed(rng: random.Random, n: int, dim: int, count: int) -> BoxGadg
     boxes = []
     for i in range(count):
         lo = []
-        hi = []
         for ax in range(dim):
             s = axes_slots[ax][i] + 1
             jitter = rng.randrange(-1, 2)
-            start = max(1, 2 * s + jitter)
-            lo.append(Fraction(start))
-            hi.append(Fraction(start + length))
-        boxes.append(AxisBox(tuple(lo), tuple(hi)))
-    return BoxGadget(n=n, dim=dim, boxes=tuple(boxes))
+            lo.append(max(1, 2 * s + jitter))
+        boxes.append((tuple(lo), tuple(a + length for a in lo)))
+    return tuple(boxes)
 
 
-def _uniform_seed(rng: random.Random, n: int, dim: int, count: int, grid: int) -> BoxGadget:
+def _uniform_seed(rng: random.Random, dim: int, count: int, grid: int) -> _Boxes:
     boxes = []
     for _ in range(count):
         lo = []
         hi = []
         for _ in range(dim):
             a = rng.randint(1, grid - 1)
-            b = rng.randint(a + 1, grid)
-            lo.append(Fraction(a))
-            hi.append(Fraction(b))
-        boxes.append(AxisBox(tuple(lo), tuple(hi)))
-    return BoxGadget(n=n, dim=dim, boxes=tuple(boxes))
+            lo.append(a)
+            hi.append(rng.randint(a + 1, grid))
+        boxes.append((tuple(lo), tuple(hi)))
+    return tuple(boxes)
 
 
-def _mutate(rng: random.Random, gadget: BoxGadget, upper: Fraction) -> BoxGadget | None:
-    """Grow, shrink or translate one box along one axis by one grid step."""
-    boxes = list(gadget.boxes)
+def _mutate(rng: random.Random, boxes: _Boxes, dim: int, upper: int) -> _Boxes | None:
+    """Grow, shrink or translate one box along one axis by one grid step.
+
+    Returns None when the moved box would leave (0, upper] or stop being solid.
+    """
     bi = rng.randrange(len(boxes))
-    ax = rng.randrange(gadget.dim)
-    move = rng.choice(("lo-", "lo+", "hi-", "hi+", "shift-", "shift+"))
-    lo = list(boxes[bi].lo)
-    hi = list(boxes[bi].hi)
-    step = Fraction(1)
-    if move == "lo-":
-        lo[ax] -= step
-    elif move == "lo+":
-        lo[ax] += step
-    elif move == "hi-":
-        hi[ax] -= step
-    elif move == "hi+":
-        hi[ax] += step
-    elif move == "shift-":
-        lo[ax] -= step
-        hi[ax] -= step
-    else:
-        lo[ax] += step
-        hi[ax] += step
-    if lo[ax] <= 0 or lo[ax] >= hi[ax] or hi[ax] > upper:
+    ax = rng.randrange(dim)
+    dlo, dhi = rng.choice(_MOVES)
+    lo, hi = boxes[bi]
+    a = lo[ax] + dlo
+    b = hi[ax] + dhi
+    if a <= 0 or a >= b or b > upper:
         return None
-    boxes[bi] = AxisBox(tuple(lo), tuple(hi))
-    return BoxGadget(n=gadget.n, dim=gadget.dim, boxes=tuple(boxes))
+    moved = (lo[:ax] + (a,) + lo[ax + 1 :], hi[:ax] + (b,) + hi[ax + 1 :])
+    return boxes[:bi] + (moved,) + boxes[bi + 1 :]
 
 
 class _Budget:
@@ -329,34 +374,35 @@ class _Budget:
         self.used += 1
 
 
-def _translate(gadget: BoxGadget, offset: Fraction) -> tuple[AxisBox, ...]:
+def _translate(boxes: _Boxes, offset: int) -> _Boxes:
     return tuple(
-        AxisBox(tuple(v + offset for v in box.lo), tuple(v + offset for v in box.hi))
-        for box in gadget.boxes
+        (tuple(v + offset for v in lo), tuple(v + offset for v in hi)) for lo, hi in boxes
     )
 
 
 def _climb(
     rng: random.Random,
-    start: BoxGadget,
+    start: _Boxes,
+    dim: int,
+    b: int,
     budget: _Budget,
     cap: int,
     stall_limit: int,
-) -> BoxGadget | None:
-    """Hill-climb from one start; returns a perfectly scoring gadget or None."""
-    perfect = 1 << len(start.boxes)
-    upper = max((v for box in start.boxes for v in box.hi), default=Fraction(1)) + len(start.boxes)
+) -> _Boxes | None:
+    """Hill-climb from one start; returns a perfectly scoring family or None."""
+    perfect = 1 << len(start)
+    upper = max((v for _, hi in start for v in hi), default=1) + len(start)
     current = start
-    current_score = _score(current)
+    current_score = _score(current, dim, b)
     budget.charge()
     spent = 1
     stall = 0
     while current_score != perfect and spent < cap and budget.left() > 0 and stall < stall_limit:
-        proposal = _mutate(rng, current, upper)
+        proposal = _mutate(rng, current, dim, upper)
         if proposal is None:
             stall += 1
             continue
-        proposal_score = _score(proposal)
+        proposal_score = _score(proposal, dim, b)
         budget.charge()
         spent += 1
         if proposal_score >= current_score:
@@ -375,7 +421,7 @@ def _search_impl(
     cap: int,
     target: int,
     grid_size: int,
-) -> BoxGadget | None:
+) -> _Boxes | None:
     spent_before = budget.used
     stall_limit = 40 * target
     groups = 1 << (n - 2)
@@ -388,8 +434,8 @@ def _search_impl(
             sizes = [
                 target // groups + (1 if i < target % groups else 0) for i in range(groups)
             ]
-            boxes: list[AxisBox] = []
-            offset = Fraction(20 * target)
+            candidate: _Boxes = ()
+            offset = 20 * target
             ok = True
             for gi, size in enumerate(sizes):
                 slice_cap = min(4000, remaining_cap)
@@ -400,18 +446,17 @@ def _search_impl(
                 if sub is None:
                     ok = False
                     break
-                boxes.extend(_translate(sub, gi * offset))
+                candidate += _translate(sub, gi * offset)
             if not ok or remaining_cap <= 0:
                 continue
-            candidate = BoxGadget(n=n, dim=dim, boxes=tuple(boxes))
         else:
             candidate = (
-                _staircase_seed(rng, n, dim, target)
+                _staircase_seed(rng, dim, target)
                 if rng.random() < 0.5
-                else _uniform_seed(rng, n, dim, target, grid_size)
+                else _uniform_seed(rng, dim, target, grid_size)
             )
         restart_cap = min(remaining_cap, 60 * target)
-        found = _climb(rng, candidate, budget, restart_cap, stall_limit)
+        found = _climb(rng, candidate, dim, 1 << (n - 1), budget, restart_cap, stall_limit)
         if found is not None:
             return found
     return None
@@ -422,15 +467,25 @@ def search(n: int, dim: int, seed: int, budget: int) -> BoxGadget | None:
 
     Restarts draw either uniform random families, randomized staircase
     templates, or (for n >= 3) assemblies of separated clusters found by
-    nested n=2 searches. ``budget`` caps the total number of scored candidate
-    families across all restarts and nested searches; the result is
-    deterministic for a fixed seed. Returns the first gadget that scores
-    every subset feasible, which is exactly what ``verify`` checks, or None at
-    budget exhaustion. A zero budget always fails.
+    nested n=2 searches. The climb moves integer endpoints by one grid step
+    and works on plain ``(lo, hi)`` integer tuples; each proposal is scored by
+    the bitset union closure ``_reached`` over its hit patterns, and only the
+    winner is built, and validated, as a ``BoxGadget``. ``budget`` caps the
+    total number of scored candidate families across all restarts and nested
+    searches; the result is deterministic for a fixed seed. Returns the first
+    gadget that scores every subset feasible, which is exactly what
+    ``verify`` checks, or None at budget exhaustion. A zero budget always
+    fails; a negative budget, or a target of more boxes than the 2^24 guard
+    allows, raises ValueError before any search.
     """
     if n < 2 or dim < 2:
         raise ValueError("search requires n >= 2 and dim >= 2")
+    if budget < 0:
+        raise ValueError(f"search budget must be >= 0, got {budget}")
     target = nominal_box_count(n, dim)
+    _check_guard(target, "gadget search")
     rng = random.Random(seed)
-    state = _Budget(budget)
-    return _search_impl(n, dim, rng, state, budget, target, 4 * target)
+    found = _search_impl(n, dim, rng, _Budget(budget), budget, target, 4 * target)
+    if found is None:
+        return None
+    return BoxGadget(n=n, dim=dim, boxes=tuple(AxisBox(lo, hi) for lo, hi in found))

@@ -194,11 +194,15 @@ def vc_dim(system: SetSystem) -> tuple[int, tuple[int, ...]]:
     Both come from the shattered family: the dimension is its largest size
     and the witness is the first set of that size in
     ``itertools.combinations`` order. The cost follows the family and its
-    shattered sets, not 2^n, so no ground-size guard applies. Raises
-    ValueError for the empty family, whose VC-dimension is undefined here.
+    shattered sets, not 2^n, so no ground-size guard applies; the full power
+    set shatters the whole ground set and is answered without the walk.
+    Raises ValueError for the empty family, whose VC-dimension is undefined
+    here.
     """
     if not system.sets:
         raise ValueError("VC-dimension of an empty family is undefined")
+    if len(system.sets) == 1 << system.ground_size:
+        return system.ground_size, tuple(range(system.ground_size))
     found = _shattered_masks(system.sets)
     dim = max(m.bit_count() for m in found)
     witness = next(m for m in found if m.bit_count() == dim)

@@ -322,6 +322,17 @@ class TestGadgetCommands:
         assert code == 1
         assert report["result"]["found"] is False
 
+    @pytest.mark.parametrize(
+        "n, budget, message",
+        [("2", "-5", "budget must be >= 0"), ("5", "3000", "exceeds the guard of 24")],
+    )
+    def test_search_bad_arguments_exit_2(self, capsys, n, budget, message):
+        code, report = run_cli(
+            capsys, "gadget", "search", "--n", n, "--dim", "2", "--seed", "0", "--budget", budget
+        )
+        assert code == 2
+        assert message in report["error"]
+
 
 def run_module(*argv) -> subprocess.CompletedProcess:
     """``python -m vcshatter.cli`` on the package under test, installed or not."""

@@ -1,17 +1,23 @@
 from __future__ import annotations
 
+import hashlib
 import random
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import brute_cover_feasible, finer_grid_points
+from vcshatter import boxgadget
 from vcshatter.boxgadget import (
     BoxGadget,
+    _hit_masks,
     _mutate,
+    _reached,
+    _score,
     candidate_points,
     nominal_box_count,
     search,
@@ -28,12 +34,42 @@ from vcshatter.jsonio import (
     instance_to_dict,
     load_json,
 )
+from vcshatter.setsystem import mask_to_indices
 
 F = Fraction
+PINNED_GADGETS = Path(__file__).resolve().parents[1] / "perfbench" / "gadgets"
 
 
 def make_gadget(boxes, n=2, dim=2) -> BoxGadget:
     return BoxGadget(n=n, dim=dim, boxes=tuple(AxisBox(lo, hi) for lo, hi in boxes))
+
+
+def int_boxes(g: BoxGadget):
+    """The boxes of an integer gadget as the search's (lo, hi) integer tuples."""
+    assert all(v.denominator == 1 for box in g.boxes for v in (*box.lo, *box.hi))
+    return tuple(
+        (tuple(int(v) for v in box.lo), tuple(int(v) for v in box.hi)) for box in g.boxes
+    )
+
+
+def mutants(g: BoxGadget):
+    """One proposal of the climb from ``g`` for each of the seeds 0-3, as integer boxes."""
+    start = int_boxes(g)
+    upper = max(v for _, hi in start for v in hi) + len(start)
+    out = []
+    for seed in range(4):
+        rng = random.Random(seed)
+        mutant = None
+        while mutant is None:
+            mutant = _mutate(rng, start, g.dim, upper)
+        out.append(mutant)
+    return out
+
+
+def reached_from_tables(g: BoxGadget) -> int:
+    """The reached unions of the back-pointer tables, as bits of one int."""
+    pick, _ = g._closure
+    return sum(1 << v for v in range(len(pick)) if pick[v] >= 0)
 
 
 # Few distinct coordinates, so boxes often share faces and touch at corners.
@@ -178,13 +214,16 @@ class TestWitnessFor:
         ]
         gadgets = [make_gadget(fam) for fam in families]
         assert witness_for(gadgets[4], []) is None
-        upper = max(v for box in bundled_gadget.boxes for v in box.hi) + len(bundled_gadget.boxes)
-        for seed in range(4):
-            rng = random.Random(seed)
-            mutant = None
-            while mutant is None:
-                mutant = _mutate(rng, bundled_gadget, upper)
-            gadgets.append(mutant)
+        start = int_boxes(bundled_gadget)
+        moved = mutants(bundled_gadget)
+        # the same four proposals the climb made when it moved Fraction boxes
+        assert [[(i, box) for i, box in enumerate(m) if box != start[i]] for m in moved] == [
+            [(3, ((6, 2), (14, 12)))],
+            [(1, ((9, 9), (17, 18)))],
+            [(0, ((7, 8), (17, 17)))],
+            [(1, ((9, 9), (17, 18)))],
+        ]
+        gadgets.extend(make_gadget(m) for m in moved)
         for g in gadgets:
             grid = finer_grid_points(g.boxes, g.dim)
             for smask in range(1 << len(g.boxes)):
@@ -265,7 +304,8 @@ class TestVerify:
         boxes[0] = inner
         report, _ = verify(BoxGadget(n=2, dim=2, boxes=tuple(boxes)))
         assert not report.ok
-        assert report.failing_subsets
+        # every nonempty subset that leaves the inner box 0 to be hit
+        assert report.failing_subsets == tuple(tuple(mask_to_indices(m)) for m in range(2, 32, 2))
         # the reported counterexample really is infeasible
         failing = report.failing_subsets[0]
         assert witness_for(BoxGadget(n=2, dim=2, boxes=tuple(boxes)), list(failing)) is None
@@ -283,6 +323,59 @@ class TestVerify:
             verify(g)
         with pytest.raises(ValueError, match="guard"):
             witness_for(g, [0])
+
+
+def doubled(g: BoxGadget) -> BoxGadget:
+    """``g`` scaled by 2: the same hit patterns, and integer coordinates on ``COORDS``."""
+    boxes = tuple(AxisBox(tuple(2 * v for v in b.lo), tuple(2 * v for v in b.hi)) for b in g.boxes)
+    return BoxGadget(n=g.n, dim=g.dim, boxes=boxes)
+
+
+class TestFastPath:
+    """The bitset closure and the integer-box score against the back-pointer tables."""
+
+    @staticmethod
+    def assert_reached_matches_tables(g: BoxGadget) -> None:
+        assert _reached(g._menu[1], len(g.boxes), g.max_witness_size) == reached_from_tables(g)
+        pick, _ = g._closure
+        full = len(pick) - 1
+        failing = tuple(
+            tuple(mask_to_indices(smask)) for smask in range(len(pick)) if pick[full ^ smask] < 0
+        )
+        assert verify(g)[0].failing_subsets == failing
+
+    @staticmethod
+    def assert_score_matches_gadget(g: BoxGadget) -> None:
+        pick, _ = g._closure
+        assert _score(int_boxes(g), g.dim, g.max_witness_size) == len(pick) - pick.count(-1)
+        assert _hit_masks(int_boxes(g), g.dim)[1] == g._menu[1]
+
+    @given(box_families())
+    @settings(max_examples=80, deadline=None)
+    def test_reached_is_the_table_closure(self, g):
+        self.assert_reached_matches_tables(g)
+
+    @given(box_families().map(doubled))
+    @settings(max_examples=80, deadline=None)
+    def test_integer_score_matches_gadget_closure(self, g):
+        self.assert_score_matches_gadget(g)
+
+    def test_bundled_mutant_and_failing_gadgets(self, bundled_gadget, n3_gadget):
+        nested = list(bundled_gadget.boxes)
+        nested[0] = AxisBox(
+            tuple(lo + F(1, 4) for lo in nested[1].lo), tuple(lo + F(1, 2) for lo in nested[1].lo)
+        )
+        failing = [
+            make_gadget([((1, 1), (2, 2)), ((3, 3), (4, 4)), ((5, 5), (6, 6))]),
+            doubled(doubled(BoxGadget(n=2, dim=2, boxes=tuple(nested)))),
+        ]
+        gadgets = [bundled_gadget, n3_gadget, *failing]
+        for g in (bundled_gadget, n3_gadget):
+            gadgets.extend(make_gadget(m, n=g.n, dim=g.dim) for m in mutants(g))
+        assert not any(verify(g)[0].ok for g in failing)
+        for g in gadgets:
+            self.assert_reached_matches_tables(g)
+            self.assert_score_matches_gadget(g)
 
 
 class TestSearch:
@@ -312,6 +405,28 @@ class TestSearch:
         # pins the climb: any change to scoring or proposals shows up here
         dump_json(gadget_to_dict(search(3, 2, seed=0, budget=2500)), tmp_path / "g.json")
         assert (tmp_path / "g.json").read_bytes() == n3_gadget_path.read_bytes()
+
+    @pytest.mark.parametrize("seed", [3, 6])
+    def test_reproduces_pinned_n3_gadgets(self, tmp_path, seed):
+        dump_json(gadget_to_dict(search(3, 2, seed=seed, budget=2500)), tmp_path / "g.json")
+        pinned = PINNED_GADGETS / f"n3-seed{seed}.json"
+        assert (tmp_path / "g.json").read_bytes() == pinned.read_bytes()
+
+    def test_reproduces_dim4_trajectory(self, tmp_path):
+        # SHA-1 of the file the Fraction-box climb wrote for these arguments
+        dump_json(gadget_to_dict(search(2, 4, seed=1, budget=20000)), tmp_path / "g.json")
+        digest = hashlib.sha1((tmp_path / "g.json").read_bytes()).hexdigest()
+        assert digest == "c4d48bd18a9cd16088f4f6a3fe9accdc5aa3de06"
+
+    @pytest.mark.parametrize("n, budget", [(2, -5), (5, 3000)])
+    def test_refuses_bad_arguments_before_searching(self, monkeypatch, n, budget):
+        # a negative budget, or n=5's 64-box target over the guard of 24
+        def no_search(*args):
+            raise AssertionError("searched before checking the arguments")
+
+        monkeypatch.setattr(boxgadget, "_search_impl", no_search)
+        with pytest.raises(ValueError):
+            search(n, 2, seed=0, budget=budget)
 
 
 class TestJsonRoundTrip:

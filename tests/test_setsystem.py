@@ -12,6 +12,7 @@ from conftest import random_system
 from oracles import brute_force_vc_dim
 from vcshatter.setsystem import (
     SetSystem,
+    _shattered_masks,
     complement_system,
     growth_function,
     k_fold_intersection,
@@ -112,6 +113,18 @@ class TestVcDim:
     def test_empty_family_rejected(self):
         with pytest.raises(ValueError):
             vc_dim(SetSystem.from_masks(3, ()))
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_power_set_answer_matches_the_walk(self, n):
+        # the full power set is answered without the walk; the power set
+        # minus its top member still takes the walk
+        for s in (powerset_system(n), SetSystem.from_masks(n, range((1 << n) - 1))):
+            found = _shattered_masks(s.sets)
+            dim = max(m.bit_count() for m in found)
+            first = next(m for m in found if m.bit_count() == dim)
+            assert vc_dim(s) == (dim, tuple(mask_to_indices(first)))
+            assert dim == brute_force_vc_dim(s)
+        assert vc_dim(powerset_system(n)) == (n, tuple(range(n)))
 
     def test_matches_brute_force_seeded(self):
         rng = random.Random(20240817)
