@@ -14,10 +14,10 @@ Q lies inside B \\ S, so S has a witness exactly when B \\ S is a union of
 at most 2^(n-1) hit patterns: the gadget is a certificate when the
 2^(n-1)-fold union of its hit-pattern system is the whole power set.
 ``verify`` and the search's score read that closure as one 2^|B|-bit
-integer, grown fold by fold with shifts (``_reached``); ``witness_for``
-reads a witness from the same closure kept as back-pointer tables, one per
-reached union (``_unions``). The search climbs on plain integer boxes and
-builds a ``BoxGadget`` only for the family it returns.
+integer from ``setsystem.union_closure``, the kernel of ``k_fold_union``;
+``witness_for`` reads a witness from the same closure kept as back-pointer
+tables, one per reached union (``_unions``). The search climbs on plain
+integer boxes and builds a ``BoxGadget`` only for the family it returns.
 A gadget counts as verified when ``verify(gadget)`` reports ok.
 """
 
@@ -29,10 +29,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
-from typing import Collection, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .geometry import AxisBox, Point
-from .setsystem import _check_guard, mask_to_indices, subset_mask
+from .setsystem import _check_guard, mask_to_indices, subset_mask, union_closure
 
 
 @dataclass(frozen=True)
@@ -153,46 +153,6 @@ def _hit_masks(
     return tuple(axes), patterns
 
 
-def _reached(patterns: Collection[int], nboxes: int, b: int) -> int:
-    """The unions of at most b of ``patterns``, as one int with bit v set for each reached union v.
-
-    Reached unions grow fold by fold from the patterns themselves. ORing
-    every reached union with a pattern p moves bit v to bit v | p; it is
-    applied one bit j of p at a time, moving the bits of the masks with bit j
-    clear (``low[j]``) up by 2^j. This is the set of unions ``_unions``
-    reaches, as one 2^nboxes-bit integer instead of two tables; the folds
-    stop early once one adds nothing. Refuses families larger than the 2^24
-    guard.
-    """
-    _check_guard(nboxes, "exhaustive verification")
-    size = 1 << nboxes
-    low = []
-    for j in range(nboxes):
-        # masks 0 .. 2^j - 1 have bit j clear, and the pattern repeats every 2^(j+1)
-        mask, width = (1 << (1 << j)) - 1, 2 << j
-        while width < size:
-            mask |= mask << width
-            width <<= 1
-        low.append(mask)
-    reached = 0
-    for p in patterns:
-        reached |= 1 << p
-    for _ in range(b - 1):
-        grown = reached
-        for p in patterns:
-            x = reached
-            while p:
-                j = (p & -p).bit_length() - 1
-                p &= p - 1
-                moved = x & low[j]
-                x = (x ^ moved) | (moved << (1 << j))
-            grown |= x
-        if grown == reached:
-            break
-        reached = grown
-    return reached
-
-
 def _unions(gadget: BoxGadget) -> tuple[array, array]:
     """The b-fold union closure of the menu's hit patterns, b = 2^(n-1).
 
@@ -205,22 +165,27 @@ def _unions(gadget: BoxGadget) -> tuple[array, array]:
     union before it (-1 for none). Pattern numbers stay below 2^|B|, so they
     fit the tables where menu indices may not. A union is recorded at the
     first fold that reaches it, so walking the back-pointers gives a
-    fewest-point witness. Only ``witness_for`` needs the tables; ``verify``
-    and the search read the same set of unions from ``_reached``.
+    fewest-point witness. A union u is extended only by patterns numbered
+    above ``pick[u]``, with the same tables as a scan of every pattern: the
+    frontier is visited in lexicographic order of paths, so each path is the
+    lexicographically first combination of the fewest pattern numbers with
+    its union, which is strictly increasing; the pairs skipped never write
+    an entry. Only ``witness_for`` needs the tables; ``verify`` and the
+    search read the same set of unions from ``union_closure``.
     """
     nboxes = len(gadget.boxes)
     _check_guard(nboxes, "exhaustive verification")
-    _, patterns = gadget._menu
+    patterns = list(gadget._menu[1])
     pick = array("i", [-1]) * (1 << nboxes)
     prev = array("i", [-1]) * (1 << nboxes)
     for i, p in enumerate(patterns):
         pick[p] = i
-    frontier = list(patterns)
+    frontier = patterns
     for _ in range(gadget.max_witness_size - 1):
         reached = []
         for u in frontier:
-            for i, p in enumerate(patterns):
-                v = u | p
+            for i in range(pick[u] + 1, len(patterns)):
+                v = u | patterns[i]
                 if pick[v] < 0:
                     pick[v] = i
                     prev[v] = u
@@ -276,7 +241,7 @@ def verify(gadget: BoxGadget) -> tuple[GadgetReport, BoxGadget]:
     nboxes = len(gadget.boxes)
     _check_guard(nboxes, "exhaustive verification")  # before the menu is built
     _, patterns = gadget._menu
-    reached = _reached(patterns, nboxes, gadget.max_witness_size)
+    reached = union_closure(patterns, nboxes, gadget.max_witness_size)
     # digit s of the 2^|B|-digit binary string is bit (2^|B| - 1) ^ s: the
     # union of the boxes outside subset s
     digits = format(reached, f"0{1 << nboxes}b")
@@ -302,7 +267,7 @@ _MOVES = ((-1, 0), (1, 0), (0, -1), (0, 1), (-1, -1), (1, 1))
 def _score(boxes: _Boxes, dim: int, b: int) -> int:
     """Number of subsets of ``boxes`` with a witness of at most b points; 2^len(boxes) is perfect."""
     _, patterns = _hit_masks(boxes, dim)
-    return _reached(patterns, len(boxes), b).bit_count()
+    return union_closure(patterns, len(boxes), b).bit_count()
 
 
 def _staircase_seed(rng: random.Random, dim: int, count: int) -> _Boxes:
@@ -469,7 +434,7 @@ def search(n: int, dim: int, seed: int, budget: int) -> BoxGadget | None:
     templates, or (for n >= 3) assemblies of separated clusters found by
     nested n=2 searches. The climb moves integer endpoints by one grid step
     and works on plain ``(lo, hi)`` integer tuples; each proposal is scored by
-    the bitset union closure ``_reached`` over its hit patterns, and only the
+    the bitset kernel ``union_closure`` over its hit patterns, and only the
     winner is built, and validated, as a ``BoxGadget``. ``budget`` caps the
     total number of scored candidate families across all restarts and nested
     searches; the result is deterministic for a fixed seed. Returns the first

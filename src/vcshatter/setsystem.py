@@ -4,16 +4,19 @@ The ground set is {0, ..., n-1} and every member set is a bitmask over those
 indices. Families are deduplicated and stored in ascending mask order, so two
 systems are equal exactly when they describe the same family of sets. All
 operations are pure functions; nothing here mutates a system in place.
+k-fold unions come from one bitset kernel, ``union_closure``, which box
+gadgets share; k-fold intersections are its De Morgan dual.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations
 from math import comb
 from operator import and_, or_
-from typing import Iterable
+from typing import Collection, Iterable
 
 VERIFY_GUARD = 24  # refuse exponential work over more than 2^24 subsets
 
@@ -209,28 +212,57 @@ def vc_dim(system: SetSystem) -> tuple[int, tuple[int, ...]]:
     return dim, tuple(mask_to_indices(witness))
 
 
+def union_closure(masks: Collection[int], ground_size: int, k: int) -> int:
+    """The unions of 1 to k of ``masks``, as one int with bit v set for each union v.
+
+    ORing every reached union with a mask p moves bit v to bit v | p, one
+    bit j of p at a time: the bits of the unions with bit j clear
+    (``low[j]``) move up by 2^j. The folds stop once one adds nothing. Time
+    and memory grow with 2^ground_size, not with the family: two masks over
+    24 elements take about 0.1 s and 57 MB. Refuses ground sets larger than
+    the 2^24 guard.
+    """
+    _check_guard(ground_size, "k-fold union")
+    size = 1 << ground_size
+    low = []
+    for j in range(ground_size):
+        # masks 0 .. 2^j - 1 have bit j clear, and the pattern repeats every 2^(j+1)
+        mask, width = (1 << (1 << j)) - 1, 2 << j
+        while width < size:
+            mask |= mask << width
+            width <<= 1
+        low.append(mask)
+    reached = 0
+    for p in masks:
+        reached |= 1 << p
+    for _ in range(k - 1):
+        grown = reached
+        for p in masks:
+            x = reached
+            while p:
+                j = (p & -p).bit_length() - 1
+                p &= p - 1
+                moved = x & low[j]
+                x = (x ^ moved) | (moved << (1 << j))
+            grown |= x
+        if grown == reached:
+            break
+        reached = grown
+    return reached
+
+
 def k_fold_union(system: SetSystem, k: int) -> SetSystem:
     """Unions of k (not necessarily distinct) members; contains the input family."""
     if k < 1:
         raise ValueError("fold count k must be >= 1")
-    _check_guard(system.ground_size, "k-fold union")
-    base = system.sets
-    acc = set(base)
-    for _ in range(k - 1):
-        acc = {a | b for a in acc for b in base}
-    return SetSystem.from_masks(system.ground_size, acc)
+    digits = format(union_closure(system.sets, system.ground_size, k), "b")[::-1]
+    # digit m of the reversed binary string is bit m of the closure
+    return SetSystem(system.ground_size, tuple(map(re.Match.start, re.finditer("1", digits))))
 
 
 def k_fold_intersection(system: SetSystem, k: int) -> SetSystem:
-    """Intersections of k (not necessarily distinct) members."""
-    if k < 1:
-        raise ValueError("fold count k must be >= 1")
-    _check_guard(system.ground_size, "k-fold intersection")
-    base = system.sets
-    acc = set(base)
-    for _ in range(k - 1):
-        acc = {a & b for a in acc for b in base}
-    return SetSystem.from_masks(system.ground_size, acc)
+    """Intersections of k (not necessarily distinct) members, by De Morgan."""
+    return complement_system(k_fold_union(complement_system(system), k))
 
 
 def complement_system(system: SetSystem) -> SetSystem:

@@ -2,12 +2,14 @@
 
 Nothing here shares code with the implementation paths under test: VC
 dimension is recomputed over every subset, half-space separability is
-decided by exact linear programming over convex hulls, and box-gadget
-covers are re-solved by exhaustive combination search over a finer grid.
+decided by exact linear programming over convex hulls, k-fold unions and
+intersections are grown as Python sets of masks, and box-gadget covers are
+re-solved by exhaustive combination search over a finer grid.
 """
 
 from __future__ import annotations
 
+from array import array
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -27,6 +29,43 @@ def brute_force_vc_dim(system: SetSystem) -> int:
                 best = size
                 break
     return best
+
+
+def set_k_fold_union(system: SetSystem, k: int) -> SetSystem:
+    """Unions of k (not necessarily distinct) members, one set of masks per fold."""
+    acc = set(system.sets)
+    for _ in range(k - 1):
+        acc = {a | b for a in acc for b in system.sets}
+    return SetSystem.from_masks(system.ground_size, acc)
+
+
+def set_k_fold_intersection(system: SetSystem, k: int) -> SetSystem:
+    """Intersections of k (not necessarily distinct) members, one set of masks per fold."""
+    acc = set(system.sets)
+    for _ in range(k - 1):
+        acc = {a & b for a in acc for b in system.sets}
+    return SetSystem.from_masks(system.ground_size, acc)
+
+
+def full_scan_unions(patterns: list[int], nboxes: int, b: int) -> tuple[array, array]:
+    """The ``pick``/``prev`` back-pointer tables of the b-fold union closure,
+    extending every reached union by every pattern."""
+    pick = array("i", [-1]) * (1 << nboxes)
+    prev = array("i", [-1]) * (1 << nboxes)
+    for i, p in enumerate(patterns):
+        pick[p] = i
+    frontier = list(patterns)
+    for _ in range(b - 1):
+        reached = []
+        for u in frontier:
+            for i, p in enumerate(patterns):
+                v = u | p
+                if pick[v] < 0:
+                    pick[v] = i
+                    prev[v] = u
+                    reached.append(v)
+        frontier = reached
+    return pick, prev
 
 
 def lp_feasible_nonneg(A: list[list[Fraction]], b: list[Fraction]) -> bool:

@@ -52,6 +52,16 @@ class TestSysCommands:
         assert dropped == 0
         assert len(system.sets) == 16
 
+    def test_kfold_huge_k_exits(self, capsys, tmp_path):
+        # the folds stop once the family stops growing, whatever --k says
+        path = tmp_path / "sys.json"
+        jsonio.dump_json({"ground_size": 6, "sets": [[0], [1, 2], [3], [4, 5]]}, path)
+        for op, sets in (("union", 15), ("intersection", 5)):
+            code, report = run_cli(
+                capsys, "sys", "kfold", "--input", str(path), "--k", "1000000000", "--op", op,
+            )
+            assert code == 0 and report["result"]["result_sets"] == sets
+
     def test_project_and_growth(self, capsys, tmp_path):
         path = tmp_path / "sys.json"
         jsonio.dump_json({"ground_size": 3, "sets": [[0], [1], [0, 1]]}, path)

@@ -3,21 +3,22 @@ from __future__ import annotations
 import hashlib
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
+from math import comb
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_cover_feasible, finer_grid_points
+from oracles import brute_cover_feasible, finer_grid_points, full_scan_unions
 from vcshatter import boxgadget
 from vcshatter.boxgadget import (
     BoxGadget,
     _hit_masks,
     _mutate,
-    _reached,
     _score,
+    _witness_patterns,
     candidate_points,
     nominal_box_count,
     search,
@@ -34,7 +35,7 @@ from vcshatter.jsonio import (
     instance_to_dict,
     load_json,
 )
-from vcshatter.setsystem import mask_to_indices
+from vcshatter.setsystem import mask_to_indices, union_closure
 
 F = Fraction
 PINNED_GADGETS = Path(__file__).resolve().parents[1] / "perfbench" / "gadgets"
@@ -64,6 +65,19 @@ def mutants(g: BoxGadget):
             mutant = _mutate(rng, start, g.dim, upper)
         out.append(mutant)
     return out
+
+
+def first_combinations(patterns: list[int], b: int) -> dict[int, list[int]]:
+    """For each union of at most b patterns, the first combination of the
+    fewest pattern numbers that gives it, in ``itertools.combinations`` order."""
+    first: dict[int, list[int]] = {}
+    for size in range(1, b + 1):
+        for combo in combinations(range(len(patterns)), size):
+            union = 0
+            for i in combo:
+                union |= patterns[i]
+            first.setdefault(union, list(combo))
+    return first
 
 
 def reached_from_tables(g: BoxGadget) -> int:
@@ -332,11 +346,12 @@ def doubled(g: BoxGadget) -> BoxGadget:
 
 
 class TestFastPath:
-    """The bitset closure and the integer-box score against the back-pointer tables."""
+    """The bitset closure and the integer-box score against the back-pointer
+    tables, and the tables against a scan of every pattern."""
 
     @staticmethod
     def assert_reached_matches_tables(g: BoxGadget) -> None:
-        assert _reached(g._menu[1], len(g.boxes), g.max_witness_size) == reached_from_tables(g)
+        assert union_closure(g._menu[1], len(g.boxes), g.max_witness_size) == reached_from_tables(g)
         pick, _ = g._closure
         full = len(pick) - 1
         failing = tuple(
@@ -350,10 +365,32 @@ class TestFastPath:
         assert _score(int_boxes(g), g.dim, g.max_witness_size) == len(pick) - pick.count(-1)
         assert _hit_masks(int_boxes(g), g.dim)[1] == g._menu[1]
 
+    @staticmethod
+    def assert_tables_match_full_scan(g: BoxGadget) -> None:
+        pick, prev = g._closure
+        assert (pick, prev) == full_scan_unions(list(g._menu[1]), len(g.boxes), g.max_witness_size)
+        # every path adds patterns in ascending number, which lets _unions
+        # extend a union by higher-numbered patterns only
+        assert all(pick[v] > pick[u] for v, u in enumerate(prev) if u >= 0)
+
+    @staticmethod
+    def assert_witnesses_are_first_combinations(g: BoxGadget) -> None:
+        first = first_combinations(list(g._menu[1]), g.max_witness_size)
+        full = (1 << len(g.boxes)) - 1
+        for smask in range(full + 1):
+            assert _witness_patterns(g, smask) == first.get(full ^ smask), smask
+
     @given(box_families())
     @settings(max_examples=80, deadline=None)
     def test_reached_is_the_table_closure(self, g):
         self.assert_reached_matches_tables(g)
+        self.assert_tables_match_full_scan(g)
+
+    @given(box_families())
+    @settings(max_examples=60, deadline=None)
+    def test_witnesses_are_first_combinations(self, g):
+        assume(comb(len(g._menu[1]), g.max_witness_size) <= 20000)
+        self.assert_witnesses_are_first_combinations(g)
 
     @given(box_families().map(doubled))
     @settings(max_examples=80, deadline=None)
@@ -376,6 +413,15 @@ class TestFastPath:
         for g in gadgets:
             self.assert_reached_matches_tables(g)
             self.assert_score_matches_gadget(g)
+            self.assert_tables_match_full_scan(g)
+        for g in (bundled_gadget, n3_gadget, *failing):
+            self.assert_witnesses_are_first_combinations(g)
+
+    def test_pinned_gadget_tables_match_full_scan(self):
+        for path in sorted(PINNED_GADGETS.glob("*.json")):
+            g = gadget_from_dict(load_json(path))
+            for boxes in (int_boxes(g), *mutants(g)):
+                self.assert_tables_match_full_scan(make_gadget(boxes, n=g.n, dim=g.dim))
 
 
 class TestSearch:

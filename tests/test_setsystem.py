@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_system
-from oracles import brute_force_vc_dim
+from oracles import brute_force_vc_dim, set_k_fold_intersection, set_k_fold_union
 from vcshatter.setsystem import (
     SetSystem,
     _shattered_masks,
@@ -249,9 +249,39 @@ class TestKFold:
     @given(systems(), st.integers(1, 3))
     @settings(max_examples=50, deadline=None)
     def test_de_morgan(self, s, k):
+        # k_fold_intersection is built this way, so the oracle test below is
+        # the one that can fail
         lhs = complement_system(k_fold_intersection(s, k))
         rhs = k_fold_union(complement_system(s), k)
         assert lhs == rhs
+
+    @given(systems(max_ground=8, min_sets=0), st.integers(1, 4))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_set_oracle(self, s, k):
+        assert k_fold_union(s, k) == set_k_fold_union(s, k)
+        assert k_fold_intersection(s, k) == set_k_fold_intersection(s, k)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize(
+        "s",
+        [
+            SetSystem.from_masks(3, ()),
+            SetSystem.from_members(4, [[], [0, 2], [1], [3]]),
+            powerset_system(5),
+        ],
+        ids=["empty-family", "with-empty-set", "power-set"],
+    )
+    def test_edge_families_match_set_oracle(self, s, k):
+        assert k_fold_union(s, k) == set_k_fold_union(s, k)
+        assert k_fold_intersection(s, k) == set_k_fold_intersection(s, k)
+
+    @given(systems(max_ground=8, min_sets=0))
+    @settings(max_examples=50, deadline=None)
+    def test_huge_k_stops_once_the_family_stops_growing(self, s):
+        # a union of any number of members is one of at most len(s) distinct members
+        k = max(len(s), 1)
+        assert k_fold_union(s, 10**9) == k_fold_union(s, k)
+        assert k_fold_intersection(s, 10**9) == k_fold_intersection(s, k)
 
 
 class TestComplement:
