@@ -194,21 +194,35 @@ def _unions(gadget: BoxGadget) -> tuple[array, array]:
     return pick, prev
 
 
-def _witness_patterns(gadget: BoxGadget, subset: Iterable[int] | int) -> list[int] | None:
-    """The pattern numbers of ``witness_for``'s witness, ascending; None when it has none.
+def _witness_step(gadget: BoxGadget, union: int) -> tuple[int, int] | None:
+    """The parent of ``union`` on the witness tree and the pattern number added to it.
 
-    They are read from the closure's back-pointers, one per fold.
+    The parent is the union before the last fold (-1 for a single pattern);
+    None when no witness of at most b patterns has this union. Every
+    witness is its parent's plus one pattern, numbered above all of the
+    parent's (see ``_unions``).
     """
-    nboxes = len(gadget.boxes)
-    union = ((1 << nboxes) - 1) & ~subset_mask(nboxes, subset)
     pick, prev = gadget._closure
     if pick[union] < 0:
         return None
+    return prev[union], pick[union]
+
+
+def _witness_patterns(gadget: BoxGadget, subset: Iterable[int] | int) -> list[int] | None:
+    """The pattern numbers of ``witness_for``'s witness, ascending; None when it has none.
+
+    They are read up the witness tree, one per fold.
+    """
+    nboxes = len(gadget.boxes)
+    union = ((1 << nboxes) - 1) & ~subset_mask(nboxes, subset)
     chosen = []
     while union >= 0:
-        chosen.append(pick[union])
-        union = prev[union]
-    return sorted(chosen)
+        step = _witness_step(gadget, union)
+        if step is None:
+            return None
+        union, number = step
+        chosen.append(number)
+    return chosen[::-1]
 
 
 def witness_for(gadget: BoxGadget, subset: Iterable[int] | int) -> tuple[Point, ...] | None:

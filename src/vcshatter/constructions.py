@@ -26,9 +26,15 @@ slack on both sides for any tau strictly between d and d+1.
 Witness points are menu points of the gadget's distinct hit patterns, so an
 instance snaps each pattern's corner once and keeps, per pattern and
 threshold slot, the half-space and its dual vertex; a subset's witness is
-read from that table. The verifiers check whatever the public witness
-functions return, memoizing the exact integer mask (Theorem 1) or sign masks
-(Theorem 2) per half-space or vertex object they receive.
+read from that table. Gadget witnesses form a tree: each is its parent's
+plus one pattern numbered above all of the parent's (``_witness_step``).
+So a subset's distinct rows are its parent's plus at most one, and its
+simplex is its parent's plus at most one vertex, whose affine independence
+is checked against the parent's integer annihilator, usually by one dot
+product. Each instance memoizes the rows and simplices of parents only.
+The verifiers check whatever the public witness functions return,
+memoizing the exact integer mask (Theorem 1) or sign masks (Theorem 2) per
+half-space or vertex object they receive.
 """
 
 from __future__ import annotations
@@ -42,7 +48,7 @@ from operator import itemgetter
 from typing import Callable, Iterable, Sequence, TypeVar
 
 from . import boxgadget  # boxgadget.verify is looked up where perfbench's tracer wraps it
-from .boxgadget import BoxGadget, _witness_patterns
+from .boxgadget import BoxGadget, _witness_step
 from .geometry import (
     AxisBox,
     DegenerateSimplexError,
@@ -65,6 +71,8 @@ AlphaTables = tuple[tuple[tuple[Fraction, Fraction], ...], ...]
 Slot = tuple[RestrictedHalfspace, Point]
 # Snapped bounds, and the slots built from them so far, by threshold slot.
 Row = tuple[tuple[Fraction, ...], dict[int, Slot]]
+# The distinct rows of a witness in first-occurrence order; row j takes slot j.
+Rows = tuple[Row, ...]
 T = TypeVar("T")
 
 
@@ -171,6 +179,11 @@ class Theorem1Instance:
             table.append(rows.setdefault(bounds, (bounds, {})))
         return tuple(table)
 
+    @cached_property
+    def _parent_rows(self) -> dict[int, Rows]:
+        """``_tree_rows`` of each union met as a witness-tree parent, by union mask."""
+        return {}
+
 
 @dataclass(frozen=True)
 class Theorem2Instance:
@@ -185,9 +198,14 @@ class Theorem2Instance:
             raise ValueError("one hyperplane per base point required")
 
     @cached_property
-    def _apex_point(self) -> Point:
-        """``_apex(d)``, built on first use and shared by every witness simplex."""
-        return _apex(self.base.d)
+    def _apex_simplex(self) -> OpenSimplex:
+        """The simplex on ``_apex(d)`` alone, the root of every witness simplex."""
+        return OpenSimplex(ambient_dim=self.base.d, vertices=(_apex(self.base.d),))
+
+    @cached_property
+    def _parent_simplices(self) -> dict[int, OpenSimplex]:
+        """``_tree_simplex`` of each union met as a witness-tree parent, by union mask."""
+        return {}
 
 
 def required_gadget_n(k: int) -> int:
@@ -237,18 +255,35 @@ def _slot(inst: Theorem1Instance, row: Row, j: int) -> Slot:
     return slot
 
 
-def _witness_slots(inst: Theorem1Instance, pmask: int) -> list[Slot]:
-    """The union witness for the subset mask as table slots; see ``union_witness``."""
-    nboxes = len(inst.gadget.boxes)
-    avoid = ((1 << nboxes) - 1) & ~pmask
-    numbers = _witness_patterns(inst.gadget, avoid)
-    if numbers is None:
+def _tree_rows(inst: Theorem1Instance, union: int) -> Rows:
+    """The distinct rows of the gadget witness with the given union.
+
+    A witness is its tree parent's plus one pattern numbered above all of
+    the parent's, so its rows are the parent's plus that pattern's row,
+    unless the row is already there: each row at its first occurrence in
+    ascending pattern order. Rows of parents are memoized on the instance.
+    """
+    step = _witness_step(inst.gadget, union)
+    if step is None:
+        avoid = ((1 << len(inst.points)) - 1) & ~union
         raise ConstructionError(
             f"gadget has no witness for box subset {mask_to_indices(avoid)}; "
             "the certificate is invalid"
         )
-    table = inst._witness_rows
-    rows = list({id(table[i]): table[i] for i in numbers}.values())
+    parent, number = step
+    if parent < 0:
+        rows: Rows = ()
+    else:
+        rows = inst._parent_rows.get(parent)
+        if rows is None:
+            rows = inst._parent_rows[parent] = _tree_rows(inst, parent)
+    row = inst._witness_rows[number]
+    return rows if any(r is row for r in rows) else rows + (row,)
+
+
+def _witness_slots(inst: Theorem1Instance, pmask: int) -> list[Slot]:
+    """The union witness for the subset mask as table slots; see ``union_witness``."""
+    rows = _tree_rows(inst, pmask)
     # Slot j has threshold d + 1/2 + j/(4k), inside (d, d+1) exactly when j < 2k.
     if len(rows) > 2 * inst.k:
         raise ConstructionError(
@@ -268,7 +303,7 @@ def union_witness(
     the bounds of one half-space. Duplicate bounds are merged before
     thresholds are assigned; thresholds are d + 1/2 + j/(4k), which must stay
     strictly inside (d, d+1) and are distinct per half-space. The half-spaces
-    come from the instance's per-pattern table.
+    come from the instance's per-pattern table, grown along the witness tree.
     """
     pmask = subset_mask(len(inst.points), subset)
     return tuple(h for h, _ in _witness_slots(inst, pmask))
@@ -383,22 +418,40 @@ def _apex(d: int) -> Point:
     return Point(tuple(Fraction(i) for i in range(1, d)) + (Fraction(0),))
 
 
+def _tree_simplex(inst2: Theorem2Instance, union: int) -> OpenSimplex:
+    """The witness simplex for the union: its tree parent's, extended by the
+    dual vertex of the one row the union adds, if any; the apex alone above
+    the first fold. Simplices of parents are memoized on the instance."""
+    slots = _witness_slots(inst2.base, union)  # raises unless the union is reached
+    parent, _ = _witness_step(inst2.base.gadget, union)
+    if parent < 0:
+        simplex = inst2._apex_simplex
+    else:
+        simplex = inst2._parent_simplices.get(parent)
+        if simplex is None:
+            simplex = inst2._parent_simplices[parent] = _tree_simplex(inst2, parent)
+    # The apex and one vertex per row of the parent: a new row is the last slot.
+    if len(simplex.vertices) > len(slots):
+        return simplex
+    return simplex._extended(slots[-1][1])
+
+
 def simplex_witness(inst2: Theorem2Instance, subset: Iterable[int] | int) -> OpenSimplex:
     """An open simplex meeting exactly the hyperplanes of the given subset.
 
-    Vertices are the dual points of the union witness for the generating
-    points, plus the apex (1, 2, ..., d-1, 0). Every vertex lands strictly on
+    Vertices are the apex (1, 2, ..., d-1, 0), then the dual points of the
+    union witness for the generating points. Every vertex lands strictly on
     the +1 side of each hyperplane except that a witness half-space containing
     p puts its dual vertex strictly on the -1 side of H(p), so the open hull
     crosses H(p) exactly when p is selected. Affinely dependent vertices raise
-    ConstructionError. The dual points come from the base instance's
-    per-pattern table.
+    ConstructionError. The simplex is its witness-tree parent's plus at most
+    one vertex, whose independence is checked against the parent's integer
+    annihilator (``OpenSimplex._extended``).
     """
     base = inst2.base
     pmask = subset_mask(len(base.points), subset)
-    vertices = tuple(v for _, v in _witness_slots(base, pmask))
     try:
-        return OpenSimplex(ambient_dim=base.d, vertices=vertices + (inst2._apex_point,))
+        return _tree_simplex(inst2, pmask)
     except DegenerateSimplexError as err:
         raise ConstructionError(
             f"could not build an affinely independent simplex for subset mask {pmask}: {err}"

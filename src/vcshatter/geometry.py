@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -159,15 +159,46 @@ class OpenSimplex:
         for v in self.vertices:
             if v.dim != self.ambient_dim:
                 raise ValueError("vertex dimension does not match ambient dimension")
-        if len(self.vertices) > self.ambient_dim + 1:
-            raise DegenerateSimplexError(
-                f"{len(self.vertices)} vertices cannot be affinely independent "
-                f"in dimension {self.ambient_dim}"
-            )
         # Affine independence of the vertices is linear independence of their
         # (v, 1) vectors, which the integer vertex columns permute and scale.
-        if _integer_rank([v._vertex_column for v in self.vertices]) != len(self.vertices):
+        # The identity annihilates the empty span; every column is folded in.
+        n = self.ambient_dim + 1
+        identity = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+        object.__setattr__(self, "_grown_from", (identity, 0))
+        self._annihilator  # raises DegenerateSimplexError on a dependent column
+
+    @cached_property
+    def _annihilator(self) -> tuple[tuple[int, ...], ...]:
+        """An integer basis of the vectors orthogonal to every vertex column.
+
+        Folded by ``_annihilate`` from the basis this simplex was built with,
+        over the columns that basis does not yet annihilate; computed on first
+        use, so a simplex made by ``_extended`` pays for it only once it is
+        extended in turn.
+        """
+        basis, done = self._grown_from
+        for v in self.vertices[done:]:
+            basis = _annihilate(basis, v._vertex_column)
+        return basis
+
+    def _extended(self, vertex: Point) -> "OpenSimplex":
+        """This simplex with one more vertex, checked against this simplex's annihilator.
+
+        The new column is independent of the others exactly when some vector
+        of ``_annihilator`` is not orthogonal to it, as ``_annihilate``
+        decides; raises DegenerateSimplexError otherwise.
+        """
+        if vertex.dim != self.ambient_dim:
+            raise ValueError("vertex dimension does not match ambient dimension")
+        basis = self._annihilator
+        column = vertex._vertex_column
+        if not any(sum(map(mul, n, column)) for n in basis):
             raise DegenerateSimplexError("vertices are affinely dependent")
+        child = object.__new__(OpenSimplex)
+        object.__setattr__(child, "ambient_dim", self.ambient_dim)
+        object.__setattr__(child, "vertices", self.vertices + (vertex,))
+        object.__setattr__(child, "_grown_from", (basis, len(self.vertices)))
+        return child
 
     @property
     def simplex_dim(self) -> int:
@@ -273,30 +304,34 @@ def _rank(rows: Sequence[Sequence[Fraction]]) -> int:
     return len(_echelon(rows)[1])
 
 
-def _integer_rank(rows: Sequence[Sequence[int]]) -> int:
-    """Rank of an integer matrix by fraction-free (Bareiss) elimination.
+def _annihilate(
+    basis: Sequence[tuple[int, ...]], column: Sequence[int]
+) -> tuple[tuple[int, ...], ...]:
+    """The vectors of span(basis) orthogonal to ``column``, as an integer basis.
 
-    After each pivot step every remaining entry is a minor of the input, so
-    the division by the previous pivot is exact and no rational is built.
+    ``basis`` is an integer basis of the orthogonal complement of a span V;
+    the result is one of the complement of V + span(column), one vector
+    shorter. With n the first basis vector whose dot product s with the
+    column is nonzero, every other basis vector m, with dot product t,
+    becomes s*m - t*n divided by the gcd of its entries, so no rational is
+    built. When every dot product is zero the column lies in V, and
+    DegenerateSimplexError is raised.
     """
-    mat = [list(r) for r in rows]
-    rank = 0
-    last = 1
-    for col in range(len(mat[0]) if mat else 0):
-        pivot = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
-        if pivot is None:
+    dots = [sum(map(mul, n, column)) for n in basis]
+    pivot = next((i for i, s in enumerate(dots) if s), None)
+    if pivot is None:
+        raise DegenerateSimplexError("vertices are affinely dependent")
+    n, s = basis[pivot], dots[pivot]
+    out = []
+    for i, (m, t) in enumerate(zip(basis, dots)):
+        if i == pivot:
             continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        prow = mat[rank]
-        p = prow[col]
-        for r in range(rank + 1, len(mat)):
-            a = mat[r][col]
-            mat[r] = [(p * x - a * y) // last for x, y in zip(mat[r], prow)]
-        last = p
-        rank += 1
-        if rank == len(mat):
-            break
-    return rank
+        if t:
+            m = [s * a - t * b for a, b in zip(m, n)]
+            g = gcd(*m)
+            m = tuple(a // g for a in m)
+        out.append(m)
+    return tuple(out)
 
 
 def _normal_through(points: Sequence[tuple[Fraction, ...]]) -> tuple[Fraction, ...] | None:

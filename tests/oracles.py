@@ -3,8 +3,9 @@
 Nothing here shares code with the implementation paths under test: VC
 dimension is recomputed over every subset, half-space separability is
 decided by exact linear programming over convex hulls, k-fold unions and
-intersections are grown as Python sets of masks, and box-gadget covers are
-re-solved by exhaustive combination search over a finer grid.
+intersections are grown as Python sets of masks, box-gadget covers are
+re-solved by exhaustive combination search over a finer grid, and integer
+matrix rank is taken by Bareiss elimination.
 """
 
 from __future__ import annotations
@@ -66,6 +67,32 @@ def full_scan_unions(patterns: list[int], nboxes: int, b: int) -> tuple[array, a
                     reached.append(v)
         frontier = reached
     return pick, prev
+
+
+def integer_rank(rows: list[list[int]] | list[tuple[int, ...]]) -> int:
+    """Rank of an integer matrix by fraction-free (Bareiss) elimination.
+
+    After each pivot step every remaining entry is a minor of the input, so
+    the division by the previous pivot is exact and no rational is built.
+    """
+    mat = [list(r) for r in rows]
+    rank = 0
+    last = 1
+    for col in range(len(mat[0]) if mat else 0):
+        pivot = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
+        if pivot is None:
+            continue
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        prow = mat[rank]
+        p = prow[col]
+        for r in range(rank + 1, len(mat)):
+            a = mat[r][col]
+            mat[r] = [(p * x - a * y) // last for x, y in zip(mat[r], prow)]
+        last = p
+        rank += 1
+        if rank == len(mat):
+            break
+    return rank
 
 
 def lp_feasible_nonneg(A: list[list[Fraction]], b: list[Fraction]) -> bool:

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vcshatter import constructions, geometry
-from vcshatter.boxgadget import BoxGadget, verify, witness_for
+from vcshatter import boxgadget, constructions, geometry
+from vcshatter.boxgadget import BoxGadget, _witness_patterns, _witness_step, verify, witness_for
 from vcshatter.constructions import (
     ConstructionError,
     _lift,
@@ -27,6 +27,8 @@ from vcshatter.constructions import (
 )
 from vcshatter.geometry import (
     AxisBox,
+    DegenerateSimplexError,
+    OpenSimplex,
     Point,
     RestrictedHalfspace,
     box_contains,
@@ -40,6 +42,7 @@ from vcshatter.setsystem import (
     complement_system,
     k_fold_intersection,
     k_fold_union,
+    subset_mask,
     vc_dim,
 )
 
@@ -222,13 +225,14 @@ class TestSnapAndHalfspace:
                 assert all(inst.d < t < inst.d + 1 for t in taus)
 
     def test_halfspace_rejects_bad_tau(self, bundled_instance, monkeypatch):
-        # 2k + 1 distinct bounds push the last threshold d + 1/2 + 2k/(4k) to d + 1
-        inst = bundled_instance
-        numbers = list(range(2 * inst.k + 1))
-        assert len(inst.gadget._pattern_points) >= len(numbers)
-        monkeypatch.setattr(constructions, "_witness_patterns", lambda gadget, avoid: numbers)
+        # 2k + 1 distinct rows push the last threshold d + 1/2 + 2k/(4k) to d + 1
+        inst = dataclasses.replace(bundled_instance)  # its own witness-tree memo
+        numbers = range(2 * inst.k + 1)
+        assert len({id(inst._witness_rows[i]) for i in numbers}) == len(numbers)
+        # a witness tree in which union u is union u - 1 plus pattern u
+        monkeypatch.setattr(constructions, "_witness_step", lambda gadget, union: (union - 1, union))
         with pytest.raises(ConstructionError, match="threshold"):
-            union_witness(inst, 0)
+            union_witness(inst, numbers[-1])
 
     def test_full_pipeline_membership_match(self, bundled_instance):
         # p under the snapped corner of q  <=>  lifted point under the corner of q
@@ -488,6 +492,133 @@ class TestTheorem2:
         report = verify_theorem2(inst2, mode="exhaustive")
         assert not report.shattered
         assert report.failing_subsets
+
+
+def _scratch_slots(inst, pmask: int):
+    """The witness slots of the subset mask, built from its full pattern list:
+    one slot per distinct row, in ascending pattern order."""
+    numbers = _witness_patterns(inst.gadget, ((1 << len(inst.points)) - 1) & ~pmask)
+    if numbers is None:
+        raise ConstructionError(f"no witness for subset mask {pmask}")
+    table = inst._witness_rows
+    rows = list({id(table[i]): table[i] for i in numbers}.values())
+    if len(rows) > 2 * inst.k:
+        raise ConstructionError(f"a threshold for subset mask {pmask}")
+    return [constructions._slot(inst, row, j) for j, row in enumerate(rows)]
+
+
+def _scratch_union_witness(inst, subset):
+    return tuple(h for h, _ in _scratch_slots(inst, subset_mask(len(inst.points), subset)))
+
+
+def _scratch_simplex_witness(inst2, subset):
+    """The witness vertices followed by the apex, checked by the full constructor."""
+    base = inst2.base
+    vertices = [v for _, v in _scratch_slots(base, subset_mask(len(base.points), subset))]
+    try:
+        return OpenSimplex(base.d, (*vertices, constructions._apex(base.d)))
+    except DegenerateSimplexError as err:
+        raise ConstructionError(str(err)) from err
+
+
+def _tree_parents(gadget: BoxGadget, unions) -> set[int]:
+    """The unions that are the witness-tree parent of one of ``unions``."""
+    steps = (_witness_step(gadget, u) for u in unions)
+    return {step[0] for step in steps if step is not None and step[0] >= 0}
+
+
+class TestWitnessTree:
+    """Witnesses grown along the witness tree equal witnesses built per subset."""
+
+    @staticmethod
+    def instances(bundled_instance, n3_gadget):
+        """Fresh copies of the bundled d=4, k=2 instance and the seed-0 d=4, k=4 one,
+        so every memo starts empty."""
+        return dataclasses.replace(bundled_instance), build_theorem1(4, 4, n3_gadget)
+
+    @staticmethod
+    def matched_report(inst, monkeypatch, theorem2: bool):
+        """The verifier's report on inst, asserted equal to the scratch build's."""
+        fresh = dataclasses.replace(inst)
+        if theorem2:
+            got = verify_theorem2(build_theorem2(inst))
+            monkeypatch.setattr(constructions, "simplex_witness", _scratch_simplex_witness)
+            want = verify_theorem2(build_theorem2(fresh))
+        else:
+            got = verify_theorem1(inst, compute_vc_dim=True)
+            monkeypatch.setattr(constructions, "union_witness", _scratch_union_witness)
+            want = verify_theorem1(fresh, compute_vc_dim=True)
+        monkeypatch.undo()
+        assert got == want
+        return got
+
+    def test_witnesses_match_scratch(self, bundled_instance, n3_gadget):
+        for inst in self.instances(bundled_instance, n3_gadget):
+            inst2 = build_theorem2(inst)
+            apex = constructions._apex(inst.d)
+            for mask in range(1 << len(inst.points)):
+                assert union_witness(inst, mask) == _scratch_union_witness(inst, mask)
+                simplex = simplex_witness(inst2, mask)
+                scratch = _scratch_simplex_witness(inst2, mask)
+                assert set(simplex.vertices) == set(scratch.vertices)
+                assert simplex.vertices == (apex, *scratch.vertices[:-1])
+
+    def test_reports_match_scratch(self, bundled_instance, n3_gadget, monkeypatch):
+        for inst in self.instances(bundled_instance, n3_gadget):
+            for theorem2 in (False, True):
+                self.matched_report(inst, monkeypatch, theorem2)
+
+    def test_reports_match_scratch_on_mutants(self, bundled_instance, monkeypatch):
+        broken = dataclasses.replace(
+            bundled_instance, gadget=_nested_box_gadget(bundled_instance.gadget)
+        )
+        points = list(bundled_instance.points)
+        points[0] = Point((points[0].coords[0] * (bundled_instance.d + 1), *points[0].coords[1:]))
+        moved = dataclasses.replace(bundled_instance, points=tuple(points))
+        for inst in (broken, moved):
+            for theorem2 in (False, True):
+                assert self.matched_report(inst, monkeypatch, theorem2).failing_subsets
+        # an apex on H(p_0), then one above every hyperplane
+        top = max(p.coords[-1] for p in bundled_instance.points)
+        for height in (bundled_instance.points[0].coords[-1], 2 * top):
+            monkeypatch.setattr(constructions, "_apex", lambda d: Point((0,) * (d - 1) + (height,)))
+            inst2 = build_theorem2(dataclasses.replace(bundled_instance))
+            got = verify_theorem2(inst2)
+            assert got.zero_signs or got.failing_subsets
+            monkeypatch.setattr(constructions, "simplex_witness", _scratch_simplex_witness)
+            assert verify_theorem2(inst2) == got
+            monkeypatch.undo()
+
+    def test_memos_hold_exactly_the_parents(self, bundled_instance, n3_gadget, monkeypatch):
+        for inst in self.instances(bundled_instance, n3_gadget):
+            inst2 = build_theorem2(inst)
+            annihilations = _counting(monkeypatch, geometry, "_annihilate")
+            assert verify_theorem2(inst2).shattered
+            assert verify_theorem1(inst).shattered
+            parents = _tree_parents(inst.gadget, range(1 << len(inst.points)))
+            assert set(inst._parent_rows) == set(inst2._parent_simplices) == parents
+            # the apex's own fold, then at most one step per parent simplex
+            assert len(annihilations) <= 1 + len(parents)
+            monkeypatch.undo()
+
+    def test_sample_mode_memoizes_the_sampled_ancestors(self, n3_gadget):
+        inst = build_theorem1(4, 4, n3_gadget)
+        masks = constructions._selected_masks(12, "sample", 64, 5)
+        assert verify_theorem1(inst, mode="sample", count=64, seed=5).shattered
+        ancestors = set()
+        frontier = set(masks)
+        while frontier:
+            frontier = _tree_parents(inst.gadget, frontier)
+            ancestors |= frontier
+        assert set(inst._parent_rows) == ancestors
+
+    def test_each_subset_mask_is_validated_once(self, n3_gadget, monkeypatch):
+        inst = build_theorem1(4, 4, n3_gadget)
+        calls = _counting(monkeypatch, constructions, "subset_mask")
+        calls += _counting(monkeypatch, boxgadget, "subset_mask")
+        report = verify_theorem1(inst, compute_vc_dim=True)
+        assert report.shattered and report.checked == 4096
+        assert len(calls) == 4096
 
 
 class TestFiniteLevelIdentities:

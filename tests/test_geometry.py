@@ -2,12 +2,13 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_halfspace_dichotomy_masks
+from oracles import brute_halfspace_dichotomy_masks, integer_rank
 from vcshatter.geometry import (
     AxisBox,
     DualHyperplane,
@@ -16,8 +17,8 @@ from vcshatter.geometry import (
     Point,
     RestrictedHalfspace,
     _crossings,
+    _annihilate,
     _hyperplane_row,
-    _integer_rank,
     _rank,
     _sub,
     box_contains,
@@ -233,7 +234,7 @@ class TestIntegerRank:
         d, vertices = case
         affine = _rank([_sub(v.coords, vertices[0].coords) for v in vertices[1:]])
         columns = [v._vertex_column for v in vertices]
-        assert _integer_rank(columns) == _rank([[F(x) for x in c] for c in columns]) == affine + 1
+        assert integer_rank(columns) == _rank([[F(x) for x in c] for c in columns]) == affine + 1
         try:
             OpenSimplex(d, tuple(vertices))
             degenerate = False
@@ -251,7 +252,99 @@ class TestIntegerRank:
     @settings(max_examples=200, deadline=None)
     def test_matches_fraction_rank_on_integer_matrices(self, rows):
         # small entries give zero columns and repeated rows, so pivots get skipped
-        assert _integer_rank(rows) == _rank([[F(x) for x in r] for r in rows])
+        assert integer_rank(rows) == _rank([[F(x) for x in r] for r in rows])
+
+
+def _fold(columns, n: int):
+    """``_annihilate`` folded over the columns from the identity of size n."""
+    basis = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    for c in columns:
+        basis = _annihilate(basis, c)
+    return basis
+
+
+def _assert_annihilates(basis, columns, n: int) -> None:
+    """basis is a primitive integer basis of the complement of span(columns)."""
+    assert len(basis) == n - len(columns)
+    assert all(sum(a * b for a, b in zip(v, c)) == 0 for v in basis for c in columns)
+    assert all(gcd(*v) == 1 for v in basis)
+    assert integer_rank([*columns, *basis]) == n
+
+
+class TestAnnihilator:
+    @given(vertex_sets())
+    @settings(max_examples=150, deadline=None)
+    def test_fold_accepts_exactly_the_independent_vertex_sets(self, case):
+        d, vertices = case
+        columns = [v._vertex_column for v in vertices]
+        independent = integer_rank(columns) == len(columns)
+        assert independent == (_rank([[F(x) for x in c] for c in columns]) == len(columns))
+        try:
+            basis = _fold(columns, d + 1)
+        except DegenerateSimplexError:
+            assert not independent
+        else:
+            assert independent
+            _assert_annihilates(basis, columns, d + 1)
+            assert OpenSimplex(d, tuple(vertices))._annihilator == basis
+
+    @given(
+        st.integers(1, 5).flatmap(
+            lambda ncols: st.lists(
+                st.lists(st.integers(-3, 3), min_size=ncols, max_size=ncols), max_size=6
+            )
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_fold_accepts_exactly_the_full_rank_integer_matrices(self, rows):
+        ncols = len(rows[0]) if rows else 1
+        try:
+            basis = _fold(rows, ncols)
+        except DegenerateSimplexError:
+            assert integer_rank(rows) < len(rows)
+        else:
+            assert integer_rank(rows) == len(rows)
+            _assert_annihilates(basis, rows, ncols)
+
+    @staticmethod
+    def assert_extended_matches_constructor(d: int, vertices: list[Point]) -> None:
+        grown = OpenSimplex(d, tuple(vertices[:1]))
+        for i in range(2, len(vertices) + 1):
+            try:
+                full = OpenSimplex(d, tuple(vertices[:i]))
+            except DegenerateSimplexError:
+                with pytest.raises(DegenerateSimplexError):
+                    grown._extended(vertices[i - 1])
+                return
+            grown = grown._extended(vertices[i - 1])
+            assert grown == full
+            _assert_annihilates(
+                grown._annihilator, [v._vertex_column for v in vertices[:i]], d + 1
+            )
+
+    @given(vertex_sets())
+    @settings(max_examples=200, deadline=None)
+    def test_extended_raises_exactly_when_the_constructor_does(self, case):
+        self.assert_extended_matches_constructor(*case)
+
+    @pytest.mark.parametrize(
+        "coords",
+        [
+            [(0, 0), (1, 0), (1, 0)],  # the last vertex repeated
+            [(0, 0), (1, 0), (0, 1), (1, 0)],  # an earlier vertex repeated
+            [(0, 0), (2, 2), (1, 1)],  # a midpoint
+            [(1, 2, 3), (4, 5, 6), (0, 1, 0), (2, 3, 1), (5, 5, 5)],  # too many
+        ],
+    )
+    def test_extended_rejects_dependent_vertices(self, coords):
+        vertices = [Point.of(*c) for c in coords]
+        self.assert_extended_matches_constructor(len(coords[0]), vertices)
+        with pytest.raises(DegenerateSimplexError):
+            OpenSimplex(len(coords[0]), tuple(vertices))
+
+    def test_extended_checks_the_dimension(self):
+        with pytest.raises(ValueError, match="dimension"):
+            OpenSimplex(2, (Point.of(0, 0),))._extended(Point.of(1, 1, 1))
 
 
 class TestRealizableSubsets:
