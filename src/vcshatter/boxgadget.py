@@ -7,18 +7,22 @@ B \\ S. The certificate is checked exhaustively over all 2^|B| sub-families.
 Witnesses come from a finite candidate menu (one generic point per cell of
 the axis-parallel arrangement): the product of per-axis menus of midpoints
 between consecutive endpoints. Hit patterns are built per axis, as one
-bitset of boxes per menu value from integer endpoint ranks, and combined by
-a staged product that keeps only the distinct patterns, each with the
-lowest menu index that has it. Q avoids S exactly when every hit pattern of
-Q lies inside B \\ S, so S has a witness exactly when B \\ S is a union of
-at most 2^(n-1) hit patterns: the gadget is a certificate when the
-2^(n-1)-fold union of its hit-pattern system is the whole power set.
-``verify`` and the search's score read that closure as one 2^|B|-bit
-integer from ``setsystem.union_closure``, the kernel of ``k_fold_union``;
-``witness_for`` reads a witness from the same closure kept as back-pointer
-tables, one per reached union (``_unions``). The search climbs on plain
-integer boxes and builds a ``BoxGadget`` only for the family it returns.
-A gadget counts as verified when ``verify(gadget)`` reports ok.
+bitset of boxes per menu value from an XOR sweep over the endpoint ranks,
+and combined by a product over the distinct bitsets that keeps only the
+distinct patterns. A gadget's menu keeps, with each pattern, the lowest
+menu index that has it; the search's score needs the pattern set alone and
+takes it from a plain set product. Q avoids S exactly when every hit
+pattern of Q lies inside B \\ S, so S has a witness exactly when B \\ S
+is a union of at most 2^(n-1) hit patterns: the gadget is a certificate
+when the 2^(n-1)-fold union of its hit-pattern system is the whole power
+set. ``verify`` and the search's score read that closure as one
+2^|B|-bit integer from ``setsystem.union_closure``, the kernel of
+``k_fold_union``; ``witness_for`` reads a witness from the same closure
+kept as back-pointer tables, one per reached union (``_unions``). The
+search climbs on plain integer boxes, computes the closure once per
+distinct pattern set it meets, and builds a ``BoxGadget`` only for the
+family it returns. A gadget counts as verified when ``verify(gadget)``
+reports ok.
 """
 
 from __future__ import annotations
@@ -28,7 +32,8 @@ from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import product
+from itertools import accumulate, product
+from operator import xor
 from typing import Iterable, Sequence
 
 from .geometry import AxisBox, Point
@@ -116,31 +121,46 @@ def _menu_point(axes: tuple[list[Fraction], ...], index: int) -> Point:
     return Point(tuple(reversed(coords)))
 
 
+def _axis_bitsets(boxes: Sequence[tuple[Sequence, Sequence]], i: int) -> tuple[list, list[int]]:
+    """The sorted distinct endpoints of axis i, and per menu value of the axis
+    the bitset of the boxes whose interval on that axis contains it.
+
+    Menu value m lies in a closed interval with endpoint ranks a and b
+    exactly when a < m <= b, so box j's bit switches on at m = a + 1 and off
+    at m = b + 1. Each distinct endpoint holds the XOR of the bits it
+    toggles, and one XOR sweep over them in rank order gives every menu
+    value's bitset, with no comparison of endpoint values beyond the sort.
+    """
+    toggles: dict = {}
+    for j, (lo, hi) in enumerate(boxes):
+        bit = 1 << j
+        toggles[lo[i]] = toggles.get(lo[i], 0) ^ bit
+        toggles[hi[i]] = toggles.get(hi[i], 0) ^ bit
+    values = sorted(toggles)
+    # the endpoint of rank r toggles menu value r + 1; menu value 0 is below every box
+    return values, [0, *accumulate(map(toggles.__getitem__, values), xor)]
+
+
 def _hit_masks(
     boxes: Sequence[tuple[Sequence, Sequence]], dim: int
 ) -> tuple[tuple[list, ...], dict[int, int]]:
     """Per axis, the sorted distinct endpoints; and each distinct hit pattern
     of the menu with the lowest menu index that has it, in ascending index order.
 
-    ``boxes`` holds one ``(lo, hi)`` pair per box, of any ordered values: the
-    search passes integers, ``BoxGadget`` its ``Fraction`` boxes. Menu value
-    m of an axis lies in a closed interval with endpoint ranks a and b
-    exactly when a < m <= b, so each axis gives one bitset of boxes per menu
-    value with no point-in-box test. A point's pattern is the AND of its
-    axes' bitsets; the product is taken axis by axis over the distinct
-    bitsets only, each represented by its first menu value. Visiting the
-    partial patterns in ascending index order keeps, for every pattern, the
-    lowest index of ``candidate_points`` that has it.
+    ``boxes`` holds one ``(lo, hi)`` pair per box, of any ordered values:
+    ``BoxGadget`` passes its ``Fraction`` boxes. Each axis gives one bitset
+    of boxes per menu value (``_axis_bitsets``), with no point-in-box test. A
+    point's pattern is the AND of its axes' bitsets; the product is taken
+    axis by axis over the distinct bitsets only, each represented by its
+    first menu value. Visiting the partial patterns in ascending index order
+    keeps, for every pattern, the lowest index of ``candidate_points`` that
+    has it. Only ``BoxGadget._menu`` needs those indices; the search's score
+    takes the same pattern set from ``_patterns``.
     """
     axes: list[list] = []
     patterns = {(1 << len(boxes)) - 1: 0}
     for i in range(dim):
-        values = sorted({lo[i] for lo, _ in boxes} | {hi[i] for _, hi in boxes})
-        rank = {v: r for r, v in enumerate(values)}
-        bits = [0] * (len(values) + 1)
-        for j, (lo, hi) in enumerate(boxes):
-            for m in range(rank[lo[i]] + 1, rank[hi[i]] + 1):
-                bits[m] |= 1 << j
+        values, bits = _axis_bitsets(boxes, i)
         first: dict[int, int] = {}
         for m, am in enumerate(bits):
             first.setdefault(am, m)
@@ -151,6 +171,16 @@ def _hit_masks(
         patterns = staged
         axes.append(values)
     return tuple(axes), patterns
+
+
+def _patterns(boxes: Sequence[tuple[Sequence, Sequence]], dim: int) -> frozenset[int]:
+    """The distinct hit patterns of the menu, the keys of ``_hit_masks``,
+    from a product of the per-axis bitsets that keeps no menu index."""
+    patterns = {(1 << len(boxes)) - 1}
+    for i in range(dim):
+        bits = set(_axis_bitsets(boxes, i)[1])
+        patterns = {p & a for p in patterns for a in bits}
+    return frozenset(patterns)
 
 
 def _unions(gadget: BoxGadget) -> tuple[array, array]:
@@ -278,10 +308,21 @@ _Boxes = tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
 _MOVES = ((-1, 0), (1, 0), (0, -1), (0, 1), (-1, -1), (1, 1))
 
 
-def _score(boxes: _Boxes, dim: int, b: int) -> int:
-    """Number of subsets of ``boxes`` with a witness of at most b points; 2^len(boxes) is perfect."""
-    _, patterns = _hit_masks(boxes, dim)
-    return union_closure(patterns, len(boxes), b).bit_count()
+# A search's scores by (b, pattern set): the closure's popcount depends on nothing else.
+_Memo = dict[tuple[int, frozenset[int]], int]
+
+
+def _score(boxes: _Boxes, dim: int, b: int, memo: _Memo) -> int:
+    """Number of subsets of ``boxes`` with a witness of at most b points; 2^len(boxes) is perfect.
+
+    It is the popcount of the b-fold ``union_closure`` of the hit patterns,
+    computed once per distinct ``(b, patterns)`` key of ``memo``.
+    """
+    patterns = _patterns(boxes, dim)
+    score = memo.get((b, patterns))
+    if score is None:
+        score = memo[b, patterns] = union_closure(patterns, len(boxes), b).bit_count()
+    return score
 
 
 def _staircase_seed(rng: random.Random, dim: int, count: int) -> _Boxes:
@@ -367,12 +408,13 @@ def _climb(
     budget: _Budget,
     cap: int,
     stall_limit: int,
+    memo: _Memo,
 ) -> _Boxes | None:
     """Hill-climb from one start; returns a perfectly scoring family or None."""
     perfect = 1 << len(start)
     upper = max((v for _, hi in start for v in hi), default=1) + len(start)
     current = start
-    current_score = _score(current, dim, b)
+    current_score = _score(current, dim, b, memo)
     budget.charge()
     spent = 1
     stall = 0
@@ -381,7 +423,7 @@ def _climb(
         if proposal is None:
             stall += 1
             continue
-        proposal_score = _score(proposal, dim, b)
+        proposal_score = _score(proposal, dim, b, memo)
         budget.charge()
         spent += 1
         if proposal_score >= current_score:
@@ -400,6 +442,7 @@ def _search_impl(
     cap: int,
     target: int,
     grid_size: int,
+    memo: _Memo,
 ) -> _Boxes | None:
     spent_before = budget.used
     stall_limit = 40 * target
@@ -418,9 +461,7 @@ def _search_impl(
             ok = True
             for gi, size in enumerate(sizes):
                 slice_cap = min(4000, remaining_cap)
-                sub = _search_impl(
-                    2, dim, rng, budget, slice_cap, size, 4 * size
-                )
+                sub = _search_impl(2, dim, rng, budget, slice_cap, size, 4 * size, memo)
                 remaining_cap = cap - (budget.used - spent_before)
                 if sub is None:
                     ok = False
@@ -435,7 +476,7 @@ def _search_impl(
                 else _uniform_seed(rng, dim, target, grid_size)
             )
         restart_cap = min(remaining_cap, 60 * target)
-        found = _climb(rng, candidate, dim, 1 << (n - 1), budget, restart_cap, stall_limit)
+        found = _climb(rng, candidate, dim, 1 << (n - 1), budget, restart_cap, stall_limit, memo)
         if found is not None:
             return found
     return None
@@ -449,13 +490,16 @@ def search(n: int, dim: int, seed: int, budget: int) -> BoxGadget | None:
     nested n=2 searches. The climb moves integer endpoints by one grid step
     and works on plain ``(lo, hi)`` integer tuples; each proposal is scored by
     the bitset kernel ``union_closure`` over its hit patterns, and only the
-    winner is built, and validated, as a ``BoxGadget``. ``budget`` caps the
-    total number of scored candidate families across all restarts and nested
-    searches; the result is deterministic for a fixed seed. Returns the first
-    gadget that scores every subset feasible, which is exactly what
-    ``verify`` checks, or None at budget exhaustion. A zero budget always
-    fails; a negative budget, or a target of more boxes than the 2^24 guard
-    allows, raises ValueError before any search.
+    winner is built, and validated, as a ``BoxGadget``. One memo per call
+    keeps the score of each distinct (b, pattern set) met, across restarts
+    and nested searches, so a proposal whose patterns were already scored
+    costs no closure. ``budget`` caps the total number of scored candidate
+    families across all restarts and nested searches, memo hits included, so
+    the memo changes no rng call; the result is deterministic for a fixed
+    seed. Returns the first gadget that scores every subset feasible, which
+    is exactly what ``verify`` checks, or None at budget exhaustion. A zero
+    budget always fails; a negative budget, or a target of more boxes than
+    the 2^24 guard allows, raises ValueError before any search.
     """
     if n < 2 or dim < 2:
         raise ValueError("search requires n >= 2 and dim >= 2")
@@ -464,7 +508,7 @@ def search(n: int, dim: int, seed: int, budget: int) -> BoxGadget | None:
     target = nominal_box_count(n, dim)
     _check_guard(target, "gadget search")
     rng = random.Random(seed)
-    found = _search_impl(n, dim, rng, _Budget(budget), budget, target, 4 * target)
+    found = _search_impl(n, dim, rng, _Budget(budget), budget, target, 4 * target, {})
     if found is None:
         return None
     return BoxGadget(n=n, dim=dim, boxes=tuple(AxisBox(lo, hi) for lo, hi in found))

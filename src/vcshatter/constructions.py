@@ -25,8 +25,9 @@ slack on both sides for any tau strictly between d and d+1.
 
 Witness points are menu points of the gadget's distinct hit patterns, so an
 instance snaps each pattern's corner once and keeps, per pattern and
-threshold slot, the half-space and its dual vertex; a subset's witness is
-read from that table. Gadget witnesses form a tree: each is its parent's
+threshold slot, the half-space; a subset's witness is read from that table.
+Only Theorem 2 reads a half-space's dual vertex, and its instance builds
+each one on first read. Gadget witnesses form a tree: each is its parent's
 plus one pattern numbered above all of the parent's (``_witness_step``).
 So a subset's distinct rows are its parent's plus at most one, and its
 simplex is its parent's plus at most one vertex, whose affine independence
@@ -67,10 +68,8 @@ from .geometry import (
 from .setsystem import SetSystem, _check_guard, k_fold_union, mask_to_indices, subset_mask, vc_dim
 
 AlphaTables = tuple[tuple[tuple[Fraction, Fraction], ...], ...]
-# A witness half-space and its dual vertex; one per (snapped corner, threshold slot).
-Slot = tuple[RestrictedHalfspace, Point]
-# Snapped bounds, and the slots built from them so far, by threshold slot.
-Row = tuple[tuple[Fraction, ...], dict[int, Slot]]
+# Snapped bounds, and the half-spaces built from them so far, by threshold slot.
+Row = tuple[tuple[Fraction, ...], dict[int, RestrictedHalfspace]]
 # The distinct rows of a witness in first-occurrence order; row j takes slot j.
 Rows = tuple[Row, ...]
 T = TypeVar("T")
@@ -207,6 +206,11 @@ class Theorem2Instance:
         """``_tree_simplex`` of each union met as a witness-tree parent, by union mask."""
         return {}
 
+    @cached_property
+    def _dual_vertices(self) -> dict[int, tuple[object, Point]]:
+        """The dual vertex of each witness half-space read so far, for ``_once``."""
+        return {}
+
 
 def required_gadget_n(k: int) -> int:
     """floor(log2 k) + 1, the gadget parameter matching fold count k."""
@@ -243,16 +247,14 @@ def build_theorem1(d: int, k: int, gadget: BoxGadget) -> Theorem1Instance:
     return Theorem1Instance(d=d, k=k, gadget=gadget, points=points, alpha=alpha)
 
 
-def _slot(inst: Theorem1Instance, row: Row, j: int) -> Slot:
-    """The half-space with the row's bounds and threshold d + 1/2 + j/(4k),
-    and its dual vertex, built on first use."""
+def _slot(inst: Theorem1Instance, row: Row, j: int) -> RestrictedHalfspace:
+    """The half-space with the row's bounds and threshold d + 1/2 + j/(4k), built on first use."""
     bounds, slots = row
-    slot = slots.get(j)
-    if slot is None:
+    h = slots.get(j)
+    if h is None:
         tau = Fraction(2 * inst.d + 1, 2) + Fraction(j, 4 * inst.k)
-        h = RestrictedHalfspace(b=bounds, tau=tau)
-        slot = slots[j] = (h, dual_halfspace_to_point(h))
-    return slot
+        h = slots[j] = RestrictedHalfspace(b=bounds, tau=tau)
+    return h
 
 
 def _tree_rows(inst: Theorem1Instance, union: int) -> Rows:
@@ -281,8 +283,9 @@ def _tree_rows(inst: Theorem1Instance, union: int) -> Rows:
     return rows if any(r is row for r in rows) else rows + (row,)
 
 
-def _witness_slots(inst: Theorem1Instance, pmask: int) -> list[Slot]:
-    """The union witness for the subset mask as table slots; see ``union_witness``."""
+def _guarded_rows(inst: Theorem1Instance, pmask: int) -> Rows:
+    """``_tree_rows`` of the subset mask, refused when some row's threshold
+    slot would leave (d, d+1); row j takes slot j."""
     rows = _tree_rows(inst, pmask)
     # Slot j has threshold d + 1/2 + j/(4k), inside (d, d+1) exactly when j < 2k.
     if len(rows) > 2 * inst.k:
@@ -290,7 +293,7 @@ def _witness_slots(inst: Theorem1Instance, pmask: int) -> list[Slot]:
             f"{len(rows)} half-spaces for subset mask {pmask} push a threshold "
             f"out of ({inst.d}, {inst.d + 1})"
         )
-    return [_slot(inst, row, j) for j, row in enumerate(rows)]
+    return rows
 
 
 def union_witness(
@@ -306,7 +309,7 @@ def union_witness(
     come from the instance's per-pattern table, grown along the witness tree.
     """
     pmask = subset_mask(len(inst.points), subset)
-    return tuple(h for h, _ in _witness_slots(inst, pmask))
+    return tuple(_slot(inst, row, j) for j, row in enumerate(_guarded_rows(inst, pmask)))
 
 
 def _once(cache: dict[int, tuple[object, T]], obj: object, compute: Callable[..., T]) -> T:
@@ -422,7 +425,7 @@ def _tree_simplex(inst2: Theorem2Instance, union: int) -> OpenSimplex:
     """The witness simplex for the union: its tree parent's, extended by the
     dual vertex of the one row the union adds, if any; the apex alone above
     the first fold. Simplices of parents are memoized on the instance."""
-    slots = _witness_slots(inst2.base, union)  # raises unless the union is reached
+    rows = _guarded_rows(inst2.base, union)  # raises unless the union is reached
     parent, _ = _witness_step(inst2.base.gadget, union)
     if parent < 0:
         simplex = inst2._apex_simplex
@@ -430,10 +433,11 @@ def _tree_simplex(inst2: Theorem2Instance, union: int) -> OpenSimplex:
         simplex = inst2._parent_simplices.get(parent)
         if simplex is None:
             simplex = inst2._parent_simplices[parent] = _tree_simplex(inst2, parent)
-    # The apex and one vertex per row of the parent: a new row is the last slot.
-    if len(simplex.vertices) > len(slots):
+    # The apex and one vertex per row of the parent: a new row is the last one.
+    if len(simplex.vertices) > len(rows):
         return simplex
-    return simplex._extended(slots[-1][1])
+    h = _slot(inst2.base, rows[-1], len(rows) - 1)
+    return simplex._extended(_once(inst2._dual_vertices, h, dual_halfspace_to_point))
 
 
 def simplex_witness(inst2: Theorem2Instance, subset: Iterable[int] | int) -> OpenSimplex:

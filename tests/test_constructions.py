@@ -32,6 +32,7 @@ from vcshatter.geometry import (
     Point,
     RestrictedHalfspace,
     box_contains,
+    dual_halfspace_to_point,
     dual_point_to_hyperplane,
     halfspace_contains,
     induced_system_points_in_halfspaces,
@@ -447,6 +448,7 @@ class TestTheorem2:
         duals = _counting(monkeypatch, constructions, "dual_halfspace_to_point")
         ranks = _counting(monkeypatch, geometry, "_rank")
         assert verify_theorem1(inst, mode="exhaustive", compute_vc_dim=True).shattered
+        assert duals == []  # only Theorem 2 reads dual vertices
         assert verify_theorem2(build_theorem2(inst), mode="exhaustive").shattered
         halfspaces = {h for mask in range(1 << 12) for h in union_witness(inst, mask)}
         assert len(snaps) <= len(n3_gadget._pattern_points)
@@ -495,8 +497,8 @@ class TestTheorem2:
 
 
 def _scratch_slots(inst, pmask: int):
-    """The witness slots of the subset mask, built from its full pattern list:
-    one slot per distinct row, in ascending pattern order."""
+    """The witness half-spaces of the subset mask, built from its full pattern
+    list: one threshold slot per distinct row, in ascending pattern order."""
     numbers = _witness_patterns(inst.gadget, ((1 << len(inst.points)) - 1) & ~pmask)
     if numbers is None:
         raise ConstructionError(f"no witness for subset mask {pmask}")
@@ -508,13 +510,14 @@ def _scratch_slots(inst, pmask: int):
 
 
 def _scratch_union_witness(inst, subset):
-    return tuple(h for h, _ in _scratch_slots(inst, subset_mask(len(inst.points), subset)))
+    return tuple(_scratch_slots(inst, subset_mask(len(inst.points), subset)))
 
 
 def _scratch_simplex_witness(inst2, subset):
     """The witness vertices followed by the apex, checked by the full constructor."""
     base = inst2.base
-    vertices = [v for _, v in _scratch_slots(base, subset_mask(len(base.points), subset))]
+    halfspaces = _scratch_slots(base, subset_mask(len(base.points), subset))
+    vertices = [dual_halfspace_to_point(h) for h in halfspaces]
     try:
         return OpenSimplex(base.d, (*vertices, constructions._apex(base.d)))
     except DegenerateSimplexError as err:

@@ -17,6 +17,7 @@ from vcshatter.boxgadget import (
     BoxGadget,
     _hit_masks,
     _mutate,
+    _patterns,
     _score,
     _witness_patterns,
     candidate_points,
@@ -173,6 +174,7 @@ class TestCandidatePoints:
             lowest.setdefault(mask, i)
         _, patterns = g._menu
         assert list(patterns.items()) == list(lowest.items())
+        assert _patterns([(box.lo, box.hi) for box in g.boxes], g.dim) == set(lowest)
 
     def test_every_box_and_the_outside_get_candidates(self, bundled_gadget):
         cands = candidate_points(bundled_gadget)
@@ -362,8 +364,9 @@ class TestFastPath:
     @staticmethod
     def assert_score_matches_gadget(g: BoxGadget) -> None:
         pick, _ = g._closure
-        assert _score(int_boxes(g), g.dim, g.max_witness_size) == len(pick) - pick.count(-1)
+        assert _score(int_boxes(g), g.dim, g.max_witness_size, {}) == len(pick) - pick.count(-1)
         assert _hit_masks(int_boxes(g), g.dim)[1] == g._menu[1]
+        assert _patterns(int_boxes(g), g.dim) == set(g._menu[1])
 
     @staticmethod
     def assert_tables_match_full_scan(g: BoxGadget) -> None:
@@ -417,6 +420,34 @@ class TestFastPath:
         for g in (bundled_gadget, n3_gadget, *failing):
             self.assert_witnesses_are_first_combinations(g)
 
+    def test_set_product_matches_staged_product_on_shared_faces(self):
+        # ROADMAP item 1's A, B, C, halved: A and B share the face x = 1 and
+        # both span y in [1/2, 3/2]. The menu misses the face, so no pattern
+        # is {A, B}; both products miss it alike.
+        g = make_gadget(
+            [
+                ((F(1, 2), F(1, 2)), (F(1), F(3, 2))),
+                ((F(1), F(1, 2)), (F(3, 2), F(3, 2))),
+                ((F(5), F(5)), (F(11, 2), F(11, 2))),
+            ]
+        )
+        boxes = [(box.lo, box.hi) for box in g.boxes]
+        assert _patterns(boxes, g.dim) == set(g._menu[1]) == {0b000, 0b001, 0b010, 0b100}
+
+    def test_score_memo_is_keyed_by_pattern_set(self, n3_gadget):
+        boxes = int_boxes(n3_gadget)
+        b = n3_gadget.max_witness_size
+        want = union_closure(_hit_masks(boxes, 2)[1], len(boxes), b).bit_count()
+        memo: dict = {}
+        assert _score(boxes, 2, b, memo) == want
+        assert memo == {(b, _patterns(boxes, 2)): want}
+        # a translated family has the same patterns, so it reads the warm entry
+        assert _score(boxgadget._translate(boxes, 7), 2, b, memo) == want
+        assert _score(boxes, 2, b, memo) == want
+        assert len(memo) == 1
+        assert _score(boxes, 2, b - 1, memo) < want
+        assert len(memo) == 2
+
     def test_pinned_gadget_tables_match_full_scan(self):
         for path in sorted(PINNED_GADGETS.glob("*.json")):
             g = gadget_from_dict(load_json(path))
@@ -463,6 +494,26 @@ class TestSearch:
         dump_json(gadget_to_dict(search(2, 4, seed=1, budget=20000)), tmp_path / "g.json")
         digest = hashlib.sha1((tmp_path / "g.json").read_bytes()).hexdigest()
         assert digest == "c4d48bd18a9cd16088f4f6a3fe9accdc5aa3de06"
+
+    def test_budget_charges_every_score_memo_hits_included(self, monkeypatch):
+        budgets, hits = [], []
+        score = boxgadget._score
+
+        class Recorded(boxgadget._Budget):
+            def __init__(self, limit: int) -> None:
+                super().__init__(limit)
+                budgets.append(self)
+
+        def scored(boxes, dim, b, memo):
+            hits.append((b, _patterns(boxes, dim)) in memo)
+            return score(boxes, dim, b, memo)
+
+        monkeypatch.setattr(boxgadget, "_Budget", Recorded)
+        monkeypatch.setattr(boxgadget, "_score", scored)
+        assert search(3, 2, seed=0, budget=2500) is not None
+        [budget] = budgets
+        assert budget.used == len(hits)
+        assert 0 < sum(hits) < len(hits)
 
     @pytest.mark.parametrize("n, budget", [(2, -5), (5, 3000)])
     def test_refuses_bad_arguments_before_searching(self, monkeypatch, n, budget):
