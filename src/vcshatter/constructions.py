@@ -24,18 +24,20 @@ least d+1, making half-space membership match corner dominance with strict
 slack on both sides for any tau strictly between d and d+1.
 
 Witness points are menu points of the gadget's distinct hit patterns, so an
-instance snaps each pattern's corner once and keeps, per pattern and
-threshold slot, the half-space; a subset's witness is read from that table.
-Only Theorem 2 reads a half-space's dual vertex, and its instance builds
-each one on first read. Gadget witnesses form a tree: each is its parent's
-plus one pattern numbered above all of the parent's (``_witness_step``).
-So a subset's distinct rows are its parent's plus at most one, and its
-simplex is its parent's plus at most one vertex, whose affine independence
-is checked against the parent's integer annihilator, usually by one dot
-product. Each instance memoizes the rows and simplices of parents only.
-The verifiers check whatever the public witness functions return,
-memoizing the exact integer mask (Theorem 1) or sign masks (Theorem 2) per
-half-space or vertex object they receive.
+instance snaps each pattern's corner once into a row; patterns whose
+corners snap to equal bounds share one row, and each row keeps its
+half-space per threshold slot. Only Theorem 2 reads a half-space's dual
+vertex, and its instance builds each one on first read. Gadget witnesses
+form a tree: each is its parent's plus one pattern numbered above all of
+the parent's (``_witness_step``). So a subset's witness is its parent's
+plus at most one row. Each instance memoizes one node per witness-tree
+parent: its finished half-spaces (on a Theorem 2 instance, its simplex)
+and the bitmask of their rows. A leaf then costs one tree step, one memo
+lookup and at most one new slot or vertex; a new vertex's affine
+independence is checked against the parent's integer annihilator, usually
+by one dot product. The verifiers check whatever the public witness
+functions return, memoizing the exact integer mask (Theorem 1) or sign
+masks (Theorem 2) per half-space or vertex object they receive.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
 from operator import itemgetter
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import ClassVar, Iterable, Sequence
 
 from . import boxgadget  # boxgadget.verify is looked up where perfbench's tracer wraps it
 from .boxgadget import BoxGadget, _witness_step
@@ -68,11 +70,10 @@ from .geometry import (
 from .setsystem import SetSystem, _check_guard, k_fold_union, mask_to_indices, subset_mask, vc_dim
 
 AlphaTables = tuple[tuple[tuple[Fraction, Fraction], ...], ...]
-# Snapped bounds, and the half-spaces built from them so far, by threshold slot.
-Row = tuple[tuple[Fraction, ...], dict[int, RestrictedHalfspace]]
-# The distinct rows of a witness in first-occurrence order; row j takes slot j.
-Rows = tuple[Row, ...]
-T = TypeVar("T")
+# A row's bit (1 << row index), its snapped bounds, and the half-spaces
+# built from them so far, by threshold slot.
+Row = tuple[int, tuple[Fraction, ...], dict[int, RestrictedHalfspace]]
+Halfspaces = tuple[RestrictedHalfspace, ...]
 
 
 class ConstructionError(RuntimeError):
@@ -163,25 +164,35 @@ class Theorem1Instance:
         if len(self.points) != len(self.gadget.boxes):
             raise ValueError("one point per gadget box required")
 
+    # The witness-tree root's node: no half-spaces and no rows.
+    _root: ClassVar[tuple[Halfspaces, int]] = ((), 0)
+
     @cached_property
     def _witness_rows(self) -> tuple[Row, ...]:
         """Per gadget pattern number, the row of its menu point's snapped corner.
 
         Every corner is snapped once, on first use of the table; patterns
-        whose corners snap to equal bounds share one row. Slots are added by
-        ``_slot``.
+        whose corners snap to equal bounds share one row, and rows are
+        indexed in order of first occurrence. Slots are added by ``_slot``.
         """
         rows: dict[tuple[Fraction, ...], Row] = {}
         table = []
         for q in self.gadget._pattern_points:
             bounds = snap(_lift(q.coords, q.coords), self.alpha)
-            table.append(rows.setdefault(bounds, (bounds, {})))
+            if bounds not in rows:
+                rows[bounds] = (1 << len(rows), bounds, {})
+            table.append(rows[bounds])
         return tuple(table)
 
     @cached_property
-    def _parent_rows(self) -> dict[int, Rows]:
-        """``_tree_rows`` of each union met as a witness-tree parent, by union mask."""
+    def _nodes(self) -> dict[int, tuple[Halfspaces, int]]:
+        """The node of each union met as a witness-tree parent, by union mask:
+        its finished half-spaces, row j at slot j, and the bitmask of their rows."""
         return {}
+
+    @staticmethod
+    def _grow(halfspaces: Halfspaces, h: RestrictedHalfspace) -> Halfspaces:
+        return (*halfspaces, h)
 
 
 @dataclass(frozen=True)
@@ -197,19 +208,29 @@ class Theorem2Instance:
             raise ValueError("one hyperplane per base point required")
 
     @cached_property
-    def _apex_simplex(self) -> OpenSimplex:
-        """The simplex on ``_apex(d)`` alone, the root of every witness simplex."""
-        return OpenSimplex(ambient_dim=self.base.d, vertices=(_apex(self.base.d),))
+    def _root(self) -> tuple[OpenSimplex, int]:
+        """The witness-tree root's node: the simplex on ``_apex(d)`` alone, and no rows."""
+        return OpenSimplex(ambient_dim=self.base.d, vertices=(_apex(self.base.d),)), 0
 
     @cached_property
-    def _parent_simplices(self) -> dict[int, OpenSimplex]:
-        """``_tree_simplex`` of each union met as a witness-tree parent, by union mask."""
+    def _nodes(self) -> dict[int, tuple[OpenSimplex, int]]:
+        """The node of each union met as a witness-tree parent, by union mask:
+        its simplex, the apex and then one dual vertex per row, and the
+        bitmask of those rows."""
         return {}
 
     @cached_property
     def _dual_vertices(self) -> dict[int, tuple[object, Point]]:
-        """The dual vertex of each witness half-space read so far, for ``_once``."""
+        """The dual vertex of each witness half-space read so far, by id; each
+        entry holds its half-space, so no other can take that id."""
         return {}
+
+    def _grow(self, simplex: OpenSimplex, h: RestrictedHalfspace) -> OpenSimplex:
+        """The simplex with the dual vertex of h, checked against its annihilator."""
+        entry = self._dual_vertices.get(id(h))
+        if entry is None:
+            entry = self._dual_vertices[id(h)] = (h, dual_halfspace_to_point(h))
+        return simplex._extended(entry[1])
 
 
 def required_gadget_n(k: int) -> int:
@@ -249,7 +270,7 @@ def build_theorem1(d: int, k: int, gadget: BoxGadget) -> Theorem1Instance:
 
 def _slot(inst: Theorem1Instance, row: Row, j: int) -> RestrictedHalfspace:
     """The half-space with the row's bounds and threshold d + 1/2 + j/(4k), built on first use."""
-    bounds, slots = row
+    _, bounds, slots = row
     h = slots.get(j)
     if h is None:
         tau = Fraction(2 * inst.d + 1, 2) + Fraction(j, 4 * inst.k)
@@ -257,13 +278,17 @@ def _slot(inst: Theorem1Instance, row: Row, j: int) -> RestrictedHalfspace:
     return h
 
 
-def _tree_rows(inst: Theorem1Instance, union: int) -> Rows:
-    """The distinct rows of the gadget witness with the given union.
+def _tree_node(
+    inst: Theorem1Instance, owner: Theorem1Instance | Theorem2Instance, union: int, pmask: int
+) -> tuple[Halfspaces | OpenSimplex, int]:
+    """The node of the union on the owner instance: its witness and the bitmask of its rows.
 
     A witness is its tree parent's plus one pattern numbered above all of
-    the parent's, so its rows are the parent's plus that pattern's row,
-    unless the row is already there: each row at its first occurrence in
-    ascending pattern order. Rows of parents are memoized on the instance.
+    the parent's, so a node is its parent's, extended by ``owner._grow``
+    with the next threshold slot of that pattern's row unless the parent
+    holds the row already. Nodes of parents are memoized on the owner.
+    The union is pmask, the queried subset mask, or one of its ancestors;
+    a slot past the threshold window on either refuses pmask.
     """
     step = _witness_step(inst.gadget, union)
     if step is None:
@@ -274,26 +299,32 @@ def _tree_rows(inst: Theorem1Instance, union: int) -> Rows:
         )
     parent, number = step
     if parent < 0:
-        rows: Rows = ()
+        node = owner._root
     else:
-        rows = inst._parent_rows.get(parent)
-        if rows is None:
-            rows = inst._parent_rows[parent] = _tree_rows(inst, parent)
+        node = owner._nodes.get(parent)
+        if node is None:
+            node = owner._nodes[parent] = _tree_node(inst, owner, parent, pmask)
+    witness, rows = node
     row = inst._witness_rows[number]
-    return rows if any(r is row for r in rows) else rows + (row,)
-
-
-def _guarded_rows(inst: Theorem1Instance, pmask: int) -> Rows:
-    """``_tree_rows`` of the subset mask, refused when some row's threshold
-    slot would leave (d, d+1); row j takes slot j."""
-    rows = _tree_rows(inst, pmask)
+    if rows & row[0]:
+        return node
+    j = rows.bit_count()
     # Slot j has threshold d + 1/2 + j/(4k), inside (d, d+1) exactly when j < 2k.
-    if len(rows) > 2 * inst.k:
-        raise ConstructionError(
-            f"{len(rows)} half-spaces for subset mask {pmask} push a threshold "
-            f"out of ({inst.d}, {inst.d + 1})"
-        )
-    return rows
+    if j >= 2 * inst.k:
+        raise _threshold_error(inst, pmask)
+    return owner._grow(witness, _slot(inst, row, j)), rows | row[0]
+
+
+def _threshold_error(inst: Theorem1Instance, pmask: int) -> ConstructionError:
+    """The refusal of a subset mask whose witness has more rows than threshold slots."""
+    rows, union = 0, pmask
+    while union >= 0:
+        union, number = _witness_step(inst.gadget, union)
+        rows |= inst._witness_rows[number][0]
+    return ConstructionError(
+        f"{rows.bit_count()} half-spaces for subset mask {pmask} push a threshold "
+        f"out of ({inst.d}, {inst.d + 1})"
+    )
 
 
 def union_witness(
@@ -306,19 +337,10 @@ def union_witness(
     the bounds of one half-space. Duplicate bounds are merged before
     thresholds are assigned; thresholds are d + 1/2 + j/(4k), which must stay
     strictly inside (d, d+1) and are distinct per half-space. The half-spaces
-    come from the instance's per-pattern table, grown along the witness tree.
+    are the witness-tree parent's plus at most one (``_tree_node``).
     """
     pmask = subset_mask(len(inst.points), subset)
-    return tuple(_slot(inst, row, j) for j, row in enumerate(_guarded_rows(inst, pmask)))
-
-
-def _once(cache: dict[int, tuple[object, T]], obj: object, compute: Callable[..., T]) -> T:
-    """compute(obj), once per object. The cache holds obj itself, so no other
-    object can take its id while the entry lives."""
-    entry = cache.get(id(obj))
-    if entry is None:
-        entry = cache[id(obj)] = (obj, compute(obj))
-    return entry[1]
+    return _tree_node(inst, inst, pmask, pmask)[0]
 
 
 @dataclass(frozen=True)
@@ -376,6 +398,7 @@ def verify_theorem1(
     mask_of = partial(_halfspace_mask, scale=scale, scaled=scaled)
     failing: list[tuple[int, ...]] = []
     max_size = 0
+    # By id; each entry holds its object, so no other can take that id during the run.
     seen: dict[int, tuple[object, int]] = {}
     for pmask in masks:
         try:
@@ -386,7 +409,10 @@ def verify_theorem1(
         max_size = max(max_size, len(witness))
         got = 0
         for h in witness:
-            got |= _once(seen, h, mask_of)
+            entry = seen.get(id(h))
+            if entry is None:
+                entry = seen[id(h)] = (h, mask_of(h))
+            got |= entry[1]
         if got != pmask:
             failing.append(tuple(mask_to_indices(pmask)))
     union_dim: int | None = None
@@ -421,25 +447,6 @@ def _apex(d: int) -> Point:
     return Point(tuple(Fraction(i) for i in range(1, d)) + (Fraction(0),))
 
 
-def _tree_simplex(inst2: Theorem2Instance, union: int) -> OpenSimplex:
-    """The witness simplex for the union: its tree parent's, extended by the
-    dual vertex of the one row the union adds, if any; the apex alone above
-    the first fold. Simplices of parents are memoized on the instance."""
-    rows = _guarded_rows(inst2.base, union)  # raises unless the union is reached
-    parent, _ = _witness_step(inst2.base.gadget, union)
-    if parent < 0:
-        simplex = inst2._apex_simplex
-    else:
-        simplex = inst2._parent_simplices.get(parent)
-        if simplex is None:
-            simplex = inst2._parent_simplices[parent] = _tree_simplex(inst2, parent)
-    # The apex and one vertex per row of the parent: a new row is the last one.
-    if len(simplex.vertices) > len(rows):
-        return simplex
-    h = _slot(inst2.base, rows[-1], len(rows) - 1)
-    return simplex._extended(_once(inst2._dual_vertices, h, dual_halfspace_to_point))
-
-
 def simplex_witness(inst2: Theorem2Instance, subset: Iterable[int] | int) -> OpenSimplex:
     """An open simplex meeting exactly the hyperplanes of the given subset.
 
@@ -455,7 +462,7 @@ def simplex_witness(inst2: Theorem2Instance, subset: Iterable[int] | int) -> Ope
     base = inst2.base
     pmask = subset_mask(len(base.points), subset)
     try:
-        return _tree_simplex(inst2, pmask)
+        return _tree_node(base, inst2, pmask, pmask)[0]
     except DegenerateSimplexError as err:
         raise ConstructionError(
             f"could not build an affinely independent simplex for subset mask {pmask}: {err}"
@@ -482,6 +489,7 @@ def verify_theorem2(
     failing: list[tuple[int, ...]] = []
     zero_signs = 0
     max_size = 0
+    # By id, as in verify_theorem1.
     seen: dict[int, tuple[object, tuple[int, int, int]]] = {}
     for hmask in masks:
         try:
@@ -490,7 +498,13 @@ def verify_theorem2(
             failing.append(tuple(mask_to_indices(hmask)))
             continue
         max_size = max(max_size, len(simplex.vertices) - 1)
-        got, zeros = _crossing_mask(_once(seen, v, signs_of) for v in simplex.vertices)
+        signs = []
+        for v in simplex.vertices:
+            entry = seen.get(id(v))
+            if entry is None:
+                entry = seen[id(v)] = (v, signs_of(v))
+            signs.append(entry[1])
+        got, zeros = _crossing_mask(signs)
         zero_signs += zeros
         if got != hmask:
             failing.append(tuple(mask_to_indices(hmask)))

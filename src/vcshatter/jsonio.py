@@ -287,7 +287,10 @@ def simplex_witness_to_dict(subset: list[int], simplex: OpenSimplex) -> dict:
 
 
 def dump_json(data: dict, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+    try:
+        Path(path).write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+    except OSError as err:
+        raise SchemaError(f"{path}: cannot write ({err.strerror or err})") from None
 
 
 def load_json(path: str | Path) -> Any:
@@ -295,5 +298,7 @@ def load_json(path: str | Path) -> Any:
         return json.loads(Path(path).read_text())
     except FileNotFoundError:
         raise SchemaError(f"file not found: {path}") from None
+    except OSError as err:
+        raise SchemaError(f"{path}: cannot read ({err.strerror or err})") from None
     except json.JSONDecodeError as err:
         raise SchemaError(f"{path}: malformed JSON ({err})") from None

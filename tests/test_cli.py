@@ -318,6 +318,21 @@ class TestGadgetCommands:
         assert set(data) == {"n", "dim", "boxes"}
         assert boxgadget.verify(jsonio.gadget_from_dict(data))[0].ok
 
+    def test_verify_directory_exits_2(self, capsys, tmp_path):
+        code, report = run_cli(capsys, "gadget", "verify", str(tmp_path))
+        assert code == 2
+        assert str(tmp_path) in report["error"]
+
+    def test_search_output_in_missing_directory_exits_2(self, capsys, tmp_path):
+        out = tmp_path / "missing" / "g.json"
+        code, report = run_cli(
+            capsys, "gadget", "search", "--n", "2", "--dim", "2", "--seed", "0",
+            "--output", str(out),
+        )
+        assert code == 2
+        assert str(out) in report["error"]
+        assert not out.parent.exists()
+
     @pytest.mark.parametrize("flag", ["--count", "--grid"])
     def test_search_has_no_size_flags(self, capsys, flag):
         code = cli_main(

@@ -4,12 +4,13 @@ import dataclasses
 import random
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vcshatter import boxgadget, constructions, geometry
+from vcshatter import boxgadget, constructions, geometry, jsonio
 from vcshatter.boxgadget import BoxGadget, _witness_patterns, _witness_step, verify, witness_for
 from vcshatter.constructions import (
     ConstructionError,
@@ -234,6 +235,26 @@ class TestSnapAndHalfspace:
         monkeypatch.setattr(constructions, "_witness_step", lambda gadget, union: (union - 1, union))
         with pytest.raises(ConstructionError, match="threshold"):
             union_witness(inst, numbers[-1])
+
+    def test_threshold_guard_leaves_no_stale_node(self, bundled_instance, monkeypatch):
+        inst = dataclasses.replace(bundled_instance)
+        inst2 = build_theorem2(inst)
+        numbers = range(2 * inst.k + 1)
+        # the chain tree above, read by the scratch build too
+        for module in (constructions, boxgadget):
+            monkeypatch.setattr(module, "_witness_step", lambda gadget, union: (union - 1, union))
+        message = f"{len(numbers)} half-spaces for subset mask {numbers[-1]} push a threshold"
+        with pytest.raises(ConstructionError, match=message):
+            union_witness(inst, numbers[-1])
+        with pytest.raises(ConstructionError, match=message):
+            simplex_witness(inst2, numbers[-1])
+        within = numbers[-2]
+        assert len(union_witness(inst, within)) == 2 * inst.k
+        assert union_witness(inst, within) == _scratch_union_witness(inst, within)
+        got = simplex_witness(inst2, within)
+        assert got.vertices[1:] == _scratch_simplex_witness(inst2, within).vertices[:-1]
+        # the ancestors of the refused mask, none of them past the guard
+        assert set(inst._nodes) == set(inst2._nodes) == set(range(numbers[-1]))
 
     def test_full_pipeline_membership_match(self, bundled_instance):
         # p under the snapped corner of q  <=>  lifted point under the corner of q
@@ -599,10 +620,34 @@ class TestWitnessTree:
             assert verify_theorem2(inst2).shattered
             assert verify_theorem1(inst).shattered
             parents = _tree_parents(inst.gadget, range(1 << len(inst.points)))
-            assert set(inst._parent_rows) == set(inst2._parent_simplices) == parents
+            assert set(inst._nodes) == set(inst2._nodes) == parents
             # the apex's own fold, then at most one step per parent simplex
             assert len(annihilations) <= 1 + len(parents)
             monkeypatch.undo()
+
+    def test_query_order_does_not_matter(self, n3_gadget):
+        masks = list(range(1 << 12))
+        shuffled = random.Random(0).sample(masks, len(masks))
+        for order in (masks[::-1], shuffled):
+            inst = build_theorem1(4, 4, n3_gadget)
+            inst2 = build_theorem2(inst)
+            for mask in order:
+                assert union_witness(inst, mask) == _scratch_union_witness(inst, mask)
+                got = simplex_witness(inst2, mask)
+                assert got.vertices[1:] == _scratch_simplex_witness(inst2, mask).vertices[:-1]
+            parents = _tree_parents(inst.gadget, order)
+            assert set(inst._nodes) == set(inst2._nodes) == parents
+
+    @pytest.mark.parametrize("seed", [3, 6])
+    def test_other_pinned_gadgets_match_scratch(self, seed, monkeypatch):
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "gadgets" / f"n3-seed{seed}.json"
+        inst = build_theorem1(4, 4, jsonio.gadget_from_dict(jsonio.load_json(path)))
+        t1 = self.matched_report(inst, monkeypatch, theorem2=False)
+        t2 = self.matched_report(inst, monkeypatch, theorem2=True)
+        assert t1.shattered and t2.shattered
+        assert t1.checked == t2.checked == 4096
+        assert t1.union_vc_dim == 12
+        assert t2.zero_signs == 0
 
     def test_sample_mode_memoizes_the_sampled_ancestors(self, n3_gadget):
         inst = build_theorem1(4, 4, n3_gadget)
@@ -613,7 +658,7 @@ class TestWitnessTree:
         while frontier:
             frontier = _tree_parents(inst.gadget, frontier)
             ancestors |= frontier
-        assert set(inst._parent_rows) == ancestors
+        assert set(inst._nodes) == ancestors
 
     def test_each_subset_mask_is_validated_once(self, n3_gadget, monkeypatch):
         inst = build_theorem1(4, 4, n3_gadget)
