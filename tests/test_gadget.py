@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
 from math import comb
@@ -15,7 +16,10 @@ from oracles import brute_cover_feasible, finer_grid_points, full_scan_unions
 from vcshatter import boxgadget
 from vcshatter.boxgadget import (
     BoxGadget,
+    _axis_bitsets,
+    _columns,
     _hit_masks,
+    _moved_columns,
     _mutate,
     _patterns,
     _score,
@@ -61,10 +65,10 @@ def mutants(g: BoxGadget):
     out = []
     for seed in range(4):
         rng = random.Random(seed)
-        mutant = None
-        while mutant is None:
-            mutant = _mutate(rng, start, g.dim, upper)
-        out.append(mutant)
+        moved = None
+        while moved is None:
+            moved = _mutate(rng, start, g.dim, upper)
+        out.append(moved[0])
     return out
 
 
@@ -364,9 +368,11 @@ class TestFastPath:
     @staticmethod
     def assert_score_matches_gadget(g: BoxGadget) -> None:
         pick, _ = g._closure
-        assert _score(int_boxes(g), g.dim, g.max_witness_size, {}) == len(pick) - pick.count(-1)
-        assert _hit_masks(int_boxes(g), g.dim)[1] == g._menu[1]
-        assert _patterns(int_boxes(g), g.dim) == set(g._menu[1])
+        boxes = int_boxes(g)
+        score = _score(_columns(boxes, g.dim), len(boxes), g.max_witness_size, ({}, {}))
+        assert score == len(pick) - pick.count(-1)
+        assert _hit_masks(boxes, g.dim)[1] == g._menu[1]
+        assert _patterns(boxes, g.dim) == set(g._menu[1])
 
     @staticmethod
     def assert_tables_match_full_scan(g: BoxGadget) -> None:
@@ -434,19 +440,64 @@ class TestFastPath:
         boxes = [(box.lo, box.hi) for box in g.boxes]
         assert _patterns(boxes, g.dim) == set(g._menu[1]) == {0b000, 0b001, 0b010, 0b100}
 
-    def test_score_memo_is_keyed_by_pattern_set(self, n3_gadget):
+    def test_score_memo_is_keyed_by_pattern_set(self, n3_gadget, monkeypatch):
         boxes = int_boxes(n3_gadget)
+        nboxes = len(boxes)
         b = n3_gadget.max_witness_size
-        want = union_closure(_hit_masks(boxes, 2)[1], len(boxes), b).bit_count()
-        memo: dict = {}
-        assert _score(boxes, 2, b, memo) == want
-        assert memo == {(b, _patterns(boxes, 2)): want}
-        # a translated family has the same patterns, so it reads the warm entry
-        assert _score(boxgadget._translate(boxes, 7), 2, b, memo) == want
-        assert _score(boxes, 2, b, memo) == want
-        assert len(memo) == 1
-        assert _score(boxes, 2, b - 1, memo) < want
-        assert len(memo) == 2
+        want = union_closure(_hit_masks(boxes, 2)[1], nboxes, b).bit_count()
+        closures = []
+
+        def counted(*args):
+            closures.append(args)
+            return union_closure(*args)
+
+        monkeypatch.setattr(boxgadget, "union_closure", counted)
+        columns = _columns(boxes, 2)
+        memo: tuple[dict, dict] = ({}, {})
+        assert _score(columns, nboxes, b, memo) == want
+        assert memo == ({(b, columns): want}, {(b, _patterns(boxes, 2)): want})
+        # a translated family has the same columns, so it reads the warm entry
+        translated = _columns(boxgadget._translate(boxes, 7), 2)
+        assert translated == columns
+        assert _score(translated, nboxes, b, memo) == want
+        assert len(memo[0]) == len(memo[1]) == len(closures) == 1
+        # b is part of both keys
+        assert _score(columns, nboxes, b - 1, memo) < want
+        assert len(memo[0]) == len(memo[1]) == len(closures) == 2
+        # mirrored on axis 0, the family has new columns but the same
+        # patterns, so it takes a product and shares the closure
+        top = max(v for _, hi in boxes for v in hi) + 1
+        mirrored = tuple(((top - hi[0], lo[1]), (top - lo[0], hi[1])) for lo, hi in boxes)
+        mirrored_columns = _columns(mirrored, 2)
+        assert mirrored_columns == (columns[0][::-1], columns[1]) != columns
+        assert _score(mirrored_columns, nboxes, b, memo) == want
+        assert len(memo[0]) == 3
+        assert len(memo[1]) == len(closures) == 2
+
+    @given(
+        box_families().filter(lambda g: g.dim <= 3).map(doubled),
+        st.randoms(use_true_random=False),
+        st.integers(0, 30),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_carried_columns_match_a_fresh_sweep(self, g, rng, steps):
+        # a walk of the climb's moves, accepted or rejected at random
+        boxes = int_boxes(g)
+        nboxes = len(boxes)
+        b = g.max_witness_size
+        upper = max(v for _, hi in boxes for v in hi) + nboxes
+        columns = _columns(boxes, g.dim)
+        warm: tuple[dict, dict] = ({}, {})
+        for _ in range(steps):
+            assert columns == tuple(tuple(_axis_bitsets(boxes, i)[1]) for i in range(g.dim))
+            want = union_closure(_hit_masks(boxes, g.dim)[1], nboxes, b).bit_count()
+            assert _score(columns, nboxes, b, ({}, {})) == want
+            assert _score(columns, nboxes, b, warm) == want
+            assert _score(columns, nboxes, b, warm) == want  # a certain hit
+            moved = _mutate(rng, boxes, g.dim, upper)
+            if moved is not None and rng.random() < 0.5:
+                boxes, ax = moved
+                columns = _moved_columns(columns, boxes, ax)
 
     def test_pinned_gadget_tables_match_full_scan(self):
         for path in sorted(PINNED_GADGETS.glob("*.json")):
@@ -504,9 +555,9 @@ class TestSearch:
                 super().__init__(limit)
                 budgets.append(self)
 
-        def scored(boxes, dim, b, memo):
-            hits.append((b, _patterns(boxes, dim)) in memo)
-            return score(boxes, dim, b, memo)
+        def scored(columns, nboxes, b, memo):
+            hits.append((b, columns) in memo[0])
+            return score(columns, nboxes, b, memo)
 
         monkeypatch.setattr(boxgadget, "_Budget", Recorded)
         monkeypatch.setattr(boxgadget, "_score", scored)
@@ -514,6 +565,36 @@ class TestSearch:
         [budget] = budgets
         assert budget.used == len(hits)
         assert 0 < sum(hits) < len(hits)
+
+    def test_proposals_resweep_one_axis_and_closures_stay(self, monkeypatch):
+        # pins the carried columns: a climb sweeps every axis of its start and
+        # one axis per proposal, and the closures run as often as when every
+        # proposal swept every axis
+        calls, budgets = Counter(), []
+
+        def counting(name):
+            real = getattr(boxgadget, name)
+
+            def counted(*args):
+                calls[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(boxgadget, name, counted)
+
+        class Recorded(boxgadget._Budget):
+            def __init__(self, limit: int) -> None:
+                super().__init__(limit)
+                budgets.append(self)
+
+        for name in ("union_closure", "_axis_bitsets", "_climb"):
+            counting(name)
+        monkeypatch.setattr(boxgadget, "_Budget", Recorded)
+        assert search(3, 2, seed=0, budget=2500) is not None
+        [budget] = budgets
+        climbs, scored = calls["_climb"], budget.used
+        assert (climbs, scored) == (8, 1864)
+        assert calls["union_closure"] == 186
+        assert calls["_axis_bitsets"] == 2 * climbs + (scored - climbs) == 1872
 
     @pytest.mark.parametrize("n, budget", [(2, -5), (5, 3000)])
     def test_refuses_bad_arguments_before_searching(self, monkeypatch, n, budget):
