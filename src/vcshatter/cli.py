@@ -211,6 +211,13 @@ def _cmd_verify_theorem(args) -> int:
             compute_vc_dim=args.vcdim,
         )
     else:
+        budget = inst.gadget.max_witness_size
+        if budget > inst.d:
+            notes.append(
+                f"witnesses may need up to {budget} half-spaces, but a simplex in R^{inst.d} "
+                f"has at most {inst.d + 1} vertices, the apex included, so subsets that "
+                f"need more than {inst.d} half-spaces fail"
+            )
         inst2 = constructions.build_theorem2(inst)
         v_report = constructions.verify_theorem2(
             inst2, mode=args.mode, count=args.count, seed=args.seed

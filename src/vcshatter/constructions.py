@@ -24,20 +24,21 @@ least d+1, making half-space membership match corner dominance with strict
 slack on both sides for any tau strictly between d and d+1.
 
 Witness points are menu points of the gadget's distinct hit patterns, so an
-instance snaps each pattern's corner once into a row; patterns whose
-corners snap to equal bounds share one row, and each row keeps its
-half-space per threshold slot. Only Theorem 2 reads a half-space's dual
-vertex, and its instance builds each one on first read. Gadget witnesses
-form a tree: each is its parent's plus one pattern numbered above all of
-the parent's (``_witness_step``). So a subset's witness is its parent's
-plus at most one row. Each instance memoizes one node per witness-tree
-parent: its finished half-spaces (on a Theorem 2 instance, its simplex)
-and the bitmask of their rows. A leaf then costs one tree step, one memo
-lookup and at most one new slot or vertex; a new vertex's affine
-independence is checked against the parent's integer annihilator, usually
-by one dot product. The verifiers check whatever the public witness
-functions return, memoizing the exact integer mask (Theorem 1) or sign
-masks (Theorem 2) per half-space or vertex object they receive.
+instance snaps each pattern's corner once into its row, which keeps the
+row's half-space per threshold slot. Distinct patterns snap to distinct
+bounds, since the bounds decide which points lie below them. Only Theorem 2
+reads a half-space's dual vertex, and its instance builds each one on first
+read. Gadget witnesses form a tree: each is its parent's plus one pattern
+numbered above all of the parent's (``_witness_step``). So a subset's
+witness is its parent's plus one row, at the slot given by the parent's
+depth in the tree. Each instance memoizes one node per witness-tree parent:
+its finished half-spaces (on a Theorem 2 instance, its simplex) and its
+depth. A leaf then costs one tree step, one memo lookup and at most one new
+slot or vertex; a new vertex's affine independence is checked against the
+parent's integer annihilator, usually by one dot product. The verifiers
+check whatever the public witness functions return, memoizing the exact
+integer mask (Theorem 1) or sign masks (Theorem 2) per half-space or vertex
+object they receive.
 """
 
 from __future__ import annotations
@@ -59,7 +60,6 @@ from .geometry import (
     OpenSimplex,
     Point,
     RestrictedHalfspace,
-    _crossing_mask,
     _halfspace_mask,
     _hyperplane_row,
     _scaled_points,
@@ -70,9 +70,9 @@ from .geometry import (
 from .setsystem import SetSystem, _check_guard, k_fold_union, mask_to_indices, subset_mask, vc_dim
 
 AlphaTables = tuple[tuple[tuple[Fraction, Fraction], ...], ...]
-# A row's bit (1 << row index), its snapped bounds, and the half-spaces
-# built from them so far, by threshold slot.
-Row = tuple[int, tuple[Fraction, ...], dict[int, RestrictedHalfspace]]
+# A pattern's snapped bounds and the half-spaces built from them so far, by
+# threshold slot.
+Row = tuple[tuple[Fraction, ...], dict[int, RestrictedHalfspace]]
 Halfspaces = tuple[RestrictedHalfspace, ...]
 
 
@@ -163,31 +163,27 @@ class Theorem1Instance:
     def __post_init__(self) -> None:
         if len(self.points) != len(self.gadget.boxes):
             raise ValueError("one point per gadget box required")
+        # A witness has at most 2^(n-1) <= k patterns, so every threshold
+        # slot j < k has d + 1/2 + j/(4k) inside (d, d+1).
+        _check_gadget_n(self.gadget, self.k)
 
-    # The witness-tree root's node: no half-spaces and no rows.
+    # The witness-tree root's node: no half-spaces, at depth 0.
     _root: ClassVar[tuple[Halfspaces, int]] = ((), 0)
 
     @cached_property
     def _witness_rows(self) -> tuple[Row, ...]:
-        """Per gadget pattern number, the row of its menu point's snapped corner.
+        """Per gadget pattern number, the snapped corner of its menu point.
 
-        Every corner is snapped once, on first use of the table; patterns
-        whose corners snap to equal bounds share one row, and rows are
-        indexed in order of first occurrence. Slots are added by ``_slot``.
+        Every corner is snapped once, on first use of the table. Slots are
+        added by ``_tree_node``.
         """
-        rows: dict[tuple[Fraction, ...], Row] = {}
-        table = []
-        for q in self.gadget._pattern_points:
-            bounds = snap(_lift(q.coords, q.coords), self.alpha)
-            if bounds not in rows:
-                rows[bounds] = (1 << len(rows), bounds, {})
-            table.append(rows[bounds])
-        return tuple(table)
+        points = self.gadget._pattern_points
+        return tuple((snap(_lift(q.coords, q.coords), self.alpha), {}) for q in points)
 
     @cached_property
     def _nodes(self) -> dict[int, tuple[Halfspaces, int]]:
         """The node of each union met as a witness-tree parent, by union mask:
-        its finished half-spaces, row j at slot j, and the bitmask of their rows."""
+        its finished half-spaces, pattern j's at slot j, and its depth."""
         return {}
 
     @staticmethod
@@ -209,14 +205,14 @@ class Theorem2Instance:
 
     @cached_property
     def _root(self) -> tuple[OpenSimplex, int]:
-        """The witness-tree root's node: the simplex on ``_apex(d)`` alone, and no rows."""
+        """The witness-tree root's node: the simplex on ``_apex(d)`` alone, at depth 0."""
         return OpenSimplex(ambient_dim=self.base.d, vertices=(_apex(self.base.d),)), 0
 
     @cached_property
     def _nodes(self) -> dict[int, tuple[OpenSimplex, int]]:
         """The node of each union met as a witness-tree parent, by union mask:
-        its simplex, the apex and then one dual vertex per row, and the
-        bitmask of those rows."""
+        its simplex, the apex and then one dual vertex per pattern, and its
+        depth."""
         return {}
 
     @cached_property
@@ -240,6 +236,13 @@ def required_gadget_n(k: int) -> int:
     return k.bit_length()
 
 
+def _check_gadget_n(gadget: BoxGadget, k: int) -> None:
+    """Refuse a gadget whose n is not ``required_gadget_n(k)``."""
+    expected_n = required_gadget_n(k)
+    if gadget.n != expected_n:
+        raise ValueError(f"gadget has n={gadget.n}, but k={k} requires n={expected_n}")
+
+
 def build_theorem1(d: int, k: int, gadget: BoxGadget) -> Theorem1Instance:
     """Assemble the point set for dimension d (even, >= 4) and fold count k.
 
@@ -253,9 +256,7 @@ def build_theorem1(d: int, k: int, gadget: BoxGadget) -> Theorem1Instance:
         raise ValueError("fold count k must be >= 2")
     if gadget.dim != d // 2:
         raise ValueError(f"gadget dimension {gadget.dim} != d/2 = {d // 2}")
-    expected_n = required_gadget_n(k)
-    if gadget.n != expected_n:
-        raise ValueError(f"gadget has n={gadget.n}, but k={k} requires n={expected_n}")
+    _check_gadget_n(gadget, k)
     report, _ = boxgadget.verify(gadget)
     if not report.ok:
         raise ConstructionError(
@@ -268,27 +269,15 @@ def build_theorem1(d: int, k: int, gadget: BoxGadget) -> Theorem1Instance:
     return Theorem1Instance(d=d, k=k, gadget=gadget, points=points, alpha=alpha)
 
 
-def _slot(inst: Theorem1Instance, row: Row, j: int) -> RestrictedHalfspace:
-    """The half-space with the row's bounds and threshold d + 1/2 + j/(4k), built on first use."""
-    _, bounds, slots = row
-    h = slots.get(j)
-    if h is None:
-        tau = Fraction(2 * inst.d + 1, 2) + Fraction(j, 4 * inst.k)
-        h = slots[j] = RestrictedHalfspace(b=bounds, tau=tau)
-    return h
-
-
 def _tree_node(
-    inst: Theorem1Instance, owner: Theorem1Instance | Theorem2Instance, union: int, pmask: int
+    inst: Theorem1Instance, owner: Theorem1Instance | Theorem2Instance, union: int
 ) -> tuple[Halfspaces | OpenSimplex, int]:
-    """The node of the union on the owner instance: its witness and the bitmask of its rows.
+    """The node of the union on the owner instance: its witness and its depth.
 
     A witness is its tree parent's plus one pattern numbered above all of
     the parent's, so a node is its parent's, extended by ``owner._grow``
-    with the next threshold slot of that pattern's row unless the parent
-    holds the row already. Nodes of parents are memoized on the owner.
-    The union is pmask, the queried subset mask, or one of its ancestors;
-    a slot past the threshold window on either refuses pmask.
+    with that pattern's half-space at threshold d + 1/2 + j/(4k), where j
+    is the parent's depth. Nodes of parents are memoized on the owner.
     """
     step = _witness_step(inst.gadget, union)
     if step is None:
@@ -299,32 +288,18 @@ def _tree_node(
         )
     parent, number = step
     if parent < 0:
-        node = owner._root
+        witness, j = owner._root
     else:
         node = owner._nodes.get(parent)
         if node is None:
-            node = owner._nodes[parent] = _tree_node(inst, owner, parent, pmask)
-    witness, rows = node
-    row = inst._witness_rows[number]
-    if rows & row[0]:
-        return node
-    j = rows.bit_count()
-    # Slot j has threshold d + 1/2 + j/(4k), inside (d, d+1) exactly when j < 2k.
-    if j >= 2 * inst.k:
-        raise _threshold_error(inst, pmask)
-    return owner._grow(witness, _slot(inst, row, j)), rows | row[0]
-
-
-def _threshold_error(inst: Theorem1Instance, pmask: int) -> ConstructionError:
-    """The refusal of a subset mask whose witness has more rows than threshold slots."""
-    rows, union = 0, pmask
-    while union >= 0:
-        union, number = _witness_step(inst.gadget, union)
-        rows |= inst._witness_rows[number][0]
-    return ConstructionError(
-        f"{rows.bit_count()} half-spaces for subset mask {pmask} push a threshold "
-        f"out of ({inst.d}, {inst.d + 1})"
-    )
+            node = owner._nodes[parent] = _tree_node(inst, owner, parent)
+        witness, j = node
+    bounds, slots = inst._witness_rows[number]
+    h = slots.get(j)
+    if h is None:
+        tau = Fraction(2 * inst.d + 1, 2) + Fraction(j, 4 * inst.k)
+        h = slots[j] = RestrictedHalfspace(b=bounds, tau=tau)
+    return owner._grow(witness, h), j + 1
 
 
 def union_witness(
@@ -334,13 +309,11 @@ def union_witness(
 
     The boxes of the complement subset are handed to the gadget; each witness
     point lifts to its corner, which snaps onto the rescaled grid and gives
-    the bounds of one half-space. Duplicate bounds are merged before
-    thresholds are assigned; thresholds are d + 1/2 + j/(4k), which must stay
-    strictly inside (d, d+1) and are distinct per half-space. The half-spaces
-    are the witness-tree parent's plus at most one (``_tree_node``).
+    the bounds of one half-space. The j-th witness pattern's half-space has
+    threshold d + 1/2 + j/(4k), strictly inside (d, d+1) since j < k. The
+    half-spaces are the witness-tree parent's plus one (``_tree_node``).
     """
-    pmask = subset_mask(len(inst.points), subset)
-    return _tree_node(inst, inst, pmask, pmask)[0]
+    return _tree_node(inst, inst, subset_mask(len(inst.points), subset))[0]
 
 
 @dataclass(frozen=True)
@@ -455,14 +428,14 @@ def simplex_witness(inst2: Theorem2Instance, subset: Iterable[int] | int) -> Ope
     the +1 side of each hyperplane except that a witness half-space containing
     p puts its dual vertex strictly on the -1 side of H(p), so the open hull
     crosses H(p) exactly when p is selected. Affinely dependent vertices raise
-    ConstructionError. The simplex is its witness-tree parent's plus at most
-    one vertex, whose independence is checked against the parent's integer
+    ConstructionError. The simplex is its witness-tree parent's plus one
+    vertex, whose independence is checked against the parent's integer
     annihilator (``OpenSimplex._extended``).
     """
     base = inst2.base
     pmask = subset_mask(len(base.points), subset)
     try:
-        return _tree_node(base, inst2, pmask, pmask)[0]
+        return _tree_node(base, inst2, pmask)[0]
     except DegenerateSimplexError as err:
         raise ConstructionError(
             f"could not build an affinely independent simplex for subset mask {pmask}: {err}"
@@ -489,8 +462,8 @@ def verify_theorem2(
     failing: list[tuple[int, ...]] = []
     zero_signs = 0
     max_size = 0
-    # By id, as in verify_theorem1.
-    seen: dict[int, tuple[object, tuple[int, int, int]]] = {}
+    # By id, as in verify_theorem1: the vertex, then its (pos, neg, on) masks.
+    seen: dict[int, tuple[object, int, int, int]] = {}
     for hmask in masks:
         try:
             simplex = simplex_witness(inst2, hmask)
@@ -498,15 +471,20 @@ def verify_theorem2(
             failing.append(tuple(mask_to_indices(hmask)))
             continue
         max_size = max(max_size, len(simplex.vertices) - 1)
-        signs = []
+        # Hyperplane i is crossed when some vertex is strictly on each side
+        # of it, or every vertex lies on it (``_crossing_mask``).
+        pos = neg = 0
+        on = -1
         for v in simplex.vertices:
             entry = seen.get(id(v))
             if entry is None:
-                entry = seen[id(v)] = (v, signs_of(v))
-            signs.append(entry[1])
-        got, zeros = _crossing_mask(signs)
-        zero_signs += zeros
-        if got != hmask:
+                entry = seen[id(v)] = (v, *signs_of(v))
+            _, p, n, z = entry
+            pos |= p
+            neg |= n
+            on &= z
+            zero_signs += z.bit_count()
+        if (pos & neg) | on != hmask:
             failing.append(tuple(mask_to_indices(hmask)))
     return VerificationReport(
         shattered=not failing,

@@ -192,12 +192,17 @@ class OpenSimplex:
             raise ValueError("vertex dimension does not match ambient dimension")
         basis = self._annihilator
         column = vertex._vertex_column
-        if not any(sum(map(mul, n, column)) for n in basis):
+        for n in basis:
+            if sum(map(mul, n, column)):
+                break
+        else:
             raise DegenerateSimplexError("vertices are affinely dependent")
         child = object.__new__(OpenSimplex)
-        object.__setattr__(child, "ambient_dim", self.ambient_dim)
-        object.__setattr__(child, "vertices", self.vertices + (vertex,))
-        object.__setattr__(child, "_grown_from", (basis, len(self.vertices)))
+        child.__dict__.update(
+            ambient_dim=self.ambient_dim,
+            vertices=self.vertices + (vertex,),
+            _grown_from=(basis, len(self.vertices)),
+        )
         return child
 
     @property
@@ -318,10 +323,12 @@ def _annihilate(
     DegenerateSimplexError is raised.
     """
     dots = [sum(map(mul, n, column)) for n in basis]
-    pivot = next((i for i, s in enumerate(dots) if s), None)
-    if pivot is None:
+    for pivot, s in enumerate(dots):
+        if s:
+            break
+    else:
         raise DegenerateSimplexError("vertices are affinely dependent")
-    n, s = basis[pivot], dots[pivot]
+    n = basis[pivot]
     out = []
     for i, (m, t) in enumerate(zip(basis, dots)):
         if i == pivot:

@@ -12,7 +12,7 @@ import pytest
 import vcshatter
 from vcshatter import boxgadget, jsonio
 from vcshatter.cli import _build_parser, cli_main
-from vcshatter.setsystem import SetSystem
+from vcshatter.setsystem import SetSystem, mask_to_indices
 
 
 def run_cli(capsys, *argv) -> tuple[int, dict]:
@@ -143,6 +143,30 @@ class TestVerifyCommands:
         assert report1["result"]["checked_subsets"] == 256
         assert report1["result"]["zero_signs"] == 0
         assert canon(report1) == canon(report2)
+
+    def test_theorem2_notes_a_witness_budget_beyond_d(self, capsys, tmp_path, n3_gadget_path):
+        # 8 boxes with pairwise-disjoint x ranges form a valid n=4 gadget: b = 8 > d = 4
+        boxes = [{"lo": [2 * i + 1, 1], "hi": [2 * i + 2, 3]} for i in range(8)]
+        path = tmp_path / "disjoint8.json"
+        path.write_text(json.dumps({"n": 4, "dim": 2, "boxes": boxes}))
+        argv = ("--d", "4", "--k", "8", "--gadget", str(path))
+        code, t1 = run_cli(capsys, "verify", "theorem1", "--vcdim", *argv)
+        assert code == 0
+        assert t1["result"]["union_vc_dim"] == 8
+        assert t1["notes"] == []
+        code, t2 = run_cli(capsys, "verify", "theorem2", *argv)
+        assert code == 1
+        assert t2["failing"] == [s for m in range(256) if len(s := mask_to_indices(m)) > 4]
+        assert len(t2["failing"]) == 93
+        assert t2["notes"] == [
+            "witnesses may need up to 8 half-spaces, but a simplex in R^4 has at most "
+            "5 vertices, the apex included, so subsets that need more than 4 half-spaces fail"
+        ]
+        # b = 4 = d: no note
+        code, fits = run_cli(capsys, "verify", "theorem2", "--d", "4", "--k", "4",
+                             "--gadget", str(n3_gadget_path))
+        assert code == 0
+        assert fits["notes"] == []
 
     def test_usage_error_leaves_the_parser_reusable(self, capsys):
         # cli_main builds its parser once; a rejected call must not change the next one

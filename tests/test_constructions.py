@@ -226,35 +226,25 @@ class TestSnapAndHalfspace:
                 assert len(set(taus)) == len(taus)
                 assert all(inst.d < t < inst.d + 1 for t in taus)
 
-    def test_halfspace_rejects_bad_tau(self, bundled_instance, monkeypatch):
-        # 2k + 1 distinct rows push the last threshold d + 1/2 + 2k/(4k) to d + 1
-        inst = dataclasses.replace(bundled_instance)  # its own witness-tree memo
-        numbers = range(2 * inst.k + 1)
-        assert len({id(inst._witness_rows[i]) for i in numbers}) == len(numbers)
-        # a witness tree in which union u is union u - 1 plus pattern u
-        monkeypatch.setattr(constructions, "_witness_step", lambda gadget, union: (union - 1, union))
-        with pytest.raises(ConstructionError, match="threshold"):
-            union_witness(inst, numbers[-1])
+    def test_instance_refuses_a_gadget_n_that_does_not_match_k(self, bundled_instance):
+        # the bundled gadget has n=2, which serves k=2 and k=3 only
+        with pytest.raises(ValueError, match="k=4 requires n=3"):
+            dataclasses.replace(bundled_instance, k=4)
+        with pytest.raises(ValueError, match="fold count k must be >= 2"):
+            dataclasses.replace(bundled_instance, k=1)
+        inst3 = dataclasses.replace(bundled_instance, k=3)
+        for pmask in range(1 << len(inst3.points)):
+            taus = [h.tau for h in union_witness(inst3, pmask)]
+            assert all(inst3.d < t < inst3.d + 1 for t in taus)
 
-    def test_threshold_guard_leaves_no_stale_node(self, bundled_instance, monkeypatch):
-        inst = dataclasses.replace(bundled_instance)
-        inst2 = build_theorem2(inst)
-        numbers = range(2 * inst.k + 1)
-        # the chain tree above, read by the scratch build too
-        for module in (constructions, boxgadget):
-            monkeypatch.setattr(module, "_witness_step", lambda gadget, union: (union - 1, union))
-        message = f"{len(numbers)} half-spaces for subset mask {numbers[-1]} push a threshold"
-        with pytest.raises(ConstructionError, match=message):
-            union_witness(inst, numbers[-1])
-        with pytest.raises(ConstructionError, match=message):
-            simplex_witness(inst2, numbers[-1])
-        within = numbers[-2]
-        assert len(union_witness(inst, within)) == 2 * inst.k
-        assert union_witness(inst, within) == _scratch_union_witness(inst, within)
-        got = simplex_witness(inst2, within)
-        assert got.vertices[1:] == _scratch_simplex_witness(inst2, within).vertices[:-1]
-        # the ancestors of the refused mask, none of them past the guard
-        assert set(inst._nodes) == set(inst2._nodes) == set(range(numbers[-1]))
+    def test_every_slot_of_an_accepted_instance_is_inside_the_window(self):
+        # a witness has at most b = 2^(n-1) patterns, so its slots are j < b <= k
+        for k in range(2, 130):
+            b = 1 << (required_gadget_n(k) - 1)
+            assert b <= k
+            for d in (4, 6, 8):
+                tau = F(2 * d + 1, 2) + F(b - 1, 4 * k)
+                assert d < tau < d + 1
 
     def test_full_pipeline_membership_match(self, bundled_instance):
         # p under the snapped corner of q  <=>  lifted point under the corner of q
@@ -519,15 +509,16 @@ class TestTheorem2:
 
 def _scratch_slots(inst, pmask: int):
     """The witness half-spaces of the subset mask, built from its full pattern
-    list: one threshold slot per distinct row, in ascending pattern order."""
+    list: each pattern's corner snapped here, then one threshold slot per
+    distinct bound tuple, in ascending pattern order."""
     numbers = _witness_patterns(inst.gadget, ((1 << len(inst.points)) - 1) & ~pmask)
     if numbers is None:
         raise ConstructionError(f"no witness for subset mask {pmask}")
-    table = inst._witness_rows
-    rows = list({id(table[i]): table[i] for i in numbers}.values())
-    if len(rows) > 2 * inst.k:
-        raise ConstructionError(f"a threshold for subset mask {pmask}")
-    return [constructions._slot(inst, row, j) for j, row in enumerate(rows)]
+    menu = inst.gadget._pattern_points
+    corners = dict.fromkeys(snap(_lift(menu[i].coords, menu[i].coords), inst.alpha)
+                            for i in numbers)
+    taus = (F(2 * inst.d + 1, 2) + F(j, 4 * inst.k) for j in range(len(corners)))
+    return [RestrictedHalfspace(b=b, tau=tau) for b, tau in zip(corners, taus)]
 
 
 def _scratch_union_witness(inst, subset):
@@ -612,6 +603,26 @@ class TestWitnessTree:
             monkeypatch.setattr(constructions, "simplex_witness", _scratch_simplex_witness)
             assert verify_theorem2(inst2) == got
             monkeypatch.undo()
+
+    def test_patterns_sharing_bounds_fail_without_raising(self, n3_gadget, monkeypatch):
+        # pattern 1's corner snaps to pattern 0's bounds, so the two share one bound tuple
+        inst = build_theorem1(4, 4, n3_gadget)
+        menu = n3_gadget._pattern_points
+        first, second = (_lift(q.coords, q.coords) for q in menu[:2])
+        original = constructions.snap
+
+        def shared(corner, alpha):
+            return original(first if corner == second else corner, alpha)
+
+        monkeypatch.setattr(constructions, "snap", shared)
+        assert inst._witness_rows[0][0] == inst._witness_rows[1][0]
+        full = (1 << len(inst.points)) - 1
+        for report in (verify_theorem1(inst), verify_theorem2(build_theorem2(inst))):
+            assert report.failing_subsets
+            # only witnesses that use pattern 1 changed
+            for subset in report.failing_subsets:
+                mask = subset_mask(len(inst.points), subset)
+                assert 1 in _witness_patterns(n3_gadget, full & ~mask)
 
     def test_memos_hold_exactly_the_parents(self, bundled_instance, n3_gadget, monkeypatch):
         for inst in self.instances(bundled_instance, n3_gadget):
