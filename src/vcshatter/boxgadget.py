@@ -378,16 +378,16 @@ def _staircase_seed(rng: random.Random, dim: int, count: int) -> _Boxes:
     return tuple(boxes)
 
 
-def _uniform_seed(rng: random.Random, dim: int, count: int, grid: int) -> _Boxes:
+def _uniform_seed(rng: random.Random, dim: int, count: int) -> _Boxes:
+    """``count`` random solid boxes on the grid 1..4*count."""
+    grid = 4 * count
     boxes = []
     for _ in range(count):
-        lo = []
-        hi = []
+        pairs = []
         for _ in range(dim):
             a = rng.randint(1, grid - 1)
-            lo.append(a)
-            hi.append(rng.randint(a + 1, grid))
-        boxes.append((tuple(lo), tuple(hi)))
+            pairs.append((a, rng.randint(a + 1, grid)))
+        boxes.append(tuple(zip(*pairs)))
     return tuple(boxes)
 
 
@@ -410,17 +410,10 @@ def _mutate(rng: random.Random, boxes: _Boxes, dim: int, upper: int) -> tuple[_B
 
 
 class _Budget:
-    """Shared evaluation counter across restarts and nested group searches."""
+    """The number of scores charged so far, shared by restarts and nested searches."""
 
-    def __init__(self, limit: int) -> None:
-        self.limit = limit
+    def __init__(self) -> None:
         self.used = 0
-
-    def left(self) -> int:
-        return self.limit - self.used
-
-    def charge(self) -> None:
-        self.used += 1
 
 
 def _translate(boxes: _Boxes, offset: int) -> _Boxes:
@@ -430,30 +423,25 @@ def _translate(boxes: _Boxes, offset: int) -> _Boxes:
 
 
 def _climb(
-    rng: random.Random,
-    start: _Boxes,
-    dim: int,
-    b: int,
-    budget: _Budget,
-    cap: int,
-    stall_limit: int,
-    memo: _Memo,
+    rng: random.Random, start: _Boxes, dim: int, b: int, budget: _Budget, stop: int, memo: _Memo
 ) -> _Boxes | None:
     """Hill-climb from one start; returns a perfectly scoring family or None.
 
-    The climb carries the current family's columns: a proposal moved one box
-    on one axis, so it re-sweeps that axis only and shares the others.
+    A climb from m boxes charges one score for its start and one per
+    proposal while ``budget.used`` is below ``stop``, at most 60m in all, and
+    stops after 40m stalled proposals. A proposal moved one box on one axis,
+    so it re-sweeps that axis of the carried columns and shares the others.
     """
     nboxes = len(start)
+    stop = min(stop, budget.used + 60 * nboxes)
     perfect = 1 << nboxes
     upper = max((v for _, hi in start for v in hi), default=1) + nboxes
     current = start
     columns = _columns(current, dim)
     current_score = _score(columns, nboxes, b, memo)
-    budget.charge()
-    spent = 1
+    budget.used += 1
     stall = 0
-    while current_score != perfect and spent < cap and budget.left() > 0 and stall < stall_limit:
+    while current_score != perfect and budget.used < stop and stall < 40 * nboxes:
         moved = _mutate(rng, current, dim, upper)
         if moved is None:
             stall += 1
@@ -461,8 +449,7 @@ def _climb(
         proposal, ax = moved
         proposal_columns = _moved_columns(columns, proposal, ax)
         proposal_score = _score(proposal_columns, nboxes, b, memo)
-        budget.charge()
-        spent += 1
+        budget.used += 1
         if proposal_score >= current_score:
             stall = stall + 1 if proposal_score == current_score else 0
             current, columns, current_score = proposal, proposal_columns, proposal_score
@@ -472,48 +459,33 @@ def _climb(
 
 
 def _search_impl(
-    n: int,
-    dim: int,
-    rng: random.Random,
-    budget: _Budget,
-    cap: int,
-    target: int,
-    grid_size: int,
-    memo: _Memo,
+    n: int, dim: int, rng: random.Random, budget: _Budget, stop: int, target: int, memo: _Memo
 ) -> _Boxes | None:
-    spent_before = budget.used
-    stall_limit = 40 * target
+    """Restarted climbs for a family of ``target`` boxes while ``budget.used < stop``.
+
+    A restart assembles clusters from nested n=2 searches, each charging at
+    most 4,000 scores, or draws a seeded start; either ends in one climb.
+    """
     groups = 1 << (n - 2)
-    while budget.left() > 0 and budget.used - spent_before < cap:
-        remaining_cap = cap - (budget.used - spent_before)
-        if n >= 3 and groups <= target and rng.random() < 0.85:
+    while budget.used < stop:
+        if n >= 3 and rng.random() < 0.85:
             # Grouped restart: assemble well separated clusters, each found by
             # a nested n=2 search. A subset of the union splits per cluster,
             # so 2 points per cluster cover it and 2^(n-1) suffice globally.
-            sizes = [
-                target // groups + (1 if i < target % groups else 0) for i in range(groups)
-            ]
+            sizes = [target // groups + (1 if i < target % groups else 0) for i in range(groups)]
             candidate: _Boxes = ()
-            offset = 20 * target
-            ok = True
             for gi, size in enumerate(sizes):
-                slice_cap = min(4000, remaining_cap)
-                sub = _search_impl(2, dim, rng, budget, slice_cap, size, 4 * size, memo)
-                remaining_cap = cap - (budget.used - spent_before)
+                sub = _search_impl(2, dim, rng, budget, min(stop, budget.used + 4000), size, memo)
                 if sub is None:
-                    ok = False
                     break
-                candidate += _translate(sub, gi * offset)
-            if not ok or remaining_cap <= 0:
+                candidate += _translate(sub, gi * 20 * target)
+            if sub is None or budget.used >= stop:
                 continue
+        elif rng.random() < 0.5:
+            candidate = _staircase_seed(rng, dim, target)
         else:
-            candidate = (
-                _staircase_seed(rng, dim, target)
-                if rng.random() < 0.5
-                else _uniform_seed(rng, dim, target, grid_size)
-            )
-        restart_cap = min(remaining_cap, 60 * target)
-        found = _climb(rng, candidate, dim, 1 << (n - 1), budget, restart_cap, stall_limit, memo)
+            candidate = _uniform_seed(rng, dim, target)
+        found = _climb(rng, candidate, dim, 1 << (n - 1), budget, stop, memo)
         if found is not None:
             return found
     return None
@@ -527,19 +499,20 @@ def search(n: int, dim: int, seed: int, budget: int) -> BoxGadget | None:
     nested n=2 searches. The climb moves integer endpoints by one grid step
     and works on plain ``(lo, hi)`` integer tuples; each proposal is scored by
     the bitset kernel ``union_closure`` over its hit patterns, and only the
-    winner is built, and validated, as a ``BoxGadget``. A climb carries its
-    family's columns and re-sweeps only the axis a proposal moved. One
-    two-level memo per call, shared by restarts and nested searches, keeps
-    the score of each distinct (b, columns) and of each distinct (b, pattern
-    set): over the pinned n=3 searches (seeds 0, 3 and 6, budget 2500),
-    1,119 of 2,629 scores skip the product and 2,327 skip the closure.
-    ``budget`` caps the total number of scored candidate families across all
-    restarts and nested searches, memo hits included, so the memo changes no
-    rng call; the result is deterministic for a fixed seed. Returns the first
-    gadget that scores every subset feasible, which is exactly what
-    ``verify`` checks, or None at budget exhaustion. A zero budget always
-    fails; a negative budget, or a target of more boxes than the 2^24 guard
-    allows, raises ValueError before any search.
+    winner is built, and validated, as a ``BoxGadget``. One two-level memo
+    per call, shared by restarts and nested searches, keeps the score of each
+    distinct (b, columns) and of each distinct (b, pattern set): over the
+    pinned n=3 searches (seeds 0, 3 and 6, budget 2500), 1,119 of 2,629
+    scores skip the product and 2,327 skip the closure.
+    ``budget`` is one count of scores shared by every restart and nested
+    search, memo hits included, so the memo changes no rng call and the
+    result is deterministic for a fixed seed. A climb from m boxes charges
+    at most 60m scores and stops after 40m stalled proposals; a nested
+    cluster search charges at most 4,000. Returns the first gadget that
+    scores every subset feasible, which is exactly what ``verify`` checks. A
+    search that finds none charges exactly ``budget`` scores and returns
+    None, so a zero budget always fails; a negative budget, or a target of
+    more boxes than the 2^24 guard allows, raises ValueError before any search.
     """
     if n < 2 or dim < 2:
         raise ValueError("search requires n >= 2 and dim >= 2")
@@ -548,7 +521,7 @@ def search(n: int, dim: int, seed: int, budget: int) -> BoxGadget | None:
     target = nominal_box_count(n, dim)
     _check_guard(target, "gadget search")
     rng = random.Random(seed)
-    found = _search_impl(n, dim, rng, _Budget(budget), budget, target, 4 * target, ({}, {}))
+    found = _search_impl(n, dim, rng, _Budget(), budget, target, ({}, {}))
     if found is None:
         return None
     return BoxGadget(n=n, dim=dim, boxes=tuple(AxisBox(lo, hi) for lo, hi in found))

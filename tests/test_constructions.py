@@ -44,6 +44,7 @@ from vcshatter.setsystem import (
     complement_system,
     k_fold_intersection,
     k_fold_union,
+    mask_to_indices,
     subset_mask,
     vc_dim,
 )
@@ -488,6 +489,21 @@ class TestTheorem2:
             simplex = simplex_witness(inst2, mask)
             crossed = [simplex_hyperplane_intersects(simplex, h) for h in inst2.hyperplanes]
             assert crossed == [bool(mask >> i & 1) for i in range(12)], mask
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="witness points with equal coordinates on both gadget axes give "
+        "affinely dependent dual vertices, so four-point subsets fail too",
+    )
+    def test_only_subsets_past_d_fail_on_diagonal_squares(self):
+        # 8 squares [2i+1, 2i+2]^2 on the diagonal: a valid n=4 gadget
+        squares = tuple(AxisBox((2 * i + 1,) * 2, (2 * i + 2,) * 2) for i in range(8))
+        inst = build_theorem1(4, 8, BoxGadget(n=4, dim=2, boxes=squares))
+        assert verify_theorem1(inst, mode="exhaustive", compute_vc_dim=True).union_vc_dim == 8
+        report = verify_theorem2(build_theorem2(inst), mode="exhaustive")
+        subsets = [tuple(mask_to_indices(mask)) for mask in range(256)]
+        assert set(report.failing_subsets) == {s for s in subsets if len(s) > 4}
 
     def test_apex_on_a_hyperplane_counts_zero_signs(self, bundled_instance, monkeypatch):
         inst2 = build_theorem2(bundled_instance)

@@ -551,8 +551,8 @@ class TestSearch:
         score = boxgadget._score
 
         class Recorded(boxgadget._Budget):
-            def __init__(self, limit: int) -> None:
-                super().__init__(limit)
+            def __init__(self) -> None:
+                super().__init__()
                 budgets.append(self)
 
         def scored(columns, nboxes, b, memo):
@@ -582,8 +582,8 @@ class TestSearch:
             monkeypatch.setattr(boxgadget, name, counted)
 
         class Recorded(boxgadget._Budget):
-            def __init__(self, limit: int) -> None:
-                super().__init__(limit)
+            def __init__(self) -> None:
+                super().__init__()
                 budgets.append(self)
 
         for name in ("union_closure", "_axis_bitsets", "_climb"):
@@ -595,6 +595,37 @@ class TestSearch:
         assert (climbs, scored) == (8, 1864)
         assert calls["union_closure"] == 186
         assert calls["_axis_bitsets"] == 2 * climbs + (scored - climbs) == 1872
+
+    @staticmethod
+    def recorded_search(monkeypatch, n, seed, budget):
+        """The search's result and the number of scores it charged."""
+        budgets = []
+
+        class Recorded(boxgadget._Budget):
+            def __init__(self) -> None:
+                super().__init__()
+                budgets.append(self)
+
+        monkeypatch.setattr(boxgadget, "_Budget", Recorded)
+        found = search(n, 2, seed=seed, budget=budget)
+        [recorded] = budgets
+        return found, recorded.used
+
+    def test_bundled_search_needs_exactly_its_scores(self, monkeypatch, n3_gadget):
+        found, used = self.recorded_search(monkeypatch, 3, 0, 1864)
+        assert found == n3_gadget and used == 1864
+        assert self.recorded_search(monkeypatch, 3, 0, 1863) == (None, 1863)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("budget", [1, 60, 300, 1000])
+    def test_failed_search_charges_exactly_its_budget(self, monkeypatch, n, seed, budget):
+        found, used = self.recorded_search(monkeypatch, n, seed, budget)
+        if found is None:
+            assert used == budget
+        else:
+            assert 0 < used <= budget
+            assert verify(found)[0].ok
 
     @pytest.mark.parametrize("n, budget", [(2, -5), (5, 3000)])
     def test_refuses_bad_arguments_before_searching(self, monkeypatch, n, budget):
