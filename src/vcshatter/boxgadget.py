@@ -9,14 +9,14 @@ the axis-parallel arrangement): the product of per-axis menus of midpoints
 between consecutive endpoints. Hit patterns are built per axis, as one
 bitset of boxes per menu value from an XOR sweep over the endpoint ranks,
 and combined by a product over the distinct bitsets that keeps only the
-distinct patterns. A gadget's menu keeps, with each pattern, the lowest
-menu index that has it; the search's score needs the pattern set alone and
-takes it from a plain set product. Q avoids S exactly when every hit
-pattern of Q lies inside B \\ S, so S has a witness exactly when B \\ S
-is a union of at most 2^(n-1) hit patterns: the gadget is a certificate
-when the 2^(n-1)-fold union of its hit-pattern system is the whole power
-set. ``verify`` and the search's score read that closure as one
-2^|B|-bit integer from ``setsystem.union_closure``, the kernel of
+distinct patterns. A gadget's menu keeps, with each pattern, the per-axis
+menu digits of the first menu point that has it; the search's score needs
+the pattern set alone and takes it from a plain set product. Q avoids S
+exactly when every hit pattern of Q lies inside B \\ S, so S has a witness
+exactly when B \\ S is a union of at most 2^(n-1) hit patterns: the gadget
+is a certificate when the 2^(n-1)-fold union of its hit-pattern system is
+the whole power set. ``verify`` and the search's score read that closure as
+one 2^|B|-bit integer from ``setsystem.union_closure``, the kernel of
 ``k_fold_union``; ``witness_for`` reads a witness from the same closure
 kept as back-pointer tables, one per reached union (``_unions``). The
 search climbs on plain integer boxes and carries the current family's
@@ -66,7 +66,7 @@ class BoxGadget:
         return 1 << (self.n - 1)
 
     @cached_property
-    def _menu(self) -> tuple[tuple[list[Fraction], ...], dict[int, int]]:
+    def _menu(self) -> tuple[tuple[list[Fraction], ...], dict[int, tuple[int, ...]]]:
         """The sorted endpoints per axis and the distinct hit patterns, computed on first use."""
         return _hit_masks([(box.lo, box.hi) for box in self.boxes], self.dim)
 
@@ -74,7 +74,7 @@ class BoxGadget:
     def _pattern_points(self) -> tuple[Point, ...]:
         """The menu point of each distinct hit pattern, in pattern order, computed on first use."""
         axes, patterns = self._menu
-        return tuple(_menu_point(axes, i) for i in patterns.values())
+        return tuple(Point(tuple(map(_menu_value, axes, m))) for m in patterns.values())
 
     @cached_property
     def _closure(self) -> tuple[array, array]:
@@ -106,21 +106,14 @@ def candidate_points(gadget: BoxGadget) -> tuple[Point, ...]:
     Per coordinate: all box endpoints, sorted; the menu holds the midpoints of
     consecutive distinct values plus one value below the minimum and one above
     the maximum. Menus avoid box boundaries entirely, and the cross product
-    covers every open cell, including the all-outside region. Menu index i of
-    the gadget is entry i of this tuple.
+    covers every open cell, including the all-outside region. The entries
+    follow the product order of the per-axis menu digits, so digits
+    (m_1, ..., m_dim) of ``_hit_masks`` name the entry with menu value m_i
+    on axis i.
     """
     axes, _ = gadget._menu
     menus = [[_menu_value(values, m) for m in range(len(values) + 1)] for values in axes]
     return tuple(Point(coords) for coords in product(*menus))
-
-
-def _menu_point(axes: tuple[list[Fraction], ...], index: int) -> Point:
-    """Entry ``index`` of ``candidate_points``, decoded from its mixed-radix digits."""
-    coords = []
-    for values in reversed(axes):
-        index, m = divmod(index, len(values) + 1)
-        coords.append(_menu_value(values, m))
-    return Point(tuple(reversed(coords)))
 
 
 def _axis_bitsets(boxes: Sequence[tuple[Sequence, Sequence]], i: int) -> tuple[list, list[int]]:
@@ -145,31 +138,34 @@ def _axis_bitsets(boxes: Sequence[tuple[Sequence, Sequence]], i: int) -> tuple[l
 
 def _hit_masks(
     boxes: Sequence[tuple[Sequence, Sequence]], dim: int
-) -> tuple[tuple[list, ...], dict[int, int]]:
+) -> tuple[tuple[list, ...], dict[int, tuple[int, ...]]]:
     """Per axis, the sorted distinct endpoints; and each distinct hit pattern
-    of the menu with the lowest menu index that has it, in ascending index order.
+    of the menu with the menu digits of the first point of ``candidate_points``
+    that has it, in that point order.
 
     ``boxes`` holds one ``(lo, hi)`` pair per box, of any ordered values:
     ``BoxGadget`` passes its ``Fraction`` boxes. Each axis gives one bitset
     of boxes per menu value (``_axis_bitsets``), with no point-in-box test. A
     point's pattern is the AND of its axes' bitsets; the product is taken
     axis by axis over the distinct bitsets only, each represented by its
-    first menu value. Visiting the partial patterns in ascending index order
-    keeps, for every pattern, the lowest index of ``candidate_points`` that
-    has it. Only ``BoxGadget._menu`` needs those indices; the search's score
-    takes the same pattern set from ``_product``.
+    first menu value. Visiting the partial patterns in lexicographic order of
+    their digits, which is the point order, keeps for every pattern the
+    digits of its first point. Only ``BoxGadget._menu`` needs those digits;
+    the search's score takes the same pattern set from ``_product``.
     """
     axes: list[list] = []
-    patterns = {(1 << len(boxes)) - 1: 0}
+    patterns: dict[int, tuple[int, ...]] = {(1 << len(boxes)) - 1: ()}
     for i in range(dim):
         values, bits = _axis_bitsets(boxes, i)
         first: dict[int, int] = {}
         for m, am in enumerate(bits):
             first.setdefault(am, m)
-        staged: dict[int, int] = {}
-        for pm, index in patterns.items():
+        staged: dict[int, tuple[int, ...]] = {}
+        for pm, digits in patterns.items():
             for am, m in first.items():
-                staged.setdefault(pm & am, index * len(bits) + m)
+                p = pm & am
+                if p not in staged:
+                    staged[p] = (*digits, m)
         patterns = staged
         axes.append(values)
     return tuple(axes), patterns
@@ -184,7 +180,7 @@ def _columns(boxes: Sequence[tuple[Sequence, Sequence]], dim: int) -> _Columns:
 
 
 def _product(columns: _Columns, nboxes: int) -> frozenset[int]:
-    """The distinct ANDs of one bitset per column: the hit patterns, with no menu index."""
+    """The distinct ANDs of one bitset per column: the hit patterns, with no menu digits."""
     patterns = {(1 << nboxes) - 1}
     for column in columns:
         bits = set(column)
@@ -204,14 +200,15 @@ def _unions(gadget: BoxGadget) -> tuple[array, array]:
     A subset S has a witness of at most b points exactly when the complement
     of S is the union of at most b hit patterns: every point avoids S, so its
     pattern lies inside the complement. Reached unions grow fold by fold from
-    the distinct patterns of ``_menu``, numbered in ascending menu index
-    order. Both tables are indexed by union mask: ``pick[v]`` is the number
-    of the pattern added last (-1 where v is unreached) and ``prev[v]`` the
-    union before it (-1 for none). Pattern numbers stay below 2^|B|, so they
-    fit the tables where menu indices may not. A union is recorded at the
-    first fold that reaches it, so walking the back-pointers gives a
-    fewest-point witness. A union u is extended only by patterns numbered
-    above ``pick[u]``, with the same tables as a scan of every pattern: the
+    the distinct patterns of ``_menu``, numbered in the order of their first
+    menu points. Both tables are indexed by union mask: ``pick[v]`` is the
+    number of the pattern added last (-1 where v is unreached) and
+    ``prev[v]`` the union before it (-1 for none, so -1 names the witness
+    tree's root, the witness of no pattern). Pattern numbers stay below
+    2^|B|, so they fit the tables. A union is recorded at the first fold
+    that reaches it, so walking the back-pointers gives a fewest-point
+    witness. A union u is extended only by patterns numbered above
+    ``pick[u]``, with the same tables as a scan of every pattern: the
     frontier is visited in lexicographic order of paths, so each path is the
     lexicographically first combination of the fewest pattern numbers with
     its union, which is strictly increasing; the pairs skipped never write

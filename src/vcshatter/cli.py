@@ -92,19 +92,27 @@ def _resolve_instance(args, notes: list[str]) -> constructions.Theorem1Instance:
     return _load_bundled_instance()
 
 
+def _write_or_inline(args, payload: dict, result: dict, key: str) -> None:
+    """Write the payload to ``--output`` when given, else inline it under ``key``."""
+    if args.output:
+        jsonio.dump_json(payload, args.output)
+        result["output"] = args.output
+    else:
+        result[key] = payload
+
+
 # -- command handlers ---------------------------------------------------------
 
 
 def _cmd_gadget_search(args) -> int:
     started = time.monotonic()
-    budget = args.budget if args.budget is not None else DEFAULT_SEARCH_BUDGET
-    gadget = boxgadget.search(args.n, args.dim, seed=args.seed, budget=budget)
-    params = {"n": args.n, "dim": args.dim, "seed": args.seed, "budget": budget}
+    gadget = boxgadget.search(args.n, args.dim, seed=args.seed, budget=args.budget)
+    params = {"n": args.n, "dim": args.dim, "seed": args.seed, "budget": args.budget}
     if gadget is None:
         report = _report(
             "gadget search", params, {"found": False}, started, seed=args.seed
         )
-        _emit(report, f"gadget search: no verified family within budget {budget}")
+        _emit(report, f"gadget search: no verified family within budget {args.budget}")
         return 1
     if args.output:
         jsonio.dump_json(jsonio.gadget_to_dict(gadget), args.output)
@@ -178,11 +186,7 @@ def _cmd_witness(args) -> int:
         simplex = constructions.simplex_witness(inst2, subset)
         payload = jsonio.simplex_witness_to_dict(subset, simplex)
         result = {"vertices": len(simplex.vertices), "simplex_dim": simplex.simplex_dim}
-    if args.output:
-        jsonio.dump_json(payload, args.output)
-        result["output"] = args.output
-    else:
-        result["witness"] = payload
+    _write_or_inline(args, payload, result, "witness")
     report = _report(
         f"witness {args.which}",
         {"subset": subset, "input": args.input},
@@ -250,14 +254,6 @@ def _cmd_verify_theorem(args) -> int:
     return 0 if v_report.shattered else 1
 
 
-def _write_or_inline(args, payload: dict, result: dict) -> None:
-    if args.output:
-        jsonio.dump_json(payload, args.output)
-        result["output"] = args.output
-    else:
-        result["system"] = payload
-
-
 def _cmd_sys(args) -> int:
     started = time.monotonic()
     system, dropped = jsonio.set_system_from_dict(jsonio.load_json(args.input))
@@ -276,17 +272,17 @@ def _cmd_sys(args) -> int:
             else setsystem.k_fold_intersection(system, args.k)
         )
         result["result_sets"] = len(fold.sets)
-        _write_or_inline(args, jsonio.set_system_to_dict(fold), result)
+        _write_or_inline(args, jsonio.set_system_to_dict(fold), result, "system")
     elif args.which == "complement":
         comp = setsystem.complement_system(system)
         result["result_sets"] = len(comp.sets)
-        _write_or_inline(args, jsonio.set_system_to_dict(comp), result)
+        _write_or_inline(args, jsonio.set_system_to_dict(comp), result, "system")
     elif args.which == "project":
         indices = _parse_index_list(args.indices)
         params["indices"] = indices
         projected = setsystem.project(system, indices)
         result["result_sets"] = len(projected.sets)
-        _write_or_inline(args, jsonio.set_system_to_dict(projected), result)
+        _write_or_inline(args, jsonio.set_system_to_dict(projected), result, "system")
     else:  # growth
         params["m"] = args.m
         result["growth"] = setsystem.growth_function(system, args.m)
@@ -314,7 +310,7 @@ def _build_parser() -> argparse.ArgumentParser:
     gs.add_argument("--n", type=int, required=True)
     gs.add_argument("--dim", type=int, required=True)
     gs.add_argument("--seed", type=int, required=True)
-    gs.add_argument("--budget", type=int, default=None)
+    gs.add_argument("--budget", type=int, default=DEFAULT_SEARCH_BUDGET)
     gs.add_argument("--output", default=None)
     gs.set_defaults(func=_cmd_gadget_search)
     gv = gsub.add_parser("verify", help="exhaustively verify a certificate file")

@@ -24,21 +24,23 @@ least d+1, making half-space membership match corner dominance with strict
 slack on both sides for any tau strictly between d and d+1.
 
 Witness points are menu points of the gadget's distinct hit patterns, so an
-instance snaps each pattern's corner once into its row, which keeps the
-row's half-space per threshold slot. Distinct patterns snap to distinct
-bounds, since the bounds decide which points lie below them. Only Theorem 2
-reads a half-space's dual vertex, and its instance builds each one on first
-read. Gadget witnesses form a tree: each is its parent's plus one pattern
-numbered above all of the parent's (``_witness_step``). So a subset's
-witness is its parent's plus one row, at the slot given by the parent's
-depth in the tree. Each instance memoizes one node per witness-tree parent:
-its finished half-spaces (on a Theorem 2 instance, its simplex) and its
-depth. A leaf then costs one tree step, one memo lookup and at most one new
-slot or vertex; a new vertex's affine independence is checked against the
-parent's integer annihilator, usually by one dot product. The verifiers
-check whatever the public witness functions return, memoizing the exact
-integer mask (Theorem 1) or sign masks (Theorem 2) per half-space or vertex
-object they receive.
+instance snaps each pattern's corner once into its row. A pattern's
+half-space at threshold slot j is built once, keyed by (pattern number, j)
+(``Theorem1Instance._slot``), and so is its dual vertex on a Theorem 2
+instance. Distinct patterns snap to distinct bounds, since the bounds
+decide which points lie below them. Gadget witnesses form a tree: each is
+its parent's plus one pattern numbered above all of the parent's
+(``_witness_step``); the root, the witness of no pattern, is union -1. So
+a witness is its parent's plus that pattern's half-space (or dual vertex)
+at the slot given by the parent's size. Each instance memoizes the witness
+of every witness-tree parent by union mask, the root's first: its
+half-spaces, or on a Theorem 2 instance its simplex. A leaf then costs one
+tree step, one memo lookup and at most one new slot or vertex; a new
+vertex's affine independence is checked against the parent's integer
+annihilator, usually by one dot product. The verifiers check whatever the
+public witness functions return, memoizing the exact integer mask
+(Theorem 1) or sign masks (Theorem 2) per half-space or vertex object they
+receive.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
 from operator import itemgetter
-from typing import ClassVar, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from . import boxgadget  # boxgadget.verify is looked up where perfbench's tracer wraps it
 from .boxgadget import BoxGadget, _witness_step
@@ -167,28 +169,33 @@ class Theorem1Instance:
         # slot j < k has d + 1/2 + j/(4k) inside (d, d+1).
         _check_gadget_n(self.gadget, self.k)
 
-    # The witness-tree root's node: no half-spaces, at depth 0.
-    _root: ClassVar[tuple[Halfspaces, int]] = ((), 0)
-
     @cached_property
     def _witness_rows(self) -> tuple[Row, ...]:
         """Per gadget pattern number, the snapped corner of its menu point.
 
         Every corner is snapped once, on first use of the table. Slots are
-        added by ``_tree_node``.
+        added by ``_slot``.
         """
         points = self.gadget._pattern_points
         return tuple((snap(_lift(q.coords, q.coords), self.alpha), {}) for q in points)
 
     @cached_property
-    def _nodes(self) -> dict[int, tuple[Halfspaces, int]]:
-        """The node of each union met as a witness-tree parent, by union mask:
-        its finished half-spaces, pattern j's at slot j, and its depth."""
-        return {}
+    def _nodes(self) -> dict[int, Halfspaces]:
+        """The half-spaces of each union met as a witness-tree parent, by
+        union mask, the j-th at slot j; the root's, none, under -1."""
+        return {-1: ()}
 
-    @staticmethod
-    def _grow(halfspaces: Halfspaces, h: RestrictedHalfspace) -> Halfspaces:
-        return (*halfspaces, h)
+    def _slot(self, number: int, j: int) -> RestrictedHalfspace:
+        """Pattern ``number``'s half-space at threshold d + 1/2 + j/(4k), built once."""
+        bounds, slots = self._witness_rows[number]
+        h = slots.get(j)
+        if h is None:
+            tau = Fraction(2 * self.d + 1, 2) + Fraction(j, 4 * self.k)
+            h = slots[j] = RestrictedHalfspace(b=bounds, tau=tau)
+        return h
+
+    def _grow(self, halfspaces: Halfspaces, number: int) -> Halfspaces:
+        return (*halfspaces, self._slot(number, len(halfspaces)))
 
 
 @dataclass(frozen=True)
@@ -204,29 +211,25 @@ class Theorem2Instance:
             raise ValueError("one hyperplane per base point required")
 
     @cached_property
-    def _root(self) -> tuple[OpenSimplex, int]:
-        """The witness-tree root's node: the simplex on ``_apex(d)`` alone, at depth 0."""
-        return OpenSimplex(ambient_dim=self.base.d, vertices=(_apex(self.base.d),)), 0
+    def _nodes(self) -> dict[int, OpenSimplex]:
+        """The simplex of each union met as a witness-tree parent, by union
+        mask: the apex, then one dual vertex per pattern; the root's, the apex
+        alone, under -1."""
+        return {-1: OpenSimplex(ambient_dim=self.base.d, vertices=(_apex(self.base.d),))}
 
     @cached_property
-    def _nodes(self) -> dict[int, tuple[OpenSimplex, int]]:
-        """The node of each union met as a witness-tree parent, by union mask:
-        its simplex, the apex and then one dual vertex per pattern, and its
-        depth."""
+    def _vertices(self) -> dict[tuple[int, int], Point]:
+        """The dual vertex of ``base._slot(number, j)``, by (number, j), built on first read."""
         return {}
 
-    @cached_property
-    def _dual_vertices(self) -> dict[int, tuple[object, Point]]:
-        """The dual vertex of each witness half-space read so far, by id; each
-        entry holds its half-space, so no other can take that id."""
-        return {}
-
-    def _grow(self, simplex: OpenSimplex, h: RestrictedHalfspace) -> OpenSimplex:
-        """The simplex with the dual vertex of h, checked against its annihilator."""
-        entry = self._dual_vertices.get(id(h))
-        if entry is None:
-            entry = self._dual_vertices[id(h)] = (h, dual_halfspace_to_point(h))
-        return simplex._extended(entry[1])
+    def _grow(self, simplex: OpenSimplex, number: int) -> OpenSimplex:
+        """The simplex with the dual vertex of pattern ``number``'s next
+        half-space, checked against its annihilator."""
+        key = (number, len(simplex.vertices) - 1)
+        v = self._vertices.get(key)
+        if v is None:
+            v = self._vertices[key] = dual_halfspace_to_point(self.base._slot(*key))
+        return simplex._extended(v)
 
 
 def required_gadget_n(k: int) -> int:
@@ -271,13 +274,13 @@ def build_theorem1(d: int, k: int, gadget: BoxGadget) -> Theorem1Instance:
 
 def _tree_node(
     inst: Theorem1Instance, owner: Theorem1Instance | Theorem2Instance, union: int
-) -> tuple[Halfspaces | OpenSimplex, int]:
-    """The node of the union on the owner instance: its witness and its depth.
+) -> Halfspaces | OpenSimplex:
+    """The witness of the union on the owner instance.
 
     A witness is its tree parent's plus one pattern numbered above all of
-    the parent's, so a node is its parent's, extended by ``owner._grow``
-    with that pattern's half-space at threshold d + 1/2 + j/(4k), where j
-    is the parent's depth. Nodes of parents are memoized on the owner.
+    the parent's, so it is its parent's, extended by ``owner._grow`` with
+    that pattern. The witnesses of parents are memoized on the owner, which
+    starts with the root's under -1.
     """
     step = _witness_step(inst.gadget, union)
     if step is None:
@@ -287,19 +290,10 @@ def _tree_node(
             "the certificate is invalid"
         )
     parent, number = step
-    if parent < 0:
-        witness, j = owner._root
-    else:
-        node = owner._nodes.get(parent)
-        if node is None:
-            node = owner._nodes[parent] = _tree_node(inst, owner, parent)
-        witness, j = node
-    bounds, slots = inst._witness_rows[number]
-    h = slots.get(j)
-    if h is None:
-        tau = Fraction(2 * inst.d + 1, 2) + Fraction(j, 4 * inst.k)
-        h = slots[j] = RestrictedHalfspace(b=bounds, tau=tau)
-    return owner._grow(witness, h), j + 1
+    node = owner._nodes.get(parent)
+    if node is None:
+        node = owner._nodes[parent] = _tree_node(inst, owner, parent)
+    return owner._grow(node, number)
 
 
 def union_witness(
@@ -313,7 +307,7 @@ def union_witness(
     threshold d + 1/2 + j/(4k), strictly inside (d, d+1) since j < k. The
     half-spaces are the witness-tree parent's plus one (``_tree_node``).
     """
-    return _tree_node(inst, inst, subset_mask(len(inst.points), subset))[0]
+    return _tree_node(inst, inst, subset_mask(len(inst.points), subset))
 
 
 @dataclass(frozen=True)
@@ -403,10 +397,8 @@ def verify_theorem1(
     )
 
 
-def build_theorem2(inst: Theorem1Instance, k: int | None = None) -> Theorem2Instance:
+def build_theorem2(inst: Theorem1Instance) -> Theorem2Instance:
     """Dualize every point of the base instance into a hyperplane."""
-    if k is not None and k != inst.k:
-        raise ValueError(f"fold count {k} does not match the instance's k={inst.k}")
     hyperplanes = tuple(dual_point_to_hyperplane(p) for p in inst.points)
     return Theorem2Instance(base=inst, hyperplanes=hyperplanes, k=inst.k)
 
@@ -435,7 +427,7 @@ def simplex_witness(inst2: Theorem2Instance, subset: Iterable[int] | int) -> Ope
     base = inst2.base
     pmask = subset_mask(len(base.points), subset)
     try:
-        return _tree_node(base, inst2, pmask)[0]
+        return _tree_node(base, inst2, pmask)
     except DegenerateSimplexError as err:
         raise ConstructionError(
             f"could not build an affinely independent simplex for subset mask {pmask}: {err}"
@@ -472,7 +464,7 @@ def verify_theorem2(
             continue
         max_size = max(max_size, len(simplex.vertices) - 1)
         # Hyperplane i is crossed when some vertex is strictly on each side
-        # of it, or every vertex lies on it (``_crossing_mask``).
+        # of it, or every vertex lies on it (``_crossings``).
         pos = neg = 0
         on = -1
         for v in simplex.vertices:

@@ -537,27 +537,24 @@ def _vertex_signs(rows: Sequence[tuple[int, ...]], x: Point) -> tuple[int, int, 
     return pos, neg, on
 
 
-def _crossing_mask(signs: Iterable[tuple[int, int, int]]) -> tuple[int, int]:
-    """Which hyperplanes an open simplex meets, from ``_vertex_signs`` of its
-    (at least one) vertices, and how many (hyperplane, vertex) signs are zero.
+def _crossings(rows: Sequence[tuple[int, ...]], vertices: Sequence[Point]) -> tuple[int, int]:
+    """Which of the hyperplanes with these ``rows`` an open simplex with these
+    (at least one) vertices meets, and how many (hyperplane, vertex) signs
+    are zero.
 
     Bit i is ``simplex_hyperplane_intersects`` for hyperplane i: some vertex
-    is strictly on each side, or every vertex lies on it.
+    is strictly on each side, or every vertex lies on it. Each sign is
+    evaluated once, in integers (``_vertex_signs``).
     """
     pos = neg = zeros = 0
     on = -1
-    for p, n, z in signs:
+    for v in vertices:
+        p, n, z = _vertex_signs(rows, v)
         pos |= p
         neg |= n
         on &= z
         zeros += z.bit_count()
     return (pos & neg) | on, zeros
-
-
-def _crossings(rows: Sequence[tuple[int, ...]], vertices: Sequence[Point]) -> tuple[int, int]:
-    """``_crossing_mask`` of the vertices' signs against ``rows``; each
-    (hyperplane, vertex) sign is evaluated once, in integers."""
-    return _crossing_mask(_vertex_signs(rows, v) for v in vertices)
 
 
 def induced_system_hyperplanes_in_simplices(

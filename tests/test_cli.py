@@ -211,6 +211,45 @@ class TestVerifyCommands:
         assert code == 2
         assert flag[0] in json.loads(captured.out)["error"]
 
+    @pytest.mark.parametrize(
+        "path, value, field",
+        [
+            pytest.param(["alpha", 0, 0, 1], "6/1", "instance.alpha[0][0]", id="alpha-entry"),
+            pytest.param(["alpha", 0, -1], None, "instance.alpha[0]", id="alpha-table-short"),
+            pytest.param(["alpha", -1], None, "instance.alpha", id="alpha-table-missing"),
+            pytest.param(["points", "points", 0, 0], "7/1", "instance.points", id="moved-point"),
+            pytest.param(["gadget", "boxes", 0, "lo", -1], None, "gadget.boxes[0]", id="short-box"),
+            pytest.param(["gadget", "boxes", 0, "lo", 0], "1.5e", "gadget.boxes[0].lo[0]",
+                         id="bad-rational"),
+            pytest.param(["points", "points", 0, 0], True, "point set.points[0][0]",
+                         id="boolean-coordinate"),
+        ],
+    )
+    def test_corrupted_bundle_exits_2(self, capsys, tmp_path, path, value, field):
+        # a malformed bundle, or one that differs from its gadget's derivation, never verifies
+        from vcshatter.cli import BUNDLED_INSTANCE, _asset_path
+
+        data = jsonio.load_json(_asset_path(BUNDLED_INSTANCE))
+        *parents, last = path
+        node = data
+        for key in parents:
+            node = node[key]
+        if value is None:
+            del node[last]
+        else:
+            node[last] = value
+        bundle = tmp_path / "bundle.json"
+        jsonio.dump_json(data, bundle)
+        code = cli_main(["verify", "theorem1", "--input", str(bundle)])
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert code == 2
+        assert error.startswith(f"{field}:"), error
+
+    def test_sample_count_zero_exits_2(self, capsys):
+        code = cli_main(["verify", "theorem1", "--mode", "sample", "--count", "0", "--seed", "1"])
+        assert code == 2
+        assert "count" in json.loads(capsys.readouterr().out)["error"]
+
     def test_vcdim_is_theorem1_only(self, capsys):
         assert cli_main(["verify", "theorem2", "--vcdim"]) == 2
         assert "--vcdim" in capsys.readouterr().err
