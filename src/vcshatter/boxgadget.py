@@ -39,7 +39,7 @@ from operator import xor
 from typing import Iterable, Sequence
 
 from .geometry import AxisBox, Point
-from .setsystem import _check_guard, mask_to_indices, subset_mask, union_closure
+from .setsystem import VERIFY_GUARD, _check_guard, mask_to_indices, subset_mask, union_closure
 
 
 @dataclass(frozen=True)
@@ -515,6 +515,13 @@ def search(n: int, dim: int, seed: int, budget: int) -> BoxGadget | None:
         raise ValueError("search requires n >= 2 and dim >= 2")
     if budget < 0:
         raise ValueError(f"search budget must be >= 0, got {budget}")
+    # The target has at least 2^(n-2) boxes, so an n past the guard is refused
+    # before that integer is built.
+    if n - 2 >= VERIFY_GUARD.bit_length():
+        raise ValueError(
+            f"gadget search refused: n={n} asks for at least 2^{n - 2} boxes, "
+            f"which exceeds the guard of {VERIFY_GUARD}"
+        )
     target = nominal_box_count(n, dim)
     _check_guard(target, "gadget search")
     rng = random.Random(seed)

@@ -64,7 +64,6 @@ from .geometry import (
     RestrictedHalfspace,
     _halfspace_mask,
     _hyperplane_row,
-    _scaled_points,
     _vertex_signs,
     dual_halfspace_to_point,
     dual_point_to_hyperplane,
@@ -203,12 +202,15 @@ class Theorem2Instance:
     """The dual view: one hyperplane per point of the base instance."""
 
     base: Theorem1Instance
-    hyperplanes: tuple[DualHyperplane, ...]
-    k: int
 
-    def __post_init__(self) -> None:
-        if len(self.hyperplanes) != len(self.base.points):
-            raise ValueError("one hyperplane per base point required")
+    @property
+    def k(self) -> int:
+        return self.base.k
+
+    @cached_property
+    def hyperplanes(self) -> tuple[DualHyperplane, ...]:
+        """H(p) for every point p of the base instance, in its order."""
+        return tuple(dual_point_to_hyperplane(p) for p in self.base.points)
 
     @cached_property
     def _nodes(self) -> dict[int, OpenSimplex]:
@@ -357,12 +359,11 @@ def verify_theorem1(
     compute_vc_dim, additionally collects the sets that the witness
     half-spaces of the run cut out of P and reports the VC-dimension of the
     k-fold union of that system (it must reach |P| when the instance
-    shatters). The points are scaled to integers once per run, and the exact
-    integer mask of each half-space object received is computed once.
+    shatters). The exact integer mask of each half-space object received is
+    computed once, from its integer row and the points' vertex columns.
     """
     masks = _selected_masks(len(inst.points), mode, count, seed)
-    scale, scaled = _scaled_points(inst.points)
-    mask_of = partial(_halfspace_mask, scale=scale, scaled=scaled)
+    mask_of = partial(_halfspace_mask, columns=[p._vertex_column for p in inst.points])
     failing: list[tuple[int, ...]] = []
     max_size = 0
     # By id; each entry holds its object, so no other can take that id during the run.
@@ -398,9 +399,8 @@ def verify_theorem1(
 
 
 def build_theorem2(inst: Theorem1Instance) -> Theorem2Instance:
-    """Dualize every point of the base instance into a hyperplane."""
-    hyperplanes = tuple(dual_point_to_hyperplane(p) for p in inst.points)
-    return Theorem2Instance(base=inst, hyperplanes=hyperplanes, k=inst.k)
+    """The dual instance, whose hyperplanes are built on first read."""
+    return Theorem2Instance(inst)
 
 
 def _apex(d: int) -> Point:

@@ -23,9 +23,10 @@ prose direction words.
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import combinations
 from math import gcd, lcm
 from operator import mul
@@ -77,7 +78,14 @@ class Point:
     @cached_property
     def _vertex_column(self) -> tuple[int, ...]:
         """M * (x_1, ..., x_{d-1}, 1, x_d) with M the lcm of the denominators,
-        computed on first use; see ``_hyperplane_row``."""
+        computed on first use.
+
+        It is the homogeneous vector (x, 1), permuted and scaled by M > 0, so
+        it has the rank and signs of (x, 1). Every exact predicate here is the
+        sign of an integer row times this column: ``_hyperplane_row`` for
+        ``side_of``, ``_halfspace_row`` for ``halfspace_contains``, and the
+        ``_annihilate`` bases of simplices and half-space dichotomies.
+        """
         m = lcm(*(v.denominator for v in self.coords))
         scaled = [v.numerator * (m // v.denominator) for v in self.coords]
         return (*scaled[:-1], m, scaled[-1])
@@ -162,9 +170,7 @@ class OpenSimplex:
         # Affine independence of the vertices is linear independence of their
         # (v, 1) vectors, which the integer vertex columns permute and scale.
         # The identity annihilates the empty span; every column is folded in.
-        n = self.ambient_dim + 1
-        identity = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-        object.__setattr__(self, "_grown_from", (identity, 0))
+        object.__setattr__(self, "_grown_from", (_identity(self.ambient_dim + 1), 0))
         self._annihilator  # raises DegenerateSimplexError on a dependent column
 
     @cached_property
@@ -275,38 +281,9 @@ def simplex_hyperplane_intersects(simplex: OpenSimplex, h: DualHyperplane) -> bo
 # ---------------------------------------------------------------------------
 
 
-def _sub(a: tuple[Fraction, ...], b: tuple[Fraction, ...]) -> list[Fraction]:
-    return [x - y for x, y in zip(a, b)]
-
-
-def _echelon(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Forward Gaussian elimination over the rationals.
-
-    Returns the nonzero rows of a row echelon form of ``rows`` and the pivot
-    column of each; the number of pivots is the rank.
-    """
-    mat = [list(r) for r in rows]
-    pivots: list[int] = []
-    ncols = len(mat[0]) if mat else 0
-    for col in range(ncols):
-        rank = len(pivots)
-        if rank == len(mat):
-            break
-        pivot = next((r for r in range(rank, len(mat)) if mat[r][col] != 0), None)
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        prow = mat[rank]
-        for r in range(rank + 1, len(mat)):
-            if mat[r][col] != 0:
-                f = mat[r][col] / prow[col]
-                mat[r] = [x - f * y for x, y in zip(mat[r], prow)]
-        pivots.append(col)
-    return mat[: len(pivots)], pivots
-
-
-def _rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    return len(_echelon(rows)[1])
+def _identity(n: int) -> tuple[tuple[int, ...], ...]:
+    """The n x n identity, an integer basis of everything the empty span annihilates."""
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
 def _annihilate(
@@ -341,87 +318,51 @@ def _annihilate(
     return tuple(out)
 
 
-def _normal_through(points: Sequence[tuple[Fraction, ...]]) -> tuple[Fraction, ...] | None:
-    """A nonzero normal of the hyperplane through d affinely independent points.
-
-    Returns None when the points are affinely dependent (no unique hyperplane).
-    The normal is canonicalized so its first nonzero entry is +1.
-    """
-    d = len(points[0])
-    echelon, pivots = _echelon([_sub(p, points[0]) for p in points[1:]])
-    if len(pivots) != d - 1:
-        return None
-    # The null space is one-dimensional: fix the free coordinate to 1 and
-    # back-substitute through the echelon rows, last pivot first.
-    a = [Fraction(0)] * d
-    a[next(c for c in range(d) if c not in pivots)] = Fraction(1)
-    for row, col in reversed(list(zip(echelon, pivots))):
-        a[col] = -sum((row[c] * a[c] for c in range(col + 1, d)), start=Fraction(0)) / row[col]
-    lead = next(x for x in a if x != 0)
-    return tuple(x / lead for x in a)
-
-
-def _affine_chart(points: Sequence[tuple[Fraction, ...]]) -> tuple[int, list[tuple[Fraction, ...]]]:
-    """Affinely map the points onto the coordinates of their affine hull.
-
-    Returns (m, charted_points) where m is the affine dimension. Projection
-    onto the pivot coordinates of the difference matrix is injective on the
-    hull, so the chart preserves all half-space dichotomies.
-    """
-    base = points[0]
-    _, cols = _echelon([_sub(p, base) for p in points[1:]])
-    m = len(cols)
-    charted = [tuple(p[c] for c in cols) for p in points]
-    return m, charted
-
-
 # ---------------------------------------------------------------------------
 # half-space dichotomies of a finite point set
 # ---------------------------------------------------------------------------
 
 
-def _halfspace_dichotomy_masks(points: list[tuple[Fraction, ...]]) -> set[int]:
+def _halfspace_dichotomy_masks(columns: Sequence[tuple[int, ...]]) -> set[int]:
     """All subsets realizable as (closed half-space) ∩ points, as bitmasks.
 
-    Candidate boundary hyperplanes pass through d affinely independent input
-    points; points incident to a candidate are classified recursively by the
-    half-space dichotomies within the hyperplane itself (any tilt of the
+    ``columns`` are the points' ``_vertex_column``s: their homogeneous
+    vectors (x, 1), permuted and scaled by a positive factor, so ranks and
+    signs are those of (x, 1), and a closed half-space is the set of columns
+    on which some linear form is <= 0. Folding every column into the identity
+    with ``_annihilate``, skipping dependent ones, gives their rank r, the
+    affine dimension of the hull plus one. Candidate boundaries pass through
+    r - 1 independent columns: folding just those leaves a basis in which any
+    vector with a nonzero dot product on some column is the boundary's normal
+    within the hull, unique up to sign. Points on a boundary are classified
+    recursively by the dichotomies of their own columns (any tilt of the
     boundary induces such a sub-dichotomy, and every sub-dichotomy is
-    reachable by an exact rational tilt). Point sets that do not affinely
-    span are first charted onto their hull, which changes no dichotomy.
+    reachable by an exact rational tilt); the recursion is intrinsic to the
+    hull, so no chart is needed.
     """
-    n = len(points)
-    full = (1 << n) - 1
-    out = {0, full}
+    n = len(columns)
+    out = {0, (1 << n) - 1}
     if n <= 1:
         return out
-    d = len(points[0])
-    m, charted = _affine_chart(points)
-    if m < d:
-        return _halfspace_dichotomy_masks(charted)
-    for idx in combinations(range(n), d):
-        normal = _normal_through([points[i] for i in idx])
-        if normal is None:
+    identity = _identity(len(columns[0]))
+    basis = identity
+    for c in columns:
+        with suppress(DegenerateSimplexError):
+            basis = _annihilate(basis, c)
+    for hyperplane in combinations(columns, len(identity) - len(basis) - 1):
+        try:
+            normals = reduce(_annihilate, hyperplane, identity)
+        except DegenerateSimplexError:
             continue
-        offset = sum((a * x for a, x in zip(normal, points[idx[0]])), start=Fraction(0))
-        neg = 0
-        pos = 0
-        on: list[int] = []
-        for i, p in enumerate(points):
-            val = sum((a * x for a, x in zip(normal, p)), start=Fraction(0))
-            if val < offset:
-                neg |= 1 << i
-            elif val > offset:
-                pos |= 1 << i
-            else:
-                on.append(i)
-        chart_dim, on_charted = _affine_chart([points[i] for i in on])
-        sub = _halfspace_dichotomy_masks(on_charted) if chart_dim >= 1 else {0, (1 << len(on)) - 1}
-        for small in sub:
-            scattered = 0
-            for pos_bit, i in enumerate(on):
-                if (small >> pos_bit) & 1:
-                    scattered |= 1 << i
+        for normal in normals:
+            dots = [sum(map(mul, normal, c)) for c in columns]
+            if any(dots):
+                break
+        neg = sum(1 << i for i, s in enumerate(dots) if s < 0)
+        pos = sum(1 << i for i, s in enumerate(dots) if s > 0)
+        on = [i for i, s in enumerate(dots) if not s]
+        for small in _halfspace_dichotomy_masks([columns[i] for i in on]):
+            scattered = sum(1 << i for bit, i in enumerate(on) if small >> bit & 1)
             out.add(neg | scattered)
             out.add(pos | scattered)
     return out
@@ -432,13 +373,13 @@ def realizable_halfspace_subsets(points: Sequence[Point]) -> SetSystem:
 
     A subset T is realizable when some closed half-space contains exactly the
     points of T, with the rest strictly outside; equivalently, when the convex
-    hulls of T and of its complement are disjoint. Intended for small
-    dimension (<= 4) and at most ~16 points.
+    hulls of T and of its complement are disjoint. Decided on the points'
+    integer vertex columns by ``_halfspace_dichotomy_masks``. Intended for
+    small dimension (<= 4) and at most ~16 points.
     """
     if not points:
         raise ValueError("need at least one point")
     d = points[0].dim
-    coord_list: list[tuple[Fraction, ...]] = []
     seen: set[tuple[Fraction, ...]] = set()
     for p in points:
         if p.dim != d:
@@ -446,8 +387,8 @@ def realizable_halfspace_subsets(points: Sequence[Point]) -> SetSystem:
         if p.coords in seen:
             raise ValueError(f"duplicate point {p.coords}")
         seen.add(p.coords)
-        coord_list.append(p.coords)
-    return SetSystem.from_masks(len(points), _halfspace_dichotomy_masks(coord_list))
+    masks = _halfspace_dichotomy_masks([p._vertex_column for p in points])
+    return SetSystem.from_masks(len(points), masks)
 
 
 # ---------------------------------------------------------------------------
@@ -455,38 +396,31 @@ def realizable_halfspace_subsets(points: Sequence[Point]) -> SetSystem:
 # ---------------------------------------------------------------------------
 
 
-def _integer_row(h: RestrictedHalfspace, scale: int) -> tuple[tuple[int, ...], int]:
-    """Integer weights w and bound r with: sum_i x_i / b_i <= tau exactly when
-    sum_i w_i * (scale * x_i) <= r, for any point x with scale * x integral.
+def _halfspace_row(h: RestrictedHalfspace) -> tuple[int, ...]:
+    """N * (1/b_1, ..., 1/b_{d-1}, -tau, 1/b_d), N = lcm(tau's denominator, b_i's numerators).
 
-    With b_i = p_i/q_i, tau = s/t and N = lcm(t, p_1, ..., p_d), multiplying
-    the inequality by N * scale > 0 gives w_i = q_i * N / p_i and
-    r = s * (N / t) * scale.
+    Its dot product with ``x._vertex_column`` is N * M * (sum_i x_i/b_i - tau),
+    with N, M > 0, so it is <= 0 exactly when ``halfspace_contains(h, x)``.
     """
     n = lcm(h.tau.denominator, *(v.numerator for v in h.b))
-    weights = tuple(v.denominator * (n // v.numerator) for v in h.b)
-    return weights, h.tau.numerator * (n // h.tau.denominator) * scale
+    weights = [v.denominator * (n // v.numerator) for v in h.b]
+    return (*weights[:-1], -h.tau.numerator * (n // h.tau.denominator), weights[-1])
 
 
-def _scaled_points(points: Sequence[Point]) -> tuple[int, list[tuple[int, ...]]]:
-    """The lcm of the points' coordinate denominators, and the points times it."""
-    scale = lcm(*(x.denominator for p in points for x in p.coords))
-    return scale, [tuple(x.numerator * (scale // x.denominator) for x in p.coords) for p in points]
+def _halfspace_mask(h: RestrictedHalfspace, columns: Sequence[tuple[int, ...]]) -> int:
+    """Bit i set when the point with vertex column ``columns[i]`` lies in h.
 
-
-def _halfspace_mask(h: RestrictedHalfspace, scale: int, scaled: Sequence[tuple[int, ...]]) -> int:
-    """Bit i set when point i lies in h, for ``_scaled_points`` output (scale, scaled).
-
-    Decided on the integer row of h (see ``_integer_row``), so it equals
-    ``halfspace_contains`` point by point, exactly.
+    Decided by the sign of one integer dot product per point with
+    ``_halfspace_row(h)``, so it equals ``halfspace_contains`` point by
+    point, exactly.
     """
-    mismatched = {len(xs) for xs in scaled} - {h.dim}
+    mismatched = {len(c) - 1 for c in columns} - {h.dim}
     if mismatched:
         raise ValueError(f"half-space dimension {h.dim} != point dimension {min(mismatched)}")
-    weights, bound = _integer_row(h, scale)
+    row = _halfspace_row(h)
     mask = 0
-    for i, xs in enumerate(scaled):
-        if sum(map(mul, weights, xs)) <= bound:
+    for i, c in enumerate(columns):
+        if sum(map(mul, row, c)) <= 0:
             mask |= 1 << i
     return mask
 
@@ -496,14 +430,14 @@ def induced_system_points_in_halfspaces(
 ) -> SetSystem:
     """Ground set = point indices; one member set per half-space (deduplicated).
 
-    Membership is decided in integers: the points are scaled once by the lcm
-    of their coordinate denominators and every distinct half-space becomes
-    one integer row (see ``_halfspace_mask``).
+    Membership is decided in integers: each distinct half-space becomes one
+    integer row, dotted with every point's ``_vertex_column`` (see
+    ``_halfspace_mask``).
     """
     if not points:
         raise ValueError("need at least one point")
-    scale, scaled = _scaled_points(points)
-    masks = [_halfspace_mask(h, scale, scaled) for h in dict.fromkeys(halfspaces)]
+    columns = [p._vertex_column for p in points]
+    masks = [_halfspace_mask(h, columns) for h in dict.fromkeys(halfspaces)]
     return SetSystem.from_masks(len(points), masks)
 
 

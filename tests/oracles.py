@@ -4,8 +4,9 @@ Nothing here shares code with the implementation paths under test: VC
 dimension is recomputed over every subset, half-space separability is
 decided by exact linear programming over convex hulls, k-fold unions and
 intersections are grown as Python sets of masks, box-gadget covers are
-re-solved by exhaustive combination search over a finer grid, and integer
-matrix rank is taken by Bareiss elimination.
+re-solved by exhaustive combination search over a finer grid, and matrix
+rank is taken by Bareiss elimination over the integers and by Gaussian
+elimination over the rationals.
 """
 
 from __future__ import annotations
@@ -89,6 +90,25 @@ def integer_rank(rows: list[list[int]] | list[tuple[int, ...]]) -> int:
             a = mat[r][col]
             mat[r] = [(p * x - a * y) // last for x, y in zip(mat[r], prow)]
         last = p
+        rank += 1
+        if rank == len(mat):
+            break
+    return rank
+
+
+def fraction_rank(rows) -> int:
+    """Rank of a rational matrix by Gaussian elimination over ``Fraction``s."""
+    mat = [[Fraction(x) for x in r] for r in rows]
+    rank = 0
+    for col in range(len(mat[0]) if mat else 0):
+        pivot = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
+        if pivot is None:
+            continue
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        prow = mat[rank]
+        for r in range(rank + 1, len(mat)):
+            f = mat[r][col] / prow[col]
+            mat[r] = [x - f * y for x, y in zip(mat[r], prow)]
         rank += 1
         if rank == len(mat):
             break

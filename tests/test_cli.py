@@ -421,6 +421,15 @@ class TestGadgetCommands:
         assert code == 2
         assert message in report["error"]
 
+    def test_search_refuses_a_huge_n_before_building_its_box_count(self, capsys):
+        # the nominal count 2^(n-2) would not even print within Python's digit limit
+        code, report = run_cli(
+            capsys, "gadget", "search", "--n", "100000", "--dim", "2", "--seed", "0"
+        )
+        assert code == 2
+        assert "exceeds the guard of 24" in report["error"]
+        assert len(report["error"]) < 200
+
 
 def run_module(*argv) -> subprocess.CompletedProcess:
     """``python -m vcshatter.cli`` on the package under test, installed or not."""

@@ -454,14 +454,12 @@ class TestTheorem2:
         inst = build_theorem1(4, 4, n3_gadget)
         snaps = _counting(monkeypatch, constructions, "snap")
         duals = _counting(monkeypatch, constructions, "dual_halfspace_to_point")
-        ranks = _counting(monkeypatch, geometry, "_rank")
         assert verify_theorem1(inst, mode="exhaustive", compute_vc_dim=True).shattered
         assert duals == []  # only Theorem 2 reads dual vertices
         assert verify_theorem2(build_theorem2(inst), mode="exhaustive").shattered
         halfspaces = {h for mask in range(1 << 12) for h in union_witness(inst, mask)}
         assert len(snaps) <= len(n3_gadget._pattern_points)
         assert len(duals) <= len(halfspaces)
-        assert ranks == []
 
     @given(
         st.lists(

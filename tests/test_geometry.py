@@ -2,13 +2,14 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import partial
 from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_halfspace_dichotomy_masks, integer_rank
+from oracles import brute_halfspace_dichotomy_masks, fraction_rank, integer_rank
 from vcshatter.geometry import (
     AxisBox,
     DualHyperplane,
@@ -19,8 +20,6 @@ from vcshatter.geometry import (
     _crossings,
     _annihilate,
     _hyperplane_row,
-    _rank,
-    _sub,
     box_contains,
     dual_halfspace_to_point,
     dual_point_to_hyperplane,
@@ -34,6 +33,11 @@ from vcshatter.geometry import (
 from vcshatter.setsystem import vc_dim
 
 F = Fraction
+
+
+def _sub(a, b) -> list[Fraction]:
+    return [x - y for x, y in zip(a, b)]
+
 
 positive_scalars = st.fractions(min_value=F(1, 20), max_value=F(40))
 scalars = st.fractions(min_value=F(-30), max_value=F(30))
@@ -232,9 +236,9 @@ class TestIntegerRank:
     @settings(max_examples=150, deadline=None)
     def test_matches_fraction_rank_on_vertex_columns(self, case):
         d, vertices = case
-        affine = _rank([_sub(v.coords, vertices[0].coords) for v in vertices[1:]])
+        affine = fraction_rank([_sub(v.coords, vertices[0].coords) for v in vertices[1:]])
         columns = [v._vertex_column for v in vertices]
-        assert integer_rank(columns) == _rank([[F(x) for x in c] for c in columns]) == affine + 1
+        assert integer_rank(columns) == fraction_rank(columns) == affine + 1
         try:
             OpenSimplex(d, tuple(vertices))
             degenerate = False
@@ -252,7 +256,7 @@ class TestIntegerRank:
     @settings(max_examples=200, deadline=None)
     def test_matches_fraction_rank_on_integer_matrices(self, rows):
         # small entries give zero columns and repeated rows, so pivots get skipped
-        assert integer_rank(rows) == _rank([[F(x) for x in r] for r in rows])
+        assert integer_rank(rows) == fraction_rank(rows)
 
 
 def _fold(columns, n: int):
@@ -278,7 +282,7 @@ class TestAnnihilator:
         d, vertices = case
         columns = [v._vertex_column for v in vertices]
         independent = integer_rank(columns) == len(columns)
-        assert independent == (_rank([[F(x) for x in c] for c in columns]) == len(columns))
+        assert independent == (fraction_rank(columns) == len(columns))
         try:
             basis = _fold(columns, d + 1)
         except DegenerateSimplexError:
@@ -399,16 +403,37 @@ class TestRealizableSubsets:
 
     def test_matches_lp_oracle_on_random_configs(self):
         rng = random.Random(99)
-        for trial in range(12):
-            d = 2 if trial % 2 == 0 else 3
-            n = rng.randint(2, 6)
+
+        def coords(d: int) -> tuple[Fraction, ...]:
+            return tuple(F(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(d))
+
+        def on_line(base, direction) -> tuple[Fraction, ...]:
+            (t,) = coords(1)
+            return tuple(a + t * v for a, v in zip(base, direction))
+
+        def on_hyperplane(w, offset) -> tuple[Fraction, ...]:
+            # the last coordinate solves (w, 1) . x = offset
+            x = coords(len(w))
+            return (*x, offset - sum(a * b for a, b in zip(w, x)))
+
+        def check(draw, n: int) -> None:
             pts = set()
             while len(pts) < n:
-                pts.add(tuple(F(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(d)))
+                pts.add(draw())
             points = [Point(c) for c in sorted(pts)]
             got = set(realizable_halfspace_subsets(points).sets)
             want = brute_halfspace_dichotomy_masks(points)
             assert got == want
+
+        for trial in range(12):
+            d = 2 if trial % 2 == 0 else 3
+            check(partial(coords, d), rng.randint(2, 6))
+        for d, n in ((1, 4), (1, 6), (4, 6), (4, 7)):
+            check(partial(coords, d), n)
+        for n in (4, 5):  # on a line in R^3
+            check(partial(on_line, coords(3), (1, *coords(2))), n)
+        for n in (6, 7):  # on a hyperplane in R^4
+            check(partial(on_hyperplane, coords(3), coords(1)[0]), n)
 
     def test_closed_under_complement(self):
         rng = random.Random(4)
