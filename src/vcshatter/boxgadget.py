@@ -212,58 +212,51 @@ def _unions(gadget: BoxGadget) -> tuple[array, array]:
     frontier is visited in lexicographic order of paths, so each path is the
     lexicographically first combination of the fewest pattern numbers with
     its union, which is strictly increasing; the pairs skipped never write
-    an entry. Only ``witness_for`` needs the tables; ``verify`` and the
-    search read the same set of unions from ``union_closure``.
+    an entry. Only ``witness_for`` and the theorem witnesses
+    (``constructions._tree_node``) read the tables; ``verify`` and the search
+    read the same set of unions from ``union_closure``.
     """
     nboxes = len(gadget.boxes)
     _check_guard(nboxes, "exhaustive verification")
     patterns = list(gadget._menu[1])
-    pick = array("i", [-1]) * (1 << nboxes)
+    # pick is a list during the sweep, which indexes faster than an array;
+    # the frontier is an array, which holds no int objects
+    pick = [-1] * (1 << nboxes)
     prev = array("i", [-1]) * (1 << nboxes)
     for i, p in enumerate(patterns):
         pick[p] = i
-    frontier = patterns
+    # tails[i]: the patterns numbered above i, the only ones a union with pick i takes
+    tails = [patterns[i + 1 :] for i in range(len(patterns))]
+    frontier = array("i", patterns)
     for _ in range(gadget.max_witness_size - 1):
-        reached = []
+        reached = array("i")
         for u in frontier:
-            for i in range(pick[u] + 1, len(patterns)):
-                v = u | patterns[i]
+            last = pick[u]
+            for i, p in enumerate(tails[last], last + 1):
+                v = u | p
                 if pick[v] < 0:
                     pick[v] = i
                     prev[v] = u
                     reached.append(v)
         frontier = reached
-    return pick, prev
-
-
-def _witness_step(gadget: BoxGadget, union: int) -> tuple[int, int] | None:
-    """The parent of ``union`` on the witness tree and the pattern number added to it.
-
-    The parent is the union before the last fold (-1 for a single pattern);
-    None when no witness of at most b patterns has this union. Every
-    witness is its parent's plus one pattern, numbered above all of the
-    parent's (see ``_unions``).
-    """
-    pick, prev = gadget._closure
-    if pick[union] < 0:
-        return None
-    return prev[union], pick[union]
+    return array("i", pick), prev
 
 
 def _witness_patterns(gadget: BoxGadget, subset: Iterable[int] | int) -> list[int] | None:
     """The pattern numbers of ``witness_for``'s witness, ascending; None when it has none.
 
-    They are read up the witness tree, one per fold.
+    They are read up the witness tree, one per fold: ``pick`` names the
+    pattern added last and ``prev`` the union before it (see ``_unions``).
     """
     nboxes = len(gadget.boxes)
     union = ((1 << nboxes) - 1) & ~subset_mask(nboxes, subset)
+    pick, prev = gadget._closure
     chosen = []
     while union >= 0:
-        step = _witness_step(gadget, union)
-        if step is None:
+        if pick[union] < 0:
             return None
-        union, number = step
-        chosen.append(number)
+        chosen.append(pick[union])
+        union = prev[union]
     return chosen[::-1]
 
 

@@ -30,7 +30,8 @@ half-space at threshold slot j is built once, keyed by (pattern number, j)
 instance. Distinct patterns snap to distinct bounds, since the bounds
 decide which points lie below them. Gadget witnesses form a tree: each is
 its parent's plus one pattern numbered above all of the parent's
-(``_witness_step``); the root, the witness of no pattern, is union -1. So
+(read from the gadget's ``_closure`` tables by ``_tree_node``); the root,
+the witness of no pattern, is union -1. So
 a witness is its parent's plus that pattern's half-space (or dual vertex)
 at the slot given by the parent's size. Each instance memoizes the witness
 of every witness-tree parent by union mask, the root's first: its
@@ -54,7 +55,7 @@ from operator import itemgetter
 from typing import Iterable, Sequence
 
 from . import boxgadget  # boxgadget.verify is looked up where perfbench's tracer wraps it
-from .boxgadget import BoxGadget, _witness_step
+from .boxgadget import BoxGadget
 from .geometry import (
     AxisBox,
     DegenerateSimplexError,
@@ -68,7 +69,8 @@ from .geometry import (
     dual_halfspace_to_point,
     dual_point_to_hyperplane,
 )
-from .setsystem import SetSystem, _check_guard, k_fold_union, mask_to_indices, subset_mask, vc_dim
+from .setsystem import SetSystem, _check_guard, k_fold_union, mask_to_indices, subset_mask
+from .setsystem import union_closure, vc_dim
 
 AlphaTables = tuple[tuple[tuple[Fraction, Fraction], ...], ...]
 # A pattern's snapped bounds and the half-spaces built from them so far, by
@@ -189,12 +191,16 @@ class Theorem1Instance:
         bounds, slots = self._witness_rows[number]
         h = slots.get(j)
         if h is None:
-            tau = Fraction(2 * self.d + 1, 2) + Fraction(j, 4 * self.k)
+            # (2d+1)/2 + j/(4k) over one common denominator
+            tau = Fraction(2 * self.k * (2 * self.d + 1) + j, 4 * self.k)
             h = slots[j] = RestrictedHalfspace(b=bounds, tau=tau)
         return h
 
     def _grow(self, halfspaces: Halfspaces, number: int) -> Halfspaces:
-        return (*halfspaces, self._slot(number, len(halfspaces)))
+        h = self._witness_rows[number][1].get(len(halfspaces))
+        if h is None:
+            h = self._slot(number, len(halfspaces))
+        return (*halfspaces, h)
 
 
 @dataclass(frozen=True)
@@ -280,18 +286,21 @@ def _tree_node(
     """The witness of the union on the owner instance.
 
     A witness is its tree parent's plus one pattern numbered above all of
-    the parent's, so it is its parent's, extended by ``owner._grow`` with
-    that pattern. The witnesses of parents are memoized on the owner, which
-    starts with the root's under -1.
+    the parent's: the gadget's ``_closure`` tables give that pattern
+    (``pick``) and the parent (``prev``) by union mask. So the witness is
+    its parent's, extended by ``owner._grow`` with that pattern. The
+    witnesses of parents are memoized on the owner, which starts with the
+    root's under -1.
     """
-    step = _witness_step(inst.gadget, union)
-    if step is None:
+    pick, prev = inst.gadget._closure
+    number = pick[union]
+    if number < 0:
         avoid = ((1 << len(inst.points)) - 1) & ~union
         raise ConstructionError(
             f"gadget has no witness for box subset {mask_to_indices(avoid)}; "
             "the certificate is invalid"
         )
-    parent, number = step
+    parent = prev[union]
     node = owner._nodes.get(parent)
     if node is None:
         node = owner._nodes[parent] = _tree_node(inst, owner, parent)
@@ -359,7 +368,10 @@ def verify_theorem1(
     compute_vc_dim, additionally collects the sets that the witness
     half-spaces of the run cut out of P and reports the VC-dimension of the
     k-fold union of that system (it must reach |P| when the instance
-    shatters). The exact integer mask of each half-space object received is
+    shatters). That union shatters P exactly when it is the whole power set,
+    so the report is |P| when the popcount of its ``union_closure`` is
+    2^|P|; only a closure that is not full builds the ``SetSystem`` for
+    ``vc_dim``. The exact integer mask of each half-space object received is
     computed once, from its integer row and the points' vertex columns.
     """
     masks = _selected_masks(len(inst.points), mode, count, seed)
@@ -385,8 +397,12 @@ def verify_theorem1(
             failing.append(tuple(mask_to_indices(pmask)))
     union_dim: int | None = None
     if compute_vc_dim and seen:
-        system = SetSystem.from_masks(len(inst.points), {m for _, m in seen.values()})
-        union_dim = vc_dim(k_fold_union(system, inst.k))[0]
+        npoints = len(inst.points)
+        cut = {m for _, m in seen.values()}
+        if union_closure(cut, npoints, inst.k).bit_count() == 1 << npoints:
+            union_dim = npoints
+        else:
+            union_dim = vc_dim(k_fold_union(SetSystem.from_masks(npoints, cut), inst.k))[0]
     return VerificationReport(
         shattered=not failing,
         checked=len(masks),

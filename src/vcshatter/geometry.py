@@ -129,9 +129,10 @@ class RestrictedHalfspace:
         object.__setattr__(self, "tau", as_scalar(self.tau))
         if not self.b:
             raise ValueError("half-space needs at least one coefficient")
-        if any(v <= 0 for v in self.b):
+        # a Fraction's sign is its numerator's, and the numerator is cheaper to compare
+        if any(v.numerator <= 0 for v in self.b):
             raise ValueError("all b_i must be strictly positive")
-        if self.tau <= 0:
+        if self.tau.numerator <= 0:
             raise ValueError("tau must be strictly positive")
 
     @property
@@ -323,48 +324,59 @@ def _annihilate(
 # ---------------------------------------------------------------------------
 
 
-def _halfspace_dichotomy_masks(columns: Sequence[tuple[int, ...]]) -> set[int]:
-    """All subsets realizable as (closed half-space) ∩ points, as bitmasks.
+def _halfspace_dichotomy_masks(
+    columns: Sequence[tuple[int, ...]], members: int, classified: dict[int, set[int]]
+) -> set[int]:
+    """The subsets of the points in ``members`` realizable as (closed
+    half-space) ∩ those points, all as bitmasks over ``columns``.
 
     ``columns`` are the points' ``_vertex_column``s: their homogeneous
     vectors (x, 1), permuted and scaled by a positive factor, so ranks and
     signs are those of (x, 1), and a closed half-space is the set of columns
-    on which some linear form is <= 0. Folding every column into the identity
-    with ``_annihilate``, skipping dependent ones, gives their rank r, the
-    affine dimension of the hull plus one. Candidate boundaries pass through
-    r - 1 independent columns: folding just those leaves a basis in which any
-    vector with a nonzero dot product on some column is the boundary's normal
-    within the hull, unique up to sign. Points on a boundary are classified
-    recursively by the dichotomies of their own columns (any tilt of the
-    boundary induces such a sub-dichotomy, and every sub-dichotomy is
-    reachable by an exact rational tilt); the recursion is intrinsic to the
-    hull, so no chart is needed.
+    on which some linear form is <= 0. Folding every member's column into
+    the identity with ``_annihilate``, skipping dependent ones, gives their
+    rank r, the affine dimension of the hull plus one. Candidate boundaries
+    pass through r - 1 independent columns: folding just those leaves a
+    basis in which any vector with a nonzero dot product on some member is
+    the boundary's normal within the hull, unique up to sign. Points on a
+    boundary are classified recursively by the dichotomies of their own
+    columns (any tilt of the boundary induces such a sub-dichotomy, and
+    every sub-dichotomy is reachable by an exact rational tilt); the
+    recursion is intrinsic to the hull, so no chart is needed. A boundary is
+    the span of its zero set, so a zero set met twice in one call is
+    skipped, and ``classified`` keeps each zero set's dichotomies for the
+    whole recursion.
     """
-    n = len(columns)
-    out = {0, (1 << n) - 1}
-    if n <= 1:
+    out = {0, members}
+    indices = [i for i in range(len(columns)) if members >> i & 1]
+    if len(indices) <= 1:
         return out
     identity = _identity(len(columns[0]))
     basis = identity
-    for c in columns:
+    for i in indices:
         with suppress(DegenerateSimplexError):
-            basis = _annihilate(basis, c)
-    for hyperplane in combinations(columns, len(identity) - len(basis) - 1):
+            basis = _annihilate(basis, columns[i])
+    boundaries: set[int] = set()
+    for hyperplane in combinations(indices, len(identity) - len(basis) - 1):
         try:
-            normals = reduce(_annihilate, hyperplane, identity)
+            normals = reduce(_annihilate, (columns[i] for i in hyperplane), identity)
         except DegenerateSimplexError:
             continue
         for normal in normals:
-            dots = [sum(map(mul, normal, c)) for c in columns]
+            dots = [sum(map(mul, normal, columns[i])) for i in indices]
             if any(dots):
                 break
-        neg = sum(1 << i for i, s in enumerate(dots) if s < 0)
-        pos = sum(1 << i for i, s in enumerate(dots) if s > 0)
-        on = [i for i, s in enumerate(dots) if not s]
-        for small in _halfspace_dichotomy_masks([columns[i] for i in on]):
-            scattered = sum(1 << i for bit, i in enumerate(on) if small >> bit & 1)
-            out.add(neg | scattered)
-            out.add(pos | scattered)
+        on = sum(1 << i for i, s in zip(indices, dots) if not s)
+        if on in boundaries:
+            continue
+        boundaries.add(on)
+        neg = sum(1 << i for i, s in zip(indices, dots) if s < 0)
+        pos = sum(1 << i for i, s in zip(indices, dots) if s > 0)
+        if on not in classified:
+            classified[on] = _halfspace_dichotomy_masks(columns, on, classified)
+        for small in classified[on]:
+            out.add(neg | small)
+            out.add(pos | small)
     return out
 
 
@@ -387,7 +399,8 @@ def realizable_halfspace_subsets(points: Sequence[Point]) -> SetSystem:
         if p.coords in seen:
             raise ValueError(f"duplicate point {p.coords}")
         seen.add(p.coords)
-    masks = _halfspace_dichotomy_masks([p._vertex_column for p in points])
+    columns = [p._vertex_column for p in points]
+    masks = _halfspace_dichotomy_masks(columns, (1 << len(columns)) - 1, {})
     return SetSystem.from_masks(len(points), masks)
 
 

@@ -3,10 +3,11 @@
 Nothing here shares code with the implementation paths under test: VC
 dimension is recomputed over every subset, half-space separability is
 decided by exact linear programming over convex hulls, k-fold unions and
-intersections are grown as Python sets of masks, box-gadget covers are
-re-solved by exhaustive combination search over a finer grid, and matrix
-rank is taken by Bareiss elimination over the integers and by Gaussian
-elimination over the rationals.
+intersections are grown as Python sets of masks, the union back-pointer
+tables are rebuilt by a full scan and by the earlier sorted-tail sweep,
+box-gadget covers are re-solved by exhaustive combination search over a
+finer grid, and matrix rank is taken by Bareiss elimination over the
+integers and by Gaussian elimination over the rationals.
 """
 
 from __future__ import annotations
@@ -62,6 +63,28 @@ def full_scan_unions(patterns: list[int], nboxes: int, b: int) -> tuple[array, a
         for u in frontier:
             for i, p in enumerate(patterns):
                 v = u | p
+                if pick[v] < 0:
+                    pick[v] = i
+                    prev[v] = u
+                    reached.append(v)
+        frontier = reached
+    return pick, prev
+
+
+def sorted_tail_unions(patterns: list[int], nboxes: int, b: int) -> tuple[array, array]:
+    """The same tables by the earlier ``boxgadget._unions`` sweep, kept as it was:
+    both tables are arrays throughout, the frontier is a list, and a union
+    with ``pick`` i is extended by the patterns numbered above i."""
+    pick = array("i", [-1]) * (1 << nboxes)
+    prev = array("i", [-1]) * (1 << nboxes)
+    for i, p in enumerate(patterns):
+        pick[p] = i
+    frontier = patterns
+    for _ in range(b - 1):
+        reached = []
+        for u in frontier:
+            for i in range(pick[u] + 1, len(patterns)):
+                v = u | patterns[i]
                 if pick[v] < 0:
                     pick[v] = i
                     prev[v] = u

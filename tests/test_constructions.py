@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vcshatter import boxgadget, constructions, geometry, jsonio
-from vcshatter.boxgadget import BoxGadget, _witness_patterns, _witness_step, verify, witness_for
+from vcshatter.boxgadget import BoxGadget, _witness_patterns, verify, witness_for
 from vcshatter.constructions import (
     ConstructionError,
     _lift,
@@ -46,6 +46,7 @@ from vcshatter.setsystem import (
     k_fold_union,
     mask_to_indices,
     subset_mask,
+    union_closure,
     vc_dim,
 )
 
@@ -300,6 +301,14 @@ class TestBuildTheorem1:
 
 
 class TestUnionWitness:
+    def test_slot_thresholds(self, bundled_instance, n3_gadget):
+        for inst in (dataclasses.replace(bundled_instance), build_theorem1(4, 4, n3_gadget)):
+            assert inst.d == 4
+            for number in range(len(inst.gadget._pattern_points)):
+                for j in range(inst.k):
+                    want = F(2 * inst.d + 1, 2) + F(j, 4 * inst.k)
+                    assert inst._slot(number, j).tau == want
+
     def test_empty_subset_covers_nothing(self, bundled_instance):
         witness = union_witness(bundled_instance, [])
         for p in bundled_instance.points:
@@ -376,6 +385,24 @@ class TestVerifyTheorem1:
         report = verify_theorem1(bundled_instance, mode="sample", count=100, seed=3)
         assert report.checked == 32
         assert report.shattered
+
+    def test_vc_dim_of_a_closure_that_is_not_full(self, n3_gadget, monkeypatch):
+        # five sampled subsets cut too few sets for their 4-fold union to be
+        # the power set, so the report comes from vc_dim, not the popcount
+        inst = build_theorem1(4, 4, n3_gadget)
+        witnesses = []
+
+        def recorded(*args):
+            witnesses.append(union_witness(*args))
+            return witnesses[-1]
+
+        monkeypatch.setattr(constructions, "union_witness", recorded)
+        report = verify_theorem1(inst, mode="sample", count=5, seed=1, compute_vc_dim=True)
+        assert report.shattered and len(witnesses) == 5
+        halfspaces = [h for witness in witnesses for h in witness]
+        system = induced_system_points_in_halfspaces(inst.points, halfspaces)
+        assert union_closure(system.sets, 12, 4).bit_count() < 1 << 12
+        assert report.union_vc_dim == vc_dim(k_fold_union(system, 4))[0]
 
     def test_witness_error_is_a_failing_subset(self, bundled_instance, monkeypatch):
         monkeypatch.setattr(
@@ -548,8 +575,8 @@ def _scratch_simplex_witness(inst2, subset):
 
 def _tree_parents(gadget: BoxGadget, unions) -> set[int]:
     """The unions that are the witness-tree parent of one of ``unions``."""
-    steps = (_witness_step(gadget, u) for u in unions)
-    return {step[0] for step in steps if step is not None and step[0] >= 0}
+    pick, prev = gadget._closure
+    return {prev[u] for u in unions if pick[u] >= 0 and prev[u] >= 0}
 
 
 class TestWitnessTree:

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import hashlib
 import random
+import tracemalloc
+from array import array
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
@@ -12,7 +14,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_cover_feasible, finer_grid_points, full_scan_unions
+from oracles import brute_cover_feasible, finer_grid_points, full_scan_unions, sorted_tail_unions
 from vcshatter import boxgadget
 from vcshatter.boxgadget import (
     BoxGadget,
@@ -505,6 +507,38 @@ class TestFastPath:
             g = gadget_from_dict(load_json(path))
             for boxes in (int_boxes(g), *mutants(g)):
                 self.assert_tables_match_full_scan(make_gadget(boxes, n=g.n, dim=g.dim))
+
+    @staticmethod
+    def pinned_gadgets() -> list[BoxGadget]:
+        paths = sorted(PINNED_GADGETS.glob("*.json"))
+        return [gadget_from_dict(load_json(path)) for path in paths]
+
+    @staticmethod
+    def sweep_args(g: BoxGadget) -> tuple[list[int], int, int]:
+        return list(g._menu[1]), len(g.boxes), g.max_witness_size
+
+    def test_tables_equal_the_earlier_sweep(self, bundled_gadget, n3_gadget):
+        for g in (bundled_gadget, n3_gadget, *self.pinned_gadgets()):
+            pick, prev = g._closure
+            assert isinstance(pick, array) and isinstance(prev, array)
+            assert pick.typecode == prev.typecode == "i"
+            want_pick, want_prev = sorted_tail_unions(*self.sweep_args(g))
+            assert list(pick) == list(want_pick)
+            assert list(prev) == list(want_prev)
+
+    def test_sweep_peak_is_not_above_the_earlier_sweep(self):
+        def peak(fn, *args) -> int:
+            tracemalloc.start()
+            try:
+                fn(*args)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        for g in self.pinned_gadgets():
+            assert len(g.boxes) == 12
+            args = self.sweep_args(g)  # builds the menu before either sweep is traced
+            assert peak(boxgadget._unions, g) <= peak(sorted_tail_unions, *args)
 
 
 class TestSearch:

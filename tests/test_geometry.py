@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import random
 from fractions import Fraction
 from functools import partial
@@ -10,6 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import brute_halfspace_dichotomy_masks, fraction_rank, integer_rank
+from vcshatter import geometry
 from vcshatter.geometry import (
     AxisBox,
     DualHyperplane,
@@ -76,10 +78,12 @@ class TestHalfspaceContains:
         assert not halfspace_contains(h, Point.of(3, 0))
 
     def test_invalid_coefficients(self):
-        with pytest.raises(ValueError):
-            RestrictedHalfspace(b=(0, 1), tau=2)
-        with pytest.raises(ValueError):
-            RestrictedHalfspace(b=(1, 1), tau=0)
+        for bad in (0, F(-1, 3), "-2"):
+            with pytest.raises(ValueError, match=r"^all b_i must be strictly positive$"):
+                RestrictedHalfspace(b=(bad, 1), tau=2)
+        for bad in (0, F(-1, 2)):
+            with pytest.raises(ValueError, match=r"^tau must be strictly positive$"):
+                RestrictedHalfspace(b=(1, 1), tau=bad)
 
 
 class TestSideOf:
@@ -434,6 +438,26 @@ class TestRealizableSubsets:
             check(partial(on_line, coords(3), (1, *coords(2))), n)
         for n in (6, 7):  # on a hyperplane in R^4
             check(partial(on_hyperplane, coords(3), coords(1)[0]), n)
+
+    def test_each_zero_set_is_classified_once(self, monkeypatch):
+        # 12 points with many coplanar and collinear subsets: every flat they
+        # span is classified once, not once per (r-1)-subset of its points
+        calls = 0
+        dichotomies = geometry._halfspace_dichotomy_masks
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return dichotomies(*args)
+
+        monkeypatch.setattr(geometry, "_halfspace_dichotomy_masks", counted)
+        grid = [Point.of(x, y, z) for x in range(2) for y in range(2) for z in range(3)]
+        masks = sorted(realizable_halfspace_subsets(grid).sets)
+        assert calls <= 128
+        # the sets the classification gave before zero sets were deduplicated
+        assert len(masks) == 298
+        digest = hashlib.sha1(repr(masks).encode()).hexdigest()
+        assert digest == "fac1c3d5c81ad1219ce83fff4013974c1d7a71d8"
 
     def test_closed_under_complement(self):
         rng = random.Random(4)
