@@ -9,10 +9,10 @@ Two pipelines, both verified end-to-end in exact rational arithmetic:
 
 Plus a general finite set-system engine (projection, shattering,
 VC-dimension, k-fold union/intersection, growth function) and exact
-geometric predicates with no floating point anywhere.
+geometry with no floating point anywhere.
 """
 
-from .boxgadget import BoxGadget, GadgetReport, candidate_points, nominal_box_count, search, verify, witness_for
+from .boxgadget import BoxGadget, GadgetReport, nominal_box_count, search, verify, witness_for
 from .constructions import (
     ConstructionError,
     Theorem1Instance,
@@ -36,17 +36,10 @@ from .geometry import (
     OpenSimplex,
     Point,
     RestrictedHalfspace,
-    Scalar,
     as_scalar,
-    box_contains,
     dual_halfspace_to_point,
     dual_point_to_hyperplane,
-    halfspace_contains,
-    induced_system_hyperplanes_in_simplices,
-    induced_system_points_in_halfspaces,
     realizable_halfspace_subsets,
-    side_of,
-    simplex_hyperplane_intersects,
 )
 from .setsystem import (
     SetSystem,

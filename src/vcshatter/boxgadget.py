@@ -34,7 +34,7 @@ from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, product
+from itertools import accumulate
 from operator import xor
 from typing import Iterable, Sequence
 
@@ -100,22 +100,6 @@ def _menu_value(values: list[Fraction], m: int) -> Fraction:
     return (values[m - 1] + values[m]) / 2
 
 
-def candidate_points(gadget: BoxGadget) -> tuple[Point, ...]:
-    """A finite point menu meeting every full-dimensional arrangement cell.
-
-    Per coordinate: all box endpoints, sorted; the menu holds the midpoints of
-    consecutive distinct values plus one value below the minimum and one above
-    the maximum. Menus avoid box boundaries entirely, and the cross product
-    covers every open cell, including the all-outside region. The entries
-    follow the product order of the per-axis menu digits, so digits
-    (m_1, ..., m_dim) of ``_hit_masks`` name the entry with menu value m_i
-    on axis i.
-    """
-    axes, _ = gadget._menu
-    menus = [[_menu_value(values, m) for m in range(len(values) + 1)] for values in axes]
-    return tuple(Point(coords) for coords in product(*menus))
-
-
 def _axis_bitsets(boxes: Sequence[tuple[Sequence, Sequence]], i: int) -> tuple[list, list[int]]:
     """The sorted distinct endpoints of axis i, and per menu value of the axis
     the bitset of the boxes whose interval on that axis contains it.
@@ -140,8 +124,11 @@ def _hit_masks(
     boxes: Sequence[tuple[Sequence, Sequence]], dim: int
 ) -> tuple[tuple[list, ...], dict[int, tuple[int, ...]]]:
     """Per axis, the sorted distinct endpoints; and each distinct hit pattern
-    of the menu with the menu digits of the first point of ``candidate_points``
-    that has it, in that point order.
+    of the menu with the menu digits of the first menu point that has it, in
+    that point order.
+
+    The menu is the product of the per-axis menus of ``_menu_value``, in
+    lexicographic order of the digits (m_1, ..., m_dim) of its points.
 
     ``boxes`` holds one ``(lo, hi)`` pair per box, of any ordered values:
     ``BoxGadget`` passes its ``Fraction`` boxes. Each axis gives one bitset
@@ -186,12 +173,6 @@ def _product(columns: _Columns, nboxes: int) -> frozenset[int]:
         bits = set(column)
         patterns = {p & a for p in patterns for a in bits}
     return frozenset(patterns)
-
-
-def _patterns(boxes: Sequence[tuple[Sequence, Sequence]], dim: int) -> frozenset[int]:
-    """The distinct hit patterns of the menu, the keys of ``_hit_masks``,
-    from the product of the family's columns."""
-    return _product(_columns(boxes, dim), len(boxes))
 
 
 def _unions(gadget: BoxGadget) -> tuple[array, array]:

@@ -480,7 +480,7 @@ def verify_theorem2(
             continue
         max_size = max(max_size, len(simplex.vertices) - 1)
         # Hyperplane i is crossed when some vertex is strictly on each side
-        # of it, or every vertex lies on it (``_crossings``).
+        # of it, or every vertex lies on it.
         pos = neg = 0
         on = -1
         for v in simplex.vertices:

@@ -1,9 +1,10 @@
 """Exact rational geometry: points, axis-parallel boxes, origin-side
-half-spaces, dual hyperplanes and open simplices, plus the finite set
-systems these objects induce on point and hyperplane collections.
+half-spaces, dual hyperplanes and open simplices, plus the half-space
+dichotomies of a finite point set.
 
-Every predicate is decided in exact rational arithmetic. There is no
-floating point and no tolerance parameter anywhere in this module.
+Every predicate is the sign of an integer row times a point's integer
+vertex column, so it is decided exactly. There is no floating point and no
+tolerance parameter anywhere in this module.
 
 Orientation convention
 ----------------------
@@ -11,7 +12,7 @@ A point p = (p_1, ..., p_d) dualizes to the hyperplane
 
     H(p) = { x : p_1 x_1 + ... + p_{d-1} x_{d-1} + p_d = x_d }.
 
-``side_of(H(p), x)`` returns the sign of
+The side of x with respect to H(p) is the sign of
 
     s_p(x) = p_1 x_1 + ... + p_{d-1} x_{d-1} + p_d - x_d,
 
@@ -33,8 +34,6 @@ from operator import mul
 from typing import Iterable, Sequence
 
 from .setsystem import SetSystem
-
-Scalar = Fraction
 
 
 def as_scalar(value) -> Fraction:
@@ -83,8 +82,9 @@ class Point:
         It is the homogeneous vector (x, 1), permuted and scaled by M > 0, so
         it has the rank and signs of (x, 1). Every exact predicate here is the
         sign of an integer row times this column: ``_hyperplane_row`` for
-        ``side_of``, ``_halfspace_row`` for ``halfspace_contains``, and the
-        ``_annihilate`` bases of simplices and half-space dichotomies.
+        the sign of s_p(x), ``_halfspace_row`` for half-space membership,
+        and the ``_annihilate`` bases of simplices and half-space
+        dichotomies.
         """
         m = lcm(*(v.denominator for v in self.coords))
         scaled = [v.numerator * (m // v.denominator) for v in self.coords]
@@ -218,31 +218,8 @@ class OpenSimplex:
 
 
 # ---------------------------------------------------------------------------
-# predicates
+# duality maps
 # ---------------------------------------------------------------------------
-
-
-def box_contains(box: AxisBox, q: Point) -> bool:
-    if box.dim != q.dim:
-        raise ValueError(f"box dimension {box.dim} != point dimension {q.dim}")
-    return all(a <= x <= b for a, x, b in zip(box.lo, q.coords, box.hi))
-
-
-def halfspace_contains(h: RestrictedHalfspace, x: Point) -> bool:
-    if h.dim != x.dim:
-        raise ValueError(f"half-space dimension {h.dim} != point dimension {x.dim}")
-    total = sum((xi / bi for xi, bi in zip(x.coords, h.b)), start=Fraction(0))
-    return total <= h.tau
-
-
-def side_of(h: DualHyperplane, x: Point) -> int:
-    """Sign of s_p(x); +1 below (smaller x_d), -1 above, 0 on the hyperplane."""
-    if h.dim != x.dim:
-        raise ValueError(f"hyperplane dimension {h.dim} != point dimension {x.dim}")
-    p = h.p.coords
-    s = sum((pi * xi for pi, xi in zip(p[:-1], x.coords[:-1])), start=Fraction(0))
-    s += p[-1] - x.coords[-1]
-    return (s > 0) - (s < 0)
 
 
 def dual_point_to_hyperplane(p: Point) -> DualHyperplane:
@@ -255,26 +232,13 @@ def dual_halfspace_to_point(h: RestrictedHalfspace) -> Point:
     """The point D(H) = (b_d/b_1, ..., b_d/b_{d-1}, tau * b_d).
 
     For every p the exact identity s_p(D(H)) = b_d * (sum_i p_i/b_i - tau)
-    holds, so membership of p in H is equivalent to side_of(H(p), D(H)) <= 0,
-    strictly whenever sum_i p_i/b_i != tau.
+    holds, so p lies in H exactly when s_p(D(H)) <= 0, with s_p(D(H)) < 0
+    whenever sum_i p_i/b_i != tau.
     """
     if h.dim < 2:
         raise ValueError("half-space-to-point duality needs dimension >= 2")
     bd = h.b[-1]
     return Point(tuple(bd / bi for bi in h.b[:-1]) + (h.tau * bd,))
-
-
-def simplex_hyperplane_intersects(simplex: OpenSimplex, h: DualHyperplane) -> bool:
-    """Whether the open simplex meets the hyperplane.
-
-    Points of the relative interior are strictly positive affine combinations
-    of the vertices and s_p is affine, so the interior meets the hyperplane
-    exactly when the vertex signs are mixed, or all vertices lie on it.
-    """
-    if simplex.ambient_dim != h.dim:
-        raise ValueError("ambient dimensions differ")
-    signs = {side_of(h, v) for v in simplex.vertices}
-    return (1 in signs and -1 in signs) or signs == {0}
 
 
 # ---------------------------------------------------------------------------
@@ -405,7 +369,7 @@ def realizable_halfspace_subsets(points: Sequence[Point]) -> SetSystem:
 
 
 # ---------------------------------------------------------------------------
-# induced finite systems
+# integer sign kernels
 # ---------------------------------------------------------------------------
 
 
@@ -413,7 +377,7 @@ def _halfspace_row(h: RestrictedHalfspace) -> tuple[int, ...]:
     """N * (1/b_1, ..., 1/b_{d-1}, -tau, 1/b_d), N = lcm(tau's denominator, b_i's numerators).
 
     Its dot product with ``x._vertex_column`` is N * M * (sum_i x_i/b_i - tau),
-    with N, M > 0, so it is <= 0 exactly when ``halfspace_contains(h, x)``.
+    with N, M > 0, so it is <= 0 exactly when x lies in h.
     """
     n = lcm(h.tau.denominator, *(v.numerator for v in h.b))
     weights = [v.denominator * (n // v.numerator) for v in h.b]
@@ -424,8 +388,8 @@ def _halfspace_mask(h: RestrictedHalfspace, columns: Sequence[tuple[int, ...]]) 
     """Bit i set when the point with vertex column ``columns[i]`` lies in h.
 
     Decided by the sign of one integer dot product per point with
-    ``_halfspace_row(h)``, so it equals ``halfspace_contains`` point by
-    point, exactly.
+    ``_halfspace_row(h)``: bit i is set exactly when sum_j x_j/b_j <= tau
+    for that point x.
     """
     mismatched = {len(c) - 1 for c in columns} - {h.dim}
     if mismatched:
@@ -438,27 +402,11 @@ def _halfspace_mask(h: RestrictedHalfspace, columns: Sequence[tuple[int, ...]]) 
     return mask
 
 
-def induced_system_points_in_halfspaces(
-    points: Sequence[Point], halfspaces: Sequence[RestrictedHalfspace]
-) -> SetSystem:
-    """Ground set = point indices; one member set per half-space (deduplicated).
-
-    Membership is decided in integers: each distinct half-space becomes one
-    integer row, dotted with every point's ``_vertex_column`` (see
-    ``_halfspace_mask``).
-    """
-    if not points:
-        raise ValueError("need at least one point")
-    columns = [p._vertex_column for p in points]
-    masks = [_halfspace_mask(h, columns) for h in dict.fromkeys(halfspaces)]
-    return SetSystem.from_masks(len(points), masks)
-
-
 def _hyperplane_row(h: DualHyperplane) -> tuple[int, ...]:
     """L * (p_1, ..., p_{d-1}, p_d, -1) with L the lcm of p's denominators.
 
     Its dot product with ``x._vertex_column`` is L * M * s_p(x), with
-    L, M > 0, so it has the sign of ``side_of(h, x)`` for any rationals.
+    L, M > 0, so it has the sign of s_p(x) for any rationals.
     """
     p = h.p.coords
     n = lcm(*(v.denominator for v in p))
@@ -466,9 +414,9 @@ def _hyperplane_row(h: DualHyperplane) -> tuple[int, ...]:
 
 
 def _vertex_signs(rows: Sequence[tuple[int, ...]], x: Point) -> tuple[int, int, int]:
-    """Bitmasks of the rows i with side_of > 0, < 0 and == 0 at vertex x.
+    """Bitmasks of the rows i with s_p(x) > 0, < 0 and == 0 at vertex x.
 
-    ``rows`` are ``_hyperplane_row`` images of hyperplanes of x's dimension;
+    ``rows`` are ``_hyperplane_row`` images of hyperplanes H(p) of x's dimension;
     each sign is one integer dot product with ``x._vertex_column``.
     """
     column = x._vertex_column
@@ -482,43 +430,3 @@ def _vertex_signs(rows: Sequence[tuple[int, ...]], x: Point) -> tuple[int, int, 
         else:
             on |= 1 << i
     return pos, neg, on
-
-
-def _crossings(rows: Sequence[tuple[int, ...]], vertices: Sequence[Point]) -> tuple[int, int]:
-    """Which of the hyperplanes with these ``rows`` an open simplex with these
-    (at least one) vertices meets, and how many (hyperplane, vertex) signs
-    are zero.
-
-    Bit i is ``simplex_hyperplane_intersects`` for hyperplane i: some vertex
-    is strictly on each side, or every vertex lies on it. Each sign is
-    evaluated once, in integers (``_vertex_signs``).
-    """
-    pos = neg = zeros = 0
-    on = -1
-    for v in vertices:
-        p, n, z = _vertex_signs(rows, v)
-        pos |= p
-        neg |= n
-        on &= z
-        zeros += z.bit_count()
-    return (pos & neg) | on, zeros
-
-
-def induced_system_hyperplanes_in_simplices(
-    hyperplanes: Sequence[DualHyperplane], simplices: Sequence[OpenSimplex]
-) -> SetSystem:
-    """Ground set = hyperplane indices; one member set per simplex (deduplicated).
-
-    Signs are decided in integers (see ``_crossings``), so the result equals
-    ``simplex_hyperplane_intersects`` pair by pair, exactly.
-    """
-    if not hyperplanes:
-        raise ValueError("need at least one hyperplane")
-    dims = {h.dim for h in hyperplanes}
-    rows = [_hyperplane_row(h) for h in hyperplanes]
-    masks = []
-    for s in simplices:
-        if dims != {s.ambient_dim}:
-            raise ValueError("ambient dimensions differ")
-        masks.append(_crossings(rows, s.vertices)[0])
-    return SetSystem.from_masks(len(hyperplanes), masks)

@@ -3,6 +3,8 @@
 Rationals travel as exact "num/den" strings (plain integer strings are
 accepted on input). Readers validate shape and ranges and raise SchemaError
 naming the offending field; writers emit canonical, deterministic JSON.
+Set systems, gadget certificates and instance bundles are read and written;
+witness files are only written, since no command reads one.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from pathlib import Path
 from typing import Any
 
 from .boxgadget import BoxGadget
-from .constructions import Theorem1Instance, Theorem2Instance, build_theorem1, build_theorem2
+from .constructions import Theorem1Instance, Theorem2Instance, build_theorem1
 from .geometry import (
     AxisBox,
     DualHyperplane,
@@ -125,28 +127,8 @@ def halfspace_to_dict(h: RestrictedHalfspace) -> dict:
     }
 
 
-def halfspace_from_dict(data: Any) -> RestrictedHalfspace:
-    dim = _int_field(data, "dim", "halfspace", minimum=1)
-    b = _scalar_list(_require(data, "b", "halfspace"), "halfspace.b")
-    if len(b) != dim:
-        raise SchemaError(f"halfspace.b: expected {dim} coefficients")
-    tau = parse_scalar(_require(data, "tau", "halfspace"), "halfspace.tau")
-    try:
-        return RestrictedHalfspace(b=b, tau=tau)
-    except ValueError as err:
-        raise SchemaError(f"halfspace: {err}") from None
-
-
 def hyperplane_to_dict(h: DualHyperplane) -> dict:
     return {"p": [format_scalar(v) for v in h.p.coords]}
-
-
-def hyperplane_from_dict(data: Any) -> DualHyperplane:
-    p = _scalar_list(_require(data, "p", "hyperplane"), "hyperplane.p")
-    try:
-        return DualHyperplane(Point(p))
-    except ValueError as err:
-        raise SchemaError(f"hyperplane: {err}") from None
 
 
 def simplex_to_dict(s: OpenSimplex) -> dict:
@@ -154,23 +136,6 @@ def simplex_to_dict(s: OpenSimplex) -> dict:
         "ambient_dim": s.ambient_dim,
         "vertices": [[format_scalar(c) for c in v.coords] for v in s.vertices],
     }
-
-
-def simplex_from_dict(data: Any) -> OpenSimplex:
-    dim = _int_field(data, "ambient_dim", "simplex", minimum=1)
-    raw = _require(data, "vertices", "simplex")
-    if not isinstance(raw, list) or not raw:
-        raise SchemaError("simplex.vertices: expected a nonempty list")
-    vertices = []
-    for i, coords in enumerate(raw):
-        values = _scalar_list(coords, f"simplex.vertices[{i}]")
-        if len(values) != dim:
-            raise SchemaError(f"simplex.vertices[{i}]: expected {dim} coordinates")
-        vertices.append(Point(values))
-    try:
-        return OpenSimplex(ambient_dim=dim, vertices=tuple(vertices))
-    except ValueError as err:
-        raise SchemaError(f"simplex: {err}") from None
 
 
 # -- gadget certificates -----------------------------------------------------
@@ -231,6 +196,8 @@ def instance_from_dict(data: Any) -> Theorem1Instance:
 
     The points and alpha tables are rederived from the embedded gadget and
     must match the stored ones exactly; a mismatch means a corrupted bundle.
+    A Theorem 2 bundle's hyperplanes, when present, must be the duals H(p)
+    of the points, in their order.
     """
     d = _int_field(data, "d", "instance", minimum=4)
     k = _int_field(data, "k", "instance", minimum=2)
@@ -256,6 +223,14 @@ def instance_from_dict(data: Any) -> Theorem1Instance:
             img = parse_scalar(pair[1], f"instance.alpha[{i}][{j}][1]")
             if (orig, img) != derived[j]:
                 raise SchemaError(f"instance.alpha[{i}][{j}]: does not match the derivation")
+    if "hyperplanes" in data:
+        raw_planes = data["hyperplanes"]
+        if not isinstance(raw_planes, list) or len(raw_planes) != len(inst.points):
+            raise SchemaError(f"instance.hyperplanes: expected {len(inst.points)} hyperplanes")
+        for i, (plane, p) in enumerate(zip(raw_planes, inst.points)):
+            where = f"instance.hyperplanes[{i}]"
+            if _scalar_list(_require(plane, "p", where), f"{where}.p") != p.coords:
+                raise SchemaError(f"{where}: does not match the dual of point {i}")
     return inst
 
 
@@ -263,16 +238,6 @@ def dual_instance_to_dict(inst2: Theorem2Instance) -> dict:
     out = instance_to_dict(inst2.base)
     out["hyperplanes"] = [hyperplane_to_dict(h) for h in inst2.hyperplanes]
     return out
-
-
-def dual_instance_from_dict(data: Any) -> Theorem2Instance:
-    base = instance_from_dict(data)
-    inst2 = build_theorem2(base)
-    if isinstance(data, dict) and "hyperplanes" in data:
-        stored = [hyperplane_from_dict(h) for h in data["hyperplanes"]]
-        if tuple(stored) != inst2.hyperplanes:
-            raise SchemaError("instance.hyperplanes: stored hyperplanes do not match the points")
-    return inst2
 
 
 def union_witness_to_dict(subset: list[int], halfspaces) -> dict:

@@ -75,10 +75,10 @@ class SetSystem:
     def __post_init__(self) -> None:
         if not isinstance(self.ground_size, int) or self.ground_size < 1:
             raise ValueError("ground_size must be a positive integer")
-        limit = 1 << self.ground_size
+        # bit lengths, not 1 << ground_size: the ground size may come from a file
         prev = -1
         for mask in self.sets:
-            if not 0 <= mask < limit:
+            if mask < 0 or mask.bit_length() > self.ground_size:
                 raise ValueError(
                     f"set mask {mask} out of range for ground size {self.ground_size}"
                 )
@@ -204,7 +204,8 @@ def vc_dim(system: SetSystem) -> tuple[int, tuple[int, ...]]:
     """
     if not system.sets:
         raise ValueError("VC-dimension of an empty family is undefined")
-    if len(system.sets) == 1 << system.ground_size:
+    # the members are distinct subsets, so this holds exactly when there are 2^n of them
+    if len(system.sets).bit_length() > system.ground_size:
         return system.ground_size, tuple(range(system.ground_size))
     found = _shattered_masks(system.sets)
     dim = max(m.bit_count() for m in found)

@@ -1,6 +1,9 @@
 """Independent brute-force oracles used to cross-check the library.
 
-Nothing here shares code with the implementation paths under test: VC
+Nothing here shares code with the implementation paths under test. The
+one-point predicates (box and half-space membership, the side of a dual
+hyperplane, simplex crossing) are evaluated directly in ``Fraction``
+arithmetic, where the library takes the sign of integer dot products; VC
 dimension is recomputed over every subset, half-space separability is
 decided by exact linear programming over convex hulls, k-fold unions and
 intersections are grown as Python sets of masks, the union back-pointer
@@ -16,8 +19,45 @@ from array import array
 from fractions import Fraction
 from itertools import combinations, product
 
-from vcshatter.geometry import Point, box_contains
+from vcshatter.geometry import AxisBox, DualHyperplane, OpenSimplex, Point, RestrictedHalfspace
 from vcshatter.setsystem import SetSystem, shatters
+
+
+def box_contains(box: AxisBox, q: Point) -> bool:
+    if box.dim != q.dim:
+        raise ValueError(f"box dimension {box.dim} != point dimension {q.dim}")
+    return all(a <= x <= b for a, x, b in zip(box.lo, q.coords, box.hi))
+
+
+def halfspace_contains(h: RestrictedHalfspace, x: Point) -> bool:
+    """Whether sum_i x_i / b_i <= tau."""
+    if h.dim != x.dim:
+        raise ValueError(f"half-space dimension {h.dim} != point dimension {x.dim}")
+    total = sum((xi / bi for xi, bi in zip(x.coords, h.b)), start=Fraction(0))
+    return total <= h.tau
+
+
+def side_of(h: DualHyperplane, x: Point) -> int:
+    """Sign of s_p(x); +1 below (smaller x_d), -1 above, 0 on the hyperplane."""
+    if h.dim != x.dim:
+        raise ValueError(f"hyperplane dimension {h.dim} != point dimension {x.dim}")
+    p = h.p.coords
+    s = sum((pi * xi for pi, xi in zip(p[:-1], x.coords[:-1])), start=Fraction(0))
+    s += p[-1] - x.coords[-1]
+    return (s > 0) - (s < 0)
+
+
+def simplex_hyperplane_intersects(simplex: OpenSimplex, h: DualHyperplane) -> bool:
+    """Whether the open simplex meets the hyperplane.
+
+    Points of the relative interior are strictly positive affine combinations
+    of the vertices and s_p is affine, so the interior meets the hyperplane
+    exactly when the vertex signs are mixed, or all vertices lie on it.
+    """
+    if simplex.ambient_dim != h.dim:
+        raise ValueError("ambient dimensions differ")
+    signs = {side_of(h, v) for v in simplex.vertices}
+    return (1 in signs and -1 in signs) or signs == {0}
 
 
 def brute_force_vc_dim(system: SetSystem) -> int:

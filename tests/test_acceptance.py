@@ -27,10 +27,11 @@ from vcshatter.geometry import (
     AxisBox,
     Point,
     RestrictedHalfspace,
+    _hyperplane_row,
+    _vertex_signs,
     dual_halfspace_to_point,
     dual_point_to_hyperplane,
     realizable_halfspace_subsets,
-    side_of,
 )
 from vcshatter.setsystem import (
     SetSystem,
@@ -208,7 +209,11 @@ def test_criterion_7_duality_sign_identity():
         h = RestrictedHalfspace(b=b, tau=tau)
         diff = total - tau
         expected = (diff > 0) - (diff < 0)
-        got = side_of(dual_point_to_hyperplane(p), dual_halfspace_to_point(h))
+        # the sign of s_p(D(H)), as verify_theorem2 reads it
+        pos, neg, _ = _vertex_signs(
+            [_hyperplane_row(dual_point_to_hyperplane(p))], dual_halfspace_to_point(h)
+        )
+        got = pos - neg
         assert got == expected, f"trial {trial}"
         zeros += got == 0
     assert zeros >= 100  # the engineered boundary cases were actually exercised

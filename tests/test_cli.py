@@ -4,14 +4,16 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import vcshatter
-from vcshatter import boxgadget, jsonio
+from vcshatter import boxgadget, constructions, jsonio
 from vcshatter.cli import _build_parser, cli_main
+from vcshatter.geometry import OpenSimplex, Point, RestrictedHalfspace
 from vcshatter.setsystem import SetSystem, mask_to_indices
 
 
@@ -96,6 +98,18 @@ class TestSysCommands:
         err = capsys.readouterr().err
         assert code == 2
         assert "sets[0]" in err
+
+    def test_vcdim_on_a_huge_ground_size_stays_small(self, capsys, tmp_path):
+        path = tmp_path / "huge.json"
+        jsonio.dump_json({"ground_size": 2 * 10**8, "sets": [[0], [1]]}, path)
+        tracemalloc.start()
+        try:
+            code, report = run_cli(capsys, "sys", "vcdim", "--input", str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and report["result"]["vc_dim"] == 1
+        assert peak < 1 << 20
 
     def test_malformed_json_exits_2(self, capsys, tmp_path):
         path = tmp_path / "broken.json"
@@ -283,8 +297,43 @@ class TestConstructAndWitness:
             capsys, "construct", "theorem2", "--d", "4", "--k", "2", "--output", str(out)
         )
         assert code == 0 and report["result"]["hyperplanes"] == 5
-        inst2 = jsonio.dual_instance_from_dict(jsonio.load_json(out))
-        assert len(inst2.hyperplanes) == 5
+        inst = jsonio.instance_from_dict(jsonio.load_json(out))
+        assert len(constructions.build_theorem2(inst).hyperplanes) == 5
+        code, report = run_cli(capsys, "verify", "theorem2", "--input", str(out))
+        assert code == 0 and report["result"]["shattered"] is True
+        code, _ = run_cli(capsys, "witness", "simplex", "--input", str(out), "--subset", "0")
+        assert code == 0
+
+    @pytest.mark.parametrize(
+        "tamper, field",
+        [
+            pytest.param(lambda planes: planes[0]["p"].__setitem__(0, "999/1"),
+                         "instance.hyperplanes[0]", id="moved-entry"),
+            pytest.param(lambda planes: planes[4]["p"].pop(), "instance.hyperplanes[4]",
+                         id="short-entry"),
+            pytest.param(lambda planes: planes.pop(), "instance.hyperplanes", id="one-dropped"),
+            pytest.param(lambda planes: planes[1].pop("p"), "instance.hyperplanes[1]",
+                         id="missing-p"),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "command",
+        [["verify", "theorem2"], ["witness", "simplex", "--subset", "0"]],
+        ids=["verify", "witness"],
+    )
+    def test_tampered_theorem2_bundle_exits_2(self, capsys, tmp_path, command, tamper, field):
+        # every command that reads a bundle checks its stored hyperplanes
+        out = tmp_path / "dual.json"
+        argv = ["construct", "theorem2", "--d", "4", "--k", "2", "--output", str(out)]
+        assert cli_main(argv) == 0
+        data = jsonio.load_json(out)
+        tamper(data["hyperplanes"])
+        jsonio.dump_json(data, out)
+        capsys.readouterr()
+        code = cli_main([*command, "--input", str(out)])
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert code == 2
+        assert error.startswith(f"{field}:"), error
 
     def test_witness_union(self, capsys, tmp_path):
         out = tmp_path / "w.json"
@@ -296,7 +345,8 @@ class TestConstructAndWitness:
         assert data["subset"] == [0, 2]
         assert 1 <= len(data["halfspaces"]) <= 2
         for h in data["halfspaces"]:
-            jsonio.halfspace_from_dict(h)
+            assert h["dim"] == len(h["b"]) == 4
+            RestrictedHalfspace(b=tuple(h["b"]), tau=h["tau"])
 
     def test_witness_simplex(self, capsys, tmp_path):
         out = tmp_path / "s.json"
@@ -305,7 +355,8 @@ class TestConstructAndWitness:
         )
         assert code == 0
         data = jsonio.load_json(out)
-        simplex = jsonio.simplex_from_dict(data["simplex"])
+        raw = data["simplex"]
+        simplex = OpenSimplex(raw["ambient_dim"], tuple(Point(tuple(v)) for v in raw["vertices"]))
         assert simplex.simplex_dim <= 2
 
     @pytest.mark.parametrize("which", ["union", "simplex"])

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import box_contains, halfspace_contains, side_of, simplex_hyperplane_intersects
 from vcshatter import boxgadget, constructions, geometry, jsonio
 from vcshatter.boxgadget import BoxGadget, _witness_patterns, verify, witness_for
 from vcshatter.constructions import (
@@ -32,15 +33,12 @@ from vcshatter.geometry import (
     OpenSimplex,
     Point,
     RestrictedHalfspace,
-    box_contains,
+    _halfspace_mask,
     dual_halfspace_to_point,
     dual_point_to_hyperplane,
-    halfspace_contains,
-    induced_system_points_in_halfspaces,
-    side_of,
-    simplex_hyperplane_intersects,
 )
 from vcshatter.setsystem import (
+    SetSystem,
     complement_system,
     k_fold_intersection,
     k_fold_union,
@@ -51,6 +49,13 @@ from vcshatter.setsystem import (
 )
 
 F = Fraction
+
+
+def halfspace_system(points, halfspaces) -> SetSystem:
+    """The sets the half-spaces cut out of the points, by the integer kernel."""
+    columns = [p._vertex_column for p in points]
+    return SetSystem.from_masks(len(points), (_halfspace_mask(h, columns) for h in halfspaces))
+
 
 positive = st.fractions(min_value=F(1, 8), max_value=F(16))
 
@@ -354,7 +359,7 @@ class TestVerifyTheorem1:
                 expected = sum(
                     1 << i for i, p in enumerate(inst.points) if halfspace_contains(h, p)
                 )
-                assert induced_system_points_in_halfspaces(inst.points, [h]).sets == (expected,)
+                assert halfspace_system(inst.points, [h]).sets == (expected,)
 
     def test_mutated_point_fails(self, bundled_instance):
         # bump one coordinate of one point a full rescale level up
@@ -400,7 +405,7 @@ class TestVerifyTheorem1:
         report = verify_theorem1(inst, mode="sample", count=5, seed=1, compute_vc_dim=True)
         assert report.shattered and len(witnesses) == 5
         halfspaces = [h for witness in witnesses for h in witness]
-        system = induced_system_points_in_halfspaces(inst.points, halfspaces)
+        system = halfspace_system(inst.points, halfspaces)
         assert union_closure(system.sets, 12, 4).bit_count() < 1 << 12
         assert report.union_vc_dim == vc_dim(k_fold_union(system, 4))[0]
 
@@ -722,7 +727,7 @@ class TestFiniteLevelIdentities:
         halfspaces = []
         for mask in range(32):
             halfspaces.extend(union_witness(bundled_instance, mask))
-        system = induced_system_points_in_halfspaces(bundled_instance.points, halfspaces)
+        system = halfspace_system(bundled_instance.points, halfspaces)
         for k in (1, 2, 3):
             lhs = complement_system(k_fold_intersection(system, k))
             rhs = k_fold_union(complement_system(system), k)
@@ -732,6 +737,6 @@ class TestFiniteLevelIdentities:
         halfspaces = []
         for mask in range(32):
             halfspaces.extend(union_witness(bundled_instance, mask))
-        system = induced_system_points_in_halfspaces(bundled_instance.points, halfspaces)
+        system = halfspace_system(bundled_instance.points, halfspaces)
         folded = k_fold_union(system, bundled_instance.k)
         assert vc_dim(folded)[0] == len(bundled_instance.points)

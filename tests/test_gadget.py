@@ -14,7 +14,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_cover_feasible, finer_grid_points, full_scan_unions, sorted_tail_unions
+from oracles import (
+    box_contains,
+    brute_cover_feasible,
+    finer_grid_points,
+    full_scan_unions,
+    sorted_tail_unions,
+)
 from vcshatter import boxgadget
 from vcshatter.boxgadget import (
     BoxGadget,
@@ -23,17 +29,16 @@ from vcshatter.boxgadget import (
     _hit_masks,
     _moved_columns,
     _mutate,
-    _patterns,
+    _product,
     _score,
     _witness_patterns,
-    candidate_points,
     nominal_box_count,
     search,
     verify,
     witness_for,
 )
 from vcshatter.cli import BUNDLED_GADGET, BUNDLED_INSTANCE, _asset_path
-from vcshatter.geometry import AxisBox, box_contains
+from vcshatter.geometry import AxisBox, Point
 from vcshatter.jsonio import (
     dump_json,
     gadget_from_dict,
@@ -150,46 +155,52 @@ class TestConstruction:
         assert nominal_box_count(2, 4) == 10
 
 
+def patterns_of(boxes, dim: int) -> frozenset[int]:
+    """The search's pattern set of a family: the product of its columns."""
+    return _product(_columns(boxes, dim), len(boxes))
+
+
 class TestCandidatePoints:
     def test_single_box_menu(self):
         g = make_gadget([((1, 1), (2, 2))])
-        cands = candidate_points(g)
-        assert len(cands) == 9  # below/inside/above per axis
-        inside = [q for q in cands if box_contains(g.boxes[0], q)]
-        assert len(inside) == 1
-        corners = [
-            q for q in cands if all(c < 1 or c > 2 for c in q.coords)
-        ]
-        assert len(corners) == 4
-        assert all(all(c > 0 for c in q.coords) for q in cands)
+        menu = midpoint_menu(g)
+        assert len(menu) == 9  # below/inside/above per axis
+        assert list(g._menu[1].items()) == [(0b0, (0, 0)), (0b1, (1, 1))]
+        # the pattern points: the menu's first point outside, then its one point inside
+        assert [q.coords for q in g._pattern_points] == [menu[0], menu[4]]
+        assert menu[0] == (F(1, 2),) * 2 and menu[4] == (F(3, 2),) * 2
 
     def test_zero_boxes_single_candidate(self):
+        # with no boxes the menu is one point, the witness of every (empty) subset
         g = BoxGadget(n=2, dim=2, boxes=())
-        assert len(candidate_points(g)) == 1
+        assert g._menu[1] == {0: (0, 0)}
+        assert witness_for(g, []) == (Point.of(1, 1),)
 
     @given(box_families())
     @settings(max_examples=80, deadline=None)
     def test_bitset_patterns_match_fraction_predicate(self, g):
         # the per-axis bitsets give exactly the distinct box_contains masks of
         # the menu, each with the menu digits of the first point that has it,
-        # in point order
-        cands = candidate_points(g)
-        assert [q.coords for q in cands] == midpoint_menu(g)
+        # in point order; the pattern points are those first points
         digits = product(*(range(len(values) + 1) for values in g._menu[0]))
         lowest: dict[int, tuple[int, ...]] = {}
-        for q, m in zip(cands, digits, strict=True):
+        first: dict[int, tuple[Fraction, ...]] = {}
+        for coords, m in zip(midpoint_menu(g), digits, strict=True):
+            q = Point(coords)
             mask = sum(1 << j for j, box in enumerate(g.boxes) if box_contains(box, q))
             lowest.setdefault(mask, m)
+            first.setdefault(mask, coords)
         _, patterns = g._menu
         assert list(patterns.items()) == list(lowest.items())
-        assert _patterns([(box.lo, box.hi) for box in g.boxes], g.dim) == set(lowest)
+        assert [q.coords for q in g._pattern_points] == list(first.values())
+        assert patterns_of([(box.lo, box.hi) for box in g.boxes], g.dim) == set(lowest)
 
     def test_every_box_and_the_outside_get_candidates(self, bundled_gadget):
-        cands = candidate_points(bundled_gadget)
+        points = bundled_gadget._pattern_points
         for box in bundled_gadget.boxes:
-            assert any(box_contains(box, q) for q in cands)
+            assert any(box_contains(box, q) for q in points)
         assert any(
-            not any(box_contains(box, q) for box in bundled_gadget.boxes) for q in cands
+            not any(box_contains(box, q) for box in bundled_gadget.boxes) for q in points
         )
 
 
@@ -294,7 +305,7 @@ class TestVerify:
     def assert_witnesses_sound(g: BoxGadget) -> int:
         """Every witness is a set of menu points hitting exactly the boxes
         outside its subset; returns how many subsets have one."""
-        menu = set(candidate_points(g))
+        menu = {Point(coords) for coords in midpoint_menu(g)}
         found = 0
         for smask in range(1 << len(g.boxes)):
             pts = witness_for(g, smask)
@@ -375,7 +386,7 @@ class TestFastPath:
         score = _score(_columns(boxes, g.dim), len(boxes), g.max_witness_size, ({}, {}))
         assert score == len(pick) - pick.count(-1)
         assert _hit_masks(boxes, g.dim)[1] == g._menu[1]
-        assert _patterns(boxes, g.dim) == set(g._menu[1])
+        assert patterns_of(boxes, g.dim) == set(g._menu[1])
 
     @staticmethod
     def assert_tables_match_full_scan(g: BoxGadget) -> None:
@@ -441,7 +452,7 @@ class TestFastPath:
             ]
         )
         boxes = [(box.lo, box.hi) for box in g.boxes]
-        assert _patterns(boxes, g.dim) == set(g._menu[1]) == {0b000, 0b001, 0b010, 0b100}
+        assert patterns_of(boxes, g.dim) == set(g._menu[1]) == {0b000, 0b001, 0b010, 0b100}
 
     def test_score_memo_is_keyed_by_pattern_set(self, n3_gadget, monkeypatch):
         boxes = int_boxes(n3_gadget)
@@ -458,7 +469,7 @@ class TestFastPath:
         columns = _columns(boxes, 2)
         memo: tuple[dict, dict] = ({}, {})
         assert _score(columns, nboxes, b, memo) == want
-        assert memo == ({(b, columns): want}, {(b, _patterns(boxes, 2)): want})
+        assert memo == ({(b, columns): want}, {(b, patterns_of(boxes, 2)): want})
         # a translated family has the same columns, so it reads the warm entry
         translated = _columns(boxgadget._translate(boxes, 7), 2)
         assert translated == columns

@@ -10,7 +10,15 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_halfspace_dichotomy_masks, fraction_rank, integer_rank
+from oracles import (
+    box_contains,
+    brute_halfspace_dichotomy_masks,
+    fraction_rank,
+    halfspace_contains,
+    integer_rank,
+    side_of,
+    simplex_hyperplane_intersects,
+)
 from vcshatter import geometry
 from vcshatter.geometry import (
     AxisBox,
@@ -19,22 +27,43 @@ from vcshatter.geometry import (
     OpenSimplex,
     Point,
     RestrictedHalfspace,
-    _crossings,
     _annihilate,
+    _halfspace_mask,
     _hyperplane_row,
-    box_contains,
+    _vertex_signs,
     dual_halfspace_to_point,
     dual_point_to_hyperplane,
-    halfspace_contains,
-    induced_system_hyperplanes_in_simplices,
-    induced_system_points_in_halfspaces,
     realizable_halfspace_subsets,
-    side_of,
-    simplex_hyperplane_intersects,
 )
 from vcshatter.setsystem import vc_dim
 
 F = Fraction
+
+
+def kernel_contains(h: RestrictedHalfspace, x: Point) -> bool:
+    """Membership of x in h, read from ``_halfspace_mask``."""
+    return _halfspace_mask(h, [x._vertex_column]) == 1
+
+
+def kernel_side(h: DualHyperplane, x: Point) -> int:
+    """The sign of s_p(x), read from ``_vertex_signs``."""
+    pos, neg, _ = _vertex_signs([_hyperplane_row(h)], x)
+    return pos - neg
+
+
+def kernel_crossings(hyperplanes: list[DualHyperplane], simplex: OpenSimplex) -> int:
+    """Bit i set when the simplex crosses hyperplane i, folded from the
+    vertices' ``_vertex_signs``: some vertex is strictly on each side of it,
+    or every vertex lies on it."""
+    rows = [_hyperplane_row(h) for h in hyperplanes]
+    pos = neg = 0
+    on = -1
+    for v in simplex.vertices:
+        p, n, z = _vertex_signs(rows, v)
+        pos |= p
+        neg |= n
+        on &= z
+    return (pos & neg) | on
 
 
 def _sub(a, b) -> list[Fraction]:
@@ -68,14 +97,17 @@ class TestHalfspaceContains:
     def test_boundary(self):
         h = RestrictedHalfspace(b=(1, 1), tau=2)
         assert halfspace_contains(h, Point.of(1, 1))
+        assert kernel_contains(h, Point.of(1, 1))
 
     def test_origin_always_inside(self):
         h = RestrictedHalfspace(b=(1, 1), tau=2)
         assert halfspace_contains(h, Point.of(0, 0))
+        assert kernel_contains(h, Point.of(0, 0))
 
     def test_outside(self):
         h = RestrictedHalfspace(b=(1, 1), tau=2)
         assert not halfspace_contains(h, Point.of(3, 0))
+        assert not kernel_contains(h, Point.of(3, 0))
 
     def test_invalid_coefficients(self):
         for bad in (0, F(-1, 3), "-2"):
@@ -89,17 +121,17 @@ class TestHalfspaceContains:
 class TestSideOf:
     def test_horizontal_hyperplane(self):
         h = dual_point_to_hyperplane(Point.of(0, 0))  # x_2 = 0
-        assert side_of(h, Point.of(1, 2)) == -1
+        assert side_of(h, Point.of(1, 2)) == kernel_side(h, Point.of(1, 2)) == -1
 
     def test_hand_evaluations(self):
         h = dual_point_to_hyperplane(Point.of(1, F(1, 2)))
-        assert side_of(h, Point.of(1, 2)) == -1  # 1 + 1/2 - 2 = -1/2
+        assert side_of(h, Point.of(1, 2)) == kernel_side(h, Point.of(1, 2)) == -1  # -1/2
         h10 = dual_point_to_hyperplane(Point.of(10, 10))
-        assert side_of(h10, Point.of(1, 2)) == 1  # 10 + 10 - 2 = 18
+        assert side_of(h10, Point.of(1, 2)) == kernel_side(h10, Point.of(1, 2)) == 1  # 18
 
     def test_on_hyperplane(self):
         h = dual_point_to_hyperplane(Point.of(1, 0))  # x_2 = x_1
-        assert side_of(h, Point.of(3, 3)) == 0
+        assert side_of(h, Point.of(3, 3)) == kernel_side(h, Point.of(3, 3)) == 0
 
     @given(st.integers(2, 4), st.data())
     @settings(max_examples=80, deadline=None)
@@ -108,7 +140,8 @@ class TestSideOf:
         x = Point(tuple(data.draw(scalars) for _ in range(d)))
         s = sum(p.coords[i] * x.coords[i] for i in range(d - 1)) + p.coords[-1] - x.coords[-1]
         expected = (s > 0) - (s < 0)
-        assert side_of(dual_point_to_hyperplane(p), x) == expected
+        h = dual_point_to_hyperplane(p)
+        assert side_of(h, x) == kernel_side(h, x) == expected
 
     def test_needs_dim_two(self):
         with pytest.raises(ValueError):
@@ -137,14 +170,16 @@ class TestDuality:
         h = RestrictedHalfspace(b=b, tau=tau)
         total = sum(pi / bi for pi, bi in zip(p.coords, b))
         expected = ((total - tau) > 0) - ((total - tau) < 0)
-        assert side_of(dual_point_to_hyperplane(p), dual_halfspace_to_point(h)) == expected
+        hp, dh = dual_point_to_hyperplane(p), dual_halfspace_to_point(h)
+        assert side_of(hp, dh) == kernel_side(hp, dh) == expected
 
     def test_boundary_case_sum_equals_tau(self):
         # engineered incidence: p on the bounding hyperplane dualizes to sign 0
         b = (F(2), F(3), F(5))
         p = Point.of(1, F(3, 2), F(5, 2))  # 1/2 + 1/2 + 1/2 = 3/2
         h = RestrictedHalfspace(b=b, tau=F(3, 2))
-        assert side_of(dual_point_to_hyperplane(p), dual_halfspace_to_point(h)) == 0
+        hp, dh = dual_point_to_hyperplane(p), dual_halfspace_to_point(h)
+        assert side_of(hp, dh) == kernel_side(hp, dh) == 0
 
 
 class TestSimplexIntersection:
@@ -195,6 +230,7 @@ class TestSimplexIntersection:
                 except DegenerateSimplexError:
                     continue
             got = simplex_hyperplane_intersects(simplex, h)
+            assert got == bool(kernel_crossings([h], simplex))
             values = [s_val(v) for v in verts]
             if got and any(v != 0 for v in values):
                 u = next(i for i, v in enumerate(values) if v > 0)
@@ -482,18 +518,6 @@ class TestRealizableSubsets:
                 assert vc_dim(system)[0] <= d + 1
 
 
-def fraction_masks(points, halfspaces) -> set[int]:
-    """Reference for the integer kernel: one halfspace_contains call per pair."""
-    masks = set()
-    for h in halfspaces:
-        mask = 0
-        for i, p in enumerate(points):
-            if halfspace_contains(h, p):
-                mask |= 1 << i
-        masks.add(mask)
-    return masks
-
-
 @st.composite
 def points_and_halfspaces(draw):
     """Rational points and half-spaces in dimensions 1-5, with duplicated
@@ -544,45 +568,52 @@ def hyperplanes_and_simplex(draw):
 
 
 class TestInducedSystems:
+    """The integer kernels the verifiers run, against the ``Fraction`` oracles."""
+
     @given(hyperplanes_and_simplex())
     @settings(max_examples=100, deadline=None)
     def test_integer_signs_match_fraction_predicates(self, case):
+        # every (hyperplane, vertex) pair, with vertices moved exactly onto
+        # hyperplanes; then the crossing rule against the simplex oracle
         hyperplanes, simplex = case
-        mask, zeros = _crossings([_hyperplane_row(h) for h in hyperplanes], simplex.vertices)
+        rows = [_hyperplane_row(h) for h in hyperplanes]
+        for v in simplex.vertices:
+            pos, neg, on = _vertex_signs(rows, v)
+            signs = [side_of(h, v) for h in hyperplanes]
+            assert pos == sum(1 << i for i, s in enumerate(signs) if s > 0)
+            assert neg == sum(1 << i for i, s in enumerate(signs) if s < 0)
+            assert on == sum(1 << i for i, s in enumerate(signs) if s == 0)
+        crossed = kernel_crossings(hyperplanes, simplex)
         for i, h in enumerate(hyperplanes):
-            assert bool(mask >> i & 1) == simplex_hyperplane_intersects(simplex, h)
-        assert zeros == sum(side_of(h, v) == 0 for h in hyperplanes for v in simplex.vertices)
-        system = induced_system_hyperplanes_in_simplices(hyperplanes, [simplex])
-        assert system.sets == (mask,)
+            assert bool(crossed >> i & 1) == simplex_hyperplane_intersects(simplex, h)
 
     @given(points_and_halfspaces())
     @settings(max_examples=120, deadline=None)
     def test_integer_kernel_matches_fraction_predicate(self, case):
         points, halfspaces = case
-        system = induced_system_points_in_halfspaces(points, halfspaces)
-        assert set(system.sets) == fraction_masks(points, halfspaces)
+        columns = [p._vertex_column for p in points]
+        for h in halfspaces:
+            want = sum(1 << i for i, p in enumerate(points) if halfspace_contains(h, p))
+            assert _halfspace_mask(h, columns) == want
 
     def test_integer_kernel_on_boundary_with_denominators(self):
         # 1/2 / (3/4) + (5/3) / (7/2) = 2/3 + 10/21 = 8/7, exactly on the boundary
         pts = [Point.of(F(1, 2), F(5, 3)), Point.of(F(1, 2), F(12, 7))]
         h = RestrictedHalfspace(b=(F(3, 4), F(7, 2)), tau=F(8, 7))
-        system = induced_system_points_in_halfspaces(pts, [h, h])
-        assert system.member_lists() == [[0]]
+        assert _halfspace_mask(h, [p._vertex_column for p in pts]) == 0b01
 
     def test_no_halfspaces_gives_empty_family(self):
-        system = induced_system_points_in_halfspaces([Point.of(1, 1)], [])
-        assert system.sets == ()
+        # over no points, a half-space cuts out the empty set
+        assert _halfspace_mask(RestrictedHalfspace(b=(1, 1), tau=2), []) == 0
 
     def test_halfspace_containing_everything(self):
         pts = [Point.of(1, 1), Point.of(2, 1)]
         h = RestrictedHalfspace(b=(100, 100), tau=2)
-        system = induced_system_points_in_halfspaces(pts, [h])
-        assert system.member_lists() == [[0, 1]]
+        assert _halfspace_mask(h, [p._vertex_column for p in pts]) == 0b11
 
     def test_no_simplices_gives_empty_family(self):
-        hs = [dual_point_to_hyperplane(Point.of(1, 1))]
-        system = induced_system_hyperplanes_in_simplices(hs, [])
-        assert system.sets == ()
+        # against no hyperplanes, a vertex has no sign bits
+        assert _vertex_signs([], Point.of(1, 1)) == (0, 0, 0)
 
     def test_simplex_crossing_everything(self):
         hs = [
@@ -590,15 +621,14 @@ class TestInducedSystems:
             dual_point_to_hyperplane(Point.of(0, 2)),
         ]
         simplex = OpenSimplex(2, (Point.of(0, 0), Point.of(0, 3)))
-        system = induced_system_hyperplanes_in_simplices(hs, [simplex])
-        assert system.member_lists() == [[0, 1]]
+        assert kernel_crossings(hs, simplex) == 0b11
+        assert all(simplex_hyperplane_intersects(simplex, h) for h in hs)
 
     def test_dim_mismatch(self):
+        h = RestrictedHalfspace(b=(1, 1), tau=2)
+        with pytest.raises(ValueError, match="dimension 2 != point dimension 3"):
+            _halfspace_mask(h, [Point.of(1, 1)._vertex_column, Point.of(1, 1, 1)._vertex_column])
         with pytest.raises(ValueError):
-            induced_system_points_in_halfspaces(
-                [Point.of(1, 1, 1)], [RestrictedHalfspace(b=(1, 1), tau=2)]
-            )
-        with pytest.raises(ValueError):
-            induced_system_hyperplanes_in_simplices(
-                [dual_point_to_hyperplane(Point.of(1, 1))], [OpenSimplex(3, (Point.of(0, 0, 0),))]
+            simplex_hyperplane_intersects(
+                OpenSimplex(3, (Point.of(0, 0, 0),)), dual_point_to_hyperplane(Point.of(1, 1))
             )

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -46,6 +47,10 @@ class TestConstruction:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             SetSystem.from_members(2, [[2]])
+        for mask in (-1, 8, 9, 1 << 40):
+            with pytest.raises(ValueError, match=f"^set mask {mask} out of range for ground size 3$"):
+                SetSystem(3, (mask,))
+        assert SetSystem(3, (0, 7)).sets == (0, 7)
 
     def test_rejects_duplicate_indices_within_set(self):
         with pytest.raises(ValueError, match="duplicate"):
@@ -54,6 +59,18 @@ class TestConstruction:
     def test_rejects_nonpositive_ground(self):
         with pytest.raises(ValueError):
             SetSystem(0, ())
+
+    def test_a_huge_ground_size_builds_no_huge_integer(self):
+        # the ground size may come from a file: validation and vc_dim must
+        # not build 1 << ground_size, which is 25 MB here
+        tracemalloc.start()
+        try:
+            system = SetSystem(2 * 10**8, (1, 2))
+            assert vc_dim(system) == (1, (0,))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestProject:
