@@ -193,9 +193,9 @@ def _unions(gadget: BoxGadget) -> tuple[array, array]:
     frontier is visited in lexicographic order of paths, so each path is the
     lexicographically first combination of the fewest pattern numbers with
     its union, which is strictly increasing; the pairs skipped never write
-    an entry. Only ``witness_for`` and the theorem witnesses
-    (``constructions._tree_node``) read the tables; ``verify`` and the search
-    read the same set of unions from ``union_closure``.
+    an entry. Only ``witness_for`` and the theorem witnesses (the
+    instances' ``_node`` in ``constructions``) read the tables; ``verify``
+    and the search read the same set of unions from ``union_closure``.
     """
     nboxes = len(gadget.boxes)
     _check_guard(nboxes, "exhaustive verification")

@@ -23,20 +23,23 @@ so a point beyond a snapped bound overshoots some b_i by a factor of at
 least d+1, making half-space membership match corner dominance with strict
 slack on both sides for any tau strictly between d and d+1.
 
-Witness points are menu points of the gadget's distinct hit patterns, so an
-instance snaps each pattern's corner once into its row. A pattern's
+Witness points are menu points of the gadget's distinct hit patterns. A
+menu point's corner snaps coordinate by coordinate, so an instance snaps
+each menu value q of each gadget axis once, as the pair (q, 1/q), and joins
+the pairs named by a pattern's menu digits into its row. A pattern's
 half-space at threshold slot j is built once, keyed by (pattern number, j)
 (``Theorem1Instance._slot``), and so is its dual vertex on a Theorem 2
 instance. Distinct patterns snap to distinct bounds, since the bounds
 decide which points lie below them. Gadget witnesses form a tree: each is
 its parent's plus one pattern numbered above all of the parent's
-(read from the gadget's ``_closure`` tables by ``_tree_node``); the root,
-the witness of no pattern, is union -1. So
-a witness is its parent's plus that pattern's half-space (or dual vertex)
-at the slot given by the parent's size. Each instance memoizes the witness
-of every witness-tree parent by union mask, the root's first: its
-half-spaces, or on a Theorem 2 instance its simplex. A leaf then costs one
-tree step, one memo lookup and at most one new slot or vertex; a new
+(read from the gadget's ``_closure`` tables); the root, the witness of no
+pattern, is union -1. So a witness is its parent's plus that pattern's
+half-space (or dual vertex) at the slot given by the parent's size. Each
+instance memoizes the witness of every witness-tree parent by union mask,
+the root's first: its half-spaces, or on a Theorem 2 instance its simplex.
+A leaf then costs one call, the instance's ``_node``: one tree step, one
+memo lookup and at most one new slot or vertex. Only a missing parent or a
+union with no witness takes the shared slow path, ``_tree_parent``. A new
 vertex's affine independence is checked against the parent's integer
 annihilator, usually by one dot product. The verifiers check whatever the
 public witness functions return, memoizing the exact integer mask
@@ -47,6 +50,7 @@ receive.
 from __future__ import annotations
 
 import random
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -55,7 +59,7 @@ from operator import itemgetter
 from typing import Iterable, Sequence
 
 from . import boxgadget  # boxgadget.verify is looked up where perfbench's tracer wraps it
-from .boxgadget import BoxGadget
+from .boxgadget import BoxGadget, _menu_value
 from .geometry import (
     AxisBox,
     DegenerateSimplexError,
@@ -174,11 +178,25 @@ class Theorem1Instance:
     def _witness_rows(self) -> tuple[Row, ...]:
         """Per gadget pattern number, the snapped corner of its menu point.
 
-        Every corner is snapped once, on first use of the table. Slots are
-        added by ``_slot``.
+        A menu point q lifts to (q_1, 1/q_1, ..., q_m, 1/q_m), and ``snap``
+        treats each coordinate alone, so the corner snaps axis by axis: menu
+        value q of axis i snaps once, as the pair (q, 1/q) against alpha's
+        tables 2i and 2i+1, and a pattern's row joins the pairs named by its
+        menu digits. The table is built on first use; slots are added by
+        ``_slot``.
         """
-        points = self.gadget._pattern_points
-        return tuple((snap(_lift(q.coords, q.coords), self.alpha), {}) for q in points)
+        axes, patterns = self.gadget._menu
+        pairs = [
+            [
+                snap(_lift((q,), (q,)), self.alpha[2 * i : 2 * i + 2])
+                for q in map(partial(_menu_value, values), range(len(values) + 1))
+            ]
+            for i, values in enumerate(axes)
+        ]
+        return tuple(
+            (tuple(c for axis, m in zip(pairs, digits) for c in axis[m]), {})
+            for digits in patterns.values()
+        )
 
     @cached_property
     def _nodes(self) -> dict[int, Halfspaces]:
@@ -196,11 +214,22 @@ class Theorem1Instance:
             h = slots[j] = RestrictedHalfspace(b=bounds, tau=tau)
         return h
 
-    def _grow(self, halfspaces: Halfspaces, number: int) -> Halfspaces:
-        h = self._witness_rows[number][1].get(len(halfspaces))
-        if h is None:
-            h = self._slot(number, len(halfspaces))
-        return (*halfspaces, h)
+    @cached_property
+    def _tree(self) -> tuple[array, array, dict[int, Halfspaces], tuple[Row, ...]]:
+        """What ``_node`` reads, behind one attribute: the gadget's ``_closure``
+        tables, ``_nodes`` and ``_witness_rows``."""
+        return (*self.gadget._closure, self._nodes, self._witness_rows)
+
+    def _node(self, union: int) -> Halfspaces:
+        """The witness half-spaces of ``union``: its tree parent's, then the
+        half-space of the pattern it adds, at the slot given by the parent's size."""
+        pick, prev, nodes, rows = self._tree
+        number = pick[union]
+        node = nodes.get(prev[union])
+        if node is None or number < 0:
+            number, node = _tree_parent(self, union)
+        h = rows[number][1].get(len(node))
+        return (*node, h if h is not None else self._slot(number, len(node)))
 
 
 @dataclass(frozen=True)
@@ -230,14 +259,26 @@ class Theorem2Instance:
         """The dual vertex of ``base._slot(number, j)``, by (number, j), built on first read."""
         return {}
 
-    def _grow(self, simplex: OpenSimplex, number: int) -> OpenSimplex:
-        """The simplex with the dual vertex of pattern ``number``'s next
-        half-space, checked against its annihilator."""
-        key = (number, len(simplex.vertices) - 1)
-        v = self._vertices.get(key)
+    @cached_property
+    def _tree(self) -> tuple[array, array, dict[int, OpenSimplex], dict[tuple[int, int], Point]]:
+        """What ``_node`` reads, behind one attribute: the gadget's ``_closure``
+        tables, ``_nodes`` and ``_vertices``."""
+        return (*self.base.gadget._closure, self._nodes, self._vertices)
+
+    def _node(self, union: int) -> OpenSimplex:
+        """The witness simplex of ``union``: its tree parent's, extended by the
+        dual vertex of the pattern it adds and checked against the parent's
+        annihilator."""
+        pick, prev, nodes, vertices = self._tree
+        number = pick[union]
+        node = nodes.get(prev[union])
+        if node is None or number < 0:
+            number, node = _tree_parent(self, union)
+        key = (number, len(node.vertices) - 1)
+        v = vertices.get(key)
         if v is None:
-            v = self._vertices[key] = dual_halfspace_to_point(self.base._slot(*key))
-        return simplex._extended(v)
+            v = vertices[key] = dual_halfspace_to_point(self.base._slot(*key))
+        return node._extended(v)
 
 
 def required_gadget_n(k: int) -> int:
@@ -280,31 +321,33 @@ def build_theorem1(d: int, k: int, gadget: BoxGadget) -> Theorem1Instance:
     return Theorem1Instance(d=d, k=k, gadget=gadget, points=points, alpha=alpha)
 
 
-def _tree_node(
-    inst: Theorem1Instance, owner: Theorem1Instance | Theorem2Instance, union: int
-) -> Halfspaces | OpenSimplex:
-    """The witness of the union on the owner instance.
+def _tree_parent(
+    owner: Theorem1Instance | Theorem2Instance, union: int
+) -> tuple[int, Halfspaces | OpenSimplex]:
+    """The pattern that ``union`` adds to its witness-tree parent, and the
+    parent's witness on the owner instance: the slow path of ``owner._node``.
 
     A witness is its tree parent's plus one pattern numbered above all of
     the parent's: the gadget's ``_closure`` tables give that pattern
-    (``pick``) and the parent (``prev``) by union mask. So the witness is
-    its parent's, extended by ``owner._grow`` with that pattern. The
-    witnesses of parents are memoized on the owner, which starts with the
-    root's under -1.
+    (``pick``) and the parent (``prev``) by union mask. The witnesses of
+    parents are memoized on the owner, which starts with the root's under
+    -1; a missing one is built here, by ``owner._node``. A union the tables
+    never reached raises ConstructionError.
     """
-    pick, prev = inst.gadget._closure
+    pick, prev, nodes, _ = owner._tree
     number = pick[union]
     if number < 0:
-        avoid = ((1 << len(inst.points)) - 1) & ~union
+        # one table entry per union mask, so len(pick) - 1 is the full mask
+        avoid = (len(pick) - 1) & ~union
         raise ConstructionError(
             f"gadget has no witness for box subset {mask_to_indices(avoid)}; "
             "the certificate is invalid"
         )
     parent = prev[union]
-    node = owner._nodes.get(parent)
+    node = nodes.get(parent)
     if node is None:
-        node = owner._nodes[parent] = _tree_node(inst, owner, parent)
-    return owner._grow(node, number)
+        node = nodes[parent] = owner._node(parent)
+    return number, node
 
 
 def union_witness(
@@ -316,9 +359,11 @@ def union_witness(
     point lifts to its corner, which snaps onto the rescaled grid and gives
     the bounds of one half-space. The j-th witness pattern's half-space has
     threshold d + 1/2 + j/(4k), strictly inside (d, d+1) since j < k. The
-    half-spaces are the witness-tree parent's plus one (``_tree_node``).
+    half-spaces are the witness-tree parent's plus one, taken in one call
+    (``Theorem1Instance._node``); only a missing parent or a subset with no
+    witness goes on to ``_tree_parent``.
     """
-    return _tree_node(inst, inst, subset_mask(len(inst.points), subset))
+    return inst._node(subset_mask(len(inst.points), subset))
 
 
 @dataclass(frozen=True)
@@ -437,13 +482,14 @@ def simplex_witness(inst2: Theorem2Instance, subset: Iterable[int] | int) -> Ope
     p puts its dual vertex strictly on the -1 side of H(p), so the open hull
     crosses H(p) exactly when p is selected. Affinely dependent vertices raise
     ConstructionError. The simplex is its witness-tree parent's plus one
-    vertex, whose independence is checked against the parent's integer
+    vertex, taken in one call (``Theorem2Instance._node``); only a missing
+    parent or a subset with no witness goes on to ``_tree_parent``. The new
+    vertex's independence is checked against the parent's integer
     annihilator (``OpenSimplex._extended``).
     """
-    base = inst2.base
-    pmask = subset_mask(len(base.points), subset)
+    pmask = subset_mask(len(inst2.base.points), subset)
     try:
-        return _tree_node(base, inst2, pmask)
+        return inst2._node(pmask)
     except DegenerateSimplexError as err:
         raise ConstructionError(
             f"could not build an affinely independent simplex for subset mask {pmask}: {err}"

@@ -44,7 +44,12 @@ def indices_to_mask(ground_size: int, indices: Iterable[int]) -> int:
 
 
 def mask_to_indices(mask: int) -> list[int]:
-    return [i for i in range(mask.bit_length()) if (mask >> i) & 1]
+    """The indices of the set bits of a non-negative mask, ascending.
+
+    One scan of its binary digits from the low end, so the cost is linear in
+    the bit length; the "0b" prefix, read last, holds no "1".
+    """
+    return [i for i, bit in enumerate(reversed(bin(mask))) if bit == "1"]
 
 
 def subset_mask(ground_size: int, subset: Iterable[int] | int) -> int:
@@ -54,7 +59,8 @@ def subset_mask(ground_size: int, subset: Iterable[int] | int) -> int:
     raises ValueError.
     """
     if isinstance(subset, int):
-        if not 0 <= subset < (1 << ground_size):
+        # by shifting, not against 1 << ground_size: no integer that large is built
+        if subset < 0 or subset >> ground_size:
             raise ValueError(f"subset mask {subset} out of range")
         return subset
     return indices_to_mask(ground_size, set(subset))

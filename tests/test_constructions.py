@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import random
+import re
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
@@ -490,7 +491,8 @@ class TestTheorem2:
         assert duals == []  # only Theorem 2 reads dual vertices
         assert verify_theorem2(build_theorem2(inst), mode="exhaustive").shattered
         halfspaces = {h for mask in range(1 << 12) for h in union_witness(inst, mask)}
-        assert len(snaps) <= len(n3_gadget._pattern_points)
+        # one snap per menu value of each gadget axis, not one per pattern
+        assert len(snaps) <= sum(len(values) + 1 for values in n3_gadget._menu[0])
         assert len(duals) <= len(halfspaces)
 
     @given(
@@ -547,6 +549,12 @@ class TestTheorem2:
         report = verify_theorem2(inst2, mode="exhaustive")
         assert not report.shattered
         assert report.failing_subsets
+
+
+def _pinned_gadget(seed: int) -> BoxGadget:
+    """One of the n=3 gadgets that perfbench pins."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "gadgets" / f"n3-seed{seed}.json"
+    return jsonio.gadget_from_dict(jsonio.load_json(path))
 
 
 def _scratch_slots(inst, pmask: int):
@@ -625,14 +633,19 @@ class TestWitnessTree:
             for theorem2 in (False, True):
                 self.matched_report(inst, monkeypatch, theorem2)
 
-    def test_reports_match_scratch_on_mutants(self, bundled_instance, monkeypatch):
+    @staticmethod
+    def mutants(bundled_instance):
+        """The bundled instance with a failing gadget swapped in, and with
+        point 0 moved one grid step up in its first coordinate."""
         broken = dataclasses.replace(
             bundled_instance, gadget=_nested_box_gadget(bundled_instance.gadget)
         )
         points = list(bundled_instance.points)
         points[0] = Point((points[0].coords[0] * (bundled_instance.d + 1), *points[0].coords[1:]))
-        moved = dataclasses.replace(bundled_instance, points=tuple(points))
-        for inst in (broken, moved):
+        return broken, dataclasses.replace(bundled_instance, points=tuple(points))
+
+    def test_reports_match_scratch_on_mutants(self, bundled_instance, monkeypatch):
+        for inst in self.mutants(bundled_instance):
             for theorem2 in (False, True):
                 assert self.matched_report(inst, monkeypatch, theorem2).failing_subsets
         # an apex on H(p_0), then one above every hyperplane
@@ -647,16 +660,11 @@ class TestWitnessTree:
             monkeypatch.undo()
 
     def test_patterns_sharing_bounds_fail_without_raising(self, n3_gadget, monkeypatch):
-        # pattern 1's corner snaps to pattern 0's bounds, so the two share one bound tuple
+        # pattern 1's row takes pattern 0's bounds, so the two share one bound tuple
         inst = build_theorem1(4, 4, n3_gadget)
-        menu = n3_gadget._pattern_points
-        first, second = (_lift(q.coords, q.coords) for q in menu[:2])
-        original = constructions.snap
-
-        def shared(corner, alpha):
-            return original(first if corner == second else corner, alpha)
-
-        monkeypatch.setattr(constructions, "snap", shared)
+        rows = list(inst._witness_rows)
+        rows[1] = (rows[0][0], {})
+        monkeypatch.setitem(inst.__dict__, "_witness_rows", tuple(rows))
         assert inst._witness_rows[0][0] == inst._witness_rows[1][0]
         full = (1 << len(inst.points)) - 1
         for report in (verify_theorem1(inst), verify_theorem2(build_theorem2(inst))):
@@ -678,6 +686,52 @@ class TestWitnessTree:
             assert len(annihilations) <= 1 + len(parents)
             monkeypatch.undo()
 
+    def test_rows_equal_the_snapped_pattern_corners(self, bundled_instance, n3_gadget):
+        # the bundled n=2 and n=3 gadgets, the three pinned perfbench gadgets
+        # and both mutants; the broken one pairs another gadget with the
+        # bundled alpha, which its rows must still snap against
+        instances = [
+            *self.instances(bundled_instance, n3_gadget),
+            *(build_theorem1(4, 4, _pinned_gadget(seed)) for seed in (0, 3, 6)),
+            *self.mutants(bundled_instance),
+        ]
+        for inst in instances:
+            menu = inst.gadget._pattern_points
+            assert len(inst._witness_rows) == len(menu)
+            for (bounds, _), q in zip(inst._witness_rows, menu):
+                assert bounds == snap(_lift(q.coords, q.coords), inst.alpha)
+
+    def test_single_subsets_on_fresh_instances(self, bundled_instance, n3_gadget):
+        # every call starts from an empty memo, so it builds its parents itself
+        for inst in self.instances(bundled_instance, n3_gadget):
+            npoints = len(inst.points)
+            masks = {0, (1 << npoints) - 1, *random.Random(1).sample(range(1 << npoints), 24)}
+            for mask in sorted(masks):
+                fresh = dataclasses.replace(inst)
+                assert union_witness(fresh, mask) == _scratch_union_witness(inst, mask)
+                fresh2 = build_theorem2(dataclasses.replace(inst))
+                got = simplex_witness(fresh2, mask)
+                assert got.vertices[1:] == _scratch_simplex_witness(fresh2, mask).vertices[:-1]
+                ancestors = set()
+                frontier = {mask}
+                while frontier:
+                    frontier = _tree_parents(inst.gadget, frontier)
+                    ancestors |= frontier
+                assert set(fresh._nodes) == set(fresh2._nodes) == ancestors | {-1}
+
+    def test_a_subset_with_no_witness_raises(self, bundled_instance):
+        broken, _ = self.mutants(bundled_instance)
+        report, _ = verify(broken.gadget)
+        avoid = report.failing_subsets[0]
+        mask = ((1 << len(broken.points)) - 1) & ~subset_mask(len(broken.points), avoid)
+        message = re.escape(
+            f"gadget has no witness for box subset {list(avoid)}; the certificate is invalid"
+        )
+        with pytest.raises(ConstructionError, match=f"^{message}$"):
+            union_witness(dataclasses.replace(broken), mask)
+        with pytest.raises(ConstructionError, match=f"^{message}$"):
+            simplex_witness(build_theorem2(dataclasses.replace(broken)), mask)
+
     def test_query_order_does_not_matter(self, n3_gadget):
         masks = list(range(1 << 12))
         shuffled = random.Random(0).sample(masks, len(masks))
@@ -693,8 +747,7 @@ class TestWitnessTree:
 
     @pytest.mark.parametrize("seed", [3, 6])
     def test_other_pinned_gadgets_match_scratch(self, seed, monkeypatch):
-        path = Path(__file__).resolve().parents[1] / "perfbench" / "gadgets" / f"n3-seed{seed}.json"
-        inst = build_theorem1(4, 4, jsonio.gadget_from_dict(jsonio.load_json(path)))
+        inst = build_theorem1(4, 4, _pinned_gadget(seed))
         t1 = self.matched_report(inst, monkeypatch, theorem2=False)
         t2 = self.matched_report(inst, monkeypatch, theorem2=True)
         assert t1.shattered and t2.shattered

@@ -230,6 +230,26 @@ class TestSubsetMask:
         with pytest.raises(ValueError, match="out of range"):
             subset_mask(4, subset)
 
+    def test_largest_mask_is_in_range(self):
+        assert subset_mask(4, 15) == 15
+        assert subset_mask(10**6, (1 << 10**6) - 1) == (1 << 10**6) - 1
+
+
+class TestMaskToIndices:
+    def test_small_masks(self):
+        assert mask_to_indices(0) == []
+        assert mask_to_indices(1) == [0]
+        assert mask_to_indices(0b101100) == [2, 3, 5]
+
+    def test_a_mask_of_ten_to_the_five_bits(self):
+        size = 10**5
+        reference = sorted({0, size - 1, *random.Random(53).sample(range(size), 2000)})
+        chosen = set(reference)
+        # built from its binary digits, highest first, rather than by shifting
+        mask = int("".join("1" if i in chosen else "0" for i in reversed(range(size))), 2)
+        assert mask.bit_length() == size
+        assert mask_to_indices(mask) == reference
+
 
 class TestKFold:
     def test_union_identity_at_one(self):
