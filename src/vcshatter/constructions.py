@@ -42,9 +42,12 @@ memo lookup and at most one new slot or vertex. Only a missing parent or a
 union with no witness takes the shared slow path, ``_tree_parent``. A new
 vertex's affine independence is checked against the parent's integer
 annihilator, usually by one dot product. The verifiers check whatever the
-public witness functions return, memoizing the exact integer mask
-(Theorem 1) or sign masks (Theorem 2) per half-space or vertex object they
-receive.
+public witness functions return. Theorem 1 memoizes the exact integer sums
+of the points against each bound-tuple object it receives (a pattern's
+slots share their row's tuple) and the mask of each half-space object;
+Theorem 2 memoizes the sign masks of each vertex object. Both count a
+witness of more than k half-spaces, or a simplex of dimension above k, as
+failing.
 """
 
 from __future__ import annotations
@@ -67,8 +70,9 @@ from .geometry import (
     OpenSimplex,
     Point,
     RestrictedHalfspace,
-    _halfspace_mask,
+    _bound_sums,
     _hyperplane_row,
+    _tau_mask,
     _vertex_signs,
     dual_halfspace_to_point,
     dual_point_to_hyperplane,
@@ -204,14 +208,18 @@ class Theorem1Instance:
         union mask, the j-th at slot j; the root's, none, under -1."""
         return {-1: ()}
 
+    @cached_property
+    def _taus(self) -> tuple[Fraction, ...]:
+        """Per slot j < k, its threshold d + 1/2 + j/(4k) = (2k(2d+1) + j)/(4k)."""
+        return tuple(Fraction(2 * self.k * (2 * self.d + 1) + j, 4 * self.k) for j in range(self.k))
+
     def _slot(self, number: int, j: int) -> RestrictedHalfspace:
-        """Pattern ``number``'s half-space at threshold d + 1/2 + j/(4k), built once."""
+        """Pattern ``number``'s half-space at threshold slot j, built once on
+        its row's bound tuple."""
         bounds, slots = self._witness_rows[number]
         h = slots.get(j)
         if h is None:
-            # (2d+1)/2 + j/(4k) over one common denominator
-            tau = Fraction(2 * self.k * (2 * self.d + 1) + j, 4 * self.k)
-            h = slots[j] = RestrictedHalfspace(b=bounds, tau=tau)
+            h = slots[j] = RestrictedHalfspace(b=bounds, tau=self._taus[j])
         return h
 
     @cached_property
@@ -409,41 +417,53 @@ def verify_theorem1(
 ) -> VerificationReport:
     """Check that every selected subset is realized exactly by its witness union.
 
-    A subset whose witness cannot be built counts as failing. With
-    compute_vc_dim, additionally collects the sets that the witness
-    half-spaces of the run cut out of P and reports the VC-dimension of the
-    k-fold union of that system (it must reach |P| when the instance
-    shatters). That union shatters P exactly when it is the whole power set,
-    so the report is |P| when the popcount of its ``union_closure`` is
-    2^|P|; only a closure that is not full builds the ``SetSystem`` for
-    ``vc_dim``. The exact integer mask of each half-space object received is
-    computed once, from its integer row and the points' vertex columns.
+    A subset whose witness cannot be built, or has more than k half-spaces,
+    counts as failing. With compute_vc_dim, additionally collects the sets
+    that the witness half-spaces of the run cut out of P and reports the
+    VC-dimension of the k-fold union of that system (it must reach |P| when
+    the instance shatters). That union shatters P exactly when it is the
+    whole power set, so the report is |P| when the popcount of its
+    ``union_closure`` is 2^|P|; only a closure that is not full builds the
+    ``SetSystem`` for ``vc_dim``. The exact integer sums of the points'
+    vertex columns against each bound-tuple object received (``_bound_sums``)
+    are computed once, and so is each half-space object's mask, their
+    ``_tau_mask`` at its tau.
     """
     masks = _selected_masks(len(inst.points), mode, count, seed)
-    mask_of = partial(_halfspace_mask, columns=[p._vertex_column for p in inst.points])
+    columns = [p._vertex_column for p in inst.points]
+    k = inst.k
     failing: list[tuple[int, ...]] = []
     max_size = 0
-    # By id; each entry holds its object, so no other can take that id during the run.
-    seen: dict[int, tuple[object, int]] = {}
+    # By id: ``held`` keeps each half-space received, and so its bound
+    # tuple, alive, so no other object can take those ids during the run.
+    held: list[RestrictedHalfspace] = []
+    sums_of: dict[int, tuple[tuple[int, int], ...]] = {}
+    seen: dict[int, int] = {}
     for pmask in masks:
         try:
             witness = union_witness(inst, pmask)
         except ConstructionError:
             failing.append(tuple(mask_to_indices(pmask)))
             continue
-        max_size = max(max_size, len(witness))
+        size = len(witness)
+        if size > max_size:
+            max_size = size
         got = 0
         for h in witness:
-            entry = seen.get(id(h))
-            if entry is None:
-                entry = seen[id(h)] = (h, mask_of(h))
-            got |= entry[1]
-        if got != pmask:
+            m = seen.get(id(h))
+            if m is None:
+                held.append(h)
+                sums = sums_of.get(id(h.b))
+                if sums is None:
+                    sums = sums_of[id(h.b)] = _bound_sums(h.b, columns)
+                m = seen[id(h)] = _tau_mask(sums, h.tau)
+            got |= m
+        if got != pmask or size > k:
             failing.append(tuple(mask_to_indices(pmask)))
     union_dim: int | None = None
     if compute_vc_dim and seen:
         npoints = len(inst.points)
-        cut = {m for _, m in seen.values()}
+        cut = set(seen.values())
         if union_closure(cut, npoints, inst.k).bit_count() == 1 << npoints:
             union_dim = npoints
         else:
@@ -509,14 +529,15 @@ def verify_theorem2(
     away by the threshold choice and the apex. The signs of each vertex object
     received are evaluated once, in integers, over every hyperplane, and give
     both the count and the crossing mask. A subset whose simplex cannot be
-    built counts as failing.
+    built, or has dimension above k, counts as failing.
     """
     masks = _selected_masks(len(inst2.hyperplanes), mode, count, seed)
+    k = inst2.k
     signs_of = partial(_vertex_signs, [_hyperplane_row(h) for h in inst2.hyperplanes])
     failing: list[tuple[int, ...]] = []
     zero_signs = 0
     max_size = 0
-    # By id, as in verify_theorem1: the vertex, then its (pos, neg, on) masks.
+    # By id; each entry holds its vertex, then the vertex's (pos, neg, on) masks.
     seen: dict[int, tuple[object, int, int, int]] = {}
     for hmask in masks:
         try:
@@ -524,7 +545,9 @@ def verify_theorem2(
         except ConstructionError:
             failing.append(tuple(mask_to_indices(hmask)))
             continue
-        max_size = max(max_size, len(simplex.vertices) - 1)
+        size = len(simplex.vertices) - 1
+        if size > max_size:
+            max_size = size
         # Hyperplane i is crossed when some vertex is strictly on each side
         # of it, or every vertex lies on it.
         pos = neg = 0
@@ -538,7 +561,7 @@ def verify_theorem2(
             neg |= n
             on &= z
             zero_signs += z.bit_count()
-        if (pos & neg) | on != hmask:
+        if (pos & neg) | on != hmask or size > k:
             failing.append(tuple(mask_to_indices(hmask)))
     return VerificationReport(
         shattered=not failing,

@@ -2,9 +2,11 @@
 half-spaces, dual hyperplanes and open simplices, plus the half-space
 dichotomies of a finite point set.
 
-Every predicate is the sign of an integer row times a point's integer
-vertex column, so it is decided exactly. There is no floating point and no
-tolerance parameter anywhere in this module.
+Every predicate is decided exactly, in integers, from a point's vertex
+column: the side of a dual hyperplane by the sign of an integer row times
+it, half-space membership by comparing tau with the pair (A, D), D > 0,
+A/D = sum_j x_j/b_j, that ``_bound_sums`` makes once per bound tuple b.
+There is no floating point and no tolerance parameter anywhere here.
 
 Orientation convention
 ----------------------
@@ -50,6 +52,9 @@ def as_scalar(value) -> Fraction:
 
 
 def _scalar_tuple(values: Iterable) -> tuple[Fraction, ...]:
+    # a tuple that already holds only Fractions is shared, not copied
+    if type(values) is tuple and all(isinstance(v, Fraction) for v in values):
+        return values
     return tuple(as_scalar(v) for v in values)
 
 
@@ -80,11 +85,10 @@ class Point:
         computed on first use.
 
         It is the homogeneous vector (x, 1), permuted and scaled by M > 0, so
-        it has the rank and signs of (x, 1). Every exact predicate here is the
-        sign of an integer row times this column: ``_hyperplane_row`` for
-        the sign of s_p(x), ``_halfspace_row`` for half-space membership,
-        and the ``_annihilate`` bases of simplices and half-space
-        dichotomies.
+        it has the rank and signs of (x, 1). Every exact predicate here reads
+        this column: ``_hyperplane_row`` times it for the sign of s_p(x),
+        ``_bound_sums`` for half-space membership, and the ``_annihilate``
+        bases of simplices and half-space dichotomies.
         """
         m = lcm(*(v.denominator for v in self.coords))
         scaled = [v.numerator * (m // v.denominator) for v in self.coords]
@@ -373,33 +377,38 @@ def realizable_halfspace_subsets(points: Sequence[Point]) -> SetSystem:
 # ---------------------------------------------------------------------------
 
 
-def _halfspace_row(h: RestrictedHalfspace) -> tuple[int, ...]:
-    """N * (1/b_1, ..., 1/b_{d-1}, -tau, 1/b_d), N = lcm(tau's denominator, b_i's numerators).
+def _bound_sums(
+    b: Sequence[Fraction], columns: Sequence[tuple[int, ...]]
+) -> tuple[tuple[int, int], ...]:
+    """Per vertex column, the pair (A, D), D > 0, A/D = sum_j x_j/b_j at its point x.
 
-    Its dot product with ``x._vertex_column`` is N * M * (sum_i x_i/b_i - tau),
-    with N, M > 0, so it is <= 0 exactly when x lies in h.
+    A is the column's dot product with N * (1/b_1, ..., 1/b_{d-1}, 0, 1/b_d),
+    N the lcm of the b_j's numerators, and D is N times the column's entry
+    M > 0. Each tau on these bounds reads the same pairs (``_tau_mask``).
     """
-    n = lcm(h.tau.denominator, *(v.numerator for v in h.b))
-    weights = [v.denominator * (n // v.numerator) for v in h.b]
-    return (*weights[:-1], -h.tau.numerator * (n // h.tau.denominator), weights[-1])
+    mismatched = {len(c) - 1 for c in columns} - {len(b)}
+    if mismatched:
+        raise ValueError(f"half-space dimension {len(b)} != point dimension {min(mismatched)}")
+    n = lcm(*(v.numerator for v in b))
+    weights = [v.denominator * (n // v.numerator) for v in b]
+    row = (*weights[:-1], 0, weights[-1])
+    return tuple((sum(map(mul, row, c)), n * c[-2]) for c in columns)
+
+
+def _tau_mask(sums: Sequence[tuple[int, int]], tau: Fraction) -> int:
+    """Bit i set when sums[i] = (A, D) has A/D <= tau: A * tau's denominator
+    <= tau's numerator * D, as D > 0."""
+    num, den = tau.numerator, tau.denominator
+    mask = 0
+    for i, (a, d) in enumerate(sums):
+        if a * den <= num * d:
+            mask |= 1 << i
+    return mask
 
 
 def _halfspace_mask(h: RestrictedHalfspace, columns: Sequence[tuple[int, ...]]) -> int:
-    """Bit i set when the point with vertex column ``columns[i]`` lies in h.
-
-    Decided by the sign of one integer dot product per point with
-    ``_halfspace_row(h)``: bit i is set exactly when sum_j x_j/b_j <= tau
-    for that point x.
-    """
-    mismatched = {len(c) - 1 for c in columns} - {h.dim}
-    if mismatched:
-        raise ValueError(f"half-space dimension {h.dim} != point dimension {min(mismatched)}")
-    row = _halfspace_row(h)
-    mask = 0
-    for i, c in enumerate(columns):
-        if sum(map(mul, row, c)) <= 0:
-            mask |= 1 << i
-    return mask
+    """Bit i set when the point with vertex column ``columns[i]`` lies in h."""
+    return _tau_mask(_bound_sums(h.b, columns), h.tau)
 
 
 def _hyperplane_row(h: DualHyperplane) -> tuple[int, ...]:

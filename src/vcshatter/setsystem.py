@@ -273,7 +273,14 @@ def k_fold_intersection(system: SetSystem, k: int) -> SetSystem:
 
 
 def complement_system(system: SetSystem) -> SetSystem:
-    """Replace every member by its complement within the ground set."""
+    """Replace every member by its complement within the ground set.
+
+    Refused before any mask is built when ground size times member count,
+    the output's size in bits, exceeds 2^VERIFY_GUARD.
+    """
+    size = system.ground_size * len(system.sets)
+    if size > 1 << VERIFY_GUARD:
+        raise ValueError(f"complement refused: {size} output bits exceed 2^{VERIFY_GUARD}")
     full = (1 << system.ground_size) - 1
     return SetSystem.from_masks(system.ground_size, (full ^ m for m in system.sets))
 

@@ -81,6 +81,13 @@ class TestSysCommands:
         assert code == 0
         assert report["result"]["system"]["sets"] == [[1]]
 
+    def test_complement_of_a_huge_ground_size_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "huge.json"
+        jsonio.dump_json({"ground_size": 10**9, "sets": [[0]]}, path)
+        code, report = run_cli(capsys, "sys", "complement", "--input", str(path))
+        assert code == 2
+        assert "complement refused" in report["error"]
+
     def test_duplicate_sets_warn_and_dedupe(self, capsys, tmp_path):
         path = tmp_path / "dup.json"
         jsonio.dump_json({"ground_size": 2, "sets": [[0], [0], [1]]}, path)

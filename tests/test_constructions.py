@@ -35,6 +35,8 @@ from vcshatter.geometry import (
     Point,
     RestrictedHalfspace,
     _halfspace_mask,
+    _hyperplane_row,
+    _vertex_signs,
     dual_halfspace_to_point,
     dual_point_to_hyperplane,
 )
@@ -429,6 +431,63 @@ class TestVerifyTheorem1:
         assert report.checked == 32
         assert report.failing_subsets == ((0, 2, 3),)
 
+    def test_witness_beyond_k_is_a_failing_subset(self, bundled_instance, monkeypatch):
+        # every nonempty witness padded to k+1 members with repeats of its
+        # first half-space: its union is unchanged, so only the size bound
+        # can reject it
+        inst = bundled_instance
+        real = constructions.union_witness
+
+        def padded(inst, subset):
+            witness = real(inst, subset)
+            return witness + witness[:1] * (inst.k + 1 - len(witness)) if witness else witness
+
+        padded_masks = [m for m in range(32) if real(inst, m)]
+        assert padded_masks
+        for m in padded_masks:
+            witness = padded(inst, m)
+            assert len(witness) == inst.k + 1
+            covered = [any(halfspace_contains(h, p) for h in witness) for p in inst.points]
+            assert covered == [bool(m >> i & 1) for i in range(5)]
+        monkeypatch.setattr(constructions, "union_witness", padded)
+        report = verify_theorem1(inst, mode="exhaustive")
+        assert not report.shattered
+        assert report.failing_subsets == tuple(tuple(mask_to_indices(m)) for m in padded_masks)
+        assert report.max_witness_size == inst.k + 1
+
+
+class TestHalfspaceKernel:
+    """The per-bound-tuple sums and per-slot taus behind ``verify_theorem1``."""
+
+    def test_slot_masks_match_the_oracle(self, n3_gadget):
+        inst = build_theorem1(4, 4, n3_gadget)
+        columns = [p._vertex_column for p in inst.points]
+        slots = [
+            inst._slot(number, j) for number in range(len(inst._witness_rows)) for j in range(4)
+        ]
+        assert len(slots) == 228
+        for h in slots:
+            want = sum(1 << i for i, p in enumerate(inst.points) if halfspace_contains(h, p))
+            assert _halfspace_mask(h, columns) == want
+
+    def test_bound_sums_once_per_bound_tuple(self, n3_gadget, monkeypatch):
+        inst = build_theorem1(4, 4, n3_gadget)
+        sums = _counting(monkeypatch, constructions, "_bound_sums")
+        assert verify_theorem1(inst, compute_vc_dim=True).shattered
+        halfspaces = {h for mask in range(1 << 12) for h in union_witness(inst, mask)}
+        assert len(halfspaces) == 147
+        assert len(sums) == len({h.b for h in halfspaces}) == 57
+
+    def test_slots_share_their_row_bounds_and_the_k_taus(self, n3_gadget):
+        inst = build_theorem1(4, 4, n3_gadget)
+        taus = {}
+        for number, (bounds, _) in enumerate(inst._witness_rows):
+            for j in range(inst.k):
+                h = inst._slot(number, j)
+                assert h.b is bounds
+                taus[id(h.tau)] = h.tau
+        assert len(taus) == inst.k
+
 
 class TestTheorem2:
     def test_build_counts(self, bundled_instance):
@@ -469,6 +528,38 @@ class TestTheorem2:
         assert not report.shattered
         assert report.checked == 32
         assert report.failing_subsets == ((0, 2, 3),)
+        assert report.zero_signs == 0
+
+    def test_simplex_beyond_k_is_a_failing_subset(self, bundled_instance, monkeypatch):
+        # each simplex of dimension k gains the dual vertex of its first
+        # pattern at slot 1, whose signs equal those of the slot-0 vertex it
+        # already has: the crossings are unchanged, so only the dimension
+        # bound can reject it
+        inst2 = build_theorem2(dataclasses.replace(bundled_instance))
+        rows = [_hyperplane_row(h) for h in inst2.hyperplanes]
+        real = constructions.simplex_witness
+
+        def extended(inst2, subset):
+            simplex = real(inst2, subset)
+            if simplex.simplex_dim < inst2.k:
+                return simplex
+            first = simplex.vertices[1]
+            [number] = [n for (n, j), v in inst2._vertices.items() if v is first and j == 0]
+            other = dual_halfspace_to_point(inst2.base._slot(number, 1))
+            assert _vertex_signs(rows, other) == _vertex_signs(rows, first)
+            return OpenSimplex(simplex.ambient_dim, simplex.vertices + (other,))
+
+        extended_masks = [m for m in range(32) if real(inst2, m).simplex_dim == inst2.k]
+        assert extended_masks
+        for m in extended_masks:
+            simplex = extended(inst2, m)
+            crossed = [simplex_hyperplane_intersects(simplex, h) for h in inst2.hyperplanes]
+            assert crossed == [bool(m >> i & 1) for i in range(5)]
+        monkeypatch.setattr(constructions, "simplex_witness", extended)
+        report = verify_theorem2(inst2, mode="exhaustive")
+        assert not report.shattered
+        assert report.failing_subsets == tuple(tuple(mask_to_indices(m)) for m in extended_masks)
+        assert report.max_witness_size == inst2.k + 1
         assert report.zero_signs == 0
 
     def test_memoized_signs_never_hide_a_wrong_witness(self, bundled_instance, monkeypatch):

@@ -28,6 +28,7 @@ from vcshatter.geometry import (
     Point,
     RestrictedHalfspace,
     _annihilate,
+    _bound_sums,
     _halfspace_mask,
     _hyperplane_row,
     _vertex_signs,
@@ -108,6 +109,13 @@ class TestHalfspaceContains:
         h = RestrictedHalfspace(b=(1, 1), tau=2)
         assert not halfspace_contains(h, Point.of(3, 0))
         assert not kernel_contains(h, Point.of(3, 0))
+
+    def test_a_tuple_of_fractions_is_shared_not_copied(self):
+        b = (F(1), F(3, 2))
+        assert RestrictedHalfspace(b=b, tau=2).b is b
+        assert Point(b).coords is b
+        assert RestrictedHalfspace(b=(1, F(3, 2)), tau=2).b == b
+        assert RestrictedHalfspace(b=[F(1), F(3, 2)], tau=2).b == b
 
     def test_invalid_coefficients(self):
         for bad in (0, F(-1, 3), "-2"):
@@ -593,8 +601,14 @@ class TestInducedSystems:
         points, halfspaces = case
         columns = [p._vertex_column for p in points]
         for h in halfspaces:
+            totals = [sum(x / v for x, v in zip(p.coords, h.b)) for p in points]
+            for (a, d), total in zip(_bound_sums(h.b, columns), totals):
+                assert d > 0 and F(a, d) == total
             want = sum(1 << i for i, p in enumerate(points) if halfspace_contains(h, p))
-            assert _halfspace_mask(h, columns) == want
+            on = sum(1 << i for i, total in enumerate(totals) if total == h.tau)
+            mask = _halfspace_mask(h, columns)
+            assert mask == want
+            assert mask & on == on  # the boundary belongs to the closed half-space
 
     def test_integer_kernel_on_boundary_with_denominators(self):
         # 1/2 / (3/4) + (5/3) / (7/2) = 2/3 + 10/21 = 8/7, exactly on the boundary

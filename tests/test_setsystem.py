@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+import time
 import tracemalloc
 from itertools import combinations
 
@@ -329,6 +330,24 @@ class TestComplement:
     @given(systems())
     def test_involution(self, s):
         assert complement_system(complement_system(s)) == s
+
+    def test_a_huge_output_is_refused_before_any_mask(self):
+        # 10^9 bits for one member: refused at once, with nothing built
+        tracemalloc.start()
+        try:
+            started = time.perf_counter()
+            with pytest.raises(ValueError, match="complement refused"):
+                complement_system(SetSystem(10**9, (1,)))
+            elapsed = time.perf_counter() - started
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 0.5
+        assert peak < 1 << 20
+
+    def test_a_thousand_element_complement_works(self):
+        members = complement_system(SetSystem(1000, (1,))).member_lists()
+        assert members == [list(range(1, 1000))]
 
 
 class TestGrowth:
