@@ -10,8 +10,9 @@ between consecutive endpoints. Hit patterns are built per axis, as one
 bitset of boxes per menu value from an XOR sweep over the endpoint ranks,
 and combined by a product over the distinct bitsets that keeps only the
 distinct patterns. A gadget's menu keeps, with each pattern, the per-axis
-menu digits of the first menu point that has it; the search's score needs
-the pattern set alone and takes it from a plain set product. Q avoids S
+menu digits of the first menu point that has it, and hands out per axis the
+menu values those digits name; the search's score needs the pattern set
+alone and takes it from a plain set product. Q avoids S
 exactly when every hit pattern of Q lies inside B \\ S, so S has a witness
 exactly when B \\ S is a union of at most 2^(n-1) hit patterns: the gadget
 is a certificate when the 2^(n-1)-fold union of its hit-pattern system is
@@ -67,14 +68,23 @@ class BoxGadget:
 
     @cached_property
     def _menu(self) -> tuple[tuple[list[Fraction], ...], dict[int, tuple[int, ...]]]:
-        """The sorted endpoints per axis and the distinct hit patterns, computed on first use."""
-        return _hit_masks([(box.lo, box.hi) for box in self.boxes], self.dim)
+        """Per axis its menu values, menu digit m at index m, and the distinct
+        hit patterns with their digits, computed on first use.
+
+        The gadget hands out its menu values, so no other module knows how a
+        menu is built from the endpoints.
+        """
+        axes, patterns = _hit_masks([(box.lo, box.hi) for box in self.boxes], self.dim)
+        menus = tuple(
+            [_menu_value(values, m) for m in range(len(values) + 1)] for values in axes
+        )
+        return menus, patterns
 
     @cached_property
     def _pattern_points(self) -> tuple[Point, ...]:
         """The menu point of each distinct hit pattern, in pattern order, computed on first use."""
-        axes, patterns = self._menu
-        return tuple(Point(tuple(map(_menu_value, axes, m))) for m in patterns.values())
+        menus, patterns = self._menu
+        return tuple(Point(tuple(map(list.__getitem__, menus, m))) for m in patterns.values())
 
     @cached_property
     def _closure(self) -> tuple[array, array]:
@@ -123,9 +133,10 @@ def _axis_bitsets(boxes: Sequence[tuple[Sequence, Sequence]], i: int) -> tuple[l
 def _hit_masks(
     boxes: Sequence[tuple[Sequence, Sequence]], dim: int
 ) -> tuple[tuple[list, ...], dict[int, tuple[int, ...]]]:
-    """Per axis, the sorted distinct endpoints; and each distinct hit pattern
-    of the menu with the menu digits of the first menu point that has it, in
-    that point order.
+    """Per axis, the sorted distinct endpoints, which ``BoxGadget._menu``
+    turns into the axis's menu values; and each distinct hit pattern of the
+    menu with the menu digits of the first menu point that has it, in that
+    point order.
 
     The menu is the product of the per-axis menus of ``_menu_value``, in
     lexicographic order of the digits (m_1, ..., m_dim) of its points.
@@ -272,15 +283,12 @@ def verify(gadget: BoxGadget) -> tuple[GadgetReport, BoxGadget]:
     _check_guard(nboxes, "exhaustive verification")  # before the menu is built
     _, patterns = gadget._menu
     reached = union_closure(patterns, nboxes, gadget.max_witness_size)
-    # digit s of the 2^|B|-digit binary string is bit (2^|B| - 1) ^ s: the
-    # union of the boxes outside subset s
-    digits = format(reached, f"0{1 << nboxes}b")
-    failing = []
-    smask = digits.find("0")
-    while smask >= 0:
-        failing.append(tuple(mask_to_indices(smask)))
-        smask = digits.find("0", smask + 1)
-    return GadgetReport(ok=not failing, checked=1 << nboxes, failing_subsets=tuple(failing)), gadget
+    full = (1 << nboxes) - 1
+    # subset s fails when the union full ^ s of the boxes outside it is
+    # unreached; descending unions give ascending subsets
+    unreached = mask_to_indices(reached ^ ((1 << (full + 1)) - 1))
+    failing = tuple(tuple(mask_to_indices(full ^ v)) for v in reversed(unreached))
+    return GadgetReport(ok=not failing, checked=1 << nboxes, failing_subsets=failing), gadget
 
 
 # ---------------------------------------------------------------------------

@@ -25,22 +25,23 @@ slack on both sides for any tau strictly between d and d+1.
 
 Witness points are menu points of the gadget's distinct hit patterns. A
 menu point's corner snaps coordinate by coordinate, so an instance snaps
-each menu value q of each gadget axis once, as the pair (q, 1/q), and joins
-the pairs named by a pattern's menu digits into its row. A pattern's
-half-space at threshold slot j is built once, keyed by (pattern number, j)
-(``Theorem1Instance._slot``), and so is its dual vertex on a Theorem 2
-instance. Distinct patterns snap to distinct bounds, since the bounds
-decide which points lie below them. Gadget witnesses form a tree: each is
-its parent's plus one pattern numbered above all of the parent's
-(read from the gadget's ``_closure`` tables); the root, the witness of no
-pattern, is union -1. So a witness is its parent's plus that pattern's
-half-space (or dual vertex) at the slot given by the parent's size. Each
-instance memoizes the witness of every witness-tree parent by union mask,
-the root's first: its half-spaces, or on a Theorem 2 instance its simplex.
-A leaf then costs one call, the instance's ``_node``: one tree step, one
-memo lookup and at most one new slot or vertex. Only a missing parent or a
-union with no witness takes the shared slow path, ``_tree_parent``. A new
-vertex's affine independence is checked against the parent's integer
+each menu value q that the gadget hands out for each of its axes once, as
+the pair (q, 1/q), and joins the pairs named by a pattern's menu digits
+into its row's bound tuple. Each instance holds one witness table, built
+once: per pattern number, the b = 2^(n-1) half-spaces on that bound tuple
+at the threshold slots j < b (``Theorem1Instance._witness_rows``), and on a
+Theorem 2 instance their dual vertices. Distinct patterns snap to distinct
+bounds, since the bounds decide which points lie below them. Gadget
+witnesses form a tree: each is its parent's plus one pattern numbered
+above all of the parent's (read from the gadget's ``_closure`` tables); the
+root, the witness of no pattern, is union -1. So a witness is its parent's
+plus that pattern's half-space (or dual vertex) at the slot given by the
+parent's size. Each instance memoizes the witness of every witness-tree
+parent by union mask, the root's first: its half-spaces, or on a Theorem 2
+instance its simplex. A leaf then costs one call, the instance's ``_node``:
+one tree step, one memo lookup and one table read. Only a missing parent
+or a union with no witness takes the shared slow path, ``_tree_parent``. A
+new vertex's affine independence is checked against the parent's integer
 annihilator, usually by one dot product. The verifiers check whatever the
 public witness functions return. Theorem 1 memoizes the exact integer sums
 of the points against each bound-tuple object it receives (a pattern's
@@ -62,7 +63,7 @@ from operator import itemgetter
 from typing import Iterable, Sequence
 
 from . import boxgadget  # boxgadget.verify is looked up where perfbench's tracer wraps it
-from .boxgadget import BoxGadget, _menu_value
+from .boxgadget import BoxGadget
 from .geometry import (
     AxisBox,
     DegenerateSimplexError,
@@ -81,9 +82,6 @@ from .setsystem import SetSystem, _check_guard, k_fold_union, mask_to_indices, s
 from .setsystem import union_closure, vc_dim
 
 AlphaTables = tuple[tuple[tuple[Fraction, Fraction], ...], ...]
-# A pattern's snapped bounds and the half-spaces built from them so far, by
-# threshold slot.
-Row = tuple[tuple[Fraction, ...], dict[int, RestrictedHalfspace]]
 Halfspaces = tuple[RestrictedHalfspace, ...]
 
 
@@ -174,59 +172,43 @@ class Theorem1Instance:
     def __post_init__(self) -> None:
         if len(self.points) != len(self.gadget.boxes):
             raise ValueError("one point per gadget box required")
-        # A witness has at most 2^(n-1) <= k patterns, so every threshold
-        # slot j < k has d + 1/2 + j/(4k) inside (d, d+1).
+        # A witness has at most b = 2^(n-1) <= k patterns, so every threshold
+        # slot j < b has d + 1/2 + j/(4k) inside (d, d+1).
         _check_gadget_n(self.gadget, self.k)
 
     @cached_property
-    def _witness_rows(self) -> tuple[Row, ...]:
-        """Per gadget pattern number, the snapped corner of its menu point.
+    def _witness_rows(self) -> tuple[Halfspaces, ...]:
+        """Per gadget pattern number, its half-space at each threshold slot
+        j < b = 2^(n-1), all on the one snapped corner of its menu point.
 
         A menu point q lifts to (q_1, 1/q_1, ..., q_m, 1/q_m), and ``snap``
-        treats each coordinate alone, so the corner snaps axis by axis: menu
-        value q of axis i snaps once, as the pair (q, 1/q) against alpha's
-        tables 2i and 2i+1, and a pattern's row joins the pairs named by its
-        menu digits. The table is built on first use; slots are added by
-        ``_slot``.
+        treats each coordinate alone, so the corner snaps axis by axis: each
+        menu value q of axis i snaps once, as the pair (q, 1/q) against
+        alpha's tables 2i and 2i+1, and a pattern's bound tuple joins the
+        pairs named by its menu digits. Slot j's tau d + 1/2 + j/(4k) =
+        (2k(2d+1) + j)/(4k) is made once and shared by every row.
         """
-        axes, patterns = self.gadget._menu
+        menus, patterns = self.gadget._menu
         pairs = [
-            [
-                snap(_lift((q,), (q,)), self.alpha[2 * i : 2 * i + 2])
-                for q in map(partial(_menu_value, values), range(len(values) + 1))
-            ]
-            for i, values in enumerate(axes)
+            [snap(_lift((q,), (q,)), self.alpha[2 * i : 2 * i + 2]) for q in values]
+            for i, values in enumerate(menus)
         ]
-        return tuple(
-            (tuple(c for axis, m in zip(pairs, digits) for c in axis[m]), {})
-            for digits in patterns.values()
-        )
+        taus = [
+            Fraction(2 * self.k * (2 * self.d + 1) + j, 4 * self.k)
+            for j in range(self.gadget.max_witness_size)
+        ]
+        rows = []
+        for digits in patterns.values():
+            bounds = tuple(c for axis, m in zip(pairs, digits) for c in axis[m])
+            rows.append(tuple(RestrictedHalfspace(b=bounds, tau=tau) for tau in taus))
+        return tuple(rows)
 
     @cached_property
-    def _nodes(self) -> dict[int, Halfspaces]:
-        """The half-spaces of each union met as a witness-tree parent, by
-        union mask, the j-th at slot j; the root's, none, under -1."""
-        return {-1: ()}
-
-    @cached_property
-    def _taus(self) -> tuple[Fraction, ...]:
-        """Per slot j < k, its threshold d + 1/2 + j/(4k) = (2k(2d+1) + j)/(4k)."""
-        return tuple(Fraction(2 * self.k * (2 * self.d + 1) + j, 4 * self.k) for j in range(self.k))
-
-    def _slot(self, number: int, j: int) -> RestrictedHalfspace:
-        """Pattern ``number``'s half-space at threshold slot j, built once on
-        its row's bound tuple."""
-        bounds, slots = self._witness_rows[number]
-        h = slots.get(j)
-        if h is None:
-            h = slots[j] = RestrictedHalfspace(b=bounds, tau=self._taus[j])
-        return h
-
-    @cached_property
-    def _tree(self) -> tuple[array, array, dict[int, Halfspaces], tuple[Row, ...]]:
+    def _tree(self) -> tuple[array, array, dict[int, Halfspaces], tuple[Halfspaces, ...]]:
         """What ``_node`` reads, behind one attribute: the gadget's ``_closure``
-        tables, ``_nodes`` and ``_witness_rows``."""
-        return (*self.gadget._closure, self._nodes, self._witness_rows)
+        tables; the half-spaces of each union met as a witness-tree parent, by
+        union mask, with the root's, none, under -1; and ``_witness_rows``."""
+        return (*self.gadget._closure, {-1: ()}, self._witness_rows)
 
     def _node(self, union: int) -> Halfspaces:
         """The witness half-spaces of ``union``: its tree parent's, then the
@@ -235,9 +217,8 @@ class Theorem1Instance:
         number = pick[union]
         node = nodes.get(prev[union])
         if node is None or number < 0:
-            number, node = _tree_parent(self, union)
-        h = rows[number][1].get(len(node))
-        return (*node, h if h is not None else self._slot(number, len(node)))
+            node = _tree_parent(self, union)
+        return (*node, rows[number][len(node)])
 
 
 @dataclass(frozen=True)
@@ -256,22 +237,18 @@ class Theorem2Instance:
         return tuple(dual_point_to_hyperplane(p) for p in self.base.points)
 
     @cached_property
-    def _nodes(self) -> dict[int, OpenSimplex]:
-        """The simplex of each union met as a witness-tree parent, by union
-        mask: the apex, then one dual vertex per pattern; the root's, the apex
-        alone, under -1."""
-        return {-1: OpenSimplex(ambient_dim=self.base.d, vertices=(_apex(self.base.d),))}
-
-    @cached_property
-    def _vertices(self) -> dict[tuple[int, int], Point]:
-        """The dual vertex of ``base._slot(number, j)``, by (number, j), built on first read."""
-        return {}
-
-    @cached_property
-    def _tree(self) -> tuple[array, array, dict[int, OpenSimplex], dict[tuple[int, int], Point]]:
+    def _tree(self) -> tuple[array, array, dict[int, OpenSimplex], tuple[tuple[Point, ...], ...]]:
         """What ``_node`` reads, behind one attribute: the gadget's ``_closure``
-        tables, ``_nodes`` and ``_vertices``."""
-        return (*self.base.gadget._closure, self._nodes, self._vertices)
+        tables; the simplex of each union met as a witness-tree parent, by
+        union mask, with the root's, the apex alone, under -1; and per
+        pattern number the dual vertex of each half-space of its row of
+        ``base._witness_rows``."""
+        base = self.base
+        root = OpenSimplex(ambient_dim=base.d, vertices=(_apex(base.d),))
+        vertices = tuple(
+            tuple(map(dual_halfspace_to_point, row)) for row in base._witness_rows
+        )
+        return (*base.gadget._closure, {-1: root}, vertices)
 
     def _node(self, union: int) -> OpenSimplex:
         """The witness simplex of ``union``: its tree parent's, extended by the
@@ -281,12 +258,8 @@ class Theorem2Instance:
         number = pick[union]
         node = nodes.get(prev[union])
         if node is None or number < 0:
-            number, node = _tree_parent(self, union)
-        key = (number, len(node.vertices) - 1)
-        v = vertices.get(key)
-        if v is None:
-            v = vertices[key] = dual_halfspace_to_point(self.base._slot(*key))
-        return node._extended(v)
+            node = _tree_parent(self, union)
+        return node._extended(vertices[number][len(node.vertices) - 1])
 
 
 def required_gadget_n(k: int) -> int:
@@ -331,20 +304,19 @@ def build_theorem1(d: int, k: int, gadget: BoxGadget) -> Theorem1Instance:
 
 def _tree_parent(
     owner: Theorem1Instance | Theorem2Instance, union: int
-) -> tuple[int, Halfspaces | OpenSimplex]:
-    """The pattern that ``union`` adds to its witness-tree parent, and the
-    parent's witness on the owner instance: the slow path of ``owner._node``.
+) -> Halfspaces | OpenSimplex:
+    """The witness of ``union``'s witness-tree parent on the owner instance:
+    the slow path of ``owner._node``.
 
     A witness is its tree parent's plus one pattern numbered above all of
     the parent's: the gadget's ``_closure`` tables give that pattern
     (``pick``) and the parent (``prev``) by union mask. The witnesses of
-    parents are memoized on the owner, which starts with the root's under
-    -1; a missing one is built here, by ``owner._node``. A union the tables
-    never reached raises ConstructionError.
+    parents are memoized in the owner's ``_tree``, which starts with the
+    root's under -1; a missing one is built here, by ``owner._node``. A
+    union the tables never reached raises ConstructionError.
     """
     pick, prev, nodes, _ = owner._tree
-    number = pick[union]
-    if number < 0:
+    if pick[union] < 0:
         # one table entry per union mask, so len(pick) - 1 is the full mask
         avoid = (len(pick) - 1) & ~union
         raise ConstructionError(
@@ -355,7 +327,7 @@ def _tree_parent(
     node = nodes.get(parent)
     if node is None:
         node = nodes[parent] = owner._node(parent)
-    return number, node
+    return node
 
 
 def union_witness(

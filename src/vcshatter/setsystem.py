@@ -16,7 +16,7 @@ from functools import reduce
 from itertools import combinations
 from math import comb
 from operator import and_, or_
-from typing import Collection, Iterable
+from typing import Collection, Iterable, Sequence
 
 VERIFY_GUARD = 24  # refuse exponential work over more than 2^24 subsets
 
@@ -46,10 +46,10 @@ def indices_to_mask(ground_size: int, indices: Iterable[int]) -> int:
 def mask_to_indices(mask: int) -> list[int]:
     """The indices of the set bits of a non-negative mask, ascending.
 
-    One scan of its binary digits from the low end, so the cost is linear in
-    the bit length; the "0b" prefix, read last, holds no "1".
+    One regex scan of its binary digits reversed, so digit i is bit i and
+    the cost is linear in the bit length with no Python step per digit.
     """
-    return [i for i, bit in enumerate(reversed(bin(mask))) if bit == "1"]
+    return list(map(re.Match.start, re.finditer("1", bin(mask)[:1:-1])))
 
 
 def subset_mask(ground_size: int, subset: Iterable[int] | int) -> int:
@@ -110,15 +110,12 @@ class SetSystem:
         return len(self.sets)
 
 
-def _validate_subset(system: SetSystem, elements: Iterable[int]) -> tuple[int, ...]:
-    ys = tuple(sorted(set(elements)))
-    for y in ys:
-        if not isinstance(y, int) or isinstance(y, bool) or not 0 <= y < system.ground_size:
-            raise ValueError(f"element {y!r} out of range for ground size {system.ground_size}")
-    return ys
+def _validate_subset(system: SetSystem, elements: Iterable[int]) -> list[int]:
+    """The distinct elements, ascending, checked as ``indices_to_mask`` checks them."""
+    return mask_to_indices(indices_to_mask(system.ground_size, set(elements)))
 
 
-def _projected_masks(system: SetSystem, ys: tuple[int, ...], stop_at: int | None = None) -> set[int]:
+def _projected_masks(system: SetSystem, ys: Sequence[int], stop_at: int | None = None) -> set[int]:
     """Project every member onto ys, re-indexed by position in ys.
 
     ``stop_at`` allows early exit once that many distinct projections exist.
@@ -262,9 +259,8 @@ def k_fold_union(system: SetSystem, k: int) -> SetSystem:
     """Unions of k (not necessarily distinct) members; contains the input family."""
     if k < 1:
         raise ValueError("fold count k must be >= 1")
-    digits = format(union_closure(system.sets, system.ground_size, k), "b")[::-1]
-    # digit m of the reversed binary string is bit m of the closure
-    return SetSystem(system.ground_size, tuple(map(re.Match.start, re.finditer("1", digits))))
+    closure = union_closure(system.sets, system.ground_size, k)
+    return SetSystem(system.ground_size, tuple(mask_to_indices(closure)))
 
 
 def k_fold_intersection(system: SetSystem, k: int) -> SetSystem:

@@ -312,10 +312,11 @@ class TestUnionWitness:
     def test_slot_thresholds(self, bundled_instance, n3_gadget):
         for inst in (dataclasses.replace(bundled_instance), build_theorem1(4, 4, n3_gadget)):
             assert inst.d == 4
-            for number in range(len(inst.gadget._pattern_points)):
-                for j in range(inst.k):
-                    want = F(2 * inst.d + 1, 2) + F(j, 4 * inst.k)
-                    assert inst._slot(number, j).tau == want
+            assert len(inst._witness_rows) == len(inst.gadget._pattern_points)
+            for row in inst._witness_rows:
+                assert len(row) == inst.gadget.max_witness_size
+                for j, h in enumerate(row):
+                    assert h.tau == F(2 * inst.d + 1, 2) + F(j, 4 * inst.k)
 
     def test_empty_subset_covers_nothing(self, bundled_instance):
         witness = union_witness(bundled_instance, [])
@@ -462,9 +463,7 @@ class TestHalfspaceKernel:
     def test_slot_masks_match_the_oracle(self, n3_gadget):
         inst = build_theorem1(4, 4, n3_gadget)
         columns = [p._vertex_column for p in inst.points]
-        slots = [
-            inst._slot(number, j) for number in range(len(inst._witness_rows)) for j in range(4)
-        ]
+        slots = [h for row in inst._witness_rows for h in row]
         assert len(slots) == 228
         for h in slots:
             want = sum(1 << i for i, p in enumerate(inst.points) if halfspace_contains(h, p))
@@ -478,15 +477,18 @@ class TestHalfspaceKernel:
         assert len(halfspaces) == 147
         assert len(sums) == len({h.b for h in halfspaces}) == 57
 
-    def test_slots_share_their_row_bounds_and_the_k_taus(self, n3_gadget):
-        inst = build_theorem1(4, 4, n3_gadget)
-        taus = {}
-        for number, (bounds, _) in enumerate(inst._witness_rows):
-            for j in range(inst.k):
-                h = inst._slot(number, j)
-                assert h.b is bounds
-                taus[id(h.tau)] = h.tau
-        assert len(taus) == inst.k
+    def test_slots_share_their_row_bounds_and_the_b_taus(self, bundled_gadget, n3_gadget):
+        # k=3 takes the n=2 gadget, whose witnesses need b = 2 < k slots
+        for inst in (build_theorem1(4, 3, bundled_gadget), build_theorem1(4, 4, n3_gadget)):
+            b = inst.gadget.max_witness_size
+            taus = {}
+            for row in inst._witness_rows:
+                assert len(row) == b
+                assert all(h.b is row[0].b for h in row)
+                for j, h in enumerate(row):
+                    assert h.tau == F(2 * inst.d + 1, 2) + F(j, 4 * inst.k)
+                    taus[id(h.tau)] = h.tau
+            assert len(taus) == b
 
 
 class TestTheorem2:
@@ -544,8 +546,9 @@ class TestTheorem2:
             if simplex.simplex_dim < inst2.k:
                 return simplex
             first = simplex.vertices[1]
-            [number] = [n for (n, j), v in inst2._vertices.items() if v is first and j == 0]
-            other = dual_halfspace_to_point(inst2.base._slot(number, 1))
+            vertices = inst2._tree[3]
+            [number] = [n for n, row in enumerate(vertices) if row[0] is first]
+            other = dual_halfspace_to_point(inst2.base._witness_rows[number][1])
             assert _vertex_signs(rows, other) == _vertex_signs(rows, first)
             return OpenSimplex(simplex.ambient_dim, simplex.vertices + (other,))
 
@@ -580,11 +583,15 @@ class TestTheorem2:
         duals = _counting(monkeypatch, constructions, "dual_halfspace_to_point")
         assert verify_theorem1(inst, mode="exhaustive", compute_vc_dim=True).shattered
         assert duals == []  # only Theorem 2 reads dual vertices
-        assert verify_theorem2(build_theorem2(inst), mode="exhaustive").shattered
-        halfspaces = {h for mask in range(1 << 12) for h in union_witness(inst, mask)}
+        inst2 = build_theorem2(inst)
+        for _ in range(2):
+            assert verify_theorem2(inst2, mode="exhaustive").shattered
         # one snap per menu value of each gadget axis, not one per pattern
-        assert len(snaps) <= sum(len(values) + 1 for values in n3_gadget._menu[0])
-        assert len(duals) <= len(halfspaces)
+        assert len(snaps) == sum(len(values) for values in n3_gadget._menu[0])
+        # Theorem 2 dualizes each slot of the table exactly once, in row order
+        slots = [h for row in inst._witness_rows for h in row]
+        assert len(duals) == len(slots) == 228
+        assert all(args[0] is h for args, h in zip(duals, slots))
 
     @given(
         st.lists(
@@ -677,6 +684,11 @@ def _scratch_simplex_witness(inst2, subset):
         raise ConstructionError(str(err)) from err
 
 
+def _memo(inst) -> dict:
+    """The witnesses an instance memoizes, by the union mask of a witness-tree parent."""
+    return inst._tree[2]
+
+
 def _tree_parents(gadget: BoxGadget, unions) -> set[int]:
     """The unions that are the witness-tree parent of one of ``unions``."""
     pick, prev = gadget._closure
@@ -751,12 +763,14 @@ class TestWitnessTree:
             monkeypatch.undo()
 
     def test_patterns_sharing_bounds_fail_without_raising(self, n3_gadget, monkeypatch):
-        # pattern 1's row takes pattern 0's bounds, so the two share one bound tuple
+        # pattern 1's row of half-spaces takes pattern 0's bounds, so the two
+        # share one bound tuple
         inst = build_theorem1(4, 4, n3_gadget)
         rows = list(inst._witness_rows)
-        rows[1] = (rows[0][0], {})
+        bounds = rows[0][0].b
+        rows[1] = tuple(RestrictedHalfspace(b=bounds, tau=h.tau) for h in rows[1])
         monkeypatch.setitem(inst.__dict__, "_witness_rows", tuple(rows))
-        assert inst._witness_rows[0][0] == inst._witness_rows[1][0]
+        assert all(h.b is bounds for h in inst._witness_rows[1])
         full = (1 << len(inst.points)) - 1
         for report in (verify_theorem1(inst), verify_theorem2(build_theorem2(inst))):
             assert report.failing_subsets
@@ -772,7 +786,7 @@ class TestWitnessTree:
             assert verify_theorem2(inst2).shattered
             assert verify_theorem1(inst).shattered
             parents = _tree_parents(inst.gadget, range(1 << len(inst.points)))
-            assert set(inst._nodes) == set(inst2._nodes) == parents | {-1}
+            assert set(_memo(inst)) == set(_memo(inst2)) == parents | {-1}
             # the apex's own fold, then at most one step per parent simplex
             assert len(annihilations) <= 1 + len(parents)
             monkeypatch.undo()
@@ -789,8 +803,8 @@ class TestWitnessTree:
         for inst in instances:
             menu = inst.gadget._pattern_points
             assert len(inst._witness_rows) == len(menu)
-            for (bounds, _), q in zip(inst._witness_rows, menu):
-                assert bounds == snap(_lift(q.coords, q.coords), inst.alpha)
+            for row, q in zip(inst._witness_rows, menu):
+                assert {h.b for h in row} == {snap(_lift(q.coords, q.coords), inst.alpha)}
 
     def test_single_subsets_on_fresh_instances(self, bundled_instance, n3_gadget):
         # every call starts from an empty memo, so it builds its parents itself
@@ -808,7 +822,7 @@ class TestWitnessTree:
                 while frontier:
                     frontier = _tree_parents(inst.gadget, frontier)
                     ancestors |= frontier
-                assert set(fresh._nodes) == set(fresh2._nodes) == ancestors | {-1}
+                assert set(_memo(fresh)) == set(_memo(fresh2)) == ancestors | {-1}
 
     def test_a_subset_with_no_witness_raises(self, bundled_instance):
         broken, _ = self.mutants(bundled_instance)
@@ -834,7 +848,7 @@ class TestWitnessTree:
                 got = simplex_witness(inst2, mask)
                 assert got.vertices[1:] == _scratch_simplex_witness(inst2, mask).vertices[:-1]
             parents = _tree_parents(inst.gadget, order)
-            assert set(inst._nodes) == set(inst2._nodes) == parents | {-1}
+            assert set(_memo(inst)) == set(_memo(inst2)) == parents | {-1}
 
     @pytest.mark.parametrize("seed", [3, 6])
     def test_other_pinned_gadgets_match_scratch(self, seed, monkeypatch):
@@ -855,7 +869,7 @@ class TestWitnessTree:
         while frontier:
             frontier = _tree_parents(inst.gadget, frontier)
             ancestors |= frontier
-        assert set(inst._nodes) == ancestors | {-1}
+        assert set(_memo(inst)) == ancestors | {-1}
 
     def test_each_subset_mask_is_validated_once(self, n3_gadget, monkeypatch):
         inst = build_theorem1(4, 4, n3_gadget)

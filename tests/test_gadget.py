@@ -123,15 +123,20 @@ def box_families(draw):
     return BoxGadget(n=draw(st.integers(2, 3)), dim=dim, boxes=tuple(boxes))
 
 
-def midpoint_menu(g: BoxGadget) -> list[tuple[Fraction, ...]]:
-    """The candidate menu as first defined: per axis the sorted endpoints give
-    one value below them, the midpoints between neighbours and one above."""
+def midpoint_axes(g: BoxGadget) -> list[list[Fraction]]:
+    """The per-axis menus as first defined: the sorted endpoints of an axis
+    give one value below them, the midpoints between neighbours and one above."""
     axes = []
     for i in range(g.dim):
         values = sorted({box.lo[i] for box in g.boxes} | {box.hi[i] for box in g.boxes})
         mids = [(a + b) / 2 for a, b in zip(values, values[1:])]
         axes.append([values[0] / 2, *mids, values[-1] + 1])
-    return list(product(*axes))
+    return axes
+
+
+def midpoint_menu(g: BoxGadget) -> list[tuple[Fraction, ...]]:
+    """The candidate menu as first defined: the product of ``midpoint_axes``."""
+    return list(product(*midpoint_axes(g)))
 
 
 class TestConstruction:
@@ -182,7 +187,7 @@ class TestCandidatePoints:
         # the per-axis bitsets give exactly the distinct box_contains masks of
         # the menu, each with the menu digits of the first point that has it,
         # in point order; the pattern points are those first points
-        digits = product(*(range(len(values) + 1) for values in g._menu[0]))
+        digits = product(*(range(len(values)) for values in g._menu[0]))
         lowest: dict[int, tuple[int, ...]] = {}
         first: dict[int, tuple[Fraction, ...]] = {}
         for coords, m in zip(midpoint_menu(g), digits, strict=True):
@@ -194,6 +199,13 @@ class TestCandidatePoints:
         assert list(patterns.items()) == list(lowest.items())
         assert [q.coords for q in g._pattern_points] == list(first.values())
         assert patterns_of([(box.lo, box.hi) for box in g.boxes], g.dim) == set(lowest)
+
+    def test_menu_values_are_the_midpoint_menu(self, bundled_gadget, n3_gadget):
+        pinned = [gadget_from_dict(load_json(p)) for p in sorted(PINNED_GADGETS.glob("*.json"))]
+        assert len(pinned) == 3
+        for g in (bundled_gadget, n3_gadget, *pinned):
+            menus, _ = g._menu
+            assert list(menus) == midpoint_axes(g)
 
     def test_every_box_and_the_outside_get_candidates(self, bundled_gadget):
         points = bundled_gadget._pattern_points

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 import time
 import tracemalloc
 from itertools import combinations
@@ -94,6 +95,30 @@ class TestProject:
         once = project(s, sorted(ys))
         twice = project(once, range(once.ground_size))
         assert once == twice
+
+
+class TestElementValidation:
+    """``project`` and ``shatters`` check elements as ``indices_to_mask`` does."""
+
+    @pytest.mark.parametrize("check", [project, shatters])
+    @pytest.mark.parametrize(
+        "element, message",
+        [
+            (True, "set element True is not an integer index"),
+            ("1", "set element '1' is not an integer index"),
+            (2, "index 2 out of range for ground size 2"),
+        ],
+    )
+    def test_messages(self, check, element, message):
+        s = SetSystem.from_members(2, [[0], [1]])
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            check(s, [0, element])
+
+    def test_repeats_and_order_are_ignored(self):
+        # indices_to_mask refuses a repeated index, so repeats are dropped first
+        s = SetSystem.from_members(3, [[0], [2], [0, 2]])
+        assert project(s, [2, 0, 2]) == project(s, [0, 2])
+        assert shatters(s, (2, 0, 0)) == shatters(s, [0, 2])
 
 
 class TestShatters:
