@@ -392,10 +392,6 @@ def cli_main(argv: list[str] | None = None) -> int:
         return 2 if err.code not in (0, None) else 0
     try:
         return args.func(args)
-    except jsonio.SchemaError as err:
-        print(f"error: {err}", file=sys.stderr)
-        print(json.dumps({"error": str(err)}, sort_keys=True))
-        return 2
     except ConstructionError as err:
         print(f"construction failure: {err}", file=sys.stderr)
         print(json.dumps({"error": str(err)}, sort_keys=True))

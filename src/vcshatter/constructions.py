@@ -39,16 +39,16 @@ plus that pattern's half-space (or dual vertex) at the slot given by the
 parent's size. Each instance memoizes the witness of every witness-tree
 parent by union mask, the root's first: its half-spaces, or on a Theorem 2
 instance its simplex. A leaf then costs one call, the instance's ``_node``:
-one tree step, one memo lookup and one table read. Only a missing parent
-or a union with no witness takes the shared slow path, ``_tree_parent``. A
-new vertex's affine independence is checked against the parent's integer
-annihilator, usually by one dot product. The verifiers check whatever the
-public witness functions return. Theorem 1 memoizes the exact integer sums
-of the points against each bound-tuple object it receives (a pattern's
-slots share their row's tuple) and the mask of each half-space object;
-Theorem 2 memoizes the sign masks of each vertex object. Both count a
-witness of more than k half-spaces, or a simplex of dimension above k, as
-failing.
+one tree step, one memo lookup and one table read. On a memo miss
+``_node`` builds the parent by calling itself and memoizes it; a union with
+no witness raises. A new vertex's affine independence is checked against
+the parent's integer annihilator, usually by one dot product. The
+verifiers check whatever the public witness functions return. Theorem 1
+memoizes the exact integer sums of the points against each bound-tuple
+object it receives (a pattern's slots share their row's tuple) and the mask
+of each half-space object; Theorem 2 memoizes the sign masks of each vertex
+object. Both count a witness of more than k half-spaces, or a simplex of
+dimension above k, as failing.
 """
 
 from __future__ import annotations
@@ -78,7 +78,7 @@ from .geometry import (
     dual_halfspace_to_point,
     dual_point_to_hyperplane,
 )
-from .setsystem import SetSystem, _check_guard, k_fold_union, mask_to_indices, subset_mask
+from .setsystem import SetSystem, _check_guard, mask_to_indices, subset_mask
 from .setsystem import union_closure, vc_dim
 
 AlphaTables = tuple[tuple[tuple[Fraction, Fraction], ...], ...]
@@ -211,13 +211,16 @@ class Theorem1Instance:
         return (*self.gadget._closure, {-1: ()}, self._witness_rows)
 
     def _node(self, union: int) -> Halfspaces:
-        """The witness half-spaces of ``union``: its tree parent's, then the
-        half-space of the pattern it adds, at the slot given by the parent's size."""
+        """The witness half-spaces of ``union``: its tree parent's (built and
+        memoized on a miss), then the half-space of the pattern it adds, at
+        the slot given by the parent's size."""
         pick, prev, nodes, rows = self._tree
         number = pick[union]
         node = nodes.get(prev[union])
         if node is None or number < 0:
-            node = _tree_parent(self, union)
+            if number < 0:
+                raise _no_witness(pick, union)
+            node = nodes[prev[union]] = self._node(prev[union])
         return (*node, rows[number][len(node)])
 
 
@@ -251,14 +254,16 @@ class Theorem2Instance:
         return (*base.gadget._closure, {-1: root}, vertices)
 
     def _node(self, union: int) -> OpenSimplex:
-        """The witness simplex of ``union``: its tree parent's, extended by the
-        dual vertex of the pattern it adds and checked against the parent's
-        annihilator."""
+        """The witness simplex of ``union``: its tree parent's (built and
+        memoized on a miss), extended by the dual vertex of the pattern it
+        adds and checked against the parent's annihilator."""
         pick, prev, nodes, vertices = self._tree
         number = pick[union]
         node = nodes.get(prev[union])
         if node is None or number < 0:
-            node = _tree_parent(self, union)
+            if number < 0:
+                raise _no_witness(pick, union)
+            node = nodes[prev[union]] = self._node(prev[union])
         return node._extended(vertices[number][len(node.vertices) - 1])
 
 
@@ -302,32 +307,14 @@ def build_theorem1(d: int, k: int, gadget: BoxGadget) -> Theorem1Instance:
     return Theorem1Instance(d=d, k=k, gadget=gadget, points=points, alpha=alpha)
 
 
-def _tree_parent(
-    owner: Theorem1Instance | Theorem2Instance, union: int
-) -> Halfspaces | OpenSimplex:
-    """The witness of ``union``'s witness-tree parent on the owner instance:
-    the slow path of ``owner._node``.
-
-    A witness is its tree parent's plus one pattern numbered above all of
-    the parent's: the gadget's ``_closure`` tables give that pattern
-    (``pick``) and the parent (``prev``) by union mask. The witnesses of
-    parents are memoized in the owner's ``_tree``, which starts with the
-    root's under -1; a missing one is built here, by ``owner._node``. A
-    union the tables never reached raises ConstructionError.
-    """
-    pick, prev, nodes, _ = owner._tree
-    if pick[union] < 0:
-        # one table entry per union mask, so len(pick) - 1 is the full mask
-        avoid = (len(pick) - 1) & ~union
-        raise ConstructionError(
-            f"gadget has no witness for box subset {mask_to_indices(avoid)}; "
-            "the certificate is invalid"
-        )
-    parent = prev[union]
-    node = nodes.get(parent)
-    if node is None:
-        node = nodes[parent] = owner._node(parent)
-    return node
+def _no_witness(pick: array, union: int) -> ConstructionError:
+    """The error for a union the gadget's ``_closure`` tables never reached."""
+    # one table entry per union mask, so len(pick) - 1 is the full mask
+    avoid = (len(pick) - 1) & ~union
+    return ConstructionError(
+        f"gadget has no witness for box subset {mask_to_indices(avoid)}; "
+        "the certificate is invalid"
+    )
 
 
 def union_witness(
@@ -340,8 +327,7 @@ def union_witness(
     the bounds of one half-space. The j-th witness pattern's half-space has
     threshold d + 1/2 + j/(4k), strictly inside (d, d+1) since j < k. The
     half-spaces are the witness-tree parent's plus one, taken in one call
-    (``Theorem1Instance._node``); only a missing parent or a subset with no
-    witness goes on to ``_tree_parent``.
+    (``Theorem1Instance._node``), which builds a missing parent by recursion.
     """
     return inst._node(subset_mask(len(inst.points), subset))
 
@@ -395,11 +381,11 @@ def verify_theorem1(
     VC-dimension of the k-fold union of that system (it must reach |P| when
     the instance shatters). That union shatters P exactly when it is the
     whole power set, so the report is |P| when the popcount of its
-    ``union_closure`` is 2^|P|; only a closure that is not full builds the
-    ``SetSystem`` for ``vc_dim``. The exact integer sums of the points'
-    vertex columns against each bound-tuple object received (``_bound_sums``)
-    are computed once, and so is each half-space object's mask, their
-    ``_tau_mask`` at its tau.
+    ``union_closure`` is 2^|P|; only a closure that is not full becomes the
+    ``SetSystem`` of its members for ``vc_dim``. The exact integer sums of
+    the points' vertex columns against each bound-tuple object received
+    (``_bound_sums``) are computed once, and so is each half-space object's
+    mask, their ``_tau_mask`` at its tau.
     """
     masks = _selected_masks(len(inst.points), mode, count, seed)
     columns = [p._vertex_column for p in inst.points]
@@ -435,11 +421,11 @@ def verify_theorem1(
     union_dim: int | None = None
     if compute_vc_dim and seen:
         npoints = len(inst.points)
-        cut = set(seen.values())
-        if union_closure(cut, npoints, inst.k).bit_count() == 1 << npoints:
+        closure = union_closure(set(seen.values()), npoints, inst.k)
+        if closure.bit_count() == 1 << npoints:
             union_dim = npoints
         else:
-            union_dim = vc_dim(k_fold_union(SetSystem.from_masks(npoints, cut), inst.k))[0]
+            union_dim = vc_dim(SetSystem(npoints, tuple(mask_to_indices(closure))))[0]
     return VerificationReport(
         shattered=not failing,
         checked=len(masks),
@@ -474,10 +460,9 @@ def simplex_witness(inst2: Theorem2Instance, subset: Iterable[int] | int) -> Ope
     p puts its dual vertex strictly on the -1 side of H(p), so the open hull
     crosses H(p) exactly when p is selected. Affinely dependent vertices raise
     ConstructionError. The simplex is its witness-tree parent's plus one
-    vertex, taken in one call (``Theorem2Instance._node``); only a missing
-    parent or a subset with no witness goes on to ``_tree_parent``. The new
-    vertex's independence is checked against the parent's integer
-    annihilator (``OpenSimplex._extended``).
+    vertex, taken in one call (``Theorem2Instance._node``), which builds a
+    missing parent by recursion. The new vertex's independence is checked
+    against the parent's integer annihilator (``OpenSimplex._extended``).
     """
     pmask = subset_mask(len(inst2.base.points), subset)
     try:

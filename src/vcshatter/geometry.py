@@ -39,7 +39,8 @@ from .setsystem import SetSystem
 
 
 def as_scalar(value) -> Fraction:
-    """Coerce ints, 'num/den' strings and Fractions to an exact rational."""
+    """Coerce ints, 'num/den' strings and Fractions to an exact rational;
+    anything else, a zero denominator included, raises ValueError."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool):
@@ -47,7 +48,10 @@ def as_scalar(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError) as err:
+            raise ValueError(f"bad rational {value!r} ({err})") from None
     raise ValueError(f"cannot interpret {value!r} as an exact rational")
 
 

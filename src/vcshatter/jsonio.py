@@ -22,6 +22,7 @@ from .geometry import (
     OpenSimplex,
     Point,
     RestrictedHalfspace,
+    as_scalar,
 )
 from .setsystem import SetSystem, indices_to_mask
 
@@ -35,14 +36,10 @@ def format_scalar(value: Fraction) -> str:
 
 
 def parse_scalar(value: Any, where: str) -> Fraction:
-    if isinstance(value, str):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError) as err:
-            raise SchemaError(f"{where}: bad rational {value!r} ({err})") from None
-    if isinstance(value, int) and not isinstance(value, bool):
-        return Fraction(value)
-    raise SchemaError(f"{where}: expected a 'num/den' string, got {value!r}")
+    try:
+        return as_scalar(value)
+    except ValueError as err:
+        raise SchemaError(f"{where}: {err}") from None
 
 
 def _require(data: Any, key: str, where: str) -> Any:

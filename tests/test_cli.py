@@ -242,6 +242,8 @@ class TestVerifyCommands:
             pytest.param(["gadget", "boxes", 0, "lo", -1], None, "gadget.boxes[0]", id="short-box"),
             pytest.param(["gadget", "boxes", 0, "lo", 0], "1.5e", "gadget.boxes[0].lo[0]",
                          id="bad-rational"),
+            pytest.param(["gadget", "boxes", 0, "lo", 0], "1/0", "gadget.boxes[0].lo[0]",
+                         id="zero-denominator"),
             pytest.param(["points", "points", 0, 0], True, "point set.points[0][0]",
                          id="boolean-coordinate"),
         ],

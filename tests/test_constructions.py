@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import box_contains, halfspace_contains, side_of, simplex_hyperplane_intersects
-from vcshatter import boxgadget, constructions, geometry, jsonio
+from vcshatter import boxgadget, constructions, geometry, jsonio, setsystem
 from vcshatter.boxgadget import BoxGadget, _witness_patterns, verify, witness_for
 from vcshatter.constructions import (
     ConstructionError,
@@ -406,7 +406,10 @@ class TestVerifyTheorem1:
             return witnesses[-1]
 
         monkeypatch.setattr(constructions, "union_witness", recorded)
+        # the run folds the cut sets once, and vc_dim reads that same closure
+        closures = [_counting(monkeypatch, m, "union_closure") for m in (constructions, setsystem)]
         report = verify_theorem1(inst, mode="sample", count=5, seed=1, compute_vc_dim=True)
+        assert sum(map(len, closures)) == 1
         assert report.shattered and len(witnesses) == 5
         halfspaces = [h for witness in witnesses for h in witness]
         system = halfspace_system(inst.points, halfspaces)
@@ -836,6 +839,22 @@ class TestWitnessTree:
             union_witness(dataclasses.replace(broken), mask)
         with pytest.raises(ConstructionError, match=f"^{message}$"):
             simplex_witness(build_theorem2(dataclasses.replace(broken)), mask)
+
+    def test_no_witness_leaves_only_the_root_memoized(self, bundled_instance):
+        # the refusal comes before any parent is built, on either theorem
+        broken, _ = self.mutants(bundled_instance)
+        report, _ = verify(broken.gadget)
+        npoints = len(broken.points)
+        assert report.failing_subsets
+        for avoid in report.failing_subsets:
+            mask = ((1 << npoints) - 1) & ~subset_mask(npoints, avoid)
+            inst = dataclasses.replace(broken)
+            inst2 = build_theorem2(dataclasses.replace(broken))
+            with pytest.raises(ConstructionError):
+                union_witness(inst, mask)
+            with pytest.raises(ConstructionError):
+                simplex_witness(inst2, mask)
+            assert set(_memo(inst)) == set(_memo(inst2)) == {-1}
 
     def test_query_order_does_not_matter(self, n3_gadget):
         masks = list(range(1 << 12))

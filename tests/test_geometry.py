@@ -32,6 +32,7 @@ from vcshatter.geometry import (
     _halfspace_mask,
     _hyperplane_row,
     _vertex_signs,
+    as_scalar,
     dual_halfspace_to_point,
     dual_point_to_hyperplane,
     realizable_halfspace_subsets,
@@ -73,6 +74,14 @@ def _sub(a, b) -> list[Fraction]:
 
 positive_scalars = st.fractions(min_value=F(1, 20), max_value=F(40))
 scalars = st.fractions(min_value=F(-30), max_value=F(30))
+
+
+class TestAsScalar:
+    def test_zero_denominator_is_a_value_error(self):
+        with pytest.raises(ValueError, match=r"^bad rational '1/0' "):
+            as_scalar("1/0")
+        with pytest.raises(ValueError, match=r"^bad rational '1/0' "):
+            Point.of(1, "1/0")
 
 
 class TestBoxContains:
