@@ -67,14 +67,22 @@ class BoxGadget:
         return 1 << (self.n - 1)
 
     @cached_property
+    def _patterns(self) -> tuple[tuple[list[Fraction], ...], dict[int, tuple[int, ...]]]:
+        """``_hit_masks`` of the boxes, computed on first use: per axis its
+        sorted distinct endpoints, and the distinct hit patterns with their
+        digits. ``verify`` and ``_unions`` read the patterns from here, so
+        they build no menu values."""
+        return _hit_masks([(box.lo, box.hi) for box in self.boxes], self.dim)
+
+    @cached_property
     def _menu(self) -> tuple[tuple[list[Fraction], ...], dict[int, tuple[int, ...]]]:
         """Per axis its menu values, menu digit m at index m, and the distinct
-        hit patterns with their digits, computed on first use.
+        hit patterns with their digits, computed on first use from ``_patterns``.
 
         The gadget hands out its menu values, so no other module knows how a
         menu is built from the endpoints.
         """
-        axes, patterns = _hit_masks([(box.lo, box.hi) for box in self.boxes], self.dim)
+        axes, patterns = self._patterns
         menus = tuple(
             [_menu_value(values, m) for m in range(len(values) + 1)] for values in axes
         )
@@ -192,9 +200,9 @@ def _unions(gadget: BoxGadget) -> tuple[array, array]:
     A subset S has a witness of at most b points exactly when the complement
     of S is the union of at most b hit patterns: every point avoids S, so its
     pattern lies inside the complement. Reached unions grow fold by fold from
-    the distinct patterns of ``_menu``, numbered in the order of their first
-    menu points. Both tables are indexed by union mask: ``pick[v]`` is the
-    number of the pattern added last (-1 where v is unreached) and
+    the distinct patterns of ``_patterns``, numbered in the order of their
+    first menu points. Both tables are indexed by union mask: ``pick[v]`` is
+    the number of the pattern added last (-1 where v is unreached) and
     ``prev[v]`` the union before it (-1 for none, so -1 names the witness
     tree's root, the witness of no pattern). Pattern numbers stay below
     2^|B|, so they fit the tables. A union is recorded at the first fold
@@ -204,13 +212,18 @@ def _unions(gadget: BoxGadget) -> tuple[array, array]:
     frontier is visited in lexicographic order of paths, so each path is the
     lexicographically first combination of the fewest pattern numbers with
     its union, which is strictly increasing; the pairs skipped never write
-    an entry. Only ``witness_for`` and the theorem witnesses (the
-    instances' ``_node`` in ``constructions``) read the tables; ``verify``
-    and the search read the same set of unions from ``union_closure``.
+    an entry. A new union's pick is read from its last pattern's own entry:
+    every pattern holds its number from the start, and the sweep writes
+    only unreached entries, so it never overwrites one. The sweep stops at
+    the first fold that reaches nothing, since every later fold would
+    extend an empty frontier. Only ``witness_for`` and the theorem
+    witnesses (the instances' ``_node`` in ``constructions``) read the
+    tables; ``verify`` and the search read the same set of unions from
+    ``union_closure``.
     """
     nboxes = len(gadget.boxes)
     _check_guard(nboxes, "exhaustive verification")
-    patterns = list(gadget._menu[1])
+    patterns = list(gadget._patterns[1])
     # pick is a list during the sweep, which indexes faster than an array;
     # the frontier is an array, which holds no int objects
     pick = [-1] * (1 << nboxes)
@@ -223,13 +236,14 @@ def _unions(gadget: BoxGadget) -> tuple[array, array]:
     for _ in range(gadget.max_witness_size - 1):
         reached = array("i")
         for u in frontier:
-            last = pick[u]
-            for i, p in enumerate(tails[last], last + 1):
+            for p in tails[pick[u]]:
                 v = u | p
                 if pick[v] < 0:
-                    pick[v] = i
+                    pick[v] = pick[p]
                     prev[v] = u
                     reached.append(v)
+        if not reached:
+            break
         frontier = reached
     return array("i", pick), prev
 
@@ -280,8 +294,8 @@ def verify(gadget: BoxGadget) -> tuple[GadgetReport, BoxGadget]:
     the 2^24 guard.
     """
     nboxes = len(gadget.boxes)
-    _check_guard(nboxes, "exhaustive verification")  # before the menu is built
-    _, patterns = gadget._menu
+    _check_guard(nboxes, "exhaustive verification")  # before the patterns are built
+    _, patterns = gadget._patterns
     reached = union_closure(patterns, nboxes, gadget.max_witness_size)
     full = (1 << nboxes) - 1
     # subset s fails when the union full ^ s of the boxes outside it is

@@ -370,6 +370,21 @@ class TestVerify:
         with pytest.raises(ValueError, match="guard"):
             witness_for(g, [0])
 
+    def test_witness_tables_stop_at_a_fold_that_reaches_nothing(self):
+        # two disjoint boxes reach every union by fold 2; at n=40 the other
+        # 2^39 - 2 folds would only extend an empty frontier
+        boxes = [((1, 1), (2, 2)), ((3, 3), (4, 4))]
+        small, large = make_gadget(boxes, n=2), make_gadget(boxes, n=40)
+        assert witness_for(large, [0]) == witness_for(small, [0])
+        assert large._closure == small._closure
+
+    def test_verify_builds_no_menu_values(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(boxgadget, "_menu_value", lambda *args: calls.append(args))
+        g = gadget_from_dict(load_json(PINNED_GADGETS / "n3-seed0.json"))
+        assert verify(g)[0].ok
+        assert calls == []
+
 
 def doubled(g: BoxGadget) -> BoxGadget:
     """``g`` scaled by 2: the same hit patterns, and integer coordinates on ``COORDS``."""
