@@ -16,16 +16,19 @@ alone and takes it from a plain set product. Q avoids S
 exactly when every hit pattern of Q lies inside B \\ S, so S has a witness
 exactly when B \\ S is a union of at most 2^(n-1) hit patterns: the gadget
 is a certificate when the 2^(n-1)-fold union of its hit-pattern system is
-the whole power set. ``verify`` and the search's score read that closure as
-one 2^|B|-bit integer from ``setsystem.union_closure``, the kernel of
-``k_fold_union``; ``witness_for`` reads a witness from the same closure
-kept as back-pointer tables, one per reached union (``_unions``). The
-search climbs on plain integer boxes and carries the current family's
-per-axis bitsets, its columns, so a proposal re-sweeps only the one axis it
-moved. Its scores are memoized by columns, which skips the product, and
-then by pattern set, which skips the closure. It builds a ``BoxGadget``
-only for the family it returns. A gadget counts as verified when
-``verify(gadget)`` reports ok.
+the whole power set. A fewest union needs at most |B| patterns, so every
+fold count is ``max_witness_size`` = min(2^(n-1), |B|). ``verify`` and the
+search's score read that closure as one 2^|B|-bit integer from
+``setsystem.union_closure``, the kernel of ``k_fold_union``. The same
+closure kept as back-pointer tables (``_unions``) is read by one walk,
+``_witness_tree``, on which ``witness_for`` and both theorem instances in
+``constructions`` are built; the tests' reference walk is in
+``tests/oracles.py``. The search climbs on plain integer boxes and carries
+the current family's per-axis bitsets, its columns, so a proposal re-sweeps
+only the one axis it moved. Its scores are memoized by columns, which skips
+the product, and then by pattern set, which skips the closure. It builds a
+``BoxGadget`` only for the family it returns. A gadget counts as verified
+when ``verify(gadget)`` reports ok.
 """
 
 from __future__ import annotations
@@ -34,13 +37,19 @@ import random
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import accumulate
 from operator import xor
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence, TypeVar
 
 from .geometry import AxisBox, Point
 from .setsystem import VERIFY_GUARD, _check_guard, mask_to_indices, subset_mask, union_closure
+
+_Node = TypeVar("_Node")
+
+
+class ConstructionError(RuntimeError):
+    """A witness could not be produced; signals an invalid instance or gadget."""
 
 
 @dataclass(frozen=True)
@@ -64,7 +73,10 @@ class BoxGadget:
 
     @property
     def max_witness_size(self) -> int:
-        return 1 << (self.n - 1)
+        """min(2^(n-1), |B|) without building 2^(n-1): each pattern of a fewest
+        union adds a box (with no boxes, the one witness is the empty pattern)."""
+        nboxes = max(len(self.boxes), 1)
+        return min(1 << min(self.n - 1, nboxes.bit_length()), nboxes)
 
     @cached_property
     def _patterns(self) -> tuple[tuple[list[Fraction], ...], dict[int, tuple[int, ...]]]:
@@ -195,7 +207,7 @@ def _product(columns: _Columns, nboxes: int) -> frozenset[int]:
 
 
 def _unions(gadget: BoxGadget) -> tuple[array, array]:
-    """The b-fold union closure of the menu's hit patterns, b = 2^(n-1).
+    """The b-fold union closure of the menu's hit patterns, b = ``max_witness_size``.
 
     A subset S has a witness of at most b points exactly when the complement
     of S is the union of at most b hit patterns: every point avoids S, so its
@@ -216,9 +228,8 @@ def _unions(gadget: BoxGadget) -> tuple[array, array]:
     every pattern holds its number from the start, and the sweep writes
     only unreached entries, so it never overwrites one. The sweep stops at
     the first fold that reaches nothing, since every later fold would
-    extend an empty frontier. Only ``witness_for`` and the theorem
-    witnesses (the instances' ``_node`` in ``constructions``) read the
-    tables; ``verify`` and the search read the same set of unions from
+    extend an empty frontier. Only ``_witness_tree`` reads the tables;
+    ``verify`` and the search read the same set of unions from
     ``union_closure``.
     """
     nboxes = len(gadget.boxes)
@@ -248,36 +259,58 @@ def _unions(gadget: BoxGadget) -> tuple[array, array]:
     return array("i", pick), prev
 
 
-def _witness_patterns(gadget: BoxGadget, subset: Iterable[int] | int) -> list[int] | None:
-    """The pattern numbers of ``witness_for``'s witness, ascending; None when it has none.
+def _witness_tree(
+    gadget: BoxGadget, root: _Node, grow: Callable[[_Node, int], _Node]
+) -> Callable[[int], _Node]:
+    """The one walk of the gadget's witness tree: a function of a union mask.
 
-    They are read up the witness tree, one per fold: ``pick`` names the
-    pattern added last and ``prev`` the union before it (see ``_unions``).
+    Each reached union's witness is its tree parent's plus one pattern
+    numbered above all of the parent's (``_unions``); the root, the witness
+    of no pattern, is union -1. A union's node is ``grow(its parent's node,
+    the number of the pattern it adds)``, so a caller chooses what a node is
+    by its root and its step. The walk memoizes the node of every tree parent
+    it meets by union mask, the root's under -1, and builds a missing parent
+    by recursion. A union with no witness raises ConstructionError before
+    any parent is built. Only this walk reads the ``_closure`` tables.
     """
-    nboxes = len(gadget.boxes)
-    union = ((1 << nboxes) - 1) & ~subset_mask(nboxes, subset)
     pick, prev = gadget._closure
-    chosen = []
-    while union >= 0:
-        if pick[union] < 0:
-            return None
-        chosen.append(pick[union])
-        union = prev[union]
-    return chosen[::-1]
+    return partial(_tree_node, pick, prev, {-1: root}, grow)
+
+
+def _tree_node(pick: array, prev: array, nodes: dict, grow: Callable, union: int) -> object:
+    """One call of a ``_witness_tree`` walk, whose memo is ``nodes``. A walk
+    that called itself through a closure would be a reference cycle, which
+    keeps a dropped walk's memo alive until the cyclic collector runs."""
+    number = pick[union]
+    parent = nodes.get(prev[union])
+    if parent is None or number < 0:
+        if number < 0:
+            # one table entry per union mask, so len(pick) - 1 is the full mask
+            avoid = (len(pick) - 1) & ~union
+            raise ConstructionError(
+                f"gadget has no witness for box subset {mask_to_indices(avoid)}; "
+                "the certificate is invalid"
+            )
+        parent = nodes[prev[union]] = _tree_node(pick, prev, nodes, grow, prev[union])
+    return grow(parent, number)
 
 
 def witness_for(gadget: BoxGadget, subset: Iterable[int] | int) -> tuple[Point, ...] | None:
     """A fewest-point set avoiding the boxes of ``subset`` and hitting all others.
 
-    Returns None when no such set of at most 2^(n-1) candidate points exists;
-    infeasibility is a value, not an error. Refuses families larger than the
-    2^24 guard.
+    Returns None when no such set of at most ``max_witness_size`` candidate
+    points exists; infeasibility is a value, not an error. Refuses families
+    larger than the 2^24 guard. Each call walks the witness tree afresh, so
+    the gadget keeps no memo of it.
     """
-    numbers = _witness_patterns(gadget, subset)
-    if numbers is None:
+    nboxes = len(gadget.boxes)
+    union = ((1 << nboxes) - 1) & ~subset_mask(nboxes, subset)
+    walk = _witness_tree(gadget, (), lambda parent, number: parent + (number,))
+    try:
+        numbers = walk(union)
+    except ConstructionError:
         return None
-    points = gadget._pattern_points
-    return tuple(points[i] for i in numbers)
+    return tuple(map(gadget._pattern_points.__getitem__, numbers))
 
 
 @dataclass(frozen=True)

@@ -28,42 +28,41 @@ menu point's corner snaps coordinate by coordinate, so an instance snaps
 each menu value q that the gadget hands out for each of its axes once, as
 the pair (q, 1/q), and joins the pairs named by a pattern's menu digits
 into its row's bound tuple. Each instance holds one witness table, built
-once: per pattern number, the b = 2^(n-1) half-spaces on that bound tuple
-at the threshold slots j < b (``Theorem1Instance._witness_rows``), and on a
-Theorem 2 instance their dual vertices. Distinct patterns snap to distinct
-bounds, since the bounds decide which points lie below them. Gadget
-witnesses form a tree: each is its parent's plus one pattern numbered
-above all of the parent's (read from the gadget's ``_closure`` tables); the
-root, the witness of no pattern, is union -1. So a witness is its parent's
-plus that pattern's half-space (or dual vertex) at the slot given by the
-parent's size. Each instance memoizes the witness of every witness-tree
-parent by union mask, the root's first: its half-spaces, or on a Theorem 2
-instance its simplex. A leaf then costs one call, the instance's ``_node``:
-one tree step, one memo lookup and one table read. On a memo miss
-``_node`` builds the parent by calling itself and memoizes it; a union with
-no witness raises. A new vertex's affine independence is checked against
-the parent's integer annihilator, usually by one dot product. The
-verifiers check whatever the public witness functions return. Theorem 1
-memoizes the exact integer sums of the points against each bound-tuple
-object it receives (a pattern's slots share their row's tuple) and the mask
-of each half-space object; Theorem 2 memoizes the sign masks of each vertex
-object. Both count a witness of more than k half-spaces, or a simplex of
+once: per pattern number, the b = ``gadget.max_witness_size`` half-spaces
+on that bound tuple at the threshold slots j < b
+(``Theorem1Instance._witness_rows``), and on a Theorem 2 instance their
+dual vertices. Distinct patterns snap to distinct bounds, since the bounds
+decide which points lie below them. Gadget witnesses form a tree: each is
+its parent's plus one pattern numbered above all of the parent's. So a
+witness is its parent's plus that pattern's half-space (or dual vertex) at
+the slot given by the parent's size. The tree is walked by
+``boxgadget._witness_tree``, the one walk that ``witness_for`` also uses;
+an instance supplies only the root (no half-space, or the apex alone) and
+that step, and this module never reads the gadget's tables. The walk is
+each instance's ``_node``: it memoizes the witness of every tree parent by
+union mask, so a leaf costs one call, one memo lookup and one table read,
+and a union with no witness raises. A new vertex's affine independence is
+checked against the parent's integer annihilator, usually by one dot
+product. The verifiers check whatever the public witness functions
+return. Theorem 1 memoizes the exact integer sums of the points against
+each bound-tuple object it receives (a pattern's slots share their row's
+tuple) and the mask of each half-space object; Theorem 2 memoizes the sign
+masks of each vertex object. Both count a witness of more than k half-spaces, or a simplex of
 dimension above k, as failing.
 """
 
 from __future__ import annotations
 
 import random
-from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
 from operator import itemgetter
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from . import boxgadget  # boxgadget.verify is looked up where perfbench's tracer wraps it
-from .boxgadget import BoxGadget
+from .boxgadget import BoxGadget, ConstructionError, _witness_tree
 from .geometry import (
     AxisBox,
     DegenerateSimplexError,
@@ -83,10 +82,6 @@ from .setsystem import union_closure, vc_dim
 
 AlphaTables = tuple[tuple[tuple[Fraction, Fraction], ...], ...]
 Halfspaces = tuple[RestrictedHalfspace, ...]
-
-
-class ConstructionError(RuntimeError):
-    """A witness could not be produced; signals an invalid instance or gadget."""
 
 
 def _lift(lo: Sequence[Fraction], hi: Sequence[Fraction]) -> tuple[Fraction, ...]:
@@ -172,14 +167,15 @@ class Theorem1Instance:
     def __post_init__(self) -> None:
         if len(self.points) != len(self.gadget.boxes):
             raise ValueError("one point per gadget box required")
-        # A witness has at most b = 2^(n-1) <= k patterns, so every threshold
-        # slot j < b has d + 1/2 + j/(4k) inside (d, d+1).
+        # A witness has at most b = min(2^(n-1), |B|) <= k patterns, so every
+        # threshold slot j < b has d + 1/2 + j/(4k) inside (d, d+1).
         _check_gadget_n(self.gadget, self.k)
 
     @cached_property
     def _witness_rows(self) -> tuple[Halfspaces, ...]:
         """Per gadget pattern number, its half-space at each threshold slot
-        j < b = 2^(n-1), all on the one snapped corner of its menu point.
+        j < b = ``gadget.max_witness_size``, all on the one snapped corner of
+        its menu point.
 
         A menu point q lifts to (q_1, 1/q_1, ..., q_m, 1/q_m), and ``snap``
         treats each coordinate alone, so the corner snaps axis by axis: each
@@ -204,24 +200,14 @@ class Theorem1Instance:
         return tuple(rows)
 
     @cached_property
-    def _tree(self) -> tuple[array, array, dict[int, Halfspaces], tuple[Halfspaces, ...]]:
-        """What ``_node`` reads, behind one attribute: the gadget's ``_closure``
-        tables; the half-spaces of each union met as a witness-tree parent, by
-        union mask, with the root's, none, under -1; and ``_witness_rows``."""
-        return (*self.gadget._closure, {-1: ()}, self._witness_rows)
-
-    def _node(self, union: int) -> Halfspaces:
-        """The witness half-spaces of ``union``: its tree parent's (built and
-        memoized on a miss), then the half-space of the pattern it adds, at
-        the slot given by the parent's size."""
-        pick, prev, nodes, rows = self._tree
-        number = pick[union]
-        node = nodes.get(prev[union])
-        if node is None or number < 0:
-            if number < 0:
-                raise _no_witness(pick, union)
-            node = nodes[prev[union]] = self._node(prev[union])
-        return (*node, rows[number][len(node)])
+    def _node(self) -> Callable[[int], Halfspaces]:
+        """The witness half-spaces of a union mask, from the gadget's witness-tree
+        walk: the parent's, then the half-space of the pattern the union adds,
+        at the slot given by the parent's size. The root is no half-space."""
+        rows = self._witness_rows
+        return _witness_tree(
+            self.gadget, (), lambda parent, number: parent + (rows[number][len(parent)],)
+        )
 
 
 @dataclass(frozen=True)
@@ -240,31 +226,22 @@ class Theorem2Instance:
         return tuple(dual_point_to_hyperplane(p) for p in self.base.points)
 
     @cached_property
-    def _tree(self) -> tuple[array, array, dict[int, OpenSimplex], tuple[tuple[Point, ...], ...]]:
-        """What ``_node`` reads, behind one attribute: the gadget's ``_closure``
-        tables; the simplex of each union met as a witness-tree parent, by
-        union mask, with the root's, the apex alone, under -1; and per
-        pattern number the dual vertex of each half-space of its row of
-        ``base._witness_rows``."""
+    def _node(self) -> Callable[[int], OpenSimplex]:
+        """The witness simplex of a union mask, from the gadget's witness-tree
+        walk: the parent's, extended by the dual vertex of the pattern the
+        union adds and checked against the parent's annihilator. The root is
+        the apex alone; per pattern number, the dual vertex of each
+        half-space of its row of ``base._witness_rows``."""
         base = self.base
         root = OpenSimplex(ambient_dim=base.d, vertices=(_apex(base.d),))
         vertices = tuple(
             tuple(map(dual_halfspace_to_point, row)) for row in base._witness_rows
         )
-        return (*base.gadget._closure, {-1: root}, vertices)
-
-    def _node(self, union: int) -> OpenSimplex:
-        """The witness simplex of ``union``: its tree parent's (built and
-        memoized on a miss), extended by the dual vertex of the pattern it
-        adds and checked against the parent's annihilator."""
-        pick, prev, nodes, vertices = self._tree
-        number = pick[union]
-        node = nodes.get(prev[union])
-        if node is None or number < 0:
-            if number < 0:
-                raise _no_witness(pick, union)
-            node = nodes[prev[union]] = self._node(prev[union])
-        return node._extended(vertices[number][len(node.vertices) - 1])
+        return _witness_tree(
+            base.gadget,
+            root,
+            lambda parent, number: parent._extended(vertices[number][len(parent.vertices) - 1]),
+        )
 
 
 def required_gadget_n(k: int) -> int:
@@ -300,21 +277,8 @@ def build_theorem1(d: int, k: int, gadget: BoxGadget) -> Theorem1Instance:
         raise ConstructionError(
             f"gadget failed verification on {len(report.failing_subsets)} subsets"
         )
-    lifted = [lift_box(box) for box in gadget.boxes]
-    if len({p.coords for p in lifted}) != len(lifted):
-        raise ValueError("gadget boxes must lift to distinct points")
-    points, alpha = rescale(lifted, d)
+    points, alpha = rescale([lift_box(box) for box in gadget.boxes], d)
     return Theorem1Instance(d=d, k=k, gadget=gadget, points=points, alpha=alpha)
-
-
-def _no_witness(pick: array, union: int) -> ConstructionError:
-    """The error for a union the gadget's ``_closure`` tables never reached."""
-    # one table entry per union mask, so len(pick) - 1 is the full mask
-    avoid = (len(pick) - 1) & ~union
-    return ConstructionError(
-        f"gadget has no witness for box subset {mask_to_indices(avoid)}; "
-        "the certificate is invalid"
-    )
 
 
 def union_witness(
@@ -327,7 +291,7 @@ def union_witness(
     the bounds of one half-space. The j-th witness pattern's half-space has
     threshold d + 1/2 + j/(4k), strictly inside (d, d+1) since j < k. The
     half-spaces are the witness-tree parent's plus one, taken in one call
-    (``Theorem1Instance._node``), which builds a missing parent by recursion.
+    (``Theorem1Instance._node``), whose walk builds a missing parent by recursion.
     """
     return inst._node(subset_mask(len(inst.points), subset))
 
@@ -460,8 +424,8 @@ def simplex_witness(inst2: Theorem2Instance, subset: Iterable[int] | int) -> Ope
     p puts its dual vertex strictly on the -1 side of H(p), so the open hull
     crosses H(p) exactly when p is selected. Affinely dependent vertices raise
     ConstructionError. The simplex is its witness-tree parent's plus one
-    vertex, taken in one call (``Theorem2Instance._node``), which builds a
-    missing parent by recursion. The new vertex's independence is checked
+    vertex, taken in one call (``Theorem2Instance._node``), whose walk builds
+    a missing parent by recursion. The new vertex's independence is checked
     against the parent's integer annihilator (``OpenSimplex._extended``).
     """
     pmask = subset_mask(len(inst2.base.points), subset)

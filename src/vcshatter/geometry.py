@@ -410,11 +410,6 @@ def _tau_mask(sums: Sequence[tuple[int, int]], tau: Fraction) -> int:
     return mask
 
 
-def _halfspace_mask(h: RestrictedHalfspace, columns: Sequence[tuple[int, ...]]) -> int:
-    """Bit i set when the point with vertex column ``columns[i]`` lies in h."""
-    return _tau_mask(_bound_sums(h.b, columns), h.tau)
-
-
 def _hyperplane_row(h: DualHyperplane) -> tuple[int, ...]:
     """L * (p_1, ..., p_{d-1}, p_d, -1) with L the lcm of p's denominators.
 

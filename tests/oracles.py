@@ -11,6 +11,12 @@ tables are rebuilt by a full scan and by the earlier sorted-tail sweep,
 box-gadget covers are re-solved by exhaustive combination search over a
 finer grid, and matrix rank is taken by Bareiss elimination over the
 integers and by Gaussian elimination over the rationals.
+
+Two helpers read the library on purpose. ``_witness_patterns`` is the
+reference walk up the gadget's back-pointer tables, one loop per witness,
+that the tests hold ``boxgadget._witness_tree`` and its users to.
+``_halfspace_mask`` composes the library's integer half-space kernels into
+one half-space's mask, which the tests check against ``halfspace_contains``.
 """
 
 from __future__ import annotations
@@ -18,9 +24,19 @@ from __future__ import annotations
 from array import array
 from fractions import Fraction
 from itertools import combinations, product
+from typing import Iterable, Sequence
 
-from vcshatter.geometry import AxisBox, DualHyperplane, OpenSimplex, Point, RestrictedHalfspace
-from vcshatter.setsystem import SetSystem, shatters
+from vcshatter.boxgadget import BoxGadget
+from vcshatter.geometry import (
+    AxisBox,
+    DualHyperplane,
+    OpenSimplex,
+    Point,
+    RestrictedHalfspace,
+    _bound_sums,
+    _tau_mask,
+)
+from vcshatter.setsystem import SetSystem, shatters, subset_mask
 
 
 def box_contains(box: AxisBox, q: Point) -> bool:
@@ -88,6 +104,29 @@ def set_k_fold_intersection(system: SetSystem, k: int) -> SetSystem:
     for _ in range(k - 1):
         acc = {a & b for a in acc for b in system.sets}
     return SetSystem.from_masks(system.ground_size, acc)
+
+
+def _witness_patterns(gadget: BoxGadget, subset: Iterable[int] | int) -> list[int] | None:
+    """The pattern numbers of ``witness_for``'s witness, ascending; None when it has none.
+
+    They are read up the witness tree, one per fold: ``pick`` names the
+    pattern added last and ``prev`` the union before it (see ``boxgadget._unions``).
+    """
+    nboxes = len(gadget.boxes)
+    union = ((1 << nboxes) - 1) & ~subset_mask(nboxes, subset)
+    pick, prev = gadget._closure
+    chosen = []
+    while union >= 0:
+        if pick[union] < 0:
+            return None
+        chosen.append(pick[union])
+        union = prev[union]
+    return chosen[::-1]
+
+
+def _halfspace_mask(h: RestrictedHalfspace, columns: Sequence[tuple[int, ...]]) -> int:
+    """Bit i set when the point with vertex column ``columns[i]`` lies in h."""
+    return _tau_mask(_bound_sums(h.b, columns), h.tau)
 
 
 def full_scan_unions(patterns: list[int], nboxes: int, b: int) -> tuple[array, array]:

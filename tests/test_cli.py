@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -357,6 +358,23 @@ class TestConstructAndWitness:
             assert h["dim"] == len(h["b"]) == 4
             RestrictedHalfspace(b=tuple(h["b"]), tau=h["tau"])
 
+    def test_a_huge_k_costs_one_slot_per_box(self, capsys, tmp_path):
+        # two disjoint boxes at n = 41 and k = 2^40: every row holds
+        # min(2^40, 2) = 2 slots, not 2^40
+        path = tmp_path / "two_boxes_n41.json"
+        boxes = [{"lo": [1, 1], "hi": [2, 2]}, {"lo": [3, 3], "hi": [4, 4]}]
+        path.write_text(json.dumps({"n": 41, "dim": 2, "boxes": boxes}))
+        argv = ("--d", "4", "--k", str(1 << 40), "--gadget", str(path))
+        started = time.perf_counter()
+        code, union = run_cli(capsys, "witness", "union", *argv, "--subset", "0")
+        assert code == 0 and union["result"]["halfspaces"] == 1
+        for which in ("theorem1", "theorem2"):
+            code, report = run_cli(capsys, "verify", which, *argv)
+            assert code == 0
+            assert report["result"]["shattered"] and report["result"]["checked_subsets"] == 4
+            assert report["notes"] == []
+        assert time.perf_counter() - started < 1
+
     def test_witness_simplex(self, capsys, tmp_path):
         out = tmp_path / "s.json"
         code, report = run_cli(
@@ -480,6 +498,21 @@ class TestGadgetCommands:
         )
         assert code == 2
         assert message in report["error"]
+
+    def test_verify_of_a_huge_n_stays_small(self, capsys, tmp_path):
+        # one box caps the fold count at 1, so 2^(10^9 - 1) is never built
+        path = tmp_path / "huge_n.json"
+        box = {"lo": [1, 1], "hi": [2, 2]}
+        path.write_text(json.dumps({"n": 10**9, "dim": 2, "boxes": [box]}))
+        tracemalloc.start()
+        try:
+            code, report = run_cli(capsys, "gadget", "verify", str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert report["result"]["ok"] and report["result"]["checked_subsets"] == 2
+        assert peak < 1 << 20
 
     def test_search_refuses_a_huge_n_before_building_its_box_count(self, capsys):
         # the nominal count 2^(n-2) would not even print within Python's digit limit

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import random
 import re
+import weakref
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
@@ -11,9 +13,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import box_contains, halfspace_contains, side_of, simplex_hyperplane_intersects
-from vcshatter import boxgadget, constructions, geometry, jsonio, setsystem
-from vcshatter.boxgadget import BoxGadget, _witness_patterns, verify, witness_for
+from oracles import (
+    _halfspace_mask,
+    _witness_patterns,
+    box_contains,
+    halfspace_contains,
+    side_of,
+    simplex_hyperplane_intersects,
+)
+import vcshatter
+from vcshatter import boxgadget, cli, constructions, geometry, jsonio, setsystem
+from vcshatter.boxgadget import BoxGadget, verify, witness_for
 from vcshatter.constructions import (
     ConstructionError,
     _lift,
@@ -34,7 +44,6 @@ from vcshatter.geometry import (
     OpenSimplex,
     Point,
     RestrictedHalfspace,
-    _halfspace_mask,
     _hyperplane_row,
     _vertex_signs,
     dual_halfspace_to_point,
@@ -289,11 +298,21 @@ class TestBuildTheorem1:
             build_theorem1(5, 2, bundled_gadget)
 
     def test_unverified_gadget_refused(self, bundled_gadget):
+        # a duplicated box lifts to a repeated point, but no point hits one
+        # copy and avoids the other, so verify refuses it before any lift
         nested = _nested_box_gadget(bundled_gadget)
-        failing = len(verify(nested)[0].failing_subsets)
-        assert failing > 0
-        with pytest.raises(ConstructionError, match=f"failed verification on {failing} subsets"):
-            build_theorem1(4, 2, nested)
+        duplicated = BoxGadget(n=2, dim=2, boxes=(*bundled_gadget.boxes, bundled_gadget.boxes[0]))
+        for gadget in (nested, duplicated):
+            failing = len(verify(gadget)[0].failing_subsets)
+            assert failing > 0
+            message = f"failed verification on {failing} subsets"
+            with pytest.raises(ConstructionError, match=message):
+                build_theorem1(4, 2, gadget)
+
+    def test_one_error_class_for_every_module(self):
+        assert constructions.ConstructionError is boxgadget.ConstructionError
+        assert cli.ConstructionError is vcshatter.ConstructionError is ConstructionError
+        assert ConstructionError is boxgadget.ConstructionError
 
     def test_verify_returns_a_gadget_that_builds(self, bundled_gadget):
         report, gadget = verify(bundled_gadget)
@@ -317,6 +336,28 @@ class TestUnionWitness:
                 assert len(row) == inst.gadget.max_witness_size
                 for j, h in enumerate(row):
                     assert h.tau == F(2 * inst.d + 1, 2) + F(j, 4 * inst.k)
+
+    def test_rows_hold_one_slot_per_box_at_most(self, bundled_gadget, n3_gadget):
+        # no fewest-pattern witness has more patterns than boxes, so a row
+        # holds min(2^(n-1), |B|) slots, even at k = 2^40
+        def disjoint(count, n):
+            boxes = tuple(AxisBox((2 * i + 1, 1), (2 * i + 2, 3)) for i in range(count))
+            return BoxGadget(n=n, dim=2, boxes=boxes)
+
+        cases = [
+            (bundled_gadget, 2, 2),
+            (n3_gadget, 4, 4),
+            (disjoint(8, 4), 8, 8),
+            (disjoint(3, 3), 4, 3),
+            (disjoint(2, 41), 1 << 40, 2),
+        ]
+        for gadget, k, slots in cases:
+            inst = build_theorem1(4, k, gadget)
+            assert slots == min(2 ** (gadget.n - 1), len(gadget.boxes))
+            assert {len(row) for row in inst._witness_rows} == {slots}
+            inst2 = build_theorem2(inst)
+            assert verify_theorem1(inst).shattered
+            assert verify_theorem2(inst2).checked == 1 << len(gadget.boxes)
 
     def test_empty_subset_covers_nothing(self, bundled_instance):
         witness = union_witness(bundled_instance, [])
@@ -549,8 +590,8 @@ class TestTheorem2:
             if simplex.simplex_dim < inst2.k:
                 return simplex
             first = simplex.vertices[1]
-            vertices = inst2._tree[3]
-            [number] = [n for n, row in enumerate(vertices) if row[0] is first]
+            full = (1 << len(inst2.hyperplanes)) - 1
+            number = _witness_patterns(inst2.base.gadget, full & ~subset)[0]
             other = dual_halfspace_to_point(inst2.base._witness_rows[number][1])
             assert _vertex_signs(rows, other) == _vertex_signs(rows, first)
             return OpenSimplex(simplex.ambient_dim, simplex.vertices + (other,))
@@ -688,8 +729,10 @@ def _scratch_simplex_witness(inst2, subset):
 
 
 def _memo(inst) -> dict:
-    """The witnesses an instance memoizes, by the union mask of a witness-tree parent."""
-    return inst._tree[2]
+    """The witnesses an instance memoizes, by the union mask of a witness-tree
+    parent: the memo its walk, ``inst._node``, passes to each step."""
+    _, _, nodes, _ = inst._node.args
+    return nodes
 
 
 def _tree_parents(gadget: BoxGadget, unions) -> set[int]:
@@ -855,6 +898,19 @@ class TestWitnessTree:
             with pytest.raises(ConstructionError):
                 simplex_witness(inst2, mask)
             assert set(_memo(inst)) == set(_memo(inst2)) == {-1}
+
+    def test_memo_is_freed_with_its_instance(self, n3_gadget):
+        # the walk holds no reference cycle, so dropping an instance frees
+        # its memoized simplices at once, without the cyclic collector
+        gc.disable()
+        try:
+            inst2 = build_theorem2(build_theorem1(4, 4, n3_gadget))
+            simplex_witness(inst2, 0b111)
+            root = weakref.ref(_memo(inst2)[-1])
+            del inst2
+            assert root() is None
+        finally:
+            gc.enable()
 
     def test_query_order_does_not_matter(self, n3_gadget):
         masks = list(range(1 << 12))

@@ -15,6 +15,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    _witness_patterns,
     box_contains,
     brute_cover_feasible,
     finer_grid_points,
@@ -31,7 +32,6 @@ from vcshatter.boxgadget import (
     _mutate,
     _product,
     _score,
-    _witness_patterns,
     nominal_box_count,
     search,
     verify,
@@ -295,6 +295,18 @@ class TestWitnessFor:
         assert pts is not None and len(pts) == 1
         assert all(box_contains(box, pts[0]) for box in g.boxes)
 
+    def test_adds_no_cache_to_the_gadget(self, bundled_gadget):
+        # each call walks the witness tree afresh, so the gadget keeps only its
+        # patterns, menu, pattern points and tables, with or without a witness
+        fresh = BoxGadget(bundled_gadget.n, bundled_gadget.dim, bundled_gadget.boxes)
+        nested = make_gadget([((1, 1), (4, 4)), ((2, 2), (3, 3))])
+        for g, found in ((fresh, True), (nested, False)):
+            fields = set(vars(g))
+            for subset in ([0], [1], [0, 1]):
+                assert (witness_for(g, subset) is not None) == (found or subset != [0])
+            cached = set(vars(g)) - fields
+            assert cached <= {"_patterns", "_menu", "_pattern_points", "_closure"}
+
     @pytest.mark.xfail(
         strict=True,
         raises=AssertionError,
@@ -377,6 +389,16 @@ class TestVerify:
         small, large = make_gadget(boxes, n=2), make_gadget(boxes, n=40)
         assert witness_for(large, [0]) == witness_for(small, [0])
         assert large._closure == small._closure
+
+    def test_fold_count_is_capped_at_the_box_count(self):
+        # each pattern of a fewest union adds a box, so the count is
+        # min(2^(n-1), |B|), taken without building 2^(n-1)
+        boxes = [((1, 1), (2, 2)), ((3, 3), (4, 4)), ((5, 5), (6, 6))]
+        sizes = [make_gadget(boxes, n=n).max_witness_size for n in (2, 3, 4, 10**9)]
+        assert sizes == [2, 3, 3, 3]
+        # with no boxes the one witness is the empty pattern's point
+        assert make_gadget([], n=10**9).max_witness_size == 1
+        assert witness_for(make_gadget([], n=10**9), []) == (Point.of(1, 1),)
 
     def test_verify_builds_no_menu_values(self, monkeypatch):
         calls = []

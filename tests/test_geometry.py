@@ -11,6 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    _halfspace_mask,
     box_contains,
     brute_halfspace_dichotomy_masks,
     fraction_rank,
@@ -29,7 +30,6 @@ from vcshatter.geometry import (
     RestrictedHalfspace,
     _annihilate,
     _bound_sums,
-    _halfspace_mask,
     _hyperplane_row,
     _vertex_signs,
     as_scalar,
