@@ -21,14 +21,14 @@ fold count is ``max_witness_size`` = min(2^(n-1), |B|). ``verify`` and the
 search's score read that closure as one 2^|B|-bit integer from
 ``setsystem.union_closure``, the kernel of ``k_fold_union``. The same
 closure kept as back-pointer tables (``_unions``) is read by one walk,
-``_witness_tree``, on which ``witness_for`` and both theorem instances in
-``constructions`` are built; the tests' reference walk is in
-``tests/oracles.py``. The search climbs on plain integer boxes and carries
-the current family's per-axis bitsets, its columns, so a proposal re-sweeps
-only the one axis it moved. Its scores are memoized by columns, which skips
-the product, and then by pattern set, which skips the closure. It builds a
-``BoxGadget`` only for the family it returns. A gadget counts as verified
-when ``verify(gadget)`` reports ok.
+``_witness_tree``, on which ``witness_for``, both theorem instances and
+both theorem verifiers in ``constructions`` are built; the tests'
+reference walk is in ``tests/oracles.py``. The search climbs on plain
+integer boxes and carries the current family's per-axis bitsets, its
+columns, so a proposal re-sweeps only the one axis it moved. Its scores
+are memoized by columns, which skips the product, and then by pattern set,
+which skips the closure. It builds a ``BoxGadget`` only for the family it
+returns. A gadget counts as verified when ``verify(gadget)`` reports ok.
 """
 
 from __future__ import annotations
@@ -228,9 +228,10 @@ def _unions(gadget: BoxGadget) -> tuple[array, array]:
     every pattern holds its number from the start, and the sweep writes
     only unreached entries, so it never overwrites one. The sweep stops at
     the first fold that reaches nothing, since every later fold would
-    extend an empty frontier. Only ``_witness_tree`` reads the tables;
-    ``verify`` and the search read the same set of unions from
-    ``union_closure``.
+    extend an empty frontier, and as soon as every union is reached, even
+    within a fold, since no step can then write an entry. Only
+    ``_witness_tree`` reads the tables; ``verify`` and the search read the
+    same set of unions from ``union_closure``.
     """
     nboxes = len(gadget.boxes)
     _check_guard(nboxes, "exhaustive verification")
@@ -244,6 +245,7 @@ def _unions(gadget: BoxGadget) -> tuple[array, array]:
     # tails[i]: the patterns numbered above i, the only ones a union with pick i takes
     tails = [patterns[i + 1 :] for i in range(len(patterns))]
     frontier = array("i", patterns)
+    missing = (1 << nboxes) - len(patterns)  # unions not yet reached
     for _ in range(gadget.max_witness_size - 1):
         reached = array("i")
         for u in frontier:
@@ -253,7 +255,10 @@ def _unions(gadget: BoxGadget) -> tuple[array, array]:
                     pick[v] = pick[p]
                     prev[v] = u
                     reached.append(v)
-        if not reached:
+            if len(reached) == missing:
+                break
+        missing -= len(reached)
+        if not reached or not missing:
             break
         frontier = reached
     return array("i", pick), prev

@@ -35,19 +35,22 @@ dual vertices. Distinct patterns snap to distinct bounds, since the bounds
 decide which points lie below them. Gadget witnesses form a tree: each is
 its parent's plus one pattern numbered above all of the parent's. So a
 witness is its parent's plus that pattern's half-space (or dual vertex) at
-the slot given by the parent's size. The tree is walked by
+the slot given by the parent's size; each instance keeps that rule in one
+accessor, ``_slot(number, depth)``. The tree is walked by
 ``boxgadget._witness_tree``, the one walk that ``witness_for`` also uses;
-an instance supplies only the root (no half-space, or the apex alone) and
-that step, and this module never reads the gadget's tables. The walk is
-each instance's ``_node``: it memoizes the witness of every tree parent by
-union mask, so a leaf costs one call, one memo lookup and one table read,
+a walk's caller supplies only the root and the step, and this module never
+reads the gadget's tables. The public witness functions read each
+instance's ``_node``, whose nodes are witnesses (no half-space, or the
+apex alone, at the root): it memoizes the witness of every tree parent by
+union mask, so a leaf costs one call, one memo lookup and one slot read,
 and a union with no witness raises. A new vertex's affine independence is
 checked against the parent's integer annihilator, usually by one dot
-product. The verifiers check whatever the public witness functions
-return. Theorem 1 memoizes the exact integer sums of the points against
-each bound-tuple object it receives (a pattern's slots share their row's
-tuple) and the mask of each half-space object; Theorem 2 memoizes the sign
-masks of each vertex object. Both count a witness of more than k half-spaces, or a simplex of
+product. Each verifier walks the same tree through the same ``_slot``
+with its own nodes, which hold exactly what it checks (``_union_walk``,
+``_simplex_walk``): it checks the witnesses the public functions return,
+at one tree step, one mask lookup and one OR per subset, and validates
+none of the masks it makes itself. Both count a subset with no witness, a
+dependent vertex, a witness of more than k half-spaces, or a simplex of
 dimension above k, as failing.
 """
 
@@ -200,13 +203,23 @@ class Theorem1Instance:
         return tuple(rows)
 
     @cached_property
+    def _slot(self) -> Callable[[int, int], RestrictedHalfspace]:
+        """The slot rule: ``_slot(number, depth)`` is the half-space that
+        pattern ``number`` adds to a witness of ``depth`` half-spaces, its
+        row's half-space at threshold slot ``depth``. Both ``_node`` and the
+        verifier's walk read it. It holds the rows, not the instance, so a
+        cached walk that holds it makes no reference cycle."""
+        rows = self._witness_rows
+        return lambda number, depth: rows[number][depth]
+
+    @cached_property
     def _node(self) -> Callable[[int], Halfspaces]:
         """The witness half-spaces of a union mask, from the gadget's witness-tree
-        walk: the parent's, then the half-space of the pattern the union adds,
-        at the slot given by the parent's size. The root is no half-space."""
-        rows = self._witness_rows
+        walk: the parent's, then the ``_slot`` of the pattern the union adds
+        at the parent's size. The root is no half-space."""
+        slot = self._slot
         return _witness_tree(
-            self.gadget, (), lambda parent, number: parent + (rows[number][len(parent)],)
+            self.gadget, (), lambda parent, number: parent + (slot(number, len(parent)),)
         )
 
 
@@ -226,21 +239,28 @@ class Theorem2Instance:
         return tuple(dual_point_to_hyperplane(p) for p in self.base.points)
 
     @cached_property
+    def _slot(self) -> Callable[[int, int], Point]:
+        """The slot rule: ``_slot(number, depth)`` is the dual vertex that
+        pattern ``number`` adds to a witness simplex of ``depth`` vertices
+        past the apex, the dual of ``base._slot(number, depth)``. Every slot
+        of every row of ``base._witness_rows`` is dualized once, here."""
+        vertices = tuple(
+            tuple(map(dual_halfspace_to_point, row)) for row in self.base._witness_rows
+        )
+        return lambda number, depth: vertices[number][depth]
+
+    @cached_property
     def _node(self) -> Callable[[int], OpenSimplex]:
         """The witness simplex of a union mask, from the gadget's witness-tree
-        walk: the parent's, extended by the dual vertex of the pattern the
-        union adds and checked against the parent's annihilator. The root is
-        the apex alone; per pattern number, the dual vertex of each
-        half-space of its row of ``base._witness_rows``."""
-        base = self.base
-        root = OpenSimplex(ambient_dim=base.d, vertices=(_apex(base.d),))
-        vertices = tuple(
-            tuple(map(dual_halfspace_to_point, row)) for row in base._witness_rows
-        )
+        walk: the parent's, extended by the ``_slot`` of the pattern the union
+        adds and checked against the parent's annihilator. The root is the
+        apex alone."""
+        d = self.base.d
+        slot = self._slot
         return _witness_tree(
-            base.gadget,
-            root,
-            lambda parent, number: parent._extended(vertices[number][len(parent.vertices) - 1]),
+            self.base.gadget,
+            OpenSimplex(ambient_dim=d, vertices=(_apex(d),)),
+            lambda parent, number: parent._extended(slot(number, len(parent.vertices) - 1)),
         )
 
 
@@ -330,6 +350,40 @@ def _selected_masks(
     raise ValueError(f"unknown mode {mode!r}; expected 'exhaustive' or 'sample'")
 
 
+def _union_walk(
+    inst: Theorem1Instance, seen: dict[int, int]
+) -> Callable[[int], tuple[int, int]]:
+    """The verifier's walk of inst's witness tree: per union mask, the pair
+    (OR of the point masks of its witness half-spaces, their number).
+
+    A union's node is its parent's with the mask of the half-space
+    ``inst._slot`` names ORed in, so each subset costs one tree step, one
+    mask lookup and one OR. The mask of each half-space object met is its
+    ``_tau_mask``, stored in ``seen`` by id; the exact integer sums of the
+    points' vertex columns against each bound-tuple object (``_bound_sums``)
+    are computed once. The walk keeps every half-space it met, and so its
+    bound tuple, alive, so no other object can take those ids.
+    """
+    columns = [p._vertex_column for p in inst.points]
+    slot = inst._slot
+    held: list[RestrictedHalfspace] = []
+    sums_of: dict[int, tuple[tuple[int, int], ...]] = {}
+
+    def grow(parent: tuple[int, int], number: int) -> tuple[int, int]:
+        got, size = parent
+        h = slot(number, size)
+        m = seen.get(id(h))
+        if m is None:
+            held.append(h)
+            sums = sums_of.get(id(h.b))
+            if sums is None:
+                sums = sums_of[id(h.b)] = _bound_sums(h.b, columns)
+            m = seen[id(h)] = _tau_mask(sums, h.tau)
+        return got | m, size + 1
+
+    return _witness_tree(inst.gadget, (0, 0), grow)
+
+
 def verify_theorem1(
     inst: Theorem1Instance,
     mode: str = "exhaustive",
@@ -339,47 +393,32 @@ def verify_theorem1(
 ) -> VerificationReport:
     """Check that every selected subset is realized exactly by its witness union.
 
-    A subset whose witness cannot be built, or has more than k half-spaces,
-    counts as failing. With compute_vc_dim, additionally collects the sets
-    that the witness half-spaces of the run cut out of P and reports the
+    The witnesses are those of ``union_witness``, read from the verifier's
+    own walk of the witness tree (``_union_walk``), whose node per subset is
+    the OR of its half-spaces' masks and their number. A subset whose
+    witness cannot be built, or has more than k half-spaces, counts as
+    failing. With compute_vc_dim, additionally collects the sets that the
+    witness half-spaces of the run cut out of P and reports the
     VC-dimension of the k-fold union of that system (it must reach |P| when
     the instance shatters). That union shatters P exactly when it is the
     whole power set, so the report is |P| when the popcount of its
     ``union_closure`` is 2^|P|; only a closure that is not full becomes the
-    ``SetSystem`` of its members for ``vc_dim``. The exact integer sums of
-    the points' vertex columns against each bound-tuple object received
-    (``_bound_sums``) are computed once, and so is each half-space object's
-    mask, their ``_tau_mask`` at its tau.
+    ``SetSystem`` of its members for ``vc_dim``.
     """
     masks = _selected_masks(len(inst.points), mode, count, seed)
-    columns = [p._vertex_column for p in inst.points]
     k = inst.k
     failing: list[tuple[int, ...]] = []
     max_size = 0
-    # By id: ``held`` keeps each half-space received, and so its bound
-    # tuple, alive, so no other object can take those ids during the run.
-    held: list[RestrictedHalfspace] = []
-    sums_of: dict[int, tuple[tuple[int, int], ...]] = {}
     seen: dict[int, int] = {}
+    walk = _union_walk(inst, seen)
     for pmask in masks:
         try:
-            witness = union_witness(inst, pmask)
+            got, size = walk(pmask)
         except ConstructionError:
             failing.append(tuple(mask_to_indices(pmask)))
             continue
-        size = len(witness)
         if size > max_size:
             max_size = size
-        got = 0
-        for h in witness:
-            m = seen.get(id(h))
-            if m is None:
-                held.append(h)
-                sums = sums_of.get(id(h.b))
-                if sums is None:
-                    sums = sums_of[id(h.b)] = _bound_sums(h.b, columns)
-                m = seen[id(h)] = _tau_mask(sums, h.tau)
-            got |= m
         if got != pmask or size > k:
             failing.append(tuple(mask_to_indices(pmask)))
     union_dim: int | None = None
@@ -437,6 +476,41 @@ def simplex_witness(inst2: Theorem2Instance, subset: Iterable[int] | int) -> Ope
         ) from err
 
 
+def _simplex_walk(
+    inst2: Theorem2Instance,
+) -> Callable[[int], tuple[OpenSimplex, int, int, int, int]]:
+    """The verifier's walk of inst2's witness tree: per union mask, the tuple
+    (simplex, pos, neg, on, zero-sign count) of its witness simplex.
+
+    pos, neg and on are the masks of the hyperplanes with some vertex
+    strictly on the +1 side, some strictly on the -1 side, and every vertex
+    on it; the count adds up the zero signs of every vertex. A union's node
+    extends its parent's simplex by the vertex ``inst2._slot`` names
+    (``OpenSimplex._extended`` raises DegenerateSimplexError on a dependent
+    one) and folds that vertex's signs in. The signs of each vertex object
+    met are evaluated once, in integers, over every hyperplane.
+    """
+    d = inst2.base.d
+    slot = inst2._slot
+    signs_of = partial(_vertex_signs, [_hyperplane_row(h) for h in inst2.hyperplanes])
+    # By id; each entry holds its vertex, then the vertex's (pos, neg, on) masks.
+    seen: dict[int, tuple[object, int, int, int]] = {}
+
+    def grow(parent: tuple, number: int) -> tuple[OpenSimplex, int, int, int, int]:
+        simplex, pos, neg, on, zeros = parent
+        v = slot(number, len(simplex.vertices) - 1)
+        entry = seen.get(id(v))
+        if entry is None:
+            entry = seen[id(v)] = (v, *signs_of(v))
+        _, p, n, z = entry
+        return simplex._extended(v), pos | p, neg | n, on & z, zeros + z.bit_count()
+
+    apex = _apex(d)
+    pos, neg, on = signs_of(apex)
+    root = (OpenSimplex(ambient_dim=d, vertices=(apex,)), pos, neg, on, on.bit_count())
+    return _witness_tree(inst2.base.gadget, root, grow)
+
+
 def verify_theorem2(
     inst2: Theorem2Instance,
     mode: str = "exhaustive",
@@ -445,43 +519,32 @@ def verify_theorem2(
 ) -> VerificationReport:
     """Check each selected hyperplane subset against its witness simplex.
 
-    Also counts sign-zero evaluations across every (vertex, hyperplane) pair;
-    a sound run reports zero_signs == 0, since all incidences were engineered
-    away by the threshold choice and the apex. The signs of each vertex object
-    received are evaluated once, in integers, over every hyperplane, and give
-    both the count and the crossing mask. A subset whose simplex cannot be
-    built, or has dimension above k, counts as failing.
+    The simplices are those of ``simplex_witness``, read from the verifier's
+    own walk of the witness tree (``_simplex_walk``), whose node per subset
+    carries the simplex's crossing masks and zero-sign count. Hyperplane i
+    is crossed when some vertex is strictly on each side of it, or every
+    vertex lies on it. Also counts sign-zero evaluations across every
+    (vertex, hyperplane) pair; a sound run reports zero_signs == 0, since
+    all incidences were engineered away by the threshold choice and the
+    apex. A subset whose simplex cannot be built, or has dimension above k,
+    counts as failing.
     """
     masks = _selected_masks(len(inst2.hyperplanes), mode, count, seed)
     k = inst2.k
-    signs_of = partial(_vertex_signs, [_hyperplane_row(h) for h in inst2.hyperplanes])
     failing: list[tuple[int, ...]] = []
     zero_signs = 0
     max_size = 0
-    # By id; each entry holds its vertex, then the vertex's (pos, neg, on) masks.
-    seen: dict[int, tuple[object, int, int, int]] = {}
+    walk = _simplex_walk(inst2)
     for hmask in masks:
         try:
-            simplex = simplex_witness(inst2, hmask)
-        except ConstructionError:
+            simplex, pos, neg, on, zeros = walk(hmask)
+        except (ConstructionError, DegenerateSimplexError):
             failing.append(tuple(mask_to_indices(hmask)))
             continue
         size = len(simplex.vertices) - 1
         if size > max_size:
             max_size = size
-        # Hyperplane i is crossed when some vertex is strictly on each side
-        # of it, or every vertex lies on it.
-        pos = neg = 0
-        on = -1
-        for v in simplex.vertices:
-            entry = seen.get(id(v))
-            if entry is None:
-                entry = seen[id(v)] = (v, *signs_of(v))
-            _, p, n, z = entry
-            pos |= p
-            neg |= n
-            on &= z
-            zero_signs += z.bit_count()
+        zero_signs += zeros
         if (pos & neg) | on != hmask or size > k:
             failing.append(tuple(mask_to_indices(hmask)))
     return VerificationReport(

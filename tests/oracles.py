@@ -17,6 +17,12 @@ reference walk up the gadget's back-pointer tables, one loop per witness,
 that the tests hold ``boxgadget._witness_tree`` and its users to.
 ``_halfspace_mask`` composes the library's integer half-space kernels into
 one half-space's mask, which the tests check against ``halfspace_contains``.
+
+``reference_verify_theorem1`` and ``reference_verify_theorem2`` are the
+verifiers done one subset at a time: each takes the witness of every subset
+from a given witness function and decides it with ``halfspace_contains`` or
+``simplex_hyperplane_intersects``, so their reports can be held against the
+library verifiers, which walk the witness tree with masks.
 """
 
 from __future__ import annotations
@@ -26,7 +32,8 @@ from fractions import Fraction
 from itertools import combinations, product
 from typing import Iterable, Sequence
 
-from vcshatter.boxgadget import BoxGadget
+from vcshatter.boxgadget import BoxGadget, ConstructionError
+from vcshatter.constructions import VerificationReport
 from vcshatter.geometry import (
     AxisBox,
     DualHyperplane,
@@ -74,6 +81,100 @@ def simplex_hyperplane_intersects(simplex: OpenSimplex, h: DualHyperplane) -> bo
         raise ValueError("ambient dimensions differ")
     signs = {side_of(h, v) for v in simplex.vertices}
     return (1 in signs and -1 in signs) or signs == {0}
+
+
+def halfspace_cut(h: RestrictedHalfspace, points: Sequence[Point]) -> int:
+    """The mask of the points that lie in h."""
+    return sum(1 << i for i, p in enumerate(points) if halfspace_contains(h, p))
+
+
+def sign_masks(x: Point, hyperplanes: Sequence[DualHyperplane]) -> tuple[int, int, int]:
+    """The masks of the hyperplanes with x strictly on the +1 side, strictly
+    on the -1 side, and on the hyperplane."""
+    signs = [side_of(h, x) for h in hyperplanes]
+    return tuple(sum(1 << i for i, s in enumerate(signs) if s == want) for want in (1, -1, 0))
+
+
+def reference_verify_theorem1(inst, witness, compute_vc_dim: bool = False) -> VerificationReport:
+    """The exhaustive ``verify_theorem1`` report, one subset at a time.
+
+    Subset mask m fails when ``witness(inst, m)`` raises ConstructionError,
+    has more than k half-spaces, or cuts out of the points, by
+    ``halfspace_contains``, another set than m. The VC-dimension is taken by
+    brute force over the k-fold union, grown as sets, of the sets the
+    witness half-spaces cut.
+    """
+    npoints = len(inst.points)
+    failing = []
+    max_size = 0
+    cut: dict[RestrictedHalfspace, int] = {}  # by value: equal half-spaces cut equal sets
+    for mask in range(1 << npoints):
+        members = tuple(i for i in range(npoints) if mask >> i & 1)
+        try:
+            halfspaces = witness(inst, mask)
+        except ConstructionError:
+            failing.append(members)
+            continue
+        max_size = max(max_size, len(halfspaces))
+        covered = 0
+        for h in halfspaces:
+            if h not in cut:
+                cut[h] = halfspace_cut(h, inst.points)
+            covered |= cut[h]
+        if covered != mask or len(halfspaces) > inst.k:
+            failing.append(members)
+    union_dim = None
+    if compute_vc_dim and cut:
+        system = SetSystem.from_masks(npoints, cut.values())
+        union_dim = brute_force_vc_dim(set_k_fold_union(system, inst.k))
+    return VerificationReport(
+        shattered=not failing,
+        checked=1 << npoints,
+        failing_subsets=tuple(failing),
+        max_witness_size=max_size,
+        mode="exhaustive",
+        union_vc_dim=union_dim,
+    )
+
+
+def reference_verify_theorem2(inst2, witness) -> VerificationReport:
+    """The exhaustive ``verify_theorem2`` report, one subset at a time.
+
+    Subset mask m fails when ``witness(inst2, m)`` raises ConstructionError,
+    has dimension above k, or is not crossed, by
+    ``simplex_hyperplane_intersects``, by exactly the hyperplanes of m. The
+    zero signs are the ``side_of`` zeros of every vertex of every simplex
+    built, against every hyperplane.
+    """
+    hyperplanes = inst2.hyperplanes
+    failing = []
+    max_size = zero_signs = 0
+    zeros: dict[Point, int] = {}  # by value: equal vertices have equal signs
+    for mask in range(1 << len(hyperplanes)):
+        members = tuple(i for i in range(len(hyperplanes)) if mask >> i & 1)
+        try:
+            simplex = witness(inst2, mask)
+        except ConstructionError:
+            failing.append(members)
+            continue
+        max_size = max(max_size, simplex.simplex_dim)
+        for v in simplex.vertices:
+            if v not in zeros:
+                zeros[v] = sum(side_of(h, v) == 0 for h in hyperplanes)
+            zero_signs += zeros[v]
+        crossed = tuple(
+            i for i, h in enumerate(hyperplanes) if simplex_hyperplane_intersects(simplex, h)
+        )
+        if crossed != members or simplex.simplex_dim > inst2.k:
+            failing.append(members)
+    return VerificationReport(
+        shattered=not failing,
+        checked=1 << len(hyperplanes),
+        failing_subsets=tuple(failing),
+        max_witness_size=max_size,
+        mode="exhaustive",
+        zero_signs=zero_signs,
+    )
 
 
 def brute_force_vc_dim(system: SetSystem) -> int:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import gc
+from array import array
 import random
 import re
 import weakref
@@ -18,7 +19,11 @@ from oracles import (
     _witness_patterns,
     box_contains,
     halfspace_contains,
+    halfspace_cut,
+    reference_verify_theorem1,
+    reference_verify_theorem2,
     side_of,
+    sign_masks,
     simplex_hyperplane_intersects,
 )
 import vcshatter
@@ -44,8 +49,6 @@ from vcshatter.geometry import (
     OpenSimplex,
     Point,
     RestrictedHalfspace,
-    _hyperplane_row,
-    _vertex_signs,
     dual_halfspace_to_point,
     dual_point_to_hyperplane,
 )
@@ -95,24 +98,20 @@ def _nested_box_gadget(gadget: BoxGadget) -> BoxGadget:
     return BoxGadget(n=gadget.n, dim=gadget.dim, boxes=tuple(boxes))
 
 
-def _raising_on(witness, bad_mask: int):
-    """``witness`` with ConstructionError raised for one subset mask."""
+def _patch_tables(monkeypatch, gadget: BoxGadget, entries: dict[int, tuple[int, int]]) -> None:
+    """Give each union mask of ``entries`` the (pick, prev) entry there in the
+    gadget's witness tables, which every walk built afterwards reads: -1 for
+    an unreached union, or another union's entry for its witness."""
+    pick, prev = (array("i", table) for table in gadget._closure)
+    for union, (number, parent) in entries.items():
+        pick[union], prev[union] = number, parent
+    monkeypatch.setitem(gadget.__dict__, "_closure", (pick, prev))
 
-    def wrapped(inst, subset, *args, **kwargs):
-        if subset == bad_mask:
-            raise ConstructionError(f"no witness for subset mask {bad_mask}")
-        return witness(inst, subset, *args, **kwargs)
 
-    return wrapped
-
-
-def _swapped_on(witness, bad_mask: int, other_mask: int):
-    """``witness`` with the witness of ``other_mask`` returned for ``bad_mask``."""
-
-    def wrapped(inst, subset, *args, **kwargs):
-        return witness(inst, other_mask if subset == bad_mask else subset, *args, **kwargs)
-
-    return wrapped
+def _swapped_entries(gadget: BoxGadget, union: int, other: int) -> dict[int, tuple[int, int]]:
+    """The table entry that gives ``union`` the witness of ``other``."""
+    pick, prev = gadget._closure
+    return {union: (pick[other], prev[other])}
 
 
 def _counting(monkeypatch, module, name: str) -> list:
@@ -440,64 +439,53 @@ class TestVerifyTheorem1:
         # five sampled subsets cut too few sets for their 4-fold union to be
         # the power set, so the report comes from vc_dim, not the popcount
         inst = build_theorem1(4, 4, n3_gadget)
-        witnesses = []
-
-        def recorded(*args):
-            witnesses.append(union_witness(*args))
-            return witnesses[-1]
-
-        monkeypatch.setattr(constructions, "union_witness", recorded)
         # the run folds the cut sets once, and vc_dim reads that same closure
         closures = [_counting(monkeypatch, m, "union_closure") for m in (constructions, setsystem)]
         report = verify_theorem1(inst, mode="sample", count=5, seed=1, compute_vc_dim=True)
         assert sum(map(len, closures)) == 1
-        assert report.shattered and len(witnesses) == 5
-        halfspaces = [h for witness in witnesses for h in witness]
+        masks = constructions._selected_masks(12, "sample", 5, 1)
+        assert report.shattered and len(masks) == 5
+        # the verifier checks the public witnesses of the sampled subsets
+        halfspaces = [h for mask in masks for h in union_witness(inst, mask)]
         system = halfspace_system(inst.points, halfspaces)
         assert union_closure(system.sets, 12, 4).bit_count() < 1 << 12
         assert report.union_vc_dim == vc_dim(k_fold_union(system, 4))[0]
 
     def test_witness_error_is_a_failing_subset(self, bundled_instance, monkeypatch):
-        monkeypatch.setattr(
-            constructions, "union_witness", _raising_on(constructions.union_witness, 13)
-        )
-        report = verify_theorem1(bundled_instance, mode="exhaustive", compute_vc_dim=True)
+        # union 13, a leaf of the witness tree, is unreached
+        _patch_tables(monkeypatch, bundled_instance.gadget, {13: (-1, -1)})
+        inst = dataclasses.replace(bundled_instance)
+        with pytest.raises(ConstructionError):
+            union_witness(inst, 13)
+        report = verify_theorem1(inst, mode="exhaustive", compute_vc_dim=True)
         assert not report.shattered
         assert report.checked == 32
         assert report.failing_subsets == ((0, 2, 3),)
 
     def test_memoized_masks_never_hide_a_wrong_witness(self, bundled_instance, monkeypatch):
         # mask 13 gets the half-spaces of mask 11, whose masks the run has already memoized
-        monkeypatch.setattr(
-            constructions, "union_witness", _swapped_on(constructions.union_witness, 13, 11)
-        )
-        report = verify_theorem1(bundled_instance, mode="exhaustive", compute_vc_dim=True)
+        gadget = bundled_instance.gadget
+        _patch_tables(monkeypatch, gadget, _swapped_entries(gadget, 13, 11))
+        inst = dataclasses.replace(bundled_instance)
+        assert union_witness(inst, 13) == union_witness(inst, 11)
+        report = verify_theorem1(inst, mode="exhaustive", compute_vc_dim=True)
         assert not report.shattered
         assert report.checked == 32
         assert report.failing_subsets == ((0, 2, 3),)
 
     def test_witness_beyond_k_is_a_failing_subset(self, bundled_instance, monkeypatch):
-        # every nonempty witness padded to k+1 members with repeats of its
-        # first half-space: its union is unchanged, so only the size bound
-        # can reject it
-        inst = bundled_instance
-        real = constructions.union_witness
-
-        def padded(inst, subset):
-            witness = real(inst, subset)
-            return witness + witness[:1] * (inst.k + 1 - len(witness)) if witness else witness
-
-        padded_masks = [m for m in range(32) if real(inst, m)]
-        assert padded_masks
-        for m in padded_masks:
-            witness = padded(inst, m)
-            assert len(witness) == inst.k + 1
-            covered = [any(halfspace_contains(h, p) for h in witness) for p in inst.points]
-            assert covered == [bool(m >> i & 1) for i in range(5)]
-        monkeypatch.setattr(constructions, "union_witness", padded)
+        # the instance's k drops by one after its rows are built: every
+        # witness still cuts out its subset exactly, so only the size bound
+        # can reject those of the old k half-spaces
+        inst = dataclasses.replace(bundled_instance)
+        assert verify_theorem1(inst, mode="exhaustive").shattered
+        sizes = {m: len(union_witness(inst, m)) for m in range(32)}
+        monkeypatch.setitem(inst.__dict__, "k", inst.k - 1)
+        beyond = [m for m, size in sizes.items() if size > inst.k]
+        assert beyond and max(sizes.values()) == inst.k + 1
         report = verify_theorem1(inst, mode="exhaustive")
         assert not report.shattered
-        assert report.failing_subsets == tuple(tuple(mask_to_indices(m)) for m in padded_masks)
+        assert report.failing_subsets == tuple(tuple(mask_to_indices(m)) for m in beyond)
         assert report.max_witness_size == inst.k + 1
 
 
@@ -566,55 +554,64 @@ class TestTheorem2:
         assert report.zero_signs == 0
 
     def test_simplex_error_is_a_failing_subset(self, bundled_instance, monkeypatch):
-        inst2 = build_theorem2(bundled_instance)
-        monkeypatch.setattr(
-            constructions, "simplex_witness", _raising_on(constructions.simplex_witness, 13)
-        )
+        # union 13, a leaf of the witness tree, is unreached
+        gadget = bundled_instance.gadget
+        _patch_tables(monkeypatch, gadget, {13: (-1, -1)})
+        inst2 = build_theorem2(dataclasses.replace(bundled_instance))
+        with pytest.raises(ConstructionError):
+            simplex_witness(inst2, 13)
         report = verify_theorem2(inst2, mode="exhaustive")
         assert not report.shattered
         assert report.checked == 32
         assert report.failing_subsets == ((0, 2, 3),)
         assert report.zero_signs == 0
+        monkeypatch.undo()
+        # the vertex that union 13's last pattern adds at its slot is the
+        # apex, on which every simplex already stands: each witness that
+        # takes that slot is affinely dependent
+        inst2 = build_theorem2(dataclasses.replace(bundled_instance))
+        numbers = _witness_patterns(gadget, 31 & ~13)
+        bad = (numbers[-1], len(numbers) - 1)
+        real = inst2._slot
+        apex = constructions._apex(4)
+        monkeypatch.setitem(
+            inst2.__dict__, "_slot", lambda *slot: apex if slot == bad else real(*slot)
+        )
+        with pytest.raises(ConstructionError, match="affinely dependent"):
+            simplex_witness(inst2, 13)
+        dependent = []
+        for m in range(32):
+            numbers = _witness_patterns(gadget, 31 & ~m)
+            if len(numbers) > bad[1] and numbers[bad[1]] == bad[0]:
+                dependent.append(tuple(mask_to_indices(m)))
+        assert (0, 2, 3) in dependent and len(dependent) > 1
+        report = verify_theorem2(inst2, mode="exhaustive")
+        assert report.failing_subsets == tuple(dependent)
+        assert report.zero_signs == 0
 
     def test_simplex_beyond_k_is_a_failing_subset(self, bundled_instance, monkeypatch):
-        # each simplex of dimension k gains the dual vertex of its first
-        # pattern at slot 1, whose signs equal those of the slot-0 vertex it
-        # already has: the crossings are unchanged, so only the dimension
-        # bound can reject it
-        inst2 = build_theorem2(dataclasses.replace(bundled_instance))
-        rows = [_hyperplane_row(h) for h in inst2.hyperplanes]
-        real = constructions.simplex_witness
-
-        def extended(inst2, subset):
-            simplex = real(inst2, subset)
-            if simplex.simplex_dim < inst2.k:
-                return simplex
-            first = simplex.vertices[1]
-            full = (1 << len(inst2.hyperplanes)) - 1
-            number = _witness_patterns(inst2.base.gadget, full & ~subset)[0]
-            other = dual_halfspace_to_point(inst2.base._witness_rows[number][1])
-            assert _vertex_signs(rows, other) == _vertex_signs(rows, first)
-            return OpenSimplex(simplex.ambient_dim, simplex.vertices + (other,))
-
-        extended_masks = [m for m in range(32) if real(inst2, m).simplex_dim == inst2.k]
-        assert extended_masks
-        for m in extended_masks:
-            simplex = extended(inst2, m)
-            crossed = [simplex_hyperplane_intersects(simplex, h) for h in inst2.hyperplanes]
-            assert crossed == [bool(m >> i & 1) for i in range(5)]
-        monkeypatch.setattr(constructions, "simplex_witness", extended)
+        # the base instance's k drops by one after the dual vertices are
+        # built: every simplex is still crossed by exactly its subset, so
+        # only the dimension bound can reject those of dimension the old k
+        inst = dataclasses.replace(bundled_instance)
+        inst2 = build_theorem2(inst)
+        assert verify_theorem2(inst2, mode="exhaustive").shattered
+        dims = {m: simplex_witness(inst2, m).simplex_dim for m in range(32)}
+        monkeypatch.setitem(inst.__dict__, "k", inst.k - 1)
+        beyond = [m for m, dim in dims.items() if dim > inst2.k]
+        assert beyond and max(dims.values()) == inst2.k + 1
         report = verify_theorem2(inst2, mode="exhaustive")
         assert not report.shattered
-        assert report.failing_subsets == tuple(tuple(mask_to_indices(m)) for m in extended_masks)
+        assert report.failing_subsets == tuple(tuple(mask_to_indices(m)) for m in beyond)
         assert report.max_witness_size == inst2.k + 1
         assert report.zero_signs == 0
 
     def test_memoized_signs_never_hide_a_wrong_witness(self, bundled_instance, monkeypatch):
         # mask 13 gets the simplex of mask 11, whose vertex signs the run has already memoized
-        inst2 = build_theorem2(bundled_instance)
-        monkeypatch.setattr(
-            constructions, "simplex_witness", _swapped_on(constructions.simplex_witness, 13, 11)
-        )
+        gadget = bundled_instance.gadget
+        _patch_tables(monkeypatch, gadget, _swapped_entries(gadget, 13, 11))
+        inst2 = build_theorem2(dataclasses.replace(bundled_instance))
+        assert simplex_witness(inst2, 13).vertices == simplex_witness(inst2, 11).vertices
         report = verify_theorem2(inst2, mode="exhaustive")
         assert not report.shattered
         assert report.checked == 32
@@ -728,11 +725,24 @@ def _scratch_simplex_witness(inst2, subset):
         raise ConstructionError(str(err)) from err
 
 
-def _memo(inst) -> dict:
-    """The witnesses an instance memoizes, by the union mask of a witness-tree
-    parent: the memo its walk, ``inst._node``, passes to each step."""
-    _, _, nodes, _ = inst._node.args
+def _memo(walk) -> dict:
+    """The nodes a witness-tree walk memoizes, by the union mask of a tree
+    parent: the memo the walk, such as ``inst._node``, passes to each step."""
+    _, _, nodes, _ = walk.args
     return nodes
+
+
+def _recorded_walks(monkeypatch) -> list:
+    """Record the walk each verifier builds; returns the record."""
+    walks = []
+    for name in ("_union_walk", "_simplex_walk"):
+
+        def recorded(*args, build=getattr(constructions, name)):
+            walks.append(build(*args))
+            return walks[-1]
+
+        monkeypatch.setattr(constructions, name, recorded)
+    return walks
 
 
 def _tree_parents(gadget: BoxGadget, unions) -> set[int]:
@@ -751,18 +761,16 @@ class TestWitnessTree:
         return dataclasses.replace(bundled_instance), build_theorem1(4, 4, n3_gadget)
 
     @staticmethod
-    def matched_report(inst, monkeypatch, theorem2: bool):
-        """The verifier's report on inst, asserted equal to the scratch build's."""
+    def matched_report(inst, theorem2: bool):
+        """The verifier's report on inst, asserted equal to the report of the
+        per-subset reference verifier on scratch-built witnesses."""
         fresh = dataclasses.replace(inst)
         if theorem2:
             got = verify_theorem2(build_theorem2(inst))
-            monkeypatch.setattr(constructions, "simplex_witness", _scratch_simplex_witness)
-            want = verify_theorem2(build_theorem2(fresh))
+            want = reference_verify_theorem2(build_theorem2(fresh), _scratch_simplex_witness)
         else:
             got = verify_theorem1(inst, compute_vc_dim=True)
-            monkeypatch.setattr(constructions, "union_witness", _scratch_union_witness)
-            want = verify_theorem1(fresh, compute_vc_dim=True)
-        monkeypatch.undo()
+            want = reference_verify_theorem1(fresh, _scratch_union_witness, compute_vc_dim=True)
         assert got == want
         return got
 
@@ -777,10 +785,10 @@ class TestWitnessTree:
                 assert set(simplex.vertices) == set(scratch.vertices)
                 assert simplex.vertices == (apex, *scratch.vertices[:-1])
 
-    def test_reports_match_scratch(self, bundled_instance, n3_gadget, monkeypatch):
+    def test_reports_match_scratch(self, bundled_instance, n3_gadget):
         for inst in self.instances(bundled_instance, n3_gadget):
             for theorem2 in (False, True):
-                self.matched_report(inst, monkeypatch, theorem2)
+                assert self.matched_report(inst, theorem2).shattered
 
     @staticmethod
     def mutants(bundled_instance):
@@ -796,7 +804,7 @@ class TestWitnessTree:
     def test_reports_match_scratch_on_mutants(self, bundled_instance, monkeypatch):
         for inst in self.mutants(bundled_instance):
             for theorem2 in (False, True):
-                assert self.matched_report(inst, monkeypatch, theorem2).failing_subsets
+                assert self.matched_report(inst, theorem2).failing_subsets
         # an apex on H(p_0), then one above every hyperplane
         top = max(p.coords[-1] for p in bundled_instance.points)
         for height in (bundled_instance.points[0].coords[-1], 2 * top):
@@ -804,8 +812,7 @@ class TestWitnessTree:
             inst2 = build_theorem2(dataclasses.replace(bundled_instance))
             got = verify_theorem2(inst2)
             assert got.zero_signs or got.failing_subsets
-            monkeypatch.setattr(constructions, "simplex_witness", _scratch_simplex_witness)
-            assert verify_theorem2(inst2) == got
+            assert reference_verify_theorem2(inst2, _scratch_simplex_witness) == got
             monkeypatch.undo()
 
     def test_patterns_sharing_bounds_fail_without_raising(self, n3_gadget, monkeypatch):
@@ -828,13 +835,17 @@ class TestWitnessTree:
     def test_memos_hold_exactly_the_parents(self, bundled_instance, n3_gadget, monkeypatch):
         for inst in self.instances(bundled_instance, n3_gadget):
             inst2 = build_theorem2(inst)
+            walks = _recorded_walks(monkeypatch)
             annihilations = _counting(monkeypatch, geometry, "_annihilate")
             assert verify_theorem2(inst2).shattered
             assert verify_theorem1(inst).shattered
             parents = _tree_parents(inst.gadget, range(1 << len(inst.points)))
-            assert set(_memo(inst)) == set(_memo(inst2)) == parents | {-1}
+            assert len(walks) == 2
+            assert set(_memo(walks[0])) == set(_memo(walks[1])) == parents | {-1}
             # the apex's own fold, then at most one step per parent simplex
             assert len(annihilations) <= 1 + len(parents)
+            # the verifiers walk on their own nodes, not through the public witnesses
+            assert "_node" not in inst.__dict__ and "_node" not in inst2.__dict__
             monkeypatch.undo()
 
     def test_rows_equal_the_snapped_pattern_corners(self, bundled_instance, n3_gadget):
@@ -868,7 +879,7 @@ class TestWitnessTree:
                 while frontier:
                     frontier = _tree_parents(inst.gadget, frontier)
                     ancestors |= frontier
-                assert set(_memo(fresh)) == set(_memo(fresh2)) == ancestors | {-1}
+                assert set(_memo(fresh._node)) == set(_memo(fresh2._node)) == ancestors | {-1}
 
     def test_a_subset_with_no_witness_raises(self, bundled_instance):
         broken, _ = self.mutants(bundled_instance)
@@ -897,7 +908,7 @@ class TestWitnessTree:
                 union_witness(inst, mask)
             with pytest.raises(ConstructionError):
                 simplex_witness(inst2, mask)
-            assert set(_memo(inst)) == set(_memo(inst2)) == {-1}
+            assert set(_memo(inst._node)) == set(_memo(inst2._node)) == {-1}
 
     def test_memo_is_freed_with_its_instance(self, n3_gadget):
         # the walk holds no reference cycle, so dropping an instance frees
@@ -906,7 +917,7 @@ class TestWitnessTree:
         try:
             inst2 = build_theorem2(build_theorem1(4, 4, n3_gadget))
             simplex_witness(inst2, 0b111)
-            root = weakref.ref(_memo(inst2)[-1])
+            root = weakref.ref(_memo(inst2._node)[-1])
             del inst2
             assert root() is None
         finally:
@@ -923,35 +934,75 @@ class TestWitnessTree:
                 got = simplex_witness(inst2, mask)
                 assert got.vertices[1:] == _scratch_simplex_witness(inst2, mask).vertices[:-1]
             parents = _tree_parents(inst.gadget, order)
-            assert set(_memo(inst)) == set(_memo(inst2)) == parents | {-1}
+            assert set(_memo(inst._node)) == set(_memo(inst2._node)) == parents | {-1}
 
     @pytest.mark.parametrize("seed", [3, 6])
-    def test_other_pinned_gadgets_match_scratch(self, seed, monkeypatch):
+    def test_other_pinned_gadgets_match_scratch(self, seed):
         inst = build_theorem1(4, 4, _pinned_gadget(seed))
-        t1 = self.matched_report(inst, monkeypatch, theorem2=False)
-        t2 = self.matched_report(inst, monkeypatch, theorem2=True)
+        t1 = self.matched_report(inst, theorem2=False)
+        t2 = self.matched_report(inst, theorem2=True)
         assert t1.shattered and t2.shattered
         assert t1.checked == t2.checked == 4096
         assert t1.union_vc_dim == 12
         assert t2.zero_signs == 0
 
-    def test_sample_mode_memoizes_the_sampled_ancestors(self, n3_gadget):
+    def test_sample_mode_memoizes_the_sampled_ancestors(self, n3_gadget, monkeypatch):
         inst = build_theorem1(4, 4, n3_gadget)
         masks = constructions._selected_masks(12, "sample", 64, 5)
+        walks = _recorded_walks(monkeypatch)
         assert verify_theorem1(inst, mode="sample", count=64, seed=5).shattered
+        assert verify_theorem2(build_theorem2(inst), mode="sample", count=64, seed=5).shattered
         ancestors = set()
         frontier = set(masks)
         while frontier:
             frontier = _tree_parents(inst.gadget, frontier)
             ancestors |= frontier
-        assert set(_memo(inst)) == ancestors | {-1}
+        assert len(walks) == 2
+        assert set(_memo(walks[0])) == set(_memo(walks[1])) == ancestors | {-1}
 
     def test_each_subset_mask_is_validated_once(self, n3_gadget, monkeypatch):
+        # the verifiers make their own masks and validate none; a public
+        # witness call validates its one
         inst = build_theorem1(4, 4, n3_gadget)
+        inst2 = build_theorem2(inst)
         calls = [_counting(monkeypatch, m, "subset_mask") for m in (constructions, boxgadget)]
         report = verify_theorem1(inst, compute_vc_dim=True)
         assert report.shattered and report.checked == 4096
-        assert sum(map(len, calls)) == 4096
+        assert verify_theorem2(inst2).shattered
+        assert sum(map(len, calls)) == 0
+        for mask in (0, 0b111, 4095):
+            union_witness(inst, mask)
+            simplex_witness(inst2, mask)
+        assert sum(map(len, calls)) == 6
+
+    def test_verifier_walks_follow_the_public_witnesses(self, bundled_instance, n3_gadget):
+        # per subset, the node of each verifier's walk is the one derived
+        # from the public witness with the oracle predicates
+        for inst in self.instances(bundled_instance, n3_gadget):
+            inst2 = build_theorem2(inst)
+            union_walk = constructions._union_walk(inst, {})
+            simplex_walk = constructions._simplex_walk(inst2)
+            cut = {}
+            signs = {}
+            for mask in range(1 << len(inst.points)):
+                witness = union_witness(inst, mask)
+                got = 0
+                for h in witness:
+                    if h not in cut:
+                        cut[h] = halfspace_cut(h, inst.points)
+                    got |= cut[h]
+                assert union_walk(mask) == (got, len(witness))
+                simplex = simplex_witness(inst2, mask)
+                pos = neg = zeros = 0
+                on = (1 << len(inst.points)) - 1
+                for v in simplex.vertices:
+                    if v not in signs:
+                        signs[v] = sign_masks(v, inst2.hyperplanes)
+                    p, n, z = signs[v]
+                    pos, neg, on, zeros = pos | p, neg | n, on & z, zeros + z.bit_count()
+                node = simplex_walk(mask)
+                assert node[0].vertices == simplex.vertices
+                assert node[1:] == (pos, neg, on, zeros)
 
 
 class TestFiniteLevelIdentities:
