@@ -6,13 +6,14 @@ at most 2^(n-1) points avoiding every box of S while hitting every box of
 B \\ S. The certificate is checked exhaustively over all 2^|B| sub-families.
 Witnesses come from a finite candidate menu (one generic point per cell of
 the axis-parallel arrangement): the product of per-axis menus of midpoints
-between consecutive endpoints. Hit patterns are built per axis, as one
-bitset of boxes per menu value from an XOR sweep over the endpoint ranks,
-and combined by a product over the distinct bitsets that keeps only the
-distinct patterns. A gadget's menu keeps, with each pattern, the per-axis
-menu digits of the first menu point that has it, and hands out per axis the
-menu values those digits name; the search's score needs the pattern set
-alone and takes it from a plain set product. Q avoids S
+between consecutive endpoints. Hit patterns are built per axis: each
+endpoint holds the XOR of the box bits it toggles (``_axis_toggles``), and
+one XOR sweep over them in rank order (``_sweep``, the one menu rule) gives
+one bitset of boxes per menu value. A product over the distinct bitsets
+keeps only the distinct patterns. A gadget's menu keeps, with each pattern,
+the per-axis menu digits of the first menu point that has it, and hands out
+per axis the menu values those digits name; the search's score needs the
+pattern set alone and takes it from a plain set product. Q avoids S
 exactly when every hit pattern of Q lies inside B \\ S, so S has a witness
 exactly when B \\ S is a union of at most 2^(n-1) hit patterns: the gadget
 is a certificate when the 2^(n-1)-fold union of its hit-pattern system is
@@ -24,11 +25,13 @@ closure kept as back-pointer tables (``_unions``) is read by one walk,
 ``_witness_tree``, on which ``witness_for``, both theorem instances and
 both theorem verifiers in ``constructions`` are built; the tests'
 reference walk is in ``tests/oracles.py``. The search climbs on plain
-integer boxes and carries the current family's per-axis bitsets, its
-columns, so a proposal re-sweeps only the one axis it moved. Its scores
-are memoized by columns, which skips the product, and then by pattern set,
-which skips the closure. It builds a ``BoxGadget`` only for the family it
-returns. A gadget counts as verified when ``verify(gadget)`` reports ok.
+integer boxes and carries the current family's per-axis toggles and set of
+bitsets, so a proposal moves one box's bit in the toggles of the one axis
+it moved and sweeps that axis alone. Its scores are memoized by the
+per-axis bitset sets, which fix the pattern set and so skip the product,
+and then by pattern set, which skips the closure. It builds a
+``BoxGadget`` only for the family it returns. A gadget counts as verified
+when ``verify(gadget)`` reports ok.
 """
 
 from __future__ import annotations
@@ -38,8 +41,6 @@ from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
-from itertools import accumulate
-from operator import xor
 from typing import Callable, Iterable, Sequence, TypeVar
 
 from .geometry import AxisBox, Point
@@ -130,24 +131,39 @@ def _menu_value(values: list[Fraction], m: int) -> Fraction:
     return (values[m - 1] + values[m]) / 2
 
 
-def _axis_bitsets(boxes: Sequence[tuple[Sequence, Sequence]], i: int) -> tuple[list, list[int]]:
-    """The sorted distinct endpoints of axis i, and per menu value of the axis
-    the bitset of the boxes whose interval on that axis contains it.
-
-    Menu value m lies in a closed interval with endpoint ranks a and b
-    exactly when a < m <= b, so box j's bit switches on at m = a + 1 and off
-    at m = b + 1. Each distinct endpoint holds the XOR of the bits it
-    toggles, and one XOR sweep over them in rank order gives every menu
-    value's bitset, with no comparison of endpoint values beyond the sort.
-    """
+def _axis_toggles(boxes: Sequence[tuple[Sequence, Sequence]], i: int) -> dict:
+    """Per distinct endpoint of axis i, the XOR of the bits of the boxes
+    whose interval on that axis starts or ends there; never 0, since a
+    solid box toggles its bit at two distinct endpoints."""
     toggles: dict = {}
     for j, (lo, hi) in enumerate(boxes):
         bit = 1 << j
         toggles[lo[i]] = toggles.get(lo[i], 0) ^ bit
         toggles[hi[i]] = toggles.get(hi[i], 0) ^ bit
+    return toggles
+
+
+def _sweep(toggles: dict) -> tuple[list, list[int]]:
+    """The sorted distinct endpoints of an axis with these ``_axis_toggles``,
+    and per menu value of the axis the bitset of the boxes whose interval on
+    that axis contains it.
+
+    Menu value m lies in a closed interval with endpoint ranks a and b
+    exactly when a < m <= b, so box j's bit switches on at m = a + 1 and off
+    at m = b + 1. One XOR sweep over the toggles in rank order gives every
+    menu value's bitset, with no comparison of endpoint values beyond the
+    sort. The boxes that contain an endpoint itself are the bitset below it
+    OR its toggle. This is the one menu rule: ``_hit_masks`` and the
+    search's climb both read it.
+    """
     values = sorted(toggles)
-    # the endpoint of rank r toggles menu value r + 1; menu value 0 is below every box
-    return values, [0, *accumulate(map(toggles.__getitem__, values), xor)]
+    bits = 0
+    bitsets = [bits]  # menu value 0 is below every box
+    for v in values:
+        # the endpoint of rank r toggles menu value r + 1
+        bits ^= toggles[v]
+        bitsets.append(bits)
+    return values, bitsets
 
 
 def _hit_masks(
@@ -163,18 +179,19 @@ def _hit_masks(
 
     ``boxes`` holds one ``(lo, hi)`` pair per box, of any ordered values:
     ``BoxGadget`` passes its ``Fraction`` boxes. Each axis gives one bitset
-    of boxes per menu value (``_axis_bitsets``), with no point-in-box test. A
+    of boxes per menu value (``_sweep``), with no point-in-box test. A
     point's pattern is the AND of its axes' bitsets; the product is taken
     axis by axis over the distinct bitsets only, each represented by its
     first menu value. Visiting the partial patterns in lexicographic order of
     their digits, which is the point order, keeps for every pattern the
     digits of its first point. Only ``BoxGadget._menu`` needs those digits;
-    the search's score takes the same pattern set from ``_product``.
+    the search's score takes the same pattern set from a plain set product
+    (``_score``).
     """
     axes: list[list] = []
     patterns: dict[int, tuple[int, ...]] = {(1 << len(boxes)) - 1: ()}
     for i in range(dim):
-        values, bits = _axis_bitsets(boxes, i)
+        values, bits = _sweep(_axis_toggles(boxes, i))
         first: dict[int, int] = {}
         for m, am in enumerate(bits):
             first.setdefault(am, m)
@@ -187,23 +204,6 @@ def _hit_masks(
         patterns = staged
         axes.append(values)
     return tuple(axes), patterns
-
-
-# Per axis, the tuple of menu-value bitsets of ``_axis_bitsets``: a family's columns.
-_Columns = tuple[tuple[int, ...], ...]
-
-
-def _columns(boxes: Sequence[tuple[Sequence, Sequence]], dim: int) -> _Columns:
-    return tuple(tuple(_axis_bitsets(boxes, i)[1]) for i in range(dim))
-
-
-def _product(columns: _Columns, nboxes: int) -> frozenset[int]:
-    """The distinct ANDs of one bitset per column: the hit patterns, with no menu digits."""
-    patterns = {(1 << nboxes) - 1}
-    for column in columns:
-        bits = set(column)
-        patterns = {p & a for p in patterns for a in bits}
-    return frozenset(patterns)
 
 
 def _unions(gadget: BoxGadget) -> tuple[array, array]:
@@ -354,33 +354,56 @@ _Boxes = tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
 _MOVES = ((-1, 0), (1, 0), (0, -1), (0, 1), (-1, -1), (1, 1))
 
 
-def _moved_columns(columns: _Columns, boxes: _Boxes, ax: int) -> _Columns:
-    """The columns of ``boxes``, given those of a family that differs from it on axis ax only."""
-    return columns[:ax] + (tuple(_axis_bitsets(boxes, ax)[1]),) + columns[ax + 1 :]
+def _moved_toggles(toggles: dict[int, int], bit: int, ends: Iterable[int]) -> dict[int, int]:
+    """A copy of one axis's ``_axis_toggles`` after the box with this bit
+    moved on that axis, where ``ends`` are its old and new lo and hi there.
+
+    The bit is XORed at each of the four, so an end that did not move is
+    toggled twice and stays, and an entry that becomes 0 is dropped, as a
+    fresh ``_axis_toggles`` has none.
+    """
+    moved = toggles.copy()
+    for v in ends:
+        t = moved.get(v, 0) ^ bit
+        if t:
+            moved[v] = t
+        else:
+            del moved[v]
+    return moved
 
 
-# A search's scores in two levels: by (b, columns), which skips the product,
-# and by (b, pattern set), which skips the closure. The closure's popcount
-# depends on b and the pattern set alone, and the columns fix the pattern set.
-_Memo = tuple[dict[tuple[int, _Columns], int], dict[tuple[int, frozenset[int]], int]]
+# Per axis, the set of menu-value bitsets that ``_sweep`` gives.
+_Sets = tuple[frozenset[int], ...]
+
+# A search's scores in two levels: by (b, per-axis sets), which skips the
+# product, and by (b, pattern set), which skips the closure. The closure's
+# popcount depends on b and the pattern set alone, and the sets fix the
+# pattern set.
+_Memo = tuple[dict[tuple[int, _Sets], int], dict[tuple[int, frozenset[int]], int]]
 
 
-def _score(columns: _Columns, nboxes: int, b: int, memo: _Memo) -> int:
-    """Number of subsets of a family of ``nboxes`` boxes with these columns
-    that have a witness of at most b points; 2^nboxes is perfect.
+def _score(sets: _Sets, nboxes: int, b: int, memo: _Memo) -> int:
+    """Number of subsets of a family of ``nboxes`` boxes with these per-axis
+    bitset sets that have a witness of at most b points; 2^nboxes is perfect.
 
     It is the popcount of the b-fold ``union_closure`` of the hit patterns.
-    The product runs once per distinct ``(b, columns)`` and the closure once
-    per distinct ``(b, patterns)`` of ``memo``.
+    Every choice of one menu value per axis is a menu point, so the patterns
+    are the distinct ANDs of one bitset from each axis's set: families whose
+    bitsets on an axis are reordered or repeated, such as a mirrored axis,
+    share a score. The product starts from the first axis's set and runs
+    once per distinct ``(b, sets)``; the closure runs once per distinct
+    ``(b, patterns)`` of ``memo``.
     """
-    by_columns, by_patterns = memo
-    score = by_columns.get((b, columns))
+    by_sets, by_patterns = memo
+    score = by_sets.get((b, sets))
     if score is None:
-        patterns = _product(columns, nboxes)
+        patterns = sets[0]
+        for bits in sets[1:]:
+            patterns = frozenset({p & a for p in patterns for a in bits})
         score = by_patterns.get((b, patterns))
         if score is None:
             score = by_patterns[b, patterns] = union_closure(patterns, nboxes, b).bit_count()
-        by_columns[b, columns] = score
+        by_sets[b, sets] = score
     return score
 
 
@@ -422,11 +445,14 @@ def _uniform_seed(rng: random.Random, dim: int, count: int) -> _Boxes:
     return tuple(boxes)
 
 
-def _mutate(rng: random.Random, boxes: _Boxes, dim: int, upper: int) -> tuple[_Boxes, int] | None:
+def _mutate(
+    rng: random.Random, boxes: _Boxes, dim: int, upper: int
+) -> tuple[_Boxes, int, int] | None:
     """Grow, shrink or translate one box along one axis by one grid step.
 
-    Returns the moved family and the axis it moved on, or None when the
-    moved box would leave (0, upper] or stop being solid.
+    Returns the moved family, the index of the box it moved and the axis it
+    moved on, or None when the moved box would leave (0, upper] or stop
+    being solid.
     """
     bi = rng.randrange(len(boxes))
     ax = rng.randrange(dim)
@@ -437,7 +463,7 @@ def _mutate(rng: random.Random, boxes: _Boxes, dim: int, upper: int) -> tuple[_B
     if a <= 0 or a >= b or b > upper:
         return None
     moved = (lo[:ax] + (a,) + lo[ax + 1 :], hi[:ax] + (b,) + hi[ax + 1 :])
-    return boxes[:bi] + (moved,) + boxes[bi + 1 :], ax
+    return boxes[:bi] + (moved,) + boxes[bi + 1 :], bi, ax
 
 
 class _Budget:
@@ -460,16 +486,20 @@ def _climb(
 
     A climb from m boxes charges one score for its start and one per
     proposal while ``budget.used`` is below ``stop``, at most 60m in all, and
-    stops after 40m stalled proposals. A proposal moved one box on one axis,
-    so it re-sweeps that axis of the carried columns and shares the others.
+    stops after 40m stalled proposals. The climb carries the current
+    family's ``_axis_toggles`` and bitset set per axis. A proposal moved one
+    box on one axis, so it copies that axis's toggles, moves the box's bit
+    there (``_moved_toggles``) and sweeps that axis alone; it shares the
+    other axes' sets.
     """
     nboxes = len(start)
     stop = min(stop, budget.used + 60 * nboxes)
     perfect = 1 << nboxes
     upper = max((v for _, hi in start for v in hi), default=1) + nboxes
     current = start
-    columns = _columns(current, dim)
-    current_score = _score(columns, nboxes, b, memo)
+    toggles = [_axis_toggles(current, i) for i in range(dim)]
+    sets = tuple(frozenset(_sweep(axis)[1]) for axis in toggles)
+    current_score = _score(sets, nboxes, b, memo)
     budget.used += 1
     stall = 0
     while current_score != perfect and budget.used < stop and stall < 40 * nboxes:
@@ -477,13 +507,17 @@ def _climb(
         if moved is None:
             stall += 1
             continue
-        proposal, ax = moved
-        proposal_columns = _moved_columns(columns, proposal, ax)
-        proposal_score = _score(proposal_columns, nboxes, b, memo)
+        proposal, bi, ax = moved
+        (lo, hi), (new_lo, new_hi) = current[bi], proposal[bi]
+        ends = (lo[ax], hi[ax], new_lo[ax], new_hi[ax])
+        moved_toggles = _moved_toggles(toggles[ax], 1 << bi, ends)
+        proposal_sets = sets[:ax] + (frozenset(_sweep(moved_toggles)[1]),) + sets[ax + 1 :]
+        proposal_score = _score(proposal_sets, nboxes, b, memo)
         budget.used += 1
         if proposal_score >= current_score:
             stall = stall + 1 if proposal_score == current_score else 0
-            current, columns, current_score = proposal, proposal_columns, proposal_score
+            current, sets, current_score = proposal, proposal_sets, proposal_score
+            toggles[ax] = moved_toggles
         else:
             stall += 1
     return current if current_score == perfect else None
@@ -532,9 +566,10 @@ def search(n: int, dim: int, seed: int, budget: int) -> BoxGadget | None:
     the bitset kernel ``union_closure`` over its hit patterns, and only the
     winner is built, and validated, as a ``BoxGadget``. One two-level memo
     per call, shared by restarts and nested searches, keeps the score of each
-    distinct (b, columns) and of each distinct (b, pattern set): over the
-    pinned n=3 searches (seeds 0, 3 and 6, budget 2500), 1,119 of 2,629
-    scores skip the product and 2,327 skip the closure.
+    distinct (b, per-axis bitset sets) and of each distinct (b, pattern set):
+    over the pinned n=3 searches (seeds 0, 3 and 6, budget 2500), 1,311 of
+    2,629 scores skip the product, and 1,016 of the other 1,318 skip the
+    closure.
     ``budget`` is one count of scores shared by every restart and nested
     search, memo hits included, so the memo changes no rng call and the
     result is deterministic for a fixed seed. A climb from m boxes charges

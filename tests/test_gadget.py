@@ -25,13 +25,11 @@ from oracles import (
 from vcshatter import boxgadget
 from vcshatter.boxgadget import (
     BoxGadget,
-    _axis_bitsets,
-    _columns,
+    _axis_toggles,
     _hit_masks,
-    _moved_columns,
     _mutate,
-    _product,
     _score,
+    _sweep,
     nominal_box_count,
     search,
     verify,
@@ -160,9 +158,17 @@ class TestConstruction:
         assert nominal_box_count(2, 4) == 10
 
 
+def axis_sets(boxes, dim: int) -> tuple[frozenset[int], ...]:
+    """A family's per-axis bitset sets, the search's score key, from a fresh sweep."""
+    return tuple(frozenset(_sweep(_axis_toggles(boxes, i))[1]) for i in range(dim))
+
+
 def patterns_of(boxes, dim: int) -> frozenset[int]:
-    """The search's pattern set of a family: the product of its columns."""
-    return _product(_columns(boxes, dim), len(boxes))
+    """The search's pattern set of a family: the product that keys ``_score``'s second level."""
+    memo: tuple[dict, dict] = ({}, {})
+    _score(axis_sets(boxes, dim), len(boxes), 1, memo)
+    [(_, patterns)] = memo[1]
+    return patterns
 
 
 class TestCandidatePoints:
@@ -432,7 +438,7 @@ class TestFastPath:
     def assert_score_matches_gadget(g: BoxGadget) -> None:
         pick, _ = g._closure
         boxes = int_boxes(g)
-        score = _score(_columns(boxes, g.dim), len(boxes), g.max_witness_size, ({}, {}))
+        score = _score(axis_sets(boxes, g.dim), len(boxes), g.max_witness_size, ({}, {}))
         assert score == len(pick) - pick.count(-1)
         assert _hit_masks(boxes, g.dim)[1] == g._menu[1]
         assert patterns_of(boxes, g.dim) == set(g._menu[1])
@@ -507,7 +513,8 @@ class TestFastPath:
         boxes = int_boxes(n3_gadget)
         nboxes = len(boxes)
         b = n3_gadget.max_witness_size
-        want = union_closure(_hit_masks(boxes, 2)[1], nboxes, b).bit_count()
+        patterns = frozenset(_hit_masks(boxes, 2)[1])
+        want = union_closure(patterns, nboxes, b).bit_count()
         closures = []
 
         def counted(*args):
@@ -515,52 +522,82 @@ class TestFastPath:
             return union_closure(*args)
 
         monkeypatch.setattr(boxgadget, "union_closure", counted)
-        columns = _columns(boxes, 2)
+        sets = axis_sets(boxes, 2)
         memo: tuple[dict, dict] = ({}, {})
-        assert _score(columns, nboxes, b, memo) == want
-        assert memo == ({(b, columns): want}, {(b, patterns_of(boxes, 2)): want})
-        # a translated family has the same columns, so it reads the warm entry
-        translated = _columns(boxgadget._translate(boxes, 7), 2)
-        assert translated == columns
-        assert _score(translated, nboxes, b, memo) == want
+        assert _score(sets, nboxes, b, memo) == want
+        assert memo == ({(b, sets): want}, {(b, patterns): want})
+        # a translated family has the same sets, so it reads the warm entry
+        assert axis_sets(boxgadget._translate(boxes, 7), 2) == sets
+        assert _score(axis_sets(boxgadget._translate(boxes, 7), 2), nboxes, b, memo) == want
         assert len(memo[0]) == len(memo[1]) == len(closures) == 1
         # b is part of both keys
-        assert _score(columns, nboxes, b - 1, memo) < want
+        assert _score(sets, nboxes, b - 1, memo) < want
         assert len(memo[0]) == len(memo[1]) == len(closures) == 2
-        # mirrored on axis 0, the family has new columns but the same
-        # patterns, so it takes a product and shares the closure
+        # mirrored on axis 0, the family's bitsets on that axis come in
+        # reverse order, but as sets they are the same: it hits the first level
         top = max(v for _, hi in boxes for v in hi) + 1
         mirrored = tuple(((top - hi[0], lo[1]), (top - lo[0], hi[1])) for lo, hi in boxes)
-        mirrored_columns = _columns(mirrored, 2)
-        assert mirrored_columns == (columns[0][::-1], columns[1]) != columns
-        assert _score(mirrored_columns, nboxes, b, memo) == want
+        column = _sweep(_axis_toggles(boxes, 0))[1]
+        assert _sweep(_axis_toggles(mirrored, 0))[1] == column[::-1] != column
+        assert axis_sets(mirrored, 2) == sets
+        assert _score(axis_sets(mirrored, 2), nboxes, b, memo) == want
+        assert len(memo[0]) == len(memo[1]) == len(closures) == 2
+        # with its axes swapped, the family has new sets but the same
+        # patterns, so it takes a product and shares the closure
+        swapped = tuple(((lo[1], lo[0]), (hi[1], hi[0])) for lo, hi in boxes)
+        assert axis_sets(swapped, 2) == sets[::-1] != sets
+        assert _score(axis_sets(swapped, 2), nboxes, b, memo) == want
         assert len(memo[0]) == 3
         assert len(memo[1]) == len(closures) == 2
 
     @given(
         box_families().filter(lambda g: g.dim <= 3).map(doubled),
-        st.randoms(use_true_random=False),
-        st.integers(0, 30),
+        st.integers(0, 2**32),
+        st.integers(1, 40),
     )
     @settings(max_examples=60, deadline=None)
-    def test_carried_columns_match_a_fresh_sweep(self, g, rng, steps):
-        # a walk of the climb's moves, accepted or rejected at random
-        boxes = int_boxes(g)
-        nboxes = len(boxes)
-        b = g.max_witness_size
-        upper = max(v for _, hi in boxes for v in hi) + nboxes
-        columns = _columns(boxes, g.dim)
-        warm: tuple[dict, dict] = ({}, {})
-        for _ in range(steps):
-            assert columns == tuple(tuple(_axis_bitsets(boxes, i)[1]) for i in range(g.dim))
-            want = union_closure(_hit_masks(boxes, g.dim)[1], nboxes, b).bit_count()
-            assert _score(columns, nboxes, b, ({}, {})) == want
-            assert _score(columns, nboxes, b, warm) == want
-            assert _score(columns, nboxes, b, warm) == want  # a certain hit
-            moved = _mutate(rng, boxes, g.dim, upper)
-            if moved is not None and rng.random() < 0.5:
-                boxes, ax = moved
-                columns = _moved_columns(columns, boxes, ax)
+    def test_carried_columns_match_a_fresh_sweep(self, g, seed, stop):
+        # instruments one climb: every proposal, after an accepted or a
+        # rejected move, starts from the current family's toggles on its
+        # axis, moves them to the proposal's, and scores the proposal's sets,
+        # each equal to a fresh _axis_toggles plus sweep; every score, cold
+        # or warm, is the closure's popcount
+        start = int_boxes(g)
+        moves: list[tuple] = []
+        real = boxgadget._mutate, boxgadget._moved_toggles, boxgadget._score
+
+        def mutate(rng, current, dim, upper):
+            moved = real[0](rng, current, dim, upper)
+            if moved is not None:
+                moves.append((current, *moved))
+            return moved
+
+        def moved_toggles(toggles, bit, ends):
+            current, proposal, bi, ax = moves[-1]
+            assert bit == 1 << bi
+            assert toggles == _axis_toggles(current, ax)
+            moved = real[1](toggles, bit, ends)
+            assert moved == _axis_toggles(proposal, ax)
+            assert toggles == _axis_toggles(current, ax)  # the carried dict is copied
+            return moved
+
+        def score(sets, nboxes, b, memo):
+            family = moves[-1][1] if moves else start
+            assert sets == axis_sets(family, g.dim)
+            want = union_closure(_hit_masks(family, g.dim)[1], nboxes, b).bit_count()
+            assert real[2](sets, nboxes, b, ({}, {})) == want
+            got = real[2](sets, nboxes, b, memo)
+            assert got == real[2](sets, nboxes, b, memo) == want  # a certain hit
+            return got
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(boxgadget, "_mutate", mutate)
+            mp.setattr(boxgadget, "_moved_toggles", moved_toggles)
+            mp.setattr(boxgadget, "_score", score)
+            budget = boxgadget._Budget()
+            rng = random.Random(seed)
+            boxgadget._climb(rng, start, g.dim, g.max_witness_size, budget, stop, ({}, {}))
+        assert budget.used == 1 + len(moves)
 
     def test_pinned_gadget_tables_match_full_scan(self):
         for path in sorted(PINNED_GADGETS.glob("*.json")):
@@ -641,6 +678,14 @@ class TestSearch:
         digest = hashlib.sha1((tmp_path / "g.json").read_bytes()).hexdigest()
         assert digest == "c4d48bd18a9cd16088f4f6a3fe9accdc5aa3de06"
 
+    def test_reproduces_dim3_trajectory(self, tmp_path):
+        # SHA-1 of the file written for these arguments when every proposal
+        # re-swept all boxes on its axis: 12 boxes from grouped restarts,
+        # whose proposals move boxes on axes 1 and 2 as well as axis 0
+        dump_json(gadget_to_dict(search(3, 3, seed=0, budget=3000)), tmp_path / "g.json")
+        digest = hashlib.sha1((tmp_path / "g.json").read_bytes()).hexdigest()
+        assert digest == "546b24ac1446af2fed3a2cfda8b3959068937b25"
+
     def test_budget_charges_every_score_memo_hits_included(self, monkeypatch):
         budgets, hits = [], []
         score = boxgadget._score
@@ -650,9 +695,9 @@ class TestSearch:
                 super().__init__()
                 budgets.append(self)
 
-        def scored(columns, nboxes, b, memo):
-            hits.append((b, columns) in memo[0])
-            return score(columns, nboxes, b, memo)
+        def scored(sets, nboxes, b, memo):
+            hits.append((b, sets) in memo[0])
+            return score(sets, nboxes, b, memo)
 
         monkeypatch.setattr(boxgadget, "_Budget", Recorded)
         monkeypatch.setattr(boxgadget, "_score", scored)
@@ -662,9 +707,9 @@ class TestSearch:
         assert 0 < sum(hits) < len(hits)
 
     def test_proposals_resweep_one_axis_and_closures_stay(self, monkeypatch):
-        # pins the carried columns: a climb sweeps every axis of its start and
-        # one axis per proposal, and the closures run as often as when every
-        # proposal swept every axis
+        # pins the carried toggles: a climb builds and sweeps the toggles of
+        # every axis of its start, and sweeps one axis per proposal; the
+        # closures run as often as when every proposal swept every axis
         calls, budgets = Counter(), []
 
         def counting(name):
@@ -681,7 +726,7 @@ class TestSearch:
                 super().__init__()
                 budgets.append(self)
 
-        for name in ("union_closure", "_axis_bitsets", "_climb"):
+        for name in ("union_closure", "_axis_toggles", "_sweep", "_climb"):
             counting(name)
         monkeypatch.setattr(boxgadget, "_Budget", Recorded)
         assert search(3, 2, seed=0, budget=2500) is not None
@@ -689,7 +734,35 @@ class TestSearch:
         climbs, scored = calls["_climb"], budget.used
         assert (climbs, scored) == (8, 1864)
         assert calls["union_closure"] == 186
-        assert calls["_axis_bitsets"] == 2 * climbs + (scored - climbs) == 1872
+        assert calls["_axis_toggles"] == 2 * climbs
+        assert calls["_sweep"] == 2 * climbs + (scored - climbs) == 1872
+
+    @pytest.mark.parametrize(
+        "seed, scores, entries, closures",
+        [(0, 1864, 903, 186), (3, 465, 247, 86), (6, 300, 168, 30)],
+    )
+    def test_memo_counts_of_pinned_searches(self, monkeypatch, seed, scores, entries, closures):
+        # one memo per search: a first-level entry per distinct (b, sets)
+        # and a second-level entry, and one closure, per distinct (b, patterns)
+        memos, calls = [], Counter()
+        score = boxgadget._score
+
+        def scored(sets, nboxes, b, memo):
+            memos.append(memo)
+            return score(sets, nboxes, b, memo)
+
+        def counted(*args):
+            calls["union_closure"] += 1
+            return union_closure(*args)
+
+        monkeypatch.setattr(boxgadget, "_score", scored)
+        monkeypatch.setattr(boxgadget, "union_closure", counted)
+        assert search(3, 2, seed=seed, budget=2500) is not None
+        memo = memos[0]
+        assert all(m is memo for m in memos)
+        assert len(memos) == scores
+        assert len(memo[0]) == entries
+        assert len(memo[1]) == calls["union_closure"] == closures
 
     @staticmethod
     def recorded_search(monkeypatch, n, seed, budget):
