@@ -8,30 +8,32 @@ Witnesses come from a finite candidate menu (one generic point per cell of
 the axis-parallel arrangement): the product of per-axis menus of midpoints
 between consecutive endpoints. Hit patterns are built per axis: each
 endpoint holds the XOR of the box bits it toggles (``_axis_toggles``), and
-one XOR sweep over them in rank order (``_sweep``, the one menu rule) gives
-one bitset of boxes per menu value. A product over the distinct bitsets
-keeps only the distinct patterns. A gadget's menu keeps, with each pattern,
-the per-axis menu digits of the first menu point that has it, and hands out
-per axis the menu values those digits name; the search's score needs the
-pattern set alone and takes it from a plain set product. Q avoids S
-exactly when every hit pattern of Q lies inside B \\ S, so S has a witness
-exactly when B \\ S is a union of at most 2^(n-1) hit patterns: the gadget
-is a certificate when the 2^(n-1)-fold union of its hit-pattern system is
-the whole power set. A fewest union needs at most |B| patterns, so every
-fold count is ``max_witness_size`` = min(2^(n-1), |B|). ``verify`` and the
-search's score read that closure as one 2^|B|-bit integer from
+one XOR sweep over them in rank order (``_sweep``, the one menu rule)
+gives one bitset of boxes per menu value. A product over the distinct
+bitsets keeps only the distinct patterns. A gadget keeps, with each
+pattern, the per-axis menu digits of the first menu point that has it
+(``_patterns``), and hands out per axis the menu values those digits name
+(``_menu``); the search's score needs the pattern set alone and takes it
+from a plain set product. Q avoids S exactly when every hit pattern of Q
+lies inside B \\ S, so S has a witness exactly when B \\ S is a union of
+at most 2^(n-1) hit patterns: the gadget is a certificate when the
+2^(n-1)-fold union of its hit-pattern system is the whole power set. A
+fewest union needs at most |B| patterns, so every fold count is
+``max_witness_size`` = min(2^(n-1), |B|). ``verify`` and the search's
+score read that closure as one 2^|B|-bit integer from
 ``setsystem.union_closure``, the kernel of ``k_fold_union``. The same
 closure kept as back-pointer tables (``_unions``) is read by one walk,
-``_witness_tree``, on which ``witness_for``, both theorem instances and
-both theorem verifiers in ``constructions`` are built; the tests'
-reference walk is in ``tests/oracles.py``. The search climbs on plain
-integer boxes and carries the current family's per-axis toggles and set of
-bitsets, so a proposal moves one box's bit in the toggles of the one axis
-it moved and sweeps that axis alone. Its scores are memoized by the
-per-axis bitset sets, which fix the pattern set and so skip the product,
-and then by pattern set, which skips the closure. It builds a
-``BoxGadget`` only for the family it returns. A gadget counts as verified
-when ``verify(gadget)`` reports ok.
+``_witness_tree``. Its fresh walk for one union, ``_pattern_numbers``,
+gives the witness of ``witness_for`` and of the public witness functions
+in ``constructions``; both theorem verifiers there walk it with their own
+nodes. The tests' reference walk is in ``tests/oracles.py``. The search
+climbs on plain integer boxes and carries the current family's per-axis
+toggles and set of bitsets, so a proposal moves one box's bit in the
+toggles of the one axis it moved and sweeps that axis alone. Its scores
+are memoized by the per-axis bitset sets, which fix the pattern set and so
+skip the product, and then by pattern set, which skips the closure. It
+builds a ``BoxGadget`` only for the family it returns. A gadget counts as
+verified when ``verify(gadget)`` reports ok.
 """
 
 from __future__ import annotations
@@ -88,24 +90,23 @@ class BoxGadget:
         return _hit_masks([(box.lo, box.hi) for box in self.boxes], self.dim)
 
     @cached_property
-    def _menu(self) -> tuple[tuple[list[Fraction], ...], dict[int, tuple[int, ...]]]:
-        """Per axis its menu values, menu digit m at index m, and the distinct
-        hit patterns with their digits, computed on first use from ``_patterns``.
+    def _menu(self) -> tuple[list[Fraction], ...]:
+        """Per axis its menu values, menu digit m at index m, computed on first
+        use from the endpoints in ``_patterns``.
 
         The gadget hands out its menu values, so no other module knows how a
         menu is built from the endpoints.
         """
-        axes, patterns = self._patterns
-        menus = tuple(
-            [_menu_value(values, m) for m in range(len(values) + 1)] for values in axes
+        return tuple(
+            [_menu_value(values, m) for m in range(len(values) + 1)]
+            for values in self._patterns[0]
         )
-        return menus, patterns
 
     @cached_property
     def _pattern_points(self) -> tuple[Point, ...]:
         """The menu point of each distinct hit pattern, in pattern order, computed on first use."""
-        menus, patterns = self._menu
-        return tuple(Point(tuple(map(list.__getitem__, menus, m))) for m in patterns.values())
+        digits = self._patterns[1].values()
+        return tuple(Point(tuple(map(list.__getitem__, self._menu, m))) for m in digits)
 
     @cached_property
     def _closure(self) -> tuple[array, array]:
@@ -184,7 +185,8 @@ def _hit_masks(
     axis by axis over the distinct bitsets only, each represented by its
     first menu value. Visiting the partial patterns in lexicographic order of
     their digits, which is the point order, keeps for every pattern the
-    digits of its first point. Only ``BoxGadget._menu`` needs those digits;
+    digits of its first point. Only the patterns' menu points need those
+    digits (``BoxGadget._pattern_points`` and the Theorem 1 witness rows);
     the search's score takes the same pattern set from a plain set product
     (``_score``).
     """
@@ -276,7 +278,9 @@ def _witness_tree(
     by its root and its step. The walk memoizes the node of every tree parent
     it meets by union mask, the root's under -1, and builds a missing parent
     by recursion. A union with no witness raises ConstructionError before
-    any parent is built. Only this walk reads the ``_closure`` tables.
+    any parent is built. Only this walk reads the ``_closure`` tables. The
+    memo lives as long as the walk: ``_pattern_numbers`` drops it after one
+    union, and each theorem verifier keeps it for one run.
     """
     pick, prev = gadget._closure
     return partial(_tree_node, pick, prev, {-1: root}, grow)
@@ -300,19 +304,26 @@ def _tree_node(pick: array, prev: array, nodes: dict, grow: Callable, union: int
     return grow(parent, number)
 
 
+def _pattern_numbers(gadget: BoxGadget, union: int) -> tuple[int, ...]:
+    """The ascending pattern numbers of the witness of a union mask, from a
+    fresh ``_witness_tree`` walk, so nothing keeps a memo of it. A union with
+    no witness raises ConstructionError. ``witness_for`` and the public
+    witness functions of ``constructions`` all read their witness here."""
+    return _witness_tree(gadget, (), lambda parent, number: parent + (number,))(union)
+
+
 def witness_for(gadget: BoxGadget, subset: Iterable[int] | int) -> tuple[Point, ...] | None:
     """A fewest-point set avoiding the boxes of ``subset`` and hitting all others.
 
     Returns None when no such set of at most ``max_witness_size`` candidate
     points exists; infeasibility is a value, not an error. Refuses families
-    larger than the 2^24 guard. Each call walks the witness tree afresh, so
-    the gadget keeps no memo of it.
+    larger than the 2^24 guard. Each call walks the witness tree afresh
+    (``_pattern_numbers``), so the gadget keeps no memo of it.
     """
     nboxes = len(gadget.boxes)
     union = ((1 << nboxes) - 1) & ~subset_mask(nboxes, subset)
-    walk = _witness_tree(gadget, (), lambda parent, number: parent + (number,))
     try:
-        numbers = walk(union)
+        numbers = _pattern_numbers(gadget, union)
     except ConstructionError:
         return None
     return tuple(map(gadget._pattern_points.__getitem__, numbers))

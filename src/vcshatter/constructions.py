@@ -29,27 +29,26 @@ each menu value q that the gadget hands out for each of its axes once, as
 the pair (q, 1/q), and joins the pairs named by a pattern's menu digits
 into its row's bound tuple. Each instance holds one witness table, built
 once: per pattern number, the b = ``gadget.max_witness_size`` half-spaces
-on that bound tuple at the threshold slots j < b
+on that bound tuple, the one at threshold slot j < b at index j
 (``Theorem1Instance._witness_rows``), and on a Theorem 2 instance their
-dual vertices. Distinct patterns snap to distinct bounds, since the bounds
-decide which points lie below them. Gadget witnesses form a tree: each is
-its parent's plus one pattern numbered above all of the parent's. So a
-witness is its parent's plus that pattern's half-space (or dual vertex) at
-the slot given by the parent's size; each instance keeps that rule in one
-accessor, ``_slot(number, depth)``. The tree is walked by
-``boxgadget._witness_tree``, the one walk that ``witness_for`` also uses;
-a walk's caller supplies only the root and the step, and this module never
-reads the gadget's tables. The public witness functions read each
-instance's ``_node``, whose nodes are witnesses (no half-space, or the
-apex alone, at the root): it memoizes the witness of every tree parent by
-union mask, so a leaf costs one call, one memo lookup and one slot read,
-and a union with no witness raises. A new vertex's affine independence is
-checked against the parent's integer annihilator, usually by one dot
-product. Each verifier walks the same tree through the same ``_slot``
-with its own nodes, which hold exactly what it checks (``_union_walk``,
-``_simplex_walk``): it checks the witnesses the public functions return,
-at one tree step, one mask lookup and one OR per subset, and validates
-none of the masks it makes itself. Both count a subset with no witness, a
+dual vertices, laid out alike (``Theorem2Instance._vertex_rows``). An
+instance holds these tables and no walk. Distinct patterns snap to
+distinct bounds, since the bounds decide which points lie below them.
+Gadget witnesses form a tree: each is its parent's plus one pattern
+numbered above all of the parent's, so the j-th of a witness's ascending
+patterns adds its row's entry at slot j. The public witness functions
+read a witness's pattern numbers from a fresh walk of that tree
+(``boxgadget._pattern_numbers``, as ``witness_for`` does) and one table
+entry per pattern; a union with no witness raises. A new vertex's affine
+independence is checked against the integer annihilator of the simplex
+before it, usually by one dot product. Each verifier walks the same tree
+through ``boxgadget._witness_tree``, which memoizes every tree parent for
+that run, with its own nodes, which hold exactly what it checks
+(``_union_walk``, ``_simplex_walk``): it checks the witnesses the public
+functions return, at one tree step, one mask lookup and one OR per
+subset, and validates none of the masks it makes itself. A walk's caller
+supplies only the root and the step, so this module never reads the
+gadget's tables. Both verifiers count a subset with no witness, a
 dependent vertex, a witness of more than k half-spaces, or a simplex of
 dimension above k, as failing.
 """
@@ -65,7 +64,7 @@ from operator import itemgetter
 from typing import Callable, Iterable, Sequence
 
 from . import boxgadget  # boxgadget.verify is looked up where perfbench's tracer wraps it
-from .boxgadget import BoxGadget, ConstructionError, _witness_tree
+from .boxgadget import BoxGadget, ConstructionError, _pattern_numbers, _witness_tree
 from .geometry import (
     AxisBox,
     DegenerateSimplexError,
@@ -187,40 +186,19 @@ class Theorem1Instance:
         pairs named by its menu digits. Slot j's tau d + 1/2 + j/(4k) =
         (2k(2d+1) + j)/(4k) is made once and shared by every row.
         """
-        menus, patterns = self.gadget._menu
         pairs = [
             [snap(_lift((q,), (q,)), self.alpha[2 * i : 2 * i + 2]) for q in values]
-            for i, values in enumerate(menus)
+            for i, values in enumerate(self.gadget._menu)
         ]
         taus = [
             Fraction(2 * self.k * (2 * self.d + 1) + j, 4 * self.k)
             for j in range(self.gadget.max_witness_size)
         ]
         rows = []
-        for digits in patterns.values():
+        for digits in self.gadget._patterns[1].values():
             bounds = tuple(c for axis, m in zip(pairs, digits) for c in axis[m])
             rows.append(tuple(RestrictedHalfspace(b=bounds, tau=tau) for tau in taus))
         return tuple(rows)
-
-    @cached_property
-    def _slot(self) -> Callable[[int, int], RestrictedHalfspace]:
-        """The slot rule: ``_slot(number, depth)`` is the half-space that
-        pattern ``number`` adds to a witness of ``depth`` half-spaces, its
-        row's half-space at threshold slot ``depth``. Both ``_node`` and the
-        verifier's walk read it. It holds the rows, not the instance, so a
-        cached walk that holds it makes no reference cycle."""
-        rows = self._witness_rows
-        return lambda number, depth: rows[number][depth]
-
-    @cached_property
-    def _node(self) -> Callable[[int], Halfspaces]:
-        """The witness half-spaces of a union mask, from the gadget's witness-tree
-        walk: the parent's, then the ``_slot`` of the pattern the union adds
-        at the parent's size. The root is no half-space."""
-        slot = self._slot
-        return _witness_tree(
-            self.gadget, (), lambda parent, number: parent + (slot(number, len(parent)),)
-        )
 
 
 @dataclass(frozen=True)
@@ -239,28 +217,12 @@ class Theorem2Instance:
         return tuple(dual_point_to_hyperplane(p) for p in self.base.points)
 
     @cached_property
-    def _slot(self) -> Callable[[int, int], Point]:
-        """The slot rule: ``_slot(number, depth)`` is the dual vertex that
-        pattern ``number`` adds to a witness simplex of ``depth`` vertices
-        past the apex, the dual of ``base._slot(number, depth)``. Every slot
-        of every row of ``base._witness_rows`` is dualized once, here."""
-        vertices = tuple(
+    def _vertex_rows(self) -> tuple[tuple[Point, ...], ...]:
+        """Per gadget pattern number, the dual vertex of its half-space at each
+        threshold slot j, at index j, laid out like ``base._witness_rows``.
+        Every slot of every row is dualized once, here."""
+        return tuple(
             tuple(map(dual_halfspace_to_point, row)) for row in self.base._witness_rows
-        )
-        return lambda number, depth: vertices[number][depth]
-
-    @cached_property
-    def _node(self) -> Callable[[int], OpenSimplex]:
-        """The witness simplex of a union mask, from the gadget's witness-tree
-        walk: the parent's, extended by the ``_slot`` of the pattern the union
-        adds and checked against the parent's annihilator. The root is the
-        apex alone."""
-        d = self.base.d
-        slot = self._slot
-        return _witness_tree(
-            self.base.gadget,
-            OpenSimplex(ambient_dim=d, vertices=(_apex(d),)),
-            lambda parent, number: parent._extended(slot(number, len(parent.vertices) - 1)),
         )
 
 
@@ -309,11 +271,14 @@ def union_witness(
     The boxes of the complement subset are handed to the gadget; each witness
     point lifts to its corner, which snaps onto the rescaled grid and gives
     the bounds of one half-space. The j-th witness pattern's half-space has
-    threshold d + 1/2 + j/(4k), strictly inside (d, d+1) since j < k. The
-    half-spaces are the witness-tree parent's plus one, taken in one call
-    (``Theorem1Instance._node``), whose walk builds a missing parent by recursion.
+    threshold d + 1/2 + j/(4k), strictly inside (d, d+1) since j < k. Each
+    call walks the witness tree afresh (``boxgadget._pattern_numbers``) and
+    reads each pattern's half-space at its slot from ``_witness_rows``, so
+    the instance keeps no memo of it.
     """
-    return inst._node(subset_mask(len(inst.points), subset))
+    rows = inst._witness_rows
+    numbers = _pattern_numbers(inst.gadget, subset_mask(len(inst.points), subset))
+    return tuple(rows[number][j] for j, number in enumerate(numbers))
 
 
 @dataclass(frozen=True)
@@ -339,7 +304,7 @@ def _selected_masks(
             raise ValueError("sample mode requires a positive count")
         if seed is None:
             raise ValueError("sample mode requires a seed")
-        # Draw until enough distinct masks are held; random.sample over
+        # Draw until there are enough distinct masks; random.sample over
         # range(1 << npoints) would overflow len() past 63 points.
         rng = random.Random(seed)
         wanted = min(count, 1 << npoints)
@@ -356,25 +321,24 @@ def _union_walk(
     """The verifier's walk of inst's witness tree: per union mask, the pair
     (OR of the point masks of its witness half-spaces, their number).
 
-    A union's node is its parent's with the mask of the half-space
-    ``inst._slot`` names ORed in, so each subset costs one tree step, one
-    mask lookup and one OR. The mask of each half-space object met is its
-    ``_tau_mask``, stored in ``seen`` by id; the exact integer sums of the
-    points' vertex columns against each bound-tuple object (``_bound_sums``)
-    are computed once. The walk keeps every half-space it met, and so its
-    bound tuple, alive, so no other object can take those ids.
+    A union's node is its parent's with the mask of the half-space that its
+    pattern's row of ``_witness_rows`` holds at the parent's size ORed in, so
+    each subset costs one tree step, one mask lookup and one OR. The mask of
+    each half-space object met is its ``_tau_mask``, stored in ``seen`` by
+    id; the exact integer sums of the points' vertex columns against each
+    bound-tuple object (``_bound_sums``) are computed once. The rows the walk
+    holds keep every half-space, and so its bound tuple, alive, so no other
+    object can take those ids.
     """
     columns = [p._vertex_column for p in inst.points]
-    slot = inst._slot
-    held: list[RestrictedHalfspace] = []
+    rows = inst._witness_rows
     sums_of: dict[int, tuple[tuple[int, int], ...]] = {}
 
     def grow(parent: tuple[int, int], number: int) -> tuple[int, int]:
         got, size = parent
-        h = slot(number, size)
+        h = rows[number][size]
         m = seen.get(id(h))
         if m is None:
-            held.append(h)
             sums = sums_of.get(id(h.b))
             if sums is None:
                 sums = sums_of[id(h.b)] = _bound_sums(h.b, columns)
@@ -462,18 +426,24 @@ def simplex_witness(inst2: Theorem2Instance, subset: Iterable[int] | int) -> Ope
     the +1 side of each hyperplane except that a witness half-space containing
     p puts its dual vertex strictly on the -1 side of H(p), so the open hull
     crosses H(p) exactly when p is selected. Affinely dependent vertices raise
-    ConstructionError. The simplex is its witness-tree parent's plus one
-    vertex, taken in one call (``Theorem2Instance._node``), whose walk builds
-    a missing parent by recursion. The new vertex's independence is checked
-    against the parent's integer annihilator (``OpenSimplex._extended``).
+    ConstructionError. Each call walks the witness tree afresh
+    (``boxgadget._pattern_numbers``) and grows the apex vertex by vertex
+    from ``_vertex_rows``, so the instance keeps no memo of it; each new
+    vertex's independence is checked against the integer annihilator of the
+    simplex before it (``OpenSimplex._extended``).
     """
+    d = inst2.base.d
+    rows = inst2._vertex_rows
     pmask = subset_mask(len(inst2.base.points), subset)
+    simplex = OpenSimplex(ambient_dim=d, vertices=(_apex(d),))
     try:
-        return inst2._node(pmask)
+        for j, number in enumerate(_pattern_numbers(inst2.base.gadget, pmask)):
+            simplex = simplex._extended(rows[number][j])
     except DegenerateSimplexError as err:
         raise ConstructionError(
             f"could not build an affinely independent simplex for subset mask {pmask}: {err}"
         ) from err
+    return simplex
 
 
 def _simplex_walk(
@@ -485,24 +455,25 @@ def _simplex_walk(
     pos, neg and on are the masks of the hyperplanes with some vertex
     strictly on the +1 side, some strictly on the -1 side, and every vertex
     on it; the count adds up the zero signs of every vertex. A union's node
-    extends its parent's simplex by the vertex ``inst2._slot`` names
-    (``OpenSimplex._extended`` raises DegenerateSimplexError on a dependent
-    one) and folds that vertex's signs in. The signs of each vertex object
-    met are evaluated once, in integers, over every hyperplane.
+    extends its parent's simplex by the vertex that its pattern's row of
+    ``_vertex_rows`` holds at the parent's size (``OpenSimplex._extended``
+    raises DegenerateSimplexError on a dependent one) and folds that
+    vertex's signs in. The signs of each vertex object met are evaluated
+    once, in integers, over every hyperplane; the rows the walk holds keep
+    every vertex alive, so no other object can take its id.
     """
     d = inst2.base.d
-    slot = inst2._slot
+    rows = inst2._vertex_rows
     signs_of = partial(_vertex_signs, [_hyperplane_row(h) for h in inst2.hyperplanes])
-    # By id; each entry holds its vertex, then the vertex's (pos, neg, on) masks.
-    seen: dict[int, tuple[object, int, int, int]] = {}
+    seen: dict[int, tuple[int, int, int]] = {}  # by id, a vertex's (pos, neg, on) masks
 
     def grow(parent: tuple, number: int) -> tuple[OpenSimplex, int, int, int, int]:
         simplex, pos, neg, on, zeros = parent
-        v = slot(number, len(simplex.vertices) - 1)
+        v = rows[number][len(simplex.vertices) - 1]
         entry = seen.get(id(v))
         if entry is None:
-            entry = seen[id(v)] = (v, *signs_of(v))
-        _, p, n, z = entry
+            entry = seen[id(v)] = signs_of(v)
+        p, n, z = entry
         return simplex._extended(v), pos | p, neg | n, on & z, zeros + z.bit_count()
 
     apex = _apex(d)

@@ -572,11 +572,9 @@ class TestTheorem2:
         inst2 = build_theorem2(dataclasses.replace(bundled_instance))
         numbers = _witness_patterns(gadget, 31 & ~13)
         bad = (numbers[-1], len(numbers) - 1)
-        real = inst2._slot
-        apex = constructions._apex(4)
-        monkeypatch.setitem(
-            inst2.__dict__, "_slot", lambda *slot: apex if slot == bad else real(*slot)
-        )
+        rows = [list(row) for row in inst2._vertex_rows]
+        rows[bad[0]][bad[1]] = constructions._apex(4)
+        monkeypatch.setitem(inst2.__dict__, "_vertex_rows", tuple(map(tuple, rows)))
         with pytest.raises(ConstructionError, match="affinely dependent"):
             simplex_witness(inst2, 13)
         dependent = []
@@ -628,7 +626,7 @@ class TestTheorem2:
         for _ in range(2):
             assert verify_theorem2(inst2, mode="exhaustive").shattered
         # one snap per menu value of each gadget axis, not one per pattern
-        assert len(snaps) == sum(len(values) for values in n3_gadget._menu[0])
+        assert len(snaps) == sum(len(values) for values in n3_gadget._menu)
         # Theorem 2 dualizes each slot of the table exactly once, in row order
         slots = [h for row in inst._witness_rows for h in row]
         assert len(duals) == len(slots) == 228
@@ -727,7 +725,7 @@ def _scratch_simplex_witness(inst2, subset):
 
 def _memo(walk) -> dict:
     """The nodes a witness-tree walk memoizes, by the union mask of a tree
-    parent: the memo the walk, such as ``inst._node``, passes to each step."""
+    parent: the memo a verifier's walk passes to each step."""
     _, _, nodes, _ = walk.args
     return nodes
 
@@ -844,8 +842,6 @@ class TestWitnessTree:
             assert set(_memo(walks[0])) == set(_memo(walks[1])) == parents | {-1}
             # the apex's own fold, then at most one step per parent simplex
             assert len(annihilations) <= 1 + len(parents)
-            # the verifiers walk on their own nodes, not through the public witnesses
-            assert "_node" not in inst.__dict__ and "_node" not in inst2.__dict__
             monkeypatch.undo()
 
     def test_rows_equal_the_snapped_pattern_corners(self, bundled_instance, n3_gadget):
@@ -864,7 +860,7 @@ class TestWitnessTree:
                 assert {h.b for h in row} == {snap(_lift(q.coords, q.coords), inst.alpha)}
 
     def test_single_subsets_on_fresh_instances(self, bundled_instance, n3_gadget):
-        # every call starts from an empty memo, so it builds its parents itself
+        # every call is the first on its instance, so it builds the tables itself
         for inst in self.instances(bundled_instance, n3_gadget):
             npoints = len(inst.points)
             masks = {0, (1 << npoints) - 1, *random.Random(1).sample(range(1 << npoints), 24)}
@@ -874,52 +870,41 @@ class TestWitnessTree:
                 fresh2 = build_theorem2(dataclasses.replace(inst))
                 got = simplex_witness(fresh2, mask)
                 assert got.vertices[1:] == _scratch_simplex_witness(fresh2, mask).vertices[:-1]
-                ancestors = set()
-                frontier = {mask}
-                while frontier:
-                    frontier = _tree_parents(inst.gadget, frontier)
-                    ancestors |= frontier
-                assert set(_memo(fresh._node)) == set(_memo(fresh2._node)) == ancestors | {-1}
 
     def test_a_subset_with_no_witness_raises(self, bundled_instance):
+        # every subset the gadget fails raises, on either theorem
         broken, _ = self.mutants(bundled_instance)
         report, _ = verify(broken.gadget)
-        avoid = report.failing_subsets[0]
-        mask = ((1 << len(broken.points)) - 1) & ~subset_mask(len(broken.points), avoid)
-        message = re.escape(
-            f"gadget has no witness for box subset {list(avoid)}; the certificate is invalid"
-        )
-        with pytest.raises(ConstructionError, match=f"^{message}$"):
-            union_witness(dataclasses.replace(broken), mask)
-        with pytest.raises(ConstructionError, match=f"^{message}$"):
-            simplex_witness(build_theorem2(dataclasses.replace(broken)), mask)
-
-    def test_no_witness_leaves_only_the_root_memoized(self, bundled_instance):
-        # the refusal comes before any parent is built, on either theorem
-        broken, _ = self.mutants(bundled_instance)
-        report, _ = verify(broken.gadget)
-        npoints = len(broken.points)
         assert report.failing_subsets
         for avoid in report.failing_subsets:
-            mask = ((1 << npoints) - 1) & ~subset_mask(npoints, avoid)
-            inst = dataclasses.replace(broken)
-            inst2 = build_theorem2(dataclasses.replace(broken))
-            with pytest.raises(ConstructionError):
-                union_witness(inst, mask)
-            with pytest.raises(ConstructionError):
-                simplex_witness(inst2, mask)
-            assert set(_memo(inst._node)) == set(_memo(inst2._node)) == {-1}
+            mask = ((1 << len(broken.points)) - 1) & ~subset_mask(len(broken.points), avoid)
+            message = re.escape(
+                f"gadget has no witness for box subset {list(avoid)}; the certificate is invalid"
+            )
+            with pytest.raises(ConstructionError, match=f"^{message}$"):
+                union_witness(dataclasses.replace(broken), mask)
+            with pytest.raises(ConstructionError, match=f"^{message}$"):
+                simplex_witness(build_theorem2(dataclasses.replace(broken)), mask)
 
-    def test_memo_is_freed_with_its_instance(self, n3_gadget):
-        # the walk holds no reference cycle, so dropping an instance frees
-        # its memoized simplices at once, without the cyclic collector
+    def test_instances_keep_only_their_tables(self, n3_gadget):
+        # public witnesses and verifier runs leave no walk or memo behind on
+        # an instance, so dropping a dual instance frees its vertices at
+        # once, without the cyclic collector
         gc.disable()
         try:
-            inst2 = build_theorem2(build_theorem1(4, 4, n3_gadget))
-            simplex_witness(inst2, 0b111)
-            root = weakref.ref(_memo(inst2._node)[-1])
+            inst = build_theorem1(4, 4, n3_gadget)
+            inst2 = build_theorem2(inst)
+            for mask in range(1 << 12):
+                union_witness(inst, mask)
+                simplex_witness(inst2, mask)
+            assert verify_theorem1(inst, compute_vc_dim=True).shattered
+            assert verify_theorem2(inst2).shattered
+            fields = {f.name for f in dataclasses.fields(inst)}
+            assert set(inst.__dict__) - fields == {"_witness_rows"}
+            assert set(inst2.__dict__) == {"base", "_vertex_rows", "hyperplanes"}
+            vertex = weakref.ref(inst2._vertex_rows[0][0])
             del inst2
-            assert root() is None
+            assert vertex() is None
         finally:
             gc.enable()
 
@@ -933,8 +918,6 @@ class TestWitnessTree:
                 assert union_witness(inst, mask) == _scratch_union_witness(inst, mask)
                 got = simplex_witness(inst2, mask)
                 assert got.vertices[1:] == _scratch_simplex_witness(inst2, mask).vertices[:-1]
-            parents = _tree_parents(inst.gadget, order)
-            assert set(_memo(inst._node)) == set(_memo(inst2._node)) == parents | {-1}
 
     @pytest.mark.parametrize("seed", [3, 6])
     def test_other_pinned_gadgets_match_scratch(self, seed):

@@ -176,7 +176,7 @@ class TestCandidatePoints:
         g = make_gadget([((1, 1), (2, 2))])
         menu = midpoint_menu(g)
         assert len(menu) == 9  # below/inside/above per axis
-        assert list(g._menu[1].items()) == [(0b0, (0, 0)), (0b1, (1, 1))]
+        assert list(g._patterns[1].items()) == [(0b0, (0, 0)), (0b1, (1, 1))]
         # the pattern points: the menu's first point outside, then its one point inside
         assert [q.coords for q in g._pattern_points] == [menu[0], menu[4]]
         assert menu[0] == (F(1, 2),) * 2 and menu[4] == (F(3, 2),) * 2
@@ -184,7 +184,7 @@ class TestCandidatePoints:
     def test_zero_boxes_single_candidate(self):
         # with no boxes the menu is one point, the witness of every (empty) subset
         g = BoxGadget(n=2, dim=2, boxes=())
-        assert g._menu[1] == {0: (0, 0)}
+        assert g._patterns[1] == {0: (0, 0)}
         assert witness_for(g, []) == (Point.of(1, 1),)
 
     @given(box_families())
@@ -193,7 +193,7 @@ class TestCandidatePoints:
         # the per-axis bitsets give exactly the distinct box_contains masks of
         # the menu, each with the menu digits of the first point that has it,
         # in point order; the pattern points are those first points
-        digits = product(*(range(len(values)) for values in g._menu[0]))
+        digits = product(*(range(len(values)) for values in g._menu))
         lowest: dict[int, tuple[int, ...]] = {}
         first: dict[int, tuple[Fraction, ...]] = {}
         for coords, m in zip(midpoint_menu(g), digits, strict=True):
@@ -201,7 +201,7 @@ class TestCandidatePoints:
             mask = sum(1 << j for j, box in enumerate(g.boxes) if box_contains(box, q))
             lowest.setdefault(mask, m)
             first.setdefault(mask, coords)
-        _, patterns = g._menu
+        patterns = g._patterns[1]
         assert list(patterns.items()) == list(lowest.items())
         assert [q.coords for q in g._pattern_points] == list(first.values())
         assert patterns_of([(box.lo, box.hi) for box in g.boxes], g.dim) == set(lowest)
@@ -210,8 +210,7 @@ class TestCandidatePoints:
         pinned = [gadget_from_dict(load_json(p)) for p in sorted(PINNED_GADGETS.glob("*.json"))]
         assert len(pinned) == 3
         for g in (bundled_gadget, n3_gadget, *pinned):
-            menus, _ = g._menu
-            assert list(menus) == midpoint_axes(g)
+            assert list(g._menu) == midpoint_axes(g)
 
     def test_every_box_and_the_outside_get_candidates(self, bundled_gadget):
         points = bundled_gadget._pattern_points
@@ -426,7 +425,7 @@ class TestFastPath:
 
     @staticmethod
     def assert_reached_matches_tables(g: BoxGadget) -> None:
-        assert union_closure(g._menu[1], len(g.boxes), g.max_witness_size) == reached_from_tables(g)
+        assert union_closure(g._patterns[1], len(g.boxes), g.max_witness_size) == reached_from_tables(g)
         pick, _ = g._closure
         full = len(pick) - 1
         failing = tuple(
@@ -440,20 +439,20 @@ class TestFastPath:
         boxes = int_boxes(g)
         score = _score(axis_sets(boxes, g.dim), len(boxes), g.max_witness_size, ({}, {}))
         assert score == len(pick) - pick.count(-1)
-        assert _hit_masks(boxes, g.dim)[1] == g._menu[1]
-        assert patterns_of(boxes, g.dim) == set(g._menu[1])
+        assert _hit_masks(boxes, g.dim)[1] == g._patterns[1]
+        assert patterns_of(boxes, g.dim) == set(g._patterns[1])
 
     @staticmethod
     def assert_tables_match_full_scan(g: BoxGadget) -> None:
         pick, prev = g._closure
-        assert (pick, prev) == full_scan_unions(list(g._menu[1]), len(g.boxes), g.max_witness_size)
+        assert (pick, prev) == full_scan_unions(list(g._patterns[1]), len(g.boxes), g.max_witness_size)
         # every path adds patterns in ascending number, which lets _unions
         # extend a union by higher-numbered patterns only
         assert all(pick[v] > pick[u] for v, u in enumerate(prev) if u >= 0)
 
     @staticmethod
     def assert_witnesses_are_first_combinations(g: BoxGadget) -> None:
-        first = first_combinations(list(g._menu[1]), g.max_witness_size)
+        first = first_combinations(list(g._patterns[1]), g.max_witness_size)
         full = (1 << len(g.boxes)) - 1
         for smask in range(full + 1):
             assert _witness_patterns(g, smask) == first.get(full ^ smask), smask
@@ -467,7 +466,7 @@ class TestFastPath:
     @given(box_families())
     @settings(max_examples=60, deadline=None)
     def test_witnesses_are_first_combinations(self, g):
-        assume(comb(len(g._menu[1]), g.max_witness_size) <= 20000)
+        assume(comb(len(g._patterns[1]), g.max_witness_size) <= 20000)
         self.assert_witnesses_are_first_combinations(g)
 
     @given(box_families().map(doubled))
@@ -507,7 +506,7 @@ class TestFastPath:
             ]
         )
         boxes = [(box.lo, box.hi) for box in g.boxes]
-        assert patterns_of(boxes, g.dim) == set(g._menu[1]) == {0b000, 0b001, 0b010, 0b100}
+        assert patterns_of(boxes, g.dim) == set(g._patterns[1]) == {0b000, 0b001, 0b010, 0b100}
 
     def test_score_memo_is_keyed_by_pattern_set(self, n3_gadget, monkeypatch):
         boxes = int_boxes(n3_gadget)
@@ -612,7 +611,7 @@ class TestFastPath:
 
     @staticmethod
     def sweep_args(g: BoxGadget) -> tuple[list[int], int, int]:
-        return list(g._menu[1]), len(g.boxes), g.max_witness_size
+        return list(g._patterns[1]), len(g.boxes), g.max_witness_size
 
     def test_tables_equal_the_earlier_sweep(self, bundled_gadget, n3_gadget):
         for g in (bundled_gadget, n3_gadget, *self.pinned_gadgets()):
