@@ -23,9 +23,10 @@ fewest union needs at most |B| patterns, so every fold count is
 score read that closure as one 2^|B|-bit integer from
 ``setsystem.union_closure``, the kernel of ``k_fold_union``. The same
 closure kept as back-pointer tables (``_unions``) is read by one walk,
-``_witness_tree``. Its fresh walk for one union, ``_pattern_numbers``,
-gives the witness of ``witness_for`` and of the public witness functions
-in ``constructions``; both theorem verifiers there walk it with their own
+``_witness_tree``, the only seam between a gadget and its witnesses: a
+caller names a node by a root and a step. ``witness_for`` and the public
+witness functions in ``constructions`` walk it afresh per union with the
+witness as node; both theorem verifiers there walk it with their own
 nodes. The tests' reference walk is in ``tests/oracles.py``. The search
 climbs on plain integer boxes and carries the current family's per-axis
 toggles and set of bitsets, so a proposal moves one box's bit in the
@@ -186,7 +187,7 @@ def _hit_masks(
     first menu value. Visiting the partial patterns in lexicographic order of
     their digits, which is the point order, keeps for every pattern the
     digits of its first point. Only the patterns' menu points need those
-    digits (``BoxGadget._pattern_points`` and the Theorem 1 witness rows);
+    digits (``BoxGadget._pattern_points`` and the Theorem 1 bound table);
     the search's score takes the same pattern set from a plain set product
     (``_score``).
     """
@@ -270,6 +271,8 @@ def _witness_tree(
     gadget: BoxGadget, root: _Node, grow: Callable[[_Node, int], _Node]
 ) -> Callable[[int], _Node]:
     """The one walk of the gadget's witness tree: a function of a union mask.
+    Every witness of a gadget and of the instances built on it, public or
+    checked by a verifier, is a node of such a walk.
 
     Each reached union's witness is its tree parent's plus one pattern
     numbered above all of the parent's (``_unions``); the root, the witness
@@ -279,8 +282,9 @@ def _witness_tree(
     it meets by union mask, the root's under -1, and builds a missing parent
     by recursion. A union with no witness raises ConstructionError before
     any parent is built. Only this walk reads the ``_closure`` tables. The
-    memo lives as long as the walk: ``_pattern_numbers`` drops it after one
-    union, and each theorem verifier keeps it for one run.
+    memo lives as long as the walk: ``witness_for`` and the public witness
+    functions of ``constructions`` drop it after one union, and each
+    theorem verifier keeps it for one run.
     """
     pick, prev = gadget._closure
     return partial(_tree_node, pick, prev, {-1: root}, grow)
@@ -304,29 +308,21 @@ def _tree_node(pick: array, prev: array, nodes: dict, grow: Callable, union: int
     return grow(parent, number)
 
 
-def _pattern_numbers(gadget: BoxGadget, union: int) -> tuple[int, ...]:
-    """The ascending pattern numbers of the witness of a union mask, from a
-    fresh ``_witness_tree`` walk, so nothing keeps a memo of it. A union with
-    no witness raises ConstructionError. ``witness_for`` and the public
-    witness functions of ``constructions`` all read their witness here."""
-    return _witness_tree(gadget, (), lambda parent, number: parent + (number,))(union)
-
-
 def witness_for(gadget: BoxGadget, subset: Iterable[int] | int) -> tuple[Point, ...] | None:
     """A fewest-point set avoiding the boxes of ``subset`` and hitting all others.
 
     Returns None when no such set of at most ``max_witness_size`` candidate
     points exists; infeasibility is a value, not an error. Refuses families
-    larger than the 2^24 guard. Each call walks the witness tree afresh
-    (``_pattern_numbers``), so the gadget keeps no memo of it.
+    larger than the 2^24 guard. Each call walks the witness tree afresh,
+    with the witness as its node, so the gadget keeps no memo of it.
     """
     nboxes = len(gadget.boxes)
     union = ((1 << nboxes) - 1) & ~subset_mask(nboxes, subset)
+    points = gadget._pattern_points
     try:
-        numbers = _pattern_numbers(gadget, union)
+        return _witness_tree(gadget, (), lambda parent, number: parent + (points[number],))(union)
     except ConstructionError:
         return None
-    return tuple(map(gadget._pattern_points.__getitem__, numbers))
 
 
 @dataclass(frozen=True)

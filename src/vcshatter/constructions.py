@@ -27,30 +27,30 @@ Witness points are menu points of the gadget's distinct hit patterns. A
 menu point's corner snaps coordinate by coordinate, so an instance snaps
 each menu value q that the gadget hands out for each of its axes once, as
 the pair (q, 1/q), and joins the pairs named by a pattern's menu digits
-into its row's bound tuple. Each instance holds one witness table, built
-once: per pattern number, the b = ``gadget.max_witness_size`` half-spaces
-on that bound tuple, the one at threshold slot j < b at index j
-(``Theorem1Instance._witness_rows``), and on a Theorem 2 instance their
-dual vertices, laid out alike (``Theorem2Instance._vertex_rows``). An
-instance holds these tables and no walk. Distinct patterns snap to
-distinct bounds, since the bounds decide which points lie below them.
-Gadget witnesses form a tree: each is its parent's plus one pattern
-numbered above all of the parent's, so the j-th of a witness's ascending
-patterns adds its row's entry at slot j. The public witness functions
-read a witness's pattern numbers from a fresh walk of that tree
-(``boxgadget._pattern_numbers``, as ``witness_for`` does) and one table
-entry per pattern; a union with no witness raises. A new vertex's affine
-independence is checked against the integer annihilator of the simplex
-before it, usually by one dot product. Each verifier walks the same tree
-through ``boxgadget._witness_tree``, which memoizes every tree parent for
-that run, with its own nodes, which hold exactly what it checks
-(``_union_walk``, ``_simplex_walk``): it checks the witnesses the public
-functions return, at one tree step, one mask lookup and one OR per
-subset, and validates none of the masks it makes itself. A walk's caller
-supplies only the root and the step, so this module never reads the
-gadget's tables. Both verifiers count a subset with no witness, a
-dependent vertex, a witness of more than k half-spaces, or a simplex of
-dimension above k, as failing.
+into that pattern's bound tuple. A Theorem 1 instance keeps only what
+names a witness half-space: the bound tuple per pattern number
+(``_bounds``) and the tau per threshold slot j < b =
+``gadget.max_witness_size`` (``_taus``); a Theorem 2 instance keeps only
+its hyperplanes. Distinct patterns snap to distinct bounds, since the
+bounds decide which points lie below them. Gadget witnesses form a tree:
+each is its parent's plus one pattern numbered above all of the parent's,
+so the j-th of a witness's ascending patterns gives the half-space on its
+bounds at slot j, and, by duality, the j-th vertex after the apex.
+Every witness comes from a walk of that tree through
+``boxgadget._witness_tree``, whose caller supplies only the root and the
+step, so this module never reads the gadget's tables. ``union_witness``
+walks afresh with the witness as its node, and ``simplex_witness`` extends
+the apex by the duals of its half-spaces; a union with no witness raises.
+A new vertex's affine independence is checked against the integer
+annihilator of the simplex before it, usually by one dot product. Each
+verifier's walk memoizes every tree parent for that run, with its own
+nodes, which hold exactly what it checks (``_union_walk``,
+``_simplex_walk``), and makes what it checks per (pattern, slot) pair the
+first time it meets it: it checks the witnesses the public functions
+return, at one tree step, one lookup and one OR per subset, and validates
+none of the masks it makes itself. Both verifiers count a subset with no
+witness, a dependent vertex, a witness of more than k half-spaces, or a
+simplex of dimension above k, as failing.
 """
 
 from __future__ import annotations
@@ -64,7 +64,7 @@ from operator import itemgetter
 from typing import Callable, Iterable, Sequence
 
 from . import boxgadget  # boxgadget.verify is looked up where perfbench's tracer wraps it
-from .boxgadget import BoxGadget, ConstructionError, _pattern_numbers, _witness_tree
+from .boxgadget import BoxGadget, ConstructionError, _witness_tree
 from .geometry import (
     AxisBox,
     DegenerateSimplexError,
@@ -174,31 +174,33 @@ class Theorem1Instance:
         _check_gadget_n(self.gadget, self.k)
 
     @cached_property
-    def _witness_rows(self) -> tuple[Halfspaces, ...]:
-        """Per gadget pattern number, its half-space at each threshold slot
-        j < b = ``gadget.max_witness_size``, all on the one snapped corner of
-        its menu point.
+    def _bounds(self) -> tuple[tuple[Fraction, ...], ...]:
+        """Per gadget pattern number, the bound tuple of its witness
+        half-spaces: the snapped corner of its menu point.
 
         A menu point q lifts to (q_1, 1/q_1, ..., q_m, 1/q_m), and ``snap``
         treats each coordinate alone, so the corner snaps axis by axis: each
         menu value q of axis i snaps once, as the pair (q, 1/q) against
         alpha's tables 2i and 2i+1, and a pattern's bound tuple joins the
-        pairs named by its menu digits. Slot j's tau d + 1/2 + j/(4k) =
-        (2k(2d+1) + j)/(4k) is made once and shared by every row.
+        pairs named by its menu digits.
         """
         pairs = [
             [snap(_lift((q,), (q,)), self.alpha[2 * i : 2 * i + 2]) for q in values]
             for i, values in enumerate(self.gadget._menu)
         ]
-        taus = [
+        return tuple(
+            tuple(c for axis, m in zip(pairs, digits) for c in axis[m])
+            for digits in self.gadget._patterns[1].values()
+        )
+
+    @cached_property
+    def _taus(self) -> tuple[Fraction, ...]:
+        """Per threshold slot j < b = ``gadget.max_witness_size``, its tau
+        d + 1/2 + j/(4k) = (2k(2d+1) + j)/(4k)."""
+        return tuple(
             Fraction(2 * self.k * (2 * self.d + 1) + j, 4 * self.k)
             for j in range(self.gadget.max_witness_size)
-        ]
-        rows = []
-        for digits in self.gadget._patterns[1].values():
-            bounds = tuple(c for axis, m in zip(pairs, digits) for c in axis[m])
-            rows.append(tuple(RestrictedHalfspace(b=bounds, tau=tau) for tau in taus))
-        return tuple(rows)
+        )
 
 
 @dataclass(frozen=True)
@@ -215,15 +217,6 @@ class Theorem2Instance:
     def hyperplanes(self) -> tuple[DualHyperplane, ...]:
         """H(p) for every point p of the base instance, in its order."""
         return tuple(dual_point_to_hyperplane(p) for p in self.base.points)
-
-    @cached_property
-    def _vertex_rows(self) -> tuple[tuple[Point, ...], ...]:
-        """Per gadget pattern number, the dual vertex of its half-space at each
-        threshold slot j, at index j, laid out like ``base._witness_rows``.
-        Every slot of every row is dualized once, here."""
-        return tuple(
-            tuple(map(dual_halfspace_to_point, row)) for row in self.base._witness_rows
-        )
 
 
 def required_gadget_n(k: int) -> int:
@@ -272,13 +265,15 @@ def union_witness(
     point lifts to its corner, which snaps onto the rescaled grid and gives
     the bounds of one half-space. The j-th witness pattern's half-space has
     threshold d + 1/2 + j/(4k), strictly inside (d, d+1) since j < k. Each
-    call walks the witness tree afresh (``boxgadget._pattern_numbers``) and
-    reads each pattern's half-space at its slot from ``_witness_rows``, so
-    the instance keeps no memo of it.
+    call walks the witness tree afresh, with the witness as its node, so the
+    instance keeps no memo of it.
     """
-    rows = inst._witness_rows
-    numbers = _pattern_numbers(inst.gadget, subset_mask(len(inst.points), subset))
-    return tuple(rows[number][j] for j, number in enumerate(numbers))
+    bounds, taus = inst._bounds, inst._taus
+
+    def grow(parent: Halfspaces, number: int) -> Halfspaces:
+        return parent + (RestrictedHalfspace(bounds[number], taus[len(parent)]),)
+
+    return _witness_tree(inst.gadget, (), grow)(subset_mask(len(inst.points), subset))
 
 
 @dataclass(frozen=True)
@@ -316,33 +311,32 @@ def _selected_masks(
 
 
 def _union_walk(
-    inst: Theorem1Instance, seen: dict[int, int]
+    inst: Theorem1Instance, seen: list[int]
 ) -> Callable[[int], tuple[int, int]]:
     """The verifier's walk of inst's witness tree: per union mask, the pair
     (OR of the point masks of its witness half-spaces, their number).
 
-    A union's node is its parent's with the mask of the half-space that its
-    pattern's row of ``_witness_rows`` holds at the parent's size ORed in, so
-    each subset costs one tree step, one mask lookup and one OR. The mask of
-    each half-space object met is its ``_tau_mask``, stored in ``seen`` by
-    id; the exact integer sums of the points' vertex columns against each
-    bound-tuple object (``_bound_sums``) are computed once. The rows the walk
-    holds keep every half-space, and so its bound tuple, alive, so no other
-    object can take those ids.
+    A union's node is its parent's with the mask of its pattern's half-space
+    at the parent's size ORed in, so each subset costs one tree step, one
+    mask lookup and one OR. The walk makes that mask the first time it meets
+    the (pattern, slot) pair, as the ``_tau_mask`` of the slot's tau against
+    the pattern's exact integer sums of the points' vertex columns
+    (``_bound_sums``, made once per pattern), and appends it to ``seen``.
     """
     columns = [p._vertex_column for p in inst.points]
-    rows = inst._witness_rows
+    bounds, taus = inst._bounds, inst._taus
     sums_of: dict[int, tuple[tuple[int, int], ...]] = {}
+    masks: dict[tuple[int, int], int] = {}
 
     def grow(parent: tuple[int, int], number: int) -> tuple[int, int]:
         got, size = parent
-        h = rows[number][size]
-        m = seen.get(id(h))
+        m = masks.get((number, size))
         if m is None:
-            sums = sums_of.get(id(h.b))
+            sums = sums_of.get(number)
             if sums is None:
-                sums = sums_of[id(h.b)] = _bound_sums(h.b, columns)
-            m = seen[id(h)] = _tau_mask(sums, h.tau)
+                sums = sums_of[number] = _bound_sums(bounds[number], columns)
+            m = masks[number, size] = _tau_mask(sums, taus[size])
+            seen.append(m)
         return got | m, size + 1
 
     return _witness_tree(inst.gadget, (0, 0), grow)
@@ -373,7 +367,7 @@ def verify_theorem1(
     k = inst.k
     failing: list[tuple[int, ...]] = []
     max_size = 0
-    seen: dict[int, int] = {}
+    seen: list[int] = []
     walk = _union_walk(inst, seen)
     for pmask in masks:
         try:
@@ -388,7 +382,7 @@ def verify_theorem1(
     union_dim: int | None = None
     if compute_vc_dim and seen:
         npoints = len(inst.points)
-        closure = union_closure(set(seen.values()), npoints, inst.k)
+        closure = union_closure(set(seen), npoints, inst.k)
         if closure.bit_count() == 1 << npoints:
             union_dim = npoints
         else:
@@ -426,19 +420,17 @@ def simplex_witness(inst2: Theorem2Instance, subset: Iterable[int] | int) -> Ope
     the +1 side of each hyperplane except that a witness half-space containing
     p puts its dual vertex strictly on the -1 side of H(p), so the open hull
     crosses H(p) exactly when p is selected. Affinely dependent vertices raise
-    ConstructionError. Each call walks the witness tree afresh
-    (``boxgadget._pattern_numbers``) and grows the apex vertex by vertex
-    from ``_vertex_rows``, so the instance keeps no memo of it; each new
-    vertex's independence is checked against the integer annihilator of the
-    simplex before it (``OpenSimplex._extended``).
+    ConstructionError. Each call grows the apex by the duals of
+    ``union_witness``'s half-spaces, so the instance keeps no memo of it;
+    each new vertex's independence is checked against the integer
+    annihilator of the simplex before it (``OpenSimplex._extended``).
     """
     d = inst2.base.d
-    rows = inst2._vertex_rows
     pmask = subset_mask(len(inst2.base.points), subset)
     simplex = OpenSimplex(ambient_dim=d, vertices=(_apex(d),))
     try:
-        for j, number in enumerate(_pattern_numbers(inst2.base.gadget, pmask)):
-            simplex = simplex._extended(rows[number][j])
+        for h in union_witness(inst2.base, pmask):
+            simplex = simplex._extended(dual_halfspace_to_point(h))
     except DegenerateSimplexError as err:
         raise ConstructionError(
             f"could not build an affinely independent simplex for subset mask {pmask}: {err}"
@@ -455,25 +447,26 @@ def _simplex_walk(
     pos, neg and on are the masks of the hyperplanes with some vertex
     strictly on the +1 side, some strictly on the -1 side, and every vertex
     on it; the count adds up the zero signs of every vertex. A union's node
-    extends its parent's simplex by the vertex that its pattern's row of
-    ``_vertex_rows`` holds at the parent's size (``OpenSimplex._extended``
-    raises DegenerateSimplexError on a dependent one) and folds that
-    vertex's signs in. The signs of each vertex object met are evaluated
-    once, in integers, over every hyperplane; the rows the walk holds keep
-    every vertex alive, so no other object can take its id.
+    extends its parent's simplex by the dual vertex of its pattern's
+    half-space at the parent's size (``OpenSimplex._extended`` raises
+    DegenerateSimplexError on a dependent one) and folds that vertex's signs
+    in. The walk makes each (pattern, slot) pair's vertex the first time it
+    meets the pair and evaluates its signs then, in integers, over every
+    hyperplane.
     """
     d = inst2.base.d
-    rows = inst2._vertex_rows
+    bounds, taus = inst2.base._bounds, inst2.base._taus
     signs_of = partial(_vertex_signs, [_hyperplane_row(h) for h in inst2.hyperplanes])
-    seen: dict[int, tuple[int, int, int]] = {}  # by id, a vertex's (pos, neg, on) masks
+    made: dict[tuple[int, int], tuple[Point, int, int, int]] = {}  # vertex, its sign masks
 
     def grow(parent: tuple, number: int) -> tuple[OpenSimplex, int, int, int, int]:
         simplex, pos, neg, on, zeros = parent
-        v = rows[number][len(simplex.vertices) - 1]
-        entry = seen.get(id(v))
+        size = len(simplex.vertices) - 1
+        entry = made.get((number, size))
         if entry is None:
-            entry = seen[id(v)] = signs_of(v)
-        p, n, z = entry
+            v = dual_halfspace_to_point(RestrictedHalfspace(bounds[number], taus[size]))
+            entry = made[number, size] = (v, *signs_of(v))
+        v, p, n, z = entry
         return simplex._extended(v), pos | p, neg | n, on & z, zeros + z.bit_count()
 
     apex = _apex(d)

@@ -330,11 +330,10 @@ class TestUnionWitness:
     def test_slot_thresholds(self, bundled_instance, n3_gadget):
         for inst in (dataclasses.replace(bundled_instance), build_theorem1(4, 4, n3_gadget)):
             assert inst.d == 4
-            assert len(inst._witness_rows) == len(inst.gadget._pattern_points)
-            for row in inst._witness_rows:
-                assert len(row) == inst.gadget.max_witness_size
-                for j, h in enumerate(row):
-                    assert h.tau == F(2 * inst.d + 1, 2) + F(j, 4 * inst.k)
+            assert len(inst._bounds) == len(inst.gadget._pattern_points)
+            assert len(inst._taus) == inst.gadget.max_witness_size
+            for j, tau in enumerate(inst._taus):
+                assert tau == F(2 * inst.d + 1, 2) + F(j, 4 * inst.k)
 
     def test_rows_hold_one_slot_per_box_at_most(self, bundled_gadget, n3_gadget):
         # no fewest-pattern witness has more patterns than boxes, so a row
@@ -353,7 +352,7 @@ class TestUnionWitness:
         for gadget, k, slots in cases:
             inst = build_theorem1(4, k, gadget)
             assert slots == min(2 ** (gadget.n - 1), len(gadget.boxes))
-            assert {len(row) for row in inst._witness_rows} == {slots}
+            assert len(inst._taus) == slots
             inst2 = build_theorem2(inst)
             assert verify_theorem1(inst).shattered
             assert verify_theorem2(inst2).checked == 1 << len(gadget.boxes)
@@ -495,7 +494,7 @@ class TestHalfspaceKernel:
     def test_slot_masks_match_the_oracle(self, n3_gadget):
         inst = build_theorem1(4, 4, n3_gadget)
         columns = [p._vertex_column for p in inst.points]
-        slots = [h for row in inst._witness_rows for h in row]
+        slots = [RestrictedHalfspace(b, tau) for b in inst._bounds for tau in inst._taus]
         assert len(slots) == 228
         for h in slots:
             want = sum(1 << i for i, p in enumerate(inst.points) if halfspace_contains(h, p))
@@ -510,17 +509,22 @@ class TestHalfspaceKernel:
         assert len(sums) == len({h.b for h in halfspaces}) == 57
 
     def test_slots_share_their_row_bounds_and_the_b_taus(self, bundled_gadget, n3_gadget):
-        # k=3 takes the n=2 gadget, whose witnesses need b = 2 < k slots
+        # k=3 takes the n=2 gadget, whose witnesses need b = 2 < k slots; the
+        # j-th half-space of every witness is made on its pattern's bound
+        # tuple and slot j's tau, the objects the instance keeps
         for inst in (build_theorem1(4, 3, bundled_gadget), build_theorem1(4, 4, n3_gadget)):
             b = inst.gadget.max_witness_size
-            taus = {}
-            for row in inst._witness_rows:
-                assert len(row) == b
-                assert all(h.b is row[0].b for h in row)
-                for j, h in enumerate(row):
-                    assert h.tau == F(2 * inst.d + 1, 2) + F(j, 4 * inst.k)
-                    taus[id(h.tau)] = h.tau
-            assert len(taus) == b
+            assert len(inst._taus) == b
+            full = (1 << len(inst.points)) - 1
+            slots = set()
+            for mask in range(full + 1):
+                numbers = _witness_patterns(inst.gadget, full & ~mask)
+                witness = union_witness(inst, mask)
+                assert len(witness) == len(numbers) <= b
+                for j, (h, number) in enumerate(zip(witness, numbers)):
+                    assert h.b is inst._bounds[number] and h.tau is inst._taus[j]
+                    slots.add(j)
+            assert slots == set(range(b))
 
 
 class TestTheorem2:
@@ -572,9 +576,12 @@ class TestTheorem2:
         inst2 = build_theorem2(dataclasses.replace(bundled_instance))
         numbers = _witness_patterns(gadget, 31 & ~13)
         bad = (numbers[-1], len(numbers) - 1)
-        rows = [list(row) for row in inst2._vertex_rows]
-        rows[bad[0]][bad[1]] = constructions._apex(4)
-        monkeypatch.setitem(inst2.__dict__, "_vertex_rows", tuple(map(tuple, rows)))
+        bad_halfspace = RestrictedHalfspace(inst2.base._bounds[bad[0]], inst2.base._taus[bad[1]])
+
+        def dual(h, dual=dual_halfspace_to_point):
+            return constructions._apex(4) if h == bad_halfspace else dual(h)
+
+        monkeypatch.setattr(constructions, "dual_halfspace_to_point", dual)
         with pytest.raises(ConstructionError, match="affinely dependent"):
             simplex_witness(inst2, 13)
         dependent = []
@@ -617,20 +624,29 @@ class TestTheorem2:
         assert report.zero_signs == 0
 
     def test_each_distinct_witness_is_processed_once(self, n3_gadget, monkeypatch):
+        # each run makes what it checks once per (pattern, slot) pair that
+        # its witnesses take: 147 of the 57 x 4 = 228 pairs, on 57 patterns
         inst = build_theorem1(4, 4, n3_gadget)
-        snaps = _counting(monkeypatch, constructions, "snap")
-        duals = _counting(monkeypatch, constructions, "dual_halfspace_to_point")
+        calls = {
+            name: _counting(monkeypatch, constructions, name)
+            for name in ("snap", "_bound_sums", "_tau_mask", "RestrictedHalfspace",
+                         "dual_halfspace_to_point", "_vertex_signs")
+        }
         assert verify_theorem1(inst, mode="exhaustive", compute_vc_dim=True).shattered
-        assert duals == []  # only Theorem 2 reads dual vertices
-        inst2 = build_theorem2(inst)
-        for _ in range(2):
-            assert verify_theorem2(inst2, mode="exhaustive").shattered
+        counts = {name: len(record) for name, record in calls.items()}
         # one snap per menu value of each gadget axis, not one per pattern
-        assert len(snaps) == sum(len(values) for values in n3_gadget._menu)
-        # Theorem 2 dualizes each slot of the table exactly once, in row order
-        slots = [h for row in inst._witness_rows for h in row]
-        assert len(duals) == len(slots) == 228
-        assert all(args[0] is h for args, h in zip(duals, slots))
+        assert counts.pop("snap") == sum(len(values) for values in n3_gadget._menu)
+        assert counts == {"_bound_sums": 57, "_tau_mask": 147, "RestrictedHalfspace": 0,
+                          "dual_halfspace_to_point": 0, "_vertex_signs": 0}
+        inst2 = build_theorem2(inst)
+        for run in (1, 2):
+            assert verify_theorem2(inst2, mode="exhaustive").shattered
+            # each run has its own memo, so the second makes them again
+            assert len(calls["dual_halfspace_to_point"]) == len(calls["RestrictedHalfspace"])
+            assert len(calls["dual_halfspace_to_point"]) == 147 * run
+            assert len(calls["_vertex_signs"]) == 148 * run  # the apex's too
+        assert len(calls["_bound_sums"]) == 57 and len(calls["_tau_mask"]) == 147
+        assert len(calls["snap"]) == sum(len(values) for values in n3_gadget._menu)
 
     @given(
         st.lists(
@@ -817,11 +833,10 @@ class TestWitnessTree:
         # pattern 1's row of half-spaces takes pattern 0's bounds, so the two
         # share one bound tuple
         inst = build_theorem1(4, 4, n3_gadget)
-        rows = list(inst._witness_rows)
-        bounds = rows[0][0].b
-        rows[1] = tuple(RestrictedHalfspace(b=bounds, tau=h.tau) for h in rows[1])
-        monkeypatch.setitem(inst.__dict__, "_witness_rows", tuple(rows))
-        assert all(h.b is bounds for h in inst._witness_rows[1])
+        bounds = list(inst._bounds)
+        bounds[1] = bounds[0]
+        monkeypatch.setitem(inst.__dict__, "_bounds", tuple(bounds))
+        assert inst._bounds[1] is inst._bounds[0]
         full = (1 << len(inst.points)) - 1
         for report in (verify_theorem1(inst), verify_theorem2(build_theorem2(inst))):
             assert report.failing_subsets
@@ -855,9 +870,9 @@ class TestWitnessTree:
         ]
         for inst in instances:
             menu = inst.gadget._pattern_points
-            assert len(inst._witness_rows) == len(menu)
-            for row, q in zip(inst._witness_rows, menu):
-                assert {h.b for h in row} == {snap(_lift(q.coords, q.coords), inst.alpha)}
+            assert len(inst._bounds) == len(menu)
+            for bounds, q in zip(inst._bounds, menu):
+                assert bounds == snap(_lift(q.coords, q.coords), inst.alpha)
 
     def test_single_subsets_on_fresh_instances(self, bundled_instance, n3_gadget):
         # every call is the first on its instance, so it builds the tables itself
@@ -886,10 +901,17 @@ class TestWitnessTree:
             with pytest.raises(ConstructionError, match=f"^{message}$"):
                 simplex_witness(build_theorem2(dataclasses.replace(broken)), mask)
 
-    def test_instances_keep_only_their_tables(self, n3_gadget):
+    def test_instances_keep_only_their_tables(self, n3_gadget, monkeypatch):
         # public witnesses and verifier runs leave no walk or memo behind on
-        # an instance, so dropping a dual instance frees its vertices at
-        # once, without the cyclic collector
+        # an instance, so the dual vertices a run makes are freed when it
+        # returns, without the cyclic collector
+        made = []
+
+        def dual(h, dual=dual_halfspace_to_point):
+            vertex = dual(h)
+            made.append(weakref.ref(vertex))
+            return vertex
+
         gc.disable()
         try:
             inst = build_theorem1(4, 4, n3_gadget)
@@ -898,13 +920,13 @@ class TestWitnessTree:
                 union_witness(inst, mask)
                 simplex_witness(inst2, mask)
             assert verify_theorem1(inst, compute_vc_dim=True).shattered
+            monkeypatch.setattr(constructions, "dual_halfspace_to_point", dual)
             assert verify_theorem2(inst2).shattered
             fields = {f.name for f in dataclasses.fields(inst)}
-            assert set(inst.__dict__) - fields == {"_witness_rows"}
-            assert set(inst2.__dict__) == {"base", "_vertex_rows", "hyperplanes"}
-            vertex = weakref.ref(inst2._vertex_rows[0][0])
-            del inst2
-            assert vertex() is None
+            assert set(inst.__dict__) - fields == {"_bounds", "_taus"}
+            assert set(inst2.__dict__) == {"base", "hyperplanes"}
+            assert len(made) == 147
+            assert all(vertex() is None for vertex in made)
         finally:
             gc.enable()
 
@@ -943,6 +965,31 @@ class TestWitnessTree:
         assert len(walks) == 2
         assert set(_memo(walks[0])) == set(_memo(walks[1])) == ancestors | {-1}
 
+    def test_sample_mode_makes_the_sampled_items(self, n3_gadget, monkeypatch):
+        # each sampled run makes what it checks for exactly the (pattern,
+        # slot) pairs of its sampled subsets' witnesses, each pair once
+        inst = build_theorem1(4, 4, n3_gadget)
+        full = (1 << 12) - 1
+        items = {
+            (number, j)
+            for mask in constructions._selected_masks(12, "sample", 64, 5)
+            for j, number in enumerate(_witness_patterns(n3_gadget, full & ~mask))
+        }
+        names = ("_bound_sums", "_tau_mask", "dual_halfspace_to_point", "_vertex_signs")
+        calls = {name: _counting(monkeypatch, constructions, name) for name in names}
+        assert verify_theorem1(inst, mode="sample", count=64, seed=5).shattered
+        assert verify_theorem2(build_theorem2(inst), mode="sample", count=64, seed=5).shattered
+        assert 0 < len(items) < 147
+        bounds, taus = inst._bounds, inst._taus
+        assert sorted(bounds.index(b) for b, _ in calls["_bound_sums"]) == sorted(
+            {number for number, _ in items}
+        )
+        made = [(bounds.index(h.b), taus.index(h.tau)) for (h,) in calls[names[2]]]
+        assert sorted(made) == sorted(items)
+        slots = sorted(taus.index(tau) for _, tau in calls["_tau_mask"])
+        assert slots == sorted(j for _, j in items)
+        assert len(calls["_vertex_signs"]) == len(items) + 1  # the apex's too
+
     def test_each_subset_mask_is_validated_once(self, n3_gadget, monkeypatch):
         # the verifiers make their own masks and validate none; a public
         # witness call validates its one
@@ -956,14 +1003,16 @@ class TestWitnessTree:
         for mask in (0, 0b111, 4095):
             union_witness(inst, mask)
             simplex_witness(inst2, mask)
-        assert sum(map(len, calls)) == 6
+        # simplex_witness validates its subset and hands that mask to
+        # union_witness, which checks its range again
+        assert sum(map(len, calls)) == 9
 
     def test_verifier_walks_follow_the_public_witnesses(self, bundled_instance, n3_gadget):
         # per subset, the node of each verifier's walk is the one derived
         # from the public witness with the oracle predicates
         for inst in self.instances(bundled_instance, n3_gadget):
             inst2 = build_theorem2(inst)
-            union_walk = constructions._union_walk(inst, {})
+            union_walk = constructions._union_walk(inst, [])
             simplex_walk = constructions._simplex_walk(inst2)
             cut = {}
             signs = {}
