@@ -1,7 +1,12 @@
 """Command-line surface.
 
-Every command prints a JSON report to stdout and a short human summary to
-stderr. Exit codes: 0 on success or a verified result, 1 on a verification
+Every command prints a JSON report to stdout and a one-line summary,
+``"<group> <command>: ..."``, to stderr. A report holds ``command``,
+``params``, ``result`` and ``wall_time_ms``, plus per-command extras:
+``seed`` (gadget search), ``failing`` (gadget verify), ``notes`` (construct,
+witness) and ``failing``, ``seed`` and ``notes`` (verify). A command that
+exits 2, or exits 1 on a construction failure, prints ``{"error": msg}``
+instead. Exit codes: 0 on success or a verified result, 1 on a verification
 failure (the report lists failing cases), 2 on usage, file or schema errors.
 Reports are deterministic for fixed inputs and seed, wall time aside.
 """
@@ -29,14 +34,6 @@ def _asset_path(name: str) -> Path:
     return Path(str(resources.files("vcshatter").joinpath("assets", name)))
 
 
-def _load_bundled_gadget() -> boxgadget.BoxGadget:
-    return jsonio.gadget_from_dict(jsonio.load_json(_asset_path(BUNDLED_GADGET)))
-
-
-def _load_bundled_instance() -> constructions.Theorem1Instance:
-    return jsonio.instance_from_dict(jsonio.load_json(_asset_path(BUNDLED_INSTANCE)))
-
-
 def _parse_index_list(text: str) -> list[int]:
     if text.strip() == "":
         return []
@@ -46,33 +43,12 @@ def _parse_index_list(text: str) -> list[int]:
         raise jsonio.SchemaError(f"--subset/--indices: bad index list {text!r}") from None
 
 
-def _emit(report: dict, summary: str) -> None:
-    print(json.dumps(report, indent=2, sort_keys=True))
-    print(summary, file=sys.stderr)
-
-
-def _report(command: str, params: dict, result: dict, started: float, **extra) -> dict:
-    report = {
-        "command": command,
-        "params": params,
-        "result": result,
-        "wall_time_ms": round((time.monotonic() - started) * 1000, 3),
-    }
-    report.update(extra)
-    return report
-
-
-def _effective_d(d: int, notes: list[str]) -> int:
-    if d % 2 != 0:
-        notes.append(f"odd d={d} delegated to d-1={d - 1}")
-        return d - 1
-    return d
-
-
-def _resolve_gadget(args) -> boxgadget.BoxGadget:
-    if getattr(args, "gadget", None):
-        return jsonio.gadget_from_dict(jsonio.load_json(args.gadget))
-    return _load_bundled_gadget()
+def _add_instance_options(parser: argparse.ArgumentParser) -> None:
+    """The options ``_resolve_instance`` reads: a bundle, or d, k and a gadget."""
+    parser.add_argument("--input", default=None, help="instance bundle (default: bundled)")
+    parser.add_argument("--d", type=int, default=None)
+    parser.add_argument("--k", type=int, default=None)
+    parser.add_argument("--gadget", default=None)
 
 
 def _resolve_instance(args, notes: list[str]) -> constructions.Theorem1Instance:
@@ -84,12 +60,17 @@ def _resolve_instance(args, notes: list[str]) -> constructions.Theorem1Instance:
     if args.d is not None:
         if args.k is None:
             raise jsonio.SchemaError("--k is required when --d is given")
-        d = _effective_d(args.d, notes)
-        return constructions.build_theorem1(d, args.k, _resolve_gadget(args))
+        d = args.d
+        if d % 2 != 0:
+            notes.append(f"odd d={d} delegated to d-1={d - 1}")
+            d -= 1
+        gadget_path = args.gadget or _asset_path(BUNDLED_GADGET)
+        gadget = jsonio.gadget_from_dict(jsonio.load_json(gadget_path))
+        return constructions.build_theorem1(d, args.k, gadget)
     if build:
         raise jsonio.SchemaError(f"{', '.join(build)} requires --d")
     notes.append("using the bundled d=4, k=2 instance")
-    return _load_bundled_instance()
+    return jsonio.instance_from_dict(jsonio.load_json(_asset_path(BUNDLED_INSTANCE)))
 
 
 def _write_or_inline(args, payload: dict, result: dict, key: str) -> None:
@@ -102,18 +83,15 @@ def _write_or_inline(args, payload: dict, result: dict, key: str) -> None:
 
 
 # -- command handlers ---------------------------------------------------------
+# Each returns (report fields, summary, exit code); cli_main adds the envelope.
 
 
-def _cmd_gadget_search(args) -> int:
-    started = time.monotonic()
+def _cmd_gadget_search(args) -> tuple[dict, str, int]:
     gadget = boxgadget.search(args.n, args.dim, seed=args.seed, budget=args.budget)
     params = {"n": args.n, "dim": args.dim, "seed": args.seed, "budget": args.budget}
     if gadget is None:
-        report = _report(
-            "gadget search", params, {"found": False}, started, seed=args.seed
-        )
-        _emit(report, f"gadget search: no verified family within budget {args.budget}")
-        return 1
+        fields = {"params": params, "result": {"found": False}, "seed": args.seed}
+        return fields, f"no verified family within budget {args.budget}", 1
     if args.output:
         jsonio.dump_json(jsonio.gadget_to_dict(gadget), args.output)
     result = {
@@ -122,58 +100,44 @@ def _cmd_gadget_search(args) -> int:
         "max_witness_size": gadget.max_witness_size,
         "output": args.output,
     }
-    report = _report("gadget search", params, result, started, seed=args.seed)
-    _emit(report, f"gadget search: verified family of {len(gadget.boxes)} boxes")
-    return 0
+    fields = {"params": params, "result": result, "seed": args.seed}
+    return fields, f"verified family of {len(gadget.boxes)} boxes", 0
 
 
-def _cmd_gadget_verify(args) -> int:
-    started = time.monotonic()
+def _cmd_gadget_verify(args) -> tuple[dict, str, int]:
     gadget = jsonio.gadget_from_dict(jsonio.load_json(args.file))
     g_report, _ = boxgadget.verify(gadget)
-    result = {
-        "ok": g_report.ok,
-        "checked_subsets": g_report.checked,
-        "boxes": len(gadget.boxes),
+    fields = {
+        "params": {"file": str(args.file)},
+        "result": {
+            "ok": g_report.ok,
+            "checked_subsets": g_report.checked,
+            "boxes": len(gadget.boxes),
+        },
+        "failing": [list(s) for s in g_report.failing_subsets],
     }
-    report = _report(
-        "gadget verify",
-        {"file": str(args.file)},
-        result,
-        started,
-        failing=[list(s) for s in g_report.failing_subsets],
-    )
-    _emit(
-        report,
-        f"gadget verify: {'ok' if g_report.ok else 'FAILED'} "
-        f"over {g_report.checked} subsets",
-    )
-    return 0 if g_report.ok else 1
+    summary = f"{'ok' if g_report.ok else 'FAILED'} over {g_report.checked} subsets"
+    return fields, summary, 0 if g_report.ok else 1
 
 
-def _cmd_construct(args) -> int:
-    started = time.monotonic()
+def _cmd_construct(args) -> tuple[dict, str, int]:
     notes: list[str] = []
-    d = _effective_d(args.d, notes)
-    inst = constructions.build_theorem1(d, args.k, _resolve_gadget(args))
+    inst = _resolve_instance(args, notes)
     if args.which == "theorem1":
         payload = jsonio.instance_to_dict(inst)
-        result = {"points": len(inst.points), "d": d, "k": args.k}
+        result = {"points": len(inst.points), "d": inst.d, "k": args.k}
     else:
         inst2 = constructions.build_theorem2(inst)
         payload = jsonio.dual_instance_to_dict(inst2)
-        result = {"hyperplanes": len(inst2.hyperplanes), "d": d, "k": args.k}
+        result = {"hyperplanes": len(inst2.hyperplanes), "d": inst.d, "k": args.k}
     if args.output:
         jsonio.dump_json(payload, args.output)
         result["output"] = args.output
-    params = {"d": args.d, "k": args.k, "gadget": getattr(args, "gadget", None)}
-    report = _report(f"construct {args.which}", params, result, started, notes=notes)
-    _emit(report, f"construct {args.which}: built ({result})")
-    return 0
+    params = {"d": args.d, "k": args.k, "gadget": args.gadget}
+    return {"params": params, "result": result, "notes": notes}, f"built ({result})", 0
 
 
-def _cmd_witness(args) -> int:
-    started = time.monotonic()
+def _cmd_witness(args) -> tuple[dict, str, int]:
     notes: list[str] = []
     inst = _resolve_instance(args, notes)
     subset = sorted(set(_parse_index_list(args.subset)))
@@ -187,19 +151,11 @@ def _cmd_witness(args) -> int:
         payload = jsonio.simplex_witness_to_dict(subset, simplex)
         result = {"vertices": len(simplex.vertices), "simplex_dim": simplex.simplex_dim}
     _write_or_inline(args, payload, result, "witness")
-    report = _report(
-        f"witness {args.which}",
-        {"subset": subset, "input": args.input},
-        result,
-        started,
-        notes=notes,
-    )
-    _emit(report, f"witness {args.which}: ok")
-    return 0
+    params = {"subset": subset, "input": args.input}
+    return {"params": params, "result": result, "notes": notes}, "ok", 0
 
 
-def _cmd_verify_theorem(args) -> int:
-    started = time.monotonic()
+def _cmd_verify_theorem(args) -> tuple[dict, str, int]:
     notes: list[str] = []
     if args.mode == "exhaustive":
         ignored = [f"--{name}" for name in ("count", "seed") if getattr(args, name) is not None]
@@ -237,60 +193,51 @@ def _cmd_verify_theorem(args) -> int:
         result["zero_signs"] = v_report.zero_signs
     if v_report.union_vc_dim is not None:
         result["union_vc_dim"] = v_report.union_vc_dim
-    report = _report(
-        f"verify {args.which}",
-        {"mode": args.mode, "count": args.count, "input": args.input, "d": args.d, "k": args.k},
-        result,
-        started,
-        failing=[list(s) for s in v_report.failing_subsets],
-        seed=args.seed,
-        notes=notes,
-    )
-    _emit(
-        report,
-        f"verify {args.which}: {'shattered' if v_report.shattered else 'FAILED'} "
-        f"({v_report.checked} subsets)",
-    )
-    return 0 if v_report.shattered else 1
+    fields = {
+        "params": {
+            "mode": args.mode, "count": args.count, "input": args.input, "d": args.d, "k": args.k
+        },
+        "result": result,
+        "failing": [list(s) for s in v_report.failing_subsets],
+        "seed": args.seed,
+        "notes": notes,
+    }
+    summary = f"{'shattered' if v_report.shattered else 'FAILED'} ({v_report.checked} subsets)"
+    return fields, summary, 0 if v_report.shattered else 1
 
 
-def _cmd_sys(args) -> int:
-    started = time.monotonic()
+def _cmd_sys(args) -> tuple[dict, str, int]:
     system, dropped = jsonio.set_system_from_dict(jsonio.load_json(args.input))
     if dropped:
         print(f"warning: {dropped} duplicate member sets dropped", file=sys.stderr)
     result: dict = {"ground_size": system.ground_size, "sets": len(system.sets)}
     params: dict = {"input": args.input}
+    derived = None
     if args.which == "vcdim":
         dim, witness = setsystem.vc_dim(system)
         result.update({"vc_dim": dim, "witness": list(witness)})
     elif args.which == "kfold":
         params.update({"k": args.k, "op": args.op})
-        fold = (
+        derived = (
             setsystem.k_fold_union(system, args.k)
             if args.op == "union"
             else setsystem.k_fold_intersection(system, args.k)
         )
-        result["result_sets"] = len(fold.sets)
-        _write_or_inline(args, jsonio.set_system_to_dict(fold), result, "system")
     elif args.which == "complement":
-        comp = setsystem.complement_system(system)
-        result["result_sets"] = len(comp.sets)
-        _write_or_inline(args, jsonio.set_system_to_dict(comp), result, "system")
+        derived = setsystem.complement_system(system)
     elif args.which == "project":
         indices = _parse_index_list(args.indices)
         params["indices"] = indices
-        projected = setsystem.project(system, indices)
-        result["result_sets"] = len(projected.sets)
-        _write_or_inline(args, jsonio.set_system_to_dict(projected), result, "system")
+        derived = setsystem.project(system, indices)
     else:  # growth
         params["m"] = args.m
         result["growth"] = setsystem.growth_function(system, args.m)
+    if derived is not None:
+        result["result_sets"] = len(derived.sets)
+        _write_or_inline(args, jsonio.set_system_to_dict(derived), result, "system")
     if dropped:
         result["duplicate_sets_dropped"] = dropped
-    report = _report(f"sys {args.which}", params, result, started)
-    _emit(report, f"sys {args.which}: ok")
-    return 0
+    return {"params": params, "result": result}, "ok", 0
 
 
 # -- parser -------------------------------------------------------------------
@@ -305,7 +252,7 @@ def _build_parser() -> argparse.ArgumentParser:
     top = parser.add_subparsers(dest="group", required=True)
 
     gadget = top.add_parser("gadget", help="box-family certificates")
-    gsub = gadget.add_subparsers(dest="sub", required=True)
+    gsub = gadget.add_subparsers(dest="which", required=True)
     gs = gsub.add_parser("search", help="randomized search for a verified family")
     gs.add_argument("--n", type=int, required=True)
     gs.add_argument("--dim", type=int, required=True)
@@ -325,17 +272,14 @@ def _build_parser() -> argparse.ArgumentParser:
         cp.add_argument("--k", type=int, required=True)
         cp.add_argument("--gadget", default=None, help="certificate file (default: bundled)")
         cp.add_argument("--output", default=None)
-        cp.set_defaults(func=_cmd_construct, which=which)
+        cp.set_defaults(func=_cmd_construct, which=which, input=None)
 
     witness = top.add_parser("witness", help="produce a witness for one subset")
     wsub = witness.add_subparsers(dest="which", required=True)
     for which in ("union", "simplex"):
         wp = wsub.add_parser(which)
-        wp.add_argument("--input", default=None, help="instance bundle (default: bundled)")
+        _add_instance_options(wp)
         wp.add_argument("--subset", required=True, help="comma-separated point indices")
-        wp.add_argument("--d", type=int, default=None)
-        wp.add_argument("--k", type=int, default=None)
-        wp.add_argument("--gadget", default=None)
         wp.add_argument("--output", default=None)
         wp.set_defaults(func=_cmd_witness, which=which)
 
@@ -343,10 +287,7 @@ def _build_parser() -> argparse.ArgumentParser:
     vsub = verify.add_subparsers(dest="which", required=True)
     for which in ("theorem1", "theorem2"):
         vp = vsub.add_parser(which)
-        vp.add_argument("--input", default=None, help="instance bundle (default: bundled)")
-        vp.add_argument("--d", type=int, default=None)
-        vp.add_argument("--k", type=int, default=None)
-        vp.add_argument("--gadget", default=None)
+        _add_instance_options(vp)
         vp.add_argument("--mode", choices=("exhaustive", "sample"), default="exhaustive")
         vp.add_argument("--count", type=int, default=None,
                         help="distinct subsets checked in sample mode (at most all of them)")
@@ -390,16 +331,23 @@ def cli_main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as err:
         return 2 if err.code not in (0, None) else 0
+    started = time.monotonic()
     try:
-        return args.func(args)
-    except ConstructionError as err:
-        print(f"construction failure: {err}", file=sys.stderr)
+        fields, summary, code = args.func(args)
+    except (ConstructionError, ValueError) as err:
+        construction = isinstance(err, ConstructionError)
+        print(f"{'construction failure' if construction else 'error'}: {err}", file=sys.stderr)
         print(json.dumps({"error": str(err)}, sort_keys=True))
-        return 1
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        print(json.dumps({"error": str(err)}, sort_keys=True))
-        return 2
+        return 1 if construction else 2
+    command = f"{args.group} {args.which}"
+    report = {
+        "command": command,
+        **fields,
+        "wall_time_ms": round((time.monotonic() - started) * 1000, 3),
+    }
+    print(json.dumps(report, indent=2, sort_keys=True))
+    print(f"{command}: {summary}", file=sys.stderr)
+    return code
 
 
 def main() -> None:

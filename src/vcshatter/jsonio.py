@@ -262,5 +262,5 @@ def load_json(path: str | Path) -> Any:
         raise SchemaError(f"file not found: {path}") from None
     except OSError as err:
         raise SchemaError(f"{path}: cannot read ({err.strerror or err})") from None
-    except json.JSONDecodeError as err:
+    except (json.JSONDecodeError, UnicodeDecodeError) as err:
         raise SchemaError(f"{path}: malformed JSON ({err})") from None

@@ -524,6 +524,73 @@ class TestGadgetCommands:
         assert len(report["error"]) < 200
 
 
+ENVELOPE_CASES = [
+    # (argv, the report's extra top-level keys, the same command made to fail)
+    (["gadget", "search", "--n", "2", "--dim", "2", "--seed", "0", "--budget", "3000"],
+     {"seed"}, ["--budget", "-1"]),
+    (["gadget", "verify", "GADGET"], {"failing"}, None),
+    (["construct", "theorem1", "--d", "4", "--k", "2"], {"notes"}, ["--gadget", "MISSING"]),
+    (["construct", "theorem2", "--d", "4", "--k", "2"], {"notes"}, ["--gadget", "MISSING"]),
+    (["witness", "union", "--subset", "0,2"], {"notes"}, ["--input", "MISSING"]),
+    (["witness", "simplex", "--subset", "0,2"], {"notes"}, ["--input", "MISSING"]),
+    (["verify", "theorem1"], {"failing", "seed", "notes"}, ["--input", "MISSING"]),
+    (["verify", "theorem2"], {"failing", "seed", "notes"}, ["--input", "MISSING"]),
+    (["sys", "vcdim", "--input", "SYSTEM"], set(), None),
+    (["sys", "kfold", "--input", "SYSTEM", "--k", "2", "--op", "union"], set(), None),
+    (["sys", "complement", "--input", "SYSTEM"], set(), None),
+    (["sys", "project", "--input", "SYSTEM", "--indices", "0,1"], set(), None),
+    (["sys", "growth", "--input", "SYSTEM", "--m", "1"], set(), None),
+]
+
+
+class TestReportEnvelope:
+    @pytest.mark.parametrize(
+        "argv, extras, broken", ENVELOPE_CASES, ids=[" ".join(c[0][:2]) for c in ENVELOPE_CASES]
+    )
+    def test_every_subcommand_prints_one_envelope(self, capsys, tmp_path, argv, extras, broken):
+        from vcshatter.cli import BUNDLED_GADGET, _asset_path
+
+        system = tmp_path / "system.json"
+        jsonio.dump_json({"ground_size": 3, "sets": [[0], [1, 2]]}, system)
+        missing = str(tmp_path / "missing.json")
+        paths = {"GADGET": str(_asset_path(BUNDLED_GADGET)), "SYSTEM": str(system),
+                 "MISSING": missing}
+        code = cli_main([paths.get(arg, arg) for arg in argv])
+        captured = capsys.readouterr()
+        report = json.loads(captured.out)
+        command = " ".join(argv[:2])
+        assert code == 0
+        assert set(report) == {"command", "params", "result", "wall_time_ms"} | extras
+        assert report["command"] == command
+        wall = report["wall_time_ms"]
+        assert isinstance(wall, (int, float)) and not isinstance(wall, bool) and wall >= 0
+        assert captured.err.splitlines()[-1].startswith(f"{command}:")
+
+        # a failing call prints the error alone
+        if broken is None:
+            failing = [missing if arg in ("GADGET", "SYSTEM") else arg for arg in argv]
+        else:
+            failing = [paths.get(arg, arg) for arg in argv + broken]
+        code = cli_main(failing)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert list(json.loads(captured.out)) == ["error"]
+        assert captured.err.splitlines()[-1].startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "argv", [["gadget", "verify", "PATH"], ["sys", "vcdim", "--input", "PATH"]],
+    ids=["gadget-verify", "sys-vcdim"],
+)
+def test_a_file_that_is_not_utf8_is_named_in_the_error(capsys, tmp_path, argv):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b"\xff{}")
+    code = cli_main([str(path) if arg == "PATH" else arg for arg in argv])
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert code == 2
+    assert error.startswith(f"{path}: malformed JSON ("), error
+
+
 def run_module(*argv) -> subprocess.CompletedProcess:
     """``python -m vcshatter.cli`` on the package under test, installed or not."""
     package_root = str(Path(vcshatter.__file__).resolve().parents[1])
