@@ -17,7 +17,7 @@ import argparse
 import json
 import sys
 import time
-from functools import cache
+from functools import cache, partial
 from importlib import resources
 from pathlib import Path
 
@@ -124,14 +124,14 @@ def _cmd_construct(args) -> tuple[dict, str, int]:
     notes: list[str] = []
     inst = _resolve_instance(args, notes)
     if args.which == "theorem1":
-        payload = jsonio.instance_to_dict(inst)
+        serialize = partial(jsonio.instance_to_dict, inst)
         result = {"points": len(inst.points), "d": inst.d, "k": args.k}
     else:
         inst2 = constructions.build_theorem2(inst)
-        payload = jsonio.dual_instance_to_dict(inst2)
+        serialize = partial(jsonio.dual_instance_to_dict, inst2)
         result = {"hyperplanes": len(inst2.hyperplanes), "d": inst.d, "k": args.k}
     if args.output:
-        jsonio.dump_json(payload, args.output)
+        jsonio.dump_json(serialize(), args.output)
         result["output"] = args.output
     params = {"d": args.d, "k": args.k, "gadget": args.gadget}
     return {"params": params, "result": result, "notes": notes}, f"built ({result})", 0

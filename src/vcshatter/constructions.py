@@ -27,15 +27,17 @@ Witness points are menu points of the gadget's distinct hit patterns. A
 menu point's corner snaps coordinate by coordinate, so an instance snaps
 each menu value q that the gadget hands out for each of its axes once, as
 the pair (q, 1/q), and joins the pairs named by a pattern's menu digits
-into that pattern's bound tuple. A Theorem 1 instance keeps only what
-names a witness half-space: the bound tuple per pattern number
-(``_bounds``) and the tau per threshold slot j < b =
-``gadget.max_witness_size`` (``_taus``); a Theorem 2 instance keeps only
-its hyperplanes. Distinct patterns snap to distinct bounds, since the
-bounds decide which points lie below them. Gadget witnesses form a tree:
+into that pattern's bound tuple. Pattern number p of P names one witness
+half-space, wherever it sits in a witness: its bound tuple (``_bounds``)
+under the threshold d + 1/2 + p/(4P) (``_taus``). A Theorem 1 instance
+keeps only those two tables, and a Theorem 2 instance only its
+hyperplanes. Distinct patterns snap to distinct bounds, since the bounds
+decide which points lie below them, and take distinct thresholds, which
+keep the dual vertices of a witness apart: under one threshold for all,
+they are affinely dependent far more often. Gadget witnesses form a tree:
 each is its parent's plus one pattern numbered above all of the parent's,
-so the j-th of a witness's ascending patterns gives the half-space on its
-bounds at slot j, and, by duality, the j-th vertex after the apex.
+so a witness's ascending patterns give its half-spaces and, by duality,
+its vertices after the apex.
 Every witness comes from a walk of that tree through
 ``boxgadget._witness_tree``, whose caller supplies only the root and the
 step, so this module never reads the gadget's tables. ``union_witness``
@@ -45,8 +47,8 @@ A new vertex's affine independence is checked against the integer
 annihilator of the simplex before it, usually by one dot product. Each
 verifier's walk memoizes every tree parent for that run, with its own
 nodes, which hold exactly what it checks (``_union_walk``,
-``_simplex_walk``), and makes what it checks per (pattern, slot) pair the
-first time it meets it: it checks the witnesses the public functions
+``_simplex_walk``), and makes what it checks per pattern the first time
+it meets it: it checks the witnesses the public functions
 return, at one tree step, one lookup and one OR per subset, and validates
 none of the masks it makes itself. Both verifiers count a subset with no
 witness, a dependent vertex, a witness of more than k half-spaces, or a
@@ -72,9 +74,8 @@ from .geometry import (
     OpenSimplex,
     Point,
     RestrictedHalfspace,
-    _bound_sums,
+    _halfspace_mask,
     _hyperplane_row,
-    _tau_mask,
     _vertex_signs,
     dual_halfspace_to_point,
     dual_point_to_hyperplane,
@@ -169,8 +170,7 @@ class Theorem1Instance:
     def __post_init__(self) -> None:
         if len(self.points) != len(self.gadget.boxes):
             raise ValueError("one point per gadget box required")
-        # A witness has at most b = min(2^(n-1), |B|) <= k patterns, so every
-        # threshold slot j < b has d + 1/2 + j/(4k) inside (d, d+1).
+        # A witness has at most b = min(2^(n-1), |B|) <= k half-spaces.
         _check_gadget_n(self.gadget, self.k)
 
     @cached_property
@@ -195,11 +195,11 @@ class Theorem1Instance:
 
     @cached_property
     def _taus(self) -> tuple[Fraction, ...]:
-        """Per threshold slot j < b = ``gadget.max_witness_size``, its tau
-        d + 1/2 + j/(4k) = (2k(2d+1) + j)/(4k)."""
+        """Per gadget pattern number p < P, the threshold of its witness
+        half-spaces: d + 1/2 + p/(4P) = (2P(2d+1) + p)/(4P), inside (d, d+1)."""
+        count = len(self._bounds)
         return tuple(
-            Fraction(2 * self.k * (2 * self.d + 1) + j, 4 * self.k)
-            for j in range(self.gadget.max_witness_size)
+            Fraction(2 * count * (2 * self.d + 1) + p, 4 * count) for p in range(count)
         )
 
 
@@ -263,15 +263,14 @@ def union_witness(
 
     The boxes of the complement subset are handed to the gadget; each witness
     point lifts to its corner, which snaps onto the rescaled grid and gives
-    the bounds of one half-space. The j-th witness pattern's half-space has
-    threshold d + 1/2 + j/(4k), strictly inside (d, d+1) since j < k. Each
-    call walks the witness tree afresh, with the witness as its node, so the
+    the bounds of one half-space, under its pattern's threshold. Each call
+    walks the witness tree afresh, with the witness as its node, so the
     instance keeps no memo of it.
     """
     bounds, taus = inst._bounds, inst._taus
 
     def grow(parent: Halfspaces, number: int) -> Halfspaces:
-        return parent + (RestrictedHalfspace(bounds[number], taus[len(parent)]),)
+        return parent + (RestrictedHalfspace(bounds[number], taus[number]),)
 
     return _witness_tree(inst.gadget, (), grow)(subset_mask(len(inst.points), subset))
 
@@ -311,32 +310,25 @@ def _selected_masks(
 
 
 def _union_walk(
-    inst: Theorem1Instance, seen: list[int]
+    inst: Theorem1Instance, masks: dict[int, int]
 ) -> Callable[[int], tuple[int, int]]:
     """The verifier's walk of inst's witness tree: per union mask, the pair
     (OR of the point masks of its witness half-spaces, their number).
 
     A union's node is its parent's with the mask of its pattern's half-space
-    at the parent's size ORed in, so each subset costs one tree step, one
-    mask lookup and one OR. The walk makes that mask the first time it meets
-    the (pattern, slot) pair, as the ``_tau_mask`` of the slot's tau against
-    the pattern's exact integer sums of the points' vertex columns
-    (``_bound_sums``, made once per pattern), and appends it to ``seen``.
+    ORed in, so each subset costs one tree step, one mask lookup and one OR.
+    The walk makes that mask the first time it meets the pattern, by
+    ``_halfspace_mask`` on the points' vertex columns, and keeps it in
+    ``masks`` under the pattern number.
     """
     columns = [p._vertex_column for p in inst.points]
     bounds, taus = inst._bounds, inst._taus
-    sums_of: dict[int, tuple[tuple[int, int], ...]] = {}
-    masks: dict[tuple[int, int], int] = {}
 
     def grow(parent: tuple[int, int], number: int) -> tuple[int, int]:
         got, size = parent
-        m = masks.get((number, size))
+        m = masks.get(number)
         if m is None:
-            sums = sums_of.get(number)
-            if sums is None:
-                sums = sums_of[number] = _bound_sums(bounds[number], columns)
-            m = masks[number, size] = _tau_mask(sums, taus[size])
-            seen.append(m)
+            m = masks[number] = _halfspace_mask(bounds[number], taus[number], columns)
         return got | m, size + 1
 
     return _witness_tree(inst.gadget, (0, 0), grow)
@@ -367,8 +359,8 @@ def verify_theorem1(
     k = inst.k
     failing: list[tuple[int, ...]] = []
     max_size = 0
-    seen: list[int] = []
-    walk = _union_walk(inst, seen)
+    pattern_masks: dict[int, int] = {}
+    walk = _union_walk(inst, pattern_masks)
     for pmask in masks:
         try:
             got, size = walk(pmask)
@@ -380,9 +372,9 @@ def verify_theorem1(
         if got != pmask or size > k:
             failing.append(tuple(mask_to_indices(pmask)))
     union_dim: int | None = None
-    if compute_vc_dim and seen:
+    if compute_vc_dim and pattern_masks:
         npoints = len(inst.points)
-        closure = union_closure(set(seen), npoints, inst.k)
+        closure = union_closure(set(pattern_masks.values()), npoints, inst.k)
         if closure.bit_count() == 1 << npoints:
             union_dim = npoints
         else:
@@ -448,24 +440,22 @@ def _simplex_walk(
     strictly on the +1 side, some strictly on the -1 side, and every vertex
     on it; the count adds up the zero signs of every vertex. A union's node
     extends its parent's simplex by the dual vertex of its pattern's
-    half-space at the parent's size (``OpenSimplex._extended`` raises
-    DegenerateSimplexError on a dependent one) and folds that vertex's signs
-    in. The walk makes each (pattern, slot) pair's vertex the first time it
-    meets the pair and evaluates its signs then, in integers, over every
-    hyperplane.
+    half-space (``OpenSimplex._extended`` raises DegenerateSimplexError on a
+    dependent one) and folds that vertex's signs in. The walk makes each
+    pattern's vertex the first time it meets the pattern and evaluates its
+    signs then, in integers, over every hyperplane.
     """
     d = inst2.base.d
     bounds, taus = inst2.base._bounds, inst2.base._taus
     signs_of = partial(_vertex_signs, [_hyperplane_row(h) for h in inst2.hyperplanes])
-    made: dict[tuple[int, int], tuple[Point, int, int, int]] = {}  # vertex, its sign masks
+    made: dict[int, tuple[Point, int, int, int]] = {}  # vertex, its sign masks
 
     def grow(parent: tuple, number: int) -> tuple[OpenSimplex, int, int, int, int]:
         simplex, pos, neg, on, zeros = parent
-        size = len(simplex.vertices) - 1
-        entry = made.get((number, size))
+        entry = made.get(number)
         if entry is None:
-            v = dual_halfspace_to_point(RestrictedHalfspace(bounds[number], taus[size]))
-            entry = made[number, size] = (v, *signs_of(v))
+            v = dual_halfspace_to_point(RestrictedHalfspace(bounds[number], taus[number]))
+            entry = made[number] = (v, *signs_of(v))
         v, p, n, z = entry
         return simplex._extended(v), pos | p, neg | n, on & z, zeros + z.bit_count()
 

@@ -4,8 +4,8 @@ dichotomies of a finite point set.
 
 Every predicate is decided exactly, in integers, from a point's vertex
 column: the side of a dual hyperplane by the sign of an integer row times
-it, half-space membership by comparing tau with the pair (A, D), D > 0,
-A/D = sum_j x_j/b_j, that ``_bound_sums`` makes once per bound tuple b.
+it, half-space membership by comparing tau with A/D = sum_j x_j/b_j, whose
+A is an integer row times it (``_halfspace_mask``).
 There is no floating point and no tolerance parameter anywhere here.
 
 Orientation convention
@@ -91,7 +91,7 @@ class Point:
         It is the homogeneous vector (x, 1), permuted and scaled by M > 0, so
         it has the rank and signs of (x, 1). Every exact predicate here reads
         this column: ``_hyperplane_row`` times it for the sign of s_p(x),
-        ``_bound_sums`` for half-space membership, and the ``_annihilate``
+        ``_halfspace_mask`` for half-space membership, and the ``_annihilate``
         bases of simplices and half-space dichotomies.
         """
         m = lcm(*(v.denominator for v in self.coords))
@@ -381,14 +381,16 @@ def realizable_halfspace_subsets(points: Sequence[Point]) -> SetSystem:
 # ---------------------------------------------------------------------------
 
 
-def _bound_sums(
-    b: Sequence[Fraction], columns: Sequence[tuple[int, ...]]
-) -> tuple[tuple[int, int], ...]:
-    """Per vertex column, the pair (A, D), D > 0, A/D = sum_j x_j/b_j at its point x.
+def _halfspace_mask(
+    b: Sequence[Fraction], tau: Fraction, columns: Sequence[tuple[int, ...]]
+) -> int:
+    """Bit i set when the point x with vertex column ``columns[i]`` lies in
+    the half-space sum_j x_j/b_j <= tau.
 
-    A is the column's dot product with N * (1/b_1, ..., 1/b_{d-1}, 0, 1/b_d),
-    N the lcm of the b_j's numerators, and D is N times the column's entry
-    M > 0. Each tau on these bounds reads the same pairs (``_tau_mask``).
+    With N the lcm of the b_j's numerators, the column's dot product with
+    N * (1/b_1, ..., 1/b_{d-1}, 0, 1/b_d) is A and N times its entry M > 0 is
+    D, so A/D = sum_j x_j/b_j. The point lies in the half-space when
+    A * tau's denominator <= tau's numerator * D, as D > 0.
     """
     mismatched = {len(c) - 1 for c in columns} - {len(b)}
     if mismatched:
@@ -396,16 +398,10 @@ def _bound_sums(
     n = lcm(*(v.numerator for v in b))
     weights = [v.denominator * (n // v.numerator) for v in b]
     row = (*weights[:-1], 0, weights[-1])
-    return tuple((sum(map(mul, row, c)), n * c[-2]) for c in columns)
-
-
-def _tau_mask(sums: Sequence[tuple[int, int]], tau: Fraction) -> int:
-    """Bit i set when sums[i] = (A, D) has A/D <= tau: A * tau's denominator
-    <= tau's numerator * D, as D > 0."""
     num, den = tau.numerator, tau.denominator
     mask = 0
-    for i, (a, d) in enumerate(sums):
-        if a * den <= num * d:
+    for i, c in enumerate(columns):
+        if sum(map(mul, row, c)) * den <= num * n * c[-2]:
             mask |= 1 << i
     return mask
 

@@ -12,11 +12,9 @@ box-gadget covers are re-solved by exhaustive combination search over a
 finer grid, and matrix rank is taken by Bareiss elimination over the
 integers and by Gaussian elimination over the rationals.
 
-Two helpers read the library on purpose. ``_witness_patterns`` is the
+One helper reads the library on purpose. ``_witness_patterns`` is the
 reference walk up the gadget's back-pointer tables, one loop per witness,
 that the tests hold ``boxgadget._witness_tree`` and its users to.
-``_halfspace_mask`` composes the library's integer half-space kernels into
-one half-space's mask, which the tests check against ``halfspace_contains``.
 
 ``reference_verify_theorem1`` and ``reference_verify_theorem2`` are the
 verifiers done one subset at a time: each takes the witness of every subset
@@ -40,8 +38,6 @@ from vcshatter.geometry import (
     OpenSimplex,
     Point,
     RestrictedHalfspace,
-    _bound_sums,
-    _tau_mask,
 )
 from vcshatter.setsystem import SetSystem, shatters, subset_mask
 
@@ -223,11 +219,6 @@ def _witness_patterns(gadget: BoxGadget, subset: Iterable[int] | int) -> list[in
         chosen.append(pick[union])
         union = prev[union]
     return chosen[::-1]
-
-
-def _halfspace_mask(h: RestrictedHalfspace, columns: Sequence[tuple[int, ...]]) -> int:
-    """Bit i set when the point with vertex column ``columns[i]`` lies in h."""
-    return _tau_mask(_bound_sums(h.b, columns), h.tau)
 
 
 def full_scan_unions(patterns: list[int], nboxes: int, b: int) -> tuple[array, array]:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -88,6 +89,24 @@ class TestSysCommands:
         code, report = run_cli(capsys, "sys", "complement", "--input", str(path))
         assert code == 2
         assert "complement refused" in report["error"]
+
+    def test_an_empty_family_on_a_huge_ground_size_stays_small(self, capsys, tmp_path):
+        # the complement of no members is no members: no 2^27-bit mask is
+        # built, and the intersection's union fold refuses the ground size
+        path = tmp_path / "empty.json"
+        jsonio.dump_json({"ground_size": 1 << 27, "sets": []}, path)
+        tracemalloc.start()
+        try:
+            code, report = run_cli(capsys, "sys", "complement", "--input", str(path))
+            code2, refused = run_cli(
+                capsys, "sys", "kfold", "--input", str(path), "--k", "2", "--op", "intersection"
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and report["result"]["system"]["sets"] == []
+        assert code2 == 2 and "k-fold union refused" in refused["error"]
+        assert peak < 1 << 20
 
     def test_duplicate_sets_warn_and_dedupe(self, capsys, tmp_path):
         path = tmp_path / "dup.json"
@@ -301,6 +320,36 @@ class TestConstructAndWitness:
         inst = jsonio.instance_from_dict(jsonio.load_json(out))
         assert len(inst.points) == 5
 
+    @pytest.mark.parametrize(
+        "which, serializer, digest",
+        [
+            ("theorem1", "instance_to_dict", "4e8032a94ef3a783291f10b4c496889345ae25ef"),
+            ("theorem2", "dual_instance_to_dict", "ee55537b3190465bdeefb311ec90df09dd2cdf94"),
+        ],
+        ids=["theorem1", "theorem2"],
+    )
+    def test_construct_serializes_only_when_writing(
+        self, capsys, tmp_path, monkeypatch, which, serializer, digest
+    ):
+        # the instance is serialized once with --output and not at all
+        # without it; the file written is the one pinned by its SHA-1
+        calls = []
+
+        def counted(*args, original=getattr(jsonio, serializer)):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(jsonio, serializer, counted)
+        argv = ["construct", which, "--d", "4", "--k", "2"]
+        code, report = run_cli(capsys, *argv)
+        assert code == 0 and "output" not in report["result"]
+        assert calls == []
+        out = tmp_path / "bundle.json"
+        code, report = run_cli(capsys, *argv, "--output", str(out))
+        assert code == 0 and report["result"]["output"] == str(out)
+        assert len(calls) == 1
+        assert hashlib.sha1(out.read_bytes()).hexdigest() == digest
+
     def test_construct_theorem2(self, capsys, tmp_path):
         out = tmp_path / "dual.json"
         code, report = run_cli(
@@ -359,8 +408,8 @@ class TestConstructAndWitness:
             RestrictedHalfspace(b=tuple(h["b"]), tau=h["tau"])
 
     def test_a_huge_k_costs_one_slot_per_box(self, capsys, tmp_path):
-        # two disjoint boxes at n = 41 and k = 2^40: every row holds
-        # min(2^40, 2) = 2 slots, not 2^40
+        # two disjoint boxes at n = 41 and k = 2^40: k enters no threshold,
+        # so the instance holds one half-space per hit pattern, not 2^40
         path = tmp_path / "two_boxes_n41.json"
         boxes = [{"lo": [1, 1], "hi": [2, 2]}, {"lo": [3, 3], "hi": [4, 4]}]
         path.write_text(json.dumps({"n": 41, "dim": 2, "boxes": boxes}))

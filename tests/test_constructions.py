@@ -15,7 +15,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
-    _halfspace_mask,
     _witness_patterns,
     box_contains,
     halfspace_contains,
@@ -49,6 +48,7 @@ from vcshatter.geometry import (
     OpenSimplex,
     Point,
     RestrictedHalfspace,
+    _halfspace_mask,
     dual_halfspace_to_point,
     dual_point_to_hyperplane,
 )
@@ -69,7 +69,9 @@ F = Fraction
 def halfspace_system(points, halfspaces) -> SetSystem:
     """The sets the half-spaces cut out of the points, by the integer kernel."""
     columns = [p._vertex_column for p in points]
-    return SetSystem.from_masks(len(points), (_halfspace_mask(h, columns) for h in halfspaces))
+    return SetSystem.from_masks(
+        len(points), (_halfspace_mask(h.b, h.tau, columns) for h in halfspaces)
+    )
 
 
 positive = st.fractions(min_value=F(1, 8), max_value=F(16))
@@ -125,6 +127,11 @@ def _counting(monkeypatch, module, name: str) -> list:
 
     monkeypatch.setattr(module, name, wrapped)
     return calls
+
+
+def _disjoint_boxes(count: int) -> tuple[AxisBox, ...]:
+    """Boxes [2i+1, 2i+2] x [1, 3]: pairwise-disjoint x ranges, one shared y range."""
+    return tuple(AxisBox((2 * i + 1, 1), (2 * i + 2, 3)) for i in range(count))
 
 
 class TestLiftBox:
@@ -256,13 +263,13 @@ class TestSnapAndHalfspace:
             assert all(inst3.d < t < inst3.d + 1 for t in taus)
 
     def test_every_slot_of_an_accepted_instance_is_inside_the_window(self):
-        # a witness has at most b = 2^(n-1) patterns, so its slots are j < b <= k
-        for k in range(2, 130):
-            b = 1 << (required_gadget_n(k) - 1)
-            assert b <= k
+        # each of an instance's P patterns holds one threshold, at position
+        # p < P of its taus: d + 1/2 <= d + 1/2 + p/(4P) < d + 3/4 for every
+        # P, so no pattern count or k moves a threshold out of (d, d+1)
+        for count in (*range(1, 130), 1 << 24):
             for d in (4, 6, 8):
-                tau = F(2 * d + 1, 2) + F(b - 1, 4 * k)
-                assert d < tau < d + 1
+                last = F(2 * count * (2 * d + 1) + count - 1, 4 * count)
+                assert d < F(2 * d + 1, 2) <= last < F(4 * d + 3, 4) < d + 1
 
     def test_full_pipeline_membership_match(self, bundled_instance):
         # p under the snapped corner of q  <=>  lifted point under the corner of q
@@ -327,32 +334,39 @@ class TestBuildTheorem1:
 
 
 class TestUnionWitness:
-    def test_slot_thresholds(self, bundled_instance, n3_gadget):
-        for inst in (dataclasses.replace(bundled_instance), build_theorem1(4, 4, n3_gadget)):
-            assert inst.d == 4
-            assert len(inst._bounds) == len(inst.gadget._pattern_points)
-            assert len(inst._taus) == inst.gadget.max_witness_size
-            for j, tau in enumerate(inst._taus):
-                assert tau == F(2 * inst.d + 1, 2) + F(j, 4 * inst.k)
+    def test_pattern_thresholds(self, bundled_instance, n3_gadget):
+        # pattern p of P has tau d + 1/2 + p/(4P): distinct, strictly inside
+        # (d, d+1), and with denominators dividing 4P, whatever k is
+        two_boxes = BoxGadget(n=41, dim=2, boxes=_disjoint_boxes(2))
+        instances = (
+            dataclasses.replace(bundled_instance),
+            build_theorem1(4, 4, n3_gadget),
+            build_theorem1(4, 1 << 40, two_boxes),
+        )
+        for inst in instances:
+            count = len(inst.gadget._pattern_points)
+            assert len(inst._bounds) == len(inst._taus) == len(set(inst._taus)) == count
+            assert all(inst.d < tau < inst.d + 1 for tau in inst._taus)
+            low = 2 * count * (2 * inst.d + 1)
+            assert [tau * 4 * count for tau in inst._taus] == list(range(low, low + count))
+            assert inst._taus[1].denominator == 4 * count
 
-    def test_rows_hold_one_slot_per_box_at_most(self, bundled_gadget, n3_gadget):
-        # no fewest-pattern witness has more patterns than boxes, so a row
-        # holds min(2^(n-1), |B|) slots, even at k = 2^40
-        def disjoint(count, n):
-            boxes = tuple(AxisBox((2 * i + 1, 1), (2 * i + 2, 3)) for i in range(count))
-            return BoxGadget(n=n, dim=2, boxes=boxes)
-
+    def test_taus_hold_one_threshold_per_pattern(self, bundled_gadget, n3_gadget):
+        # k enters no threshold: the same gadget gives the same taus at every
+        # k it serves, one per pattern, even at k = 2^40
         cases = [
-            (bundled_gadget, 2, 2),
-            (n3_gadget, 4, 4),
-            (disjoint(8, 4), 8, 8),
-            (disjoint(3, 3), 4, 3),
-            (disjoint(2, 41), 1 << 40, 2),
+            (bundled_gadget, 2),
+            (bundled_gadget, 3),
+            (n3_gadget, 4),
+            (BoxGadget(n=4, dim=2, boxes=_disjoint_boxes(8)), 8),
+            (BoxGadget(n=3, dim=2, boxes=_disjoint_boxes(3)), 4),
+            (BoxGadget(n=41, dim=2, boxes=_disjoint_boxes(2)), 1 << 40),
         ]
-        for gadget, k, slots in cases:
+        taus = {}
+        for gadget, k in cases:
             inst = build_theorem1(4, k, gadget)
-            assert slots == min(2 ** (gadget.n - 1), len(gadget.boxes))
-            assert len(inst._taus) == slots
+            assert len(inst._taus) == len(gadget._pattern_points)
+            assert taus.setdefault(gadget, inst._taus) == inst._taus
             inst2 = build_theorem2(inst)
             assert verify_theorem1(inst).shattered
             assert verify_theorem2(inst2).checked == 1 << len(gadget.boxes)
@@ -489,42 +503,42 @@ class TestVerifyTheorem1:
 
 
 class TestHalfspaceKernel:
-    """The per-bound-tuple sums and per-slot taus behind ``verify_theorem1``."""
+    """The one half-space per pattern behind ``verify_theorem1``."""
 
-    def test_slot_masks_match_the_oracle(self, n3_gadget):
+    def test_pattern_masks_match_the_oracle(self, n3_gadget):
+        # each pattern's bounds under every threshold of the instance: any
+        # tau inside (d, d+1) cuts out the same points
         inst = build_theorem1(4, 4, n3_gadget)
         columns = [p._vertex_column for p in inst.points]
-        slots = [RestrictedHalfspace(b, tau) for b in inst._bounds for tau in inst._taus]
-        assert len(slots) == 228
-        for h in slots:
+        for number, b in enumerate(inst._bounds):
+            h = RestrictedHalfspace(b, inst._taus[number])
             want = sum(1 << i for i, p in enumerate(inst.points) if halfspace_contains(h, p))
-            assert _halfspace_mask(h, columns) == want
+            assert {_halfspace_mask(b, tau, columns) for tau in inst._taus} == {want}
 
     def test_bound_sums_once_per_bound_tuple(self, n3_gadget, monkeypatch):
+        # one _halfspace_mask per pattern: the 57 distinct witness half-spaces
         inst = build_theorem1(4, 4, n3_gadget)
-        sums = _counting(monkeypatch, constructions, "_bound_sums")
+        made = _counting(monkeypatch, constructions, "_halfspace_mask")
         assert verify_theorem1(inst, compute_vc_dim=True).shattered
         halfspaces = {h for mask in range(1 << 12) for h in union_witness(inst, mask)}
-        assert len(halfspaces) == 147
-        assert len(sums) == len({h.b for h in halfspaces}) == 57
+        assert len(halfspaces) == len({h.b for h in halfspaces}) == 57
+        assert sorted((b, tau) for b, tau, _ in made) == sorted((h.b, h.tau) for h in halfspaces)
 
-    def test_slots_share_their_row_bounds_and_the_b_taus(self, bundled_gadget, n3_gadget):
-        # k=3 takes the n=2 gadget, whose witnesses need b = 2 < k slots; the
-        # j-th half-space of every witness is made on its pattern's bound
-        # tuple and slot j's tau, the objects the instance keeps
+    def test_halfspaces_share_their_pattern_bounds_and_taus(self, bundled_gadget, n3_gadget):
+        # every half-space of every witness is made on its pattern's bound
+        # tuple and tau, the objects the instance keeps, wherever it sits in
+        # its witness; every pattern is some witness's
         for inst in (build_theorem1(4, 3, bundled_gadget), build_theorem1(4, 4, n3_gadget)):
-            b = inst.gadget.max_witness_size
-            assert len(inst._taus) == b
             full = (1 << len(inst.points)) - 1
-            slots = set()
+            used = set()
             for mask in range(full + 1):
                 numbers = _witness_patterns(inst.gadget, full & ~mask)
                 witness = union_witness(inst, mask)
-                assert len(witness) == len(numbers) <= b
-                for j, (h, number) in enumerate(zip(witness, numbers)):
-                    assert h.b is inst._bounds[number] and h.tau is inst._taus[j]
-                    slots.add(j)
-            assert slots == set(range(b))
+                assert len(witness) == len(numbers) <= inst.gadget.max_witness_size
+                for h, number in zip(witness, numbers):
+                    assert h.b is inst._bounds[number] and h.tau is inst._taus[number]
+                    used.add(number)
+            assert used == set(range(len(inst._taus)))
 
 
 class TestTheorem2:
@@ -570,13 +584,12 @@ class TestTheorem2:
         assert report.failing_subsets == ((0, 2, 3),)
         assert report.zero_signs == 0
         monkeypatch.undo()
-        # the vertex that union 13's last pattern adds at its slot is the
-        # apex, on which every simplex already stands: each witness that
-        # takes that slot is affinely dependent
+        # the vertex of union 13's last pattern is the apex, on which every
+        # simplex already stands: each witness that takes that pattern is
+        # affinely dependent
         inst2 = build_theorem2(dataclasses.replace(bundled_instance))
-        numbers = _witness_patterns(gadget, 31 & ~13)
-        bad = (numbers[-1], len(numbers) - 1)
-        bad_halfspace = RestrictedHalfspace(inst2.base._bounds[bad[0]], inst2.base._taus[bad[1]])
+        bad = _witness_patterns(gadget, 31 & ~13)[-1]
+        bad_halfspace = RestrictedHalfspace(inst2.base._bounds[bad], inst2.base._taus[bad])
 
         def dual(h, dual=dual_halfspace_to_point):
             return constructions._apex(4) if h == bad_halfspace else dual(h)
@@ -584,11 +597,9 @@ class TestTheorem2:
         monkeypatch.setattr(constructions, "dual_halfspace_to_point", dual)
         with pytest.raises(ConstructionError, match="affinely dependent"):
             simplex_witness(inst2, 13)
-        dependent = []
-        for m in range(32):
-            numbers = _witness_patterns(gadget, 31 & ~m)
-            if len(numbers) > bad[1] and numbers[bad[1]] == bad[0]:
-                dependent.append(tuple(mask_to_indices(m)))
+        dependent = [
+            tuple(mask_to_indices(m)) for m in range(32) if bad in _witness_patterns(gadget, 31 & ~m)
+        ]
         assert (0, 2, 3) in dependent and len(dependent) > 1
         report = verify_theorem2(inst2, mode="exhaustive")
         assert report.failing_subsets == tuple(dependent)
@@ -624,28 +635,28 @@ class TestTheorem2:
         assert report.zero_signs == 0
 
     def test_each_distinct_witness_is_processed_once(self, n3_gadget, monkeypatch):
-        # each run makes what it checks once per (pattern, slot) pair that
-        # its witnesses take: 147 of the 57 x 4 = 228 pairs, on 57 patterns
+        # each run makes what it checks once per pattern that its witnesses
+        # take: all 57
         inst = build_theorem1(4, 4, n3_gadget)
         calls = {
             name: _counting(monkeypatch, constructions, name)
-            for name in ("snap", "_bound_sums", "_tau_mask", "RestrictedHalfspace",
+            for name in ("snap", "_halfspace_mask", "RestrictedHalfspace",
                          "dual_halfspace_to_point", "_vertex_signs")
         }
         assert verify_theorem1(inst, mode="exhaustive", compute_vc_dim=True).shattered
         counts = {name: len(record) for name, record in calls.items()}
         # one snap per menu value of each gadget axis, not one per pattern
         assert counts.pop("snap") == sum(len(values) for values in n3_gadget._menu)
-        assert counts == {"_bound_sums": 57, "_tau_mask": 147, "RestrictedHalfspace": 0,
+        assert counts == {"_halfspace_mask": 57, "RestrictedHalfspace": 0,
                           "dual_halfspace_to_point": 0, "_vertex_signs": 0}
         inst2 = build_theorem2(inst)
         for run in (1, 2):
             assert verify_theorem2(inst2, mode="exhaustive").shattered
             # each run has its own memo, so the second makes them again
             assert len(calls["dual_halfspace_to_point"]) == len(calls["RestrictedHalfspace"])
-            assert len(calls["dual_halfspace_to_point"]) == 147 * run
-            assert len(calls["_vertex_signs"]) == 148 * run  # the apex's too
-        assert len(calls["_bound_sums"]) == 57 and len(calls["_tau_mask"]) == 147
+            assert len(calls["dual_halfspace_to_point"]) == 57 * run
+            assert len(calls["_vertex_signs"]) == 58 * run  # the apex's too
+        assert len(calls["_halfspace_mask"]) == 57
         assert len(calls["snap"]) == sum(len(values) for values in n3_gadget._menu)
 
     @given(
@@ -686,6 +697,22 @@ class TestTheorem2:
         subsets = [tuple(mask_to_indices(mask)) for mask in range(256)]
         assert set(report.failing_subsets) == {s for s in subsets if len(s) > 4}
 
+    def test_distinct_taus_keep_four_point_simplices_independent(self, monkeypatch):
+        # 8 x-disjoint boxes (n=4, d=4, k=8): with the pattern taus only the
+        # 93 subsets of more than d = 4 points fail; under one tau d + 1/2
+        # for every pattern, the dual vertices of all 70 four-point subsets
+        # are affinely dependent too
+        inst = build_theorem1(4, 8, BoxGadget(n=4, dim=2, boxes=_disjoint_boxes(8)))
+        subsets = [tuple(mask_to_indices(mask)) for mask in range(256)]
+        report = verify_theorem2(build_theorem2(inst))
+        assert set(report.failing_subsets) == {s for s in subsets if len(s) > 4}
+        assert len(report.failing_subsets) == 93
+        monkeypatch.setitem(inst.__dict__, "_taus", (F(9, 2),) * len(inst._taus))
+        report = verify_theorem2(build_theorem2(inst))
+        assert set(report.failing_subsets) == {s for s in subsets if len(s) >= 4}
+        assert len(report.failing_subsets) == 163
+        assert report.zero_signs == 0
+
     def test_apex_on_a_hyperplane_counts_zero_signs(self, bundled_instance, monkeypatch):
         inst2 = build_theorem2(bundled_instance)
         height = bundled_instance.points[0].coords[-1]
@@ -710,28 +737,31 @@ def _pinned_gadget(seed: int) -> BoxGadget:
     return jsonio.gadget_from_dict(jsonio.load_json(path))
 
 
-def _scratch_slots(inst, pmask: int):
+def _scratch_halfspaces(inst, pmask: int):
     """The witness half-spaces of the subset mask, built from its full pattern
-    list: each pattern's corner snapped here, then one threshold slot per
-    distinct bound tuple, in ascending pattern order."""
+    list, in ascending pattern order: pattern p's corner snapped here, under
+    the threshold d + 1/2 + p/(4P), P the gadget's pattern count."""
     numbers = _witness_patterns(inst.gadget, ((1 << len(inst.points)) - 1) & ~pmask)
     if numbers is None:
         raise ConstructionError(f"no witness for subset mask {pmask}")
     menu = inst.gadget._pattern_points
-    corners = dict.fromkeys(snap(_lift(menu[i].coords, menu[i].coords), inst.alpha)
-                            for i in numbers)
-    taus = (F(2 * inst.d + 1, 2) + F(j, 4 * inst.k) for j in range(len(corners)))
-    return [RestrictedHalfspace(b=b, tau=tau) for b, tau in zip(corners, taus)]
+    return [
+        RestrictedHalfspace(
+            b=snap(_lift(menu[p].coords, menu[p].coords), inst.alpha),
+            tau=F(2 * inst.d + 1, 2) + F(p, 4 * len(menu)),
+        )
+        for p in numbers
+    ]
 
 
 def _scratch_union_witness(inst, subset):
-    return tuple(_scratch_slots(inst, subset_mask(len(inst.points), subset)))
+    return tuple(_scratch_halfspaces(inst, subset_mask(len(inst.points), subset)))
 
 
 def _scratch_simplex_witness(inst2, subset):
     """The witness vertices followed by the apex, checked by the full constructor."""
     base = inst2.base
-    halfspaces = _scratch_slots(base, subset_mask(len(base.points), subset))
+    halfspaces = _scratch_halfspaces(base, subset_mask(len(base.points), subset))
     vertices = [dual_halfspace_to_point(h) for h in halfspaces]
     try:
         return OpenSimplex(base.d, (*vertices, constructions._apex(base.d)))
@@ -925,7 +955,7 @@ class TestWitnessTree:
             fields = {f.name for f in dataclasses.fields(inst)}
             assert set(inst.__dict__) - fields == {"_bounds", "_taus"}
             assert set(inst2.__dict__) == {"base", "hyperplanes"}
-            assert len(made) == 147
+            assert len(made) == 57
             assert all(vertex() is None for vertex in made)
         finally:
             gc.enable()
@@ -966,28 +996,24 @@ class TestWitnessTree:
         assert set(_memo(walks[0])) == set(_memo(walks[1])) == ancestors | {-1}
 
     def test_sample_mode_makes_the_sampled_items(self, n3_gadget, monkeypatch):
-        # each sampled run makes what it checks for exactly the (pattern,
-        # slot) pairs of its sampled subsets' witnesses, each pair once
+        # each sampled run makes what it checks for exactly the patterns of
+        # its sampled subsets' witnesses, each pattern once
         inst = build_theorem1(4, 4, n3_gadget)
         full = (1 << 12) - 1
         items = {
-            (number, j)
+            number
             for mask in constructions._selected_masks(12, "sample", 64, 5)
-            for j, number in enumerate(_witness_patterns(n3_gadget, full & ~mask))
+            for number in _witness_patterns(n3_gadget, full & ~mask)
         }
-        names = ("_bound_sums", "_tau_mask", "dual_halfspace_to_point", "_vertex_signs")
+        names = ("_halfspace_mask", "dual_halfspace_to_point", "_vertex_signs")
         calls = {name: _counting(monkeypatch, constructions, name) for name in names}
         assert verify_theorem1(inst, mode="sample", count=64, seed=5).shattered
         assert verify_theorem2(build_theorem2(inst), mode="sample", count=64, seed=5).shattered
-        assert 0 < len(items) < 147
+        assert 0 < len(items) < 57
         bounds, taus = inst._bounds, inst._taus
-        assert sorted(bounds.index(b) for b, _ in calls["_bound_sums"]) == sorted(
-            {number for number, _ in items}
-        )
-        made = [(bounds.index(h.b), taus.index(h.tau)) for (h,) in calls[names[2]]]
-        assert sorted(made) == sorted(items)
-        slots = sorted(taus.index(tau) for _, tau in calls["_tau_mask"])
-        assert slots == sorted(j for _, j in items)
+        masks = [(bounds.index(b), taus.index(tau)) for b, tau, _ in calls["_halfspace_mask"]]
+        made = [(bounds.index(h.b), taus.index(h.tau)) for (h,) in calls["dual_halfspace_to_point"]]
+        assert sorted(masks) == sorted(made) == sorted((p, p) for p in items)
         assert len(calls["_vertex_signs"]) == len(items) + 1  # the apex's too
 
     def test_each_subset_mask_is_validated_once(self, n3_gadget, monkeypatch):
@@ -1009,10 +1035,12 @@ class TestWitnessTree:
 
     def test_verifier_walks_follow_the_public_witnesses(self, bundled_instance, n3_gadget):
         # per subset, the node of each verifier's walk is the one derived
-        # from the public witness with the oracle predicates
+        # from the public witness with the oracle predicates, and the union
+        # walk's memo holds each pattern's mask under its number
         for inst in self.instances(bundled_instance, n3_gadget):
             inst2 = build_theorem2(inst)
-            union_walk = constructions._union_walk(inst, [])
+            pattern_masks = {}
+            union_walk = constructions._union_walk(inst, pattern_masks)
             simplex_walk = constructions._simplex_walk(inst2)
             cut = {}
             signs = {}
@@ -1035,6 +1063,8 @@ class TestWitnessTree:
                 node = simplex_walk(mask)
                 assert node[0].vertices == simplex.vertices
                 assert node[1:] == (pos, neg, on, zeros)
+            halfspaces = map(RestrictedHalfspace, inst._bounds, inst._taus)
+            assert pattern_masks == {p: cut[h] for p, h in enumerate(halfspaces)}
 
 
 class TestFiniteLevelIdentities:

@@ -11,7 +11,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
-    _halfspace_mask,
     box_contains,
     brute_halfspace_dichotomy_masks,
     fraction_rank,
@@ -29,7 +28,7 @@ from vcshatter.geometry import (
     Point,
     RestrictedHalfspace,
     _annihilate,
-    _bound_sums,
+    _halfspace_mask,
     _hyperplane_row,
     _vertex_signs,
     as_scalar,
@@ -44,7 +43,7 @@ F = Fraction
 
 def kernel_contains(h: RestrictedHalfspace, x: Point) -> bool:
     """Membership of x in h, read from ``_halfspace_mask``."""
-    return _halfspace_mask(h, [x._vertex_column]) == 1
+    return _halfspace_mask(h.b, h.tau, [x._vertex_column]) == 1
 
 
 def kernel_side(h: DualHyperplane, x: Point) -> int:
@@ -611,28 +610,32 @@ class TestInducedSystems:
         columns = [p._vertex_column for p in points]
         for h in halfspaces:
             totals = [sum(x / v for x, v in zip(p.coords, h.b)) for p in points]
-            for (a, d), total in zip(_bound_sums(h.b, columns), totals):
-                assert d > 0 and F(a, d) == total
             want = sum(1 << i for i, p in enumerate(points) if halfspace_contains(h, p))
             on = sum(1 << i for i, total in enumerate(totals) if total == h.tau)
-            mask = _halfspace_mask(h, columns)
+            mask = _halfspace_mask(h.b, h.tau, columns)
             assert mask == want
             assert mask & on == on  # the boundary belongs to the closed half-space
+            # moved onto each point's exact sum, tau keeps exactly the points
+            # whose sums are at most that one, the point itself included
+            for total in set(totals):
+                below = sum(1 << i for i, t in enumerate(totals) if t <= total)
+                assert _halfspace_mask(h.b, total, columns) == below
 
     def test_integer_kernel_on_boundary_with_denominators(self):
         # 1/2 / (3/4) + (5/3) / (7/2) = 2/3 + 10/21 = 8/7, exactly on the boundary
         pts = [Point.of(F(1, 2), F(5, 3)), Point.of(F(1, 2), F(12, 7))]
         h = RestrictedHalfspace(b=(F(3, 4), F(7, 2)), tau=F(8, 7))
-        assert _halfspace_mask(h, [p._vertex_column for p in pts]) == 0b01
+        assert _halfspace_mask(h.b, h.tau, [p._vertex_column for p in pts]) == 0b01
 
     def test_no_halfspaces_gives_empty_family(self):
         # over no points, a half-space cuts out the empty set
-        assert _halfspace_mask(RestrictedHalfspace(b=(1, 1), tau=2), []) == 0
+        h = RestrictedHalfspace(b=(1, 1), tau=2)
+        assert _halfspace_mask(h.b, h.tau, []) == 0
 
     def test_halfspace_containing_everything(self):
         pts = [Point.of(1, 1), Point.of(2, 1)]
         h = RestrictedHalfspace(b=(100, 100), tau=2)
-        assert _halfspace_mask(h, [p._vertex_column for p in pts]) == 0b11
+        assert _halfspace_mask(h.b, h.tau, [p._vertex_column for p in pts]) == 0b11
 
     def test_no_simplices_gives_empty_family(self):
         # against no hyperplanes, a vertex has no sign bits
@@ -650,7 +653,8 @@ class TestInducedSystems:
     def test_dim_mismatch(self):
         h = RestrictedHalfspace(b=(1, 1), tau=2)
         with pytest.raises(ValueError, match="dimension 2 != point dimension 3"):
-            _halfspace_mask(h, [Point.of(1, 1)._vertex_column, Point.of(1, 1, 1)._vertex_column])
+            columns = [Point.of(1, 1)._vertex_column, Point.of(1, 1, 1)._vertex_column]
+            _halfspace_mask(h.b, h.tau, columns)
         with pytest.raises(ValueError):
             simplex_hyperplane_intersects(
                 OpenSimplex(3, (Point.of(0, 0, 0),)), dual_point_to_hyperplane(Point.of(1, 1))

@@ -1,8 +1,11 @@
 """SHA-1 digests of the Theorem 1 and Theorem 2 outputs on the seed-0 d=4, k=4 instance.
 
-The digests were taken before the witness-tree step was flattened, so any
-change to a witness half-space, a simplex vertex or a verify report shows
-here. Recompute them only for an intended change of the construction.
+The report digest was taken before the witness-tree step was flattened, and
+the half-space and vertex digests when each threshold became keyed by its
+pattern instead of by its position in a witness (the reports did not change
+then). Any change to a witness half-space, a simplex vertex or a verify
+report shows here. Recompute them only for an intended change of the
+construction.
 """
 
 from __future__ import annotations
@@ -44,6 +47,6 @@ def test_seed0_d4k4_outputs_are_pinned(n3_gadget):
         repr(dataclasses.astuple(report))
         for report in (verify_theorem1(inst, compute_vc_dim=True), verify_theorem2(inst2))
     )
-    assert halfspaces == "1cfe662dca2eea519dd44035c14291e4623ccf05"
-    assert vertices == "1d837a14518ec88b40de18faabd0175ac9c42f99"
+    assert halfspaces == "7802b1edb547f0a14daaad95fb4de99b7f381a77"
+    assert vertices == "4786399ef04b6da69425a84ffdce1307bd3c57fb"
     assert reports == "6b408def11f5aeab31552a9d0ebda561ada973c7"

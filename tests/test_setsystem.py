@@ -370,6 +370,18 @@ class TestComplement:
         assert elapsed < 0.5
         assert peak < 1 << 20
 
+    def test_an_empty_family_builds_no_full_mask(self):
+        # no member, so no 2^27-bit mask; the guard on ground size times
+        # member count passes an empty family at any ground size
+        tracemalloc.start()
+        try:
+            got = complement_system(SetSystem(1 << 27, ()))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == SetSystem(1 << 27, ())
+        assert peak < 1 << 20
+
     def test_a_thousand_element_complement_works(self):
         members = complement_system(SetSystem(1000, (1,))).member_lists()
         assert members == [list(range(1, 1000))]
