@@ -51,6 +51,11 @@ def _add_instance_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--gadget", default=None)
 
 
+def _instance_params(args) -> dict:
+    """The report params naming the instance ``_resolve_instance`` reads."""
+    return {name: getattr(args, name) for name in ("input", "d", "k", "gadget")}
+
+
 def _resolve_instance(args, notes: list[str]) -> constructions.Theorem1Instance:
     build = [f"--{name}" for name in ("d", "k", "gadget") if getattr(args, name) is not None]
     if args.input is not None:
@@ -133,8 +138,8 @@ def _cmd_construct(args) -> tuple[dict, str, int]:
     if args.output:
         jsonio.dump_json(serialize(), args.output)
         result["output"] = args.output
-    params = {"d": args.d, "k": args.k, "gadget": args.gadget}
-    return {"params": params, "result": result, "notes": notes}, f"built ({result})", 0
+    fields = {"params": _instance_params(args), "result": result, "notes": notes}
+    return fields, f"built ({result})", 0
 
 
 def _cmd_witness(args) -> tuple[dict, str, int]:
@@ -151,7 +156,7 @@ def _cmd_witness(args) -> tuple[dict, str, int]:
         payload = jsonio.simplex_witness_to_dict(subset, simplex)
         result = {"vertices": len(simplex.vertices), "simplex_dim": simplex.simplex_dim}
     _write_or_inline(args, payload, result, "witness")
-    params = {"subset": subset, "input": args.input}
+    params = {"subset": subset, **_instance_params(args)}
     return {"params": params, "result": result, "notes": notes}, "ok", 0
 
 
@@ -194,9 +199,7 @@ def _cmd_verify_theorem(args) -> tuple[dict, str, int]:
     if v_report.union_vc_dim is not None:
         result["union_vc_dim"] = v_report.union_vc_dim
     fields = {
-        "params": {
-            "mode": args.mode, "count": args.count, "input": args.input, "d": args.d, "k": args.k
-        },
+        "params": {"mode": args.mode, "count": args.count, **_instance_params(args)},
         "result": result,
         "failing": [list(s) for s in v_report.failing_subsets],
         "seed": args.seed,

@@ -28,9 +28,9 @@ menu point's corner snaps coordinate by coordinate, so an instance snaps
 each menu value q that the gadget hands out for each of its axes once, as
 the pair (q, 1/q), and joins the pairs named by a pattern's menu digits
 into that pattern's bound tuple. Pattern number p of P names one witness
-half-space, wherever it sits in a witness: its bound tuple (``_bounds``)
-under the threshold d + 1/2 + p/(4P) (``_taus``). A Theorem 1 instance
-keeps only those two tables, and a Theorem 2 instance only its
+half-space, wherever it sits in a witness: its bound tuple under the
+threshold d + 1/2 + p/(4P). A Theorem 1 instance keeps only that table of
+P half-spaces (``_halfspaces``), and a Theorem 2 instance only its
 hyperplanes. Distinct patterns snap to distinct bounds, since the bounds
 decide which points lie below them, and take distinct thresholds, which
 keep the dual vertices of a witness apart: under one threshold for all,
@@ -45,12 +45,13 @@ walks afresh with the witness as its node, and ``simplex_witness`` extends
 the apex by the duals of its half-spaces; a union with no witness raises.
 A new vertex's affine independence is checked against the integer
 annihilator of the simplex before it, usually by one dot product. Each
-verifier's walk memoizes every tree parent for that run, with its own
+verifier first makes what it checks per half-space, in one table by
+pattern number: its point mask, or its dual vertex with that vertex's
+signs. Its walk then memoizes every tree parent for that run, with its own
 nodes, which hold exactly what it checks (``_union_walk``,
-``_simplex_walk``), and makes what it checks per pattern the first time
-it meets it: it checks the witnesses the public functions
-return, at one tree step, one lookup and one OR per subset, and validates
-none of the masks it makes itself. Both verifiers count a subset with no
+``_simplex_walk``): it checks the witnesses the public functions return,
+at one tree step, one table read and one OR per subset, and validates none
+of the masks it makes itself. Both verifiers count a subset with no
 witness, a dependent vertex, a witness of more than k half-spaces, or a
 simplex of dimension above k, as failing.
 """
@@ -174,9 +175,10 @@ class Theorem1Instance:
         _check_gadget_n(self.gadget, self.k)
 
     @cached_property
-    def _bounds(self) -> tuple[tuple[Fraction, ...], ...]:
-        """Per gadget pattern number, the bound tuple of its witness
-        half-spaces: the snapped corner of its menu point.
+    def _halfspaces(self) -> Halfspaces:
+        """Per gadget pattern number p < P, its witness half-space: the
+        snapped corner of its menu point under the threshold d + 1/2 + p/(4P)
+        = (2P(2d+1) + p)/(4P), inside (d, d+1).
 
         A menu point q lifts to (q_1, 1/q_1, ..., q_m, 1/q_m), and ``snap``
         treats each coordinate alone, so the corner snaps axis by axis: each
@@ -188,18 +190,14 @@ class Theorem1Instance:
             [snap(_lift((q,), (q,)), self.alpha[2 * i : 2 * i + 2]) for q in values]
             for i, values in enumerate(self.gadget._menu)
         ]
+        patterns = self.gadget._patterns[1].values()
+        count = len(patterns)
         return tuple(
-            tuple(c for axis, m in zip(pairs, digits) for c in axis[m])
-            for digits in self.gadget._patterns[1].values()
-        )
-
-    @cached_property
-    def _taus(self) -> tuple[Fraction, ...]:
-        """Per gadget pattern number p < P, the threshold of its witness
-        half-spaces: d + 1/2 + p/(4P) = (2P(2d+1) + p)/(4P), inside (d, d+1)."""
-        count = len(self._bounds)
-        return tuple(
-            Fraction(2 * count * (2 * self.d + 1) + p, 4 * count) for p in range(count)
+            RestrictedHalfspace(
+                tuple(c for axis, m in zip(pairs, digits) for c in axis[m]),
+                Fraction(2 * count * (2 * self.d + 1) + p, 4 * count),
+            )
+            for p, digits in enumerate(patterns)
         )
 
 
@@ -263,14 +261,15 @@ def union_witness(
 
     The boxes of the complement subset are handed to the gadget; each witness
     point lifts to its corner, which snaps onto the rescaled grid and gives
-    the bounds of one half-space, under its pattern's threshold. Each call
-    walks the witness tree afresh, with the witness as its node, so the
-    instance keeps no memo of it.
+    the bounds of one half-space, under its pattern's threshold; the
+    witness holds the instance's own half-spaces. Each call walks the
+    witness tree afresh, with the witness as its node, so the instance
+    keeps no memo of it.
     """
-    bounds, taus = inst._bounds, inst._taus
+    halfspaces = inst._halfspaces
 
     def grow(parent: Halfspaces, number: int) -> Halfspaces:
-        return parent + (RestrictedHalfspace(bounds[number], taus[number]),)
+        return parent + (halfspaces[number],)
 
     return _witness_tree(inst.gadget, (), grow)(subset_mask(len(inst.points), subset))
 
@@ -310,28 +309,20 @@ def _selected_masks(
 
 
 def _union_walk(
-    inst: Theorem1Instance, masks: dict[int, int]
+    gadget: BoxGadget, masks: Sequence[int]
 ) -> Callable[[int], tuple[int, int]]:
-    """The verifier's walk of inst's witness tree: per union mask, the pair
-    (OR of the point masks of its witness half-spaces, their number).
+    """The verifier's walk of the gadget's witness tree: per union mask, the
+    pair (OR of the point masks of its witness half-spaces, their number).
 
-    A union's node is its parent's with the mask of its pattern's half-space
-    ORed in, so each subset costs one tree step, one mask lookup and one OR.
-    The walk makes that mask the first time it meets the pattern, by
-    ``_halfspace_mask`` on the points' vertex columns, and keeps it in
-    ``masks`` under the pattern number.
+    ``masks`` holds, per pattern number, the point mask of that pattern's
+    half-space. A union's node is its parent's with its pattern's mask ORed
+    in, so each subset costs one tree step, one list read and one OR.
     """
-    columns = [p._vertex_column for p in inst.points]
-    bounds, taus = inst._bounds, inst._taus
 
     def grow(parent: tuple[int, int], number: int) -> tuple[int, int]:
-        got, size = parent
-        m = masks.get(number)
-        if m is None:
-            m = masks[number] = _halfspace_mask(bounds[number], taus[number], columns)
-        return got | m, size + 1
+        return parent[0] | masks[number], parent[1] + 1
 
-    return _witness_tree(inst.gadget, (0, 0), grow)
+    return _witness_tree(gadget, (0, 0), grow)
 
 
 def verify_theorem1(
@@ -345,13 +336,15 @@ def verify_theorem1(
 
     The witnesses are those of ``union_witness``, read from the verifier's
     own walk of the witness tree (``_union_walk``), whose node per subset is
-    the OR of its half-spaces' masks and their number. A subset whose
-    witness cannot be built, or has more than k half-spaces, counts as
-    failing. With compute_vc_dim, additionally collects the sets that the
-    witness half-spaces of the run cut out of P and reports the
-    VC-dimension of the k-fold union of that system (it must reach |P| when
-    the instance shatters). That union shatters P exactly when it is the
-    whole power set, so the report is |P| when the popcount of its
+    the OR of its half-spaces' masks and their number. Each of the
+    instance's P half-spaces is cut against P once, by ``_halfspace_mask``
+    on the points' vertex columns, before the walk. A subset whose witness
+    cannot be built, or has more than k half-spaces, counts as failing. With
+    compute_vc_dim, additionally reports the VC-dimension of the k-fold
+    union of the sets those P half-spaces cut out of P (it must reach |P|
+    when the instance shatters), in either mode, so a sample run reports
+    what an exhaustive one does. That union shatters P exactly when it is
+    the whole power set, so the report is |P| when the popcount of its
     ``union_closure`` is 2^|P|; only a closure that is not full becomes the
     ``SetSystem`` of its members for ``vc_dim``.
     """
@@ -359,8 +352,9 @@ def verify_theorem1(
     k = inst.k
     failing: list[tuple[int, ...]] = []
     max_size = 0
-    pattern_masks: dict[int, int] = {}
-    walk = _union_walk(inst, pattern_masks)
+    columns = [p._vertex_column for p in inst.points]
+    pattern_masks = [_halfspace_mask(h.b, h.tau, columns) for h in inst._halfspaces]
+    walk = _union_walk(inst.gadget, pattern_masks)
     for pmask in masks:
         try:
             got, size = walk(pmask)
@@ -372,9 +366,9 @@ def verify_theorem1(
         if got != pmask or size > k:
             failing.append(tuple(mask_to_indices(pmask)))
     union_dim: int | None = None
-    if compute_vc_dim and pattern_masks:
+    if compute_vc_dim:
         npoints = len(inst.points)
-        closure = union_closure(set(pattern_masks.values()), npoints, inst.k)
+        closure = union_closure(set(pattern_masks), npoints, inst.k)
         if closure.bit_count() == 1 << npoints:
             union_dim = npoints
         else:
@@ -441,22 +435,19 @@ def _simplex_walk(
     on it; the count adds up the zero signs of every vertex. A union's node
     extends its parent's simplex by the dual vertex of its pattern's
     half-space (``OpenSimplex._extended`` raises DegenerateSimplexError on a
-    dependent one) and folds that vertex's signs in. The walk makes each
-    pattern's vertex the first time it meets the pattern and evaluates its
-    signs then, in integers, over every hyperplane.
+    dependent one) and folds that vertex's signs in. Before the walk, each
+    of the base instance's P half-spaces gives its dual vertex, whose signs
+    are evaluated once, in integers, over every hyperplane.
     """
     d = inst2.base.d
-    bounds, taus = inst2.base._bounds, inst2.base._taus
     signs_of = partial(_vertex_signs, [_hyperplane_row(h) for h in inst2.hyperplanes])
-    made: dict[int, tuple[Point, int, int, int]] = {}  # vertex, its sign masks
+    made = [  # per pattern number: its vertex and the vertex's sign masks
+        (v, *signs_of(v)) for v in map(dual_halfspace_to_point, inst2.base._halfspaces)
+    ]
 
     def grow(parent: tuple, number: int) -> tuple[OpenSimplex, int, int, int, int]:
         simplex, pos, neg, on, zeros = parent
-        entry = made.get(number)
-        if entry is None:
-            v = dual_halfspace_to_point(RestrictedHalfspace(bounds[number], taus[number]))
-            entry = made[number] = (v, *signs_of(v))
-        v, p, n, z = entry
+        v, p, n, z = made[number]
         return simplex._extended(v), pos | p, neg | n, on & z, zeros + z.bit_count()
 
     apex = _apex(d)

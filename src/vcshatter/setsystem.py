@@ -259,6 +259,8 @@ def k_fold_union(system: SetSystem, k: int) -> SetSystem:
     """Unions of k (not necessarily distinct) members; contains the input family."""
     if k < 1:
         raise ValueError("fold count k must be >= 1")
+    if not system.sets:  # no members, no unions, at any ground size
+        return system
     closure = union_closure(system.sets, system.ground_size, k)
     return SetSystem(system.ground_size, tuple(mask_to_indices(closure)))
 

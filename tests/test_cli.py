@@ -91,21 +91,21 @@ class TestSysCommands:
         assert "complement refused" in report["error"]
 
     def test_an_empty_family_on_a_huge_ground_size_stays_small(self, capsys, tmp_path):
-        # the complement of no members is no members: no 2^27-bit mask is
-        # built, and the intersection's union fold refuses the ground size
+        # the complement of no members is no members, and so is their k-fold
+        # intersection: no 2^27-bit mask is built and no guard refuses
         path = tmp_path / "empty.json"
         jsonio.dump_json({"ground_size": 1 << 27, "sets": []}, path)
         tracemalloc.start()
         try:
             code, report = run_cli(capsys, "sys", "complement", "--input", str(path))
-            code2, refused = run_cli(
+            code2, folded = run_cli(
                 capsys, "sys", "kfold", "--input", str(path), "--k", "2", "--op", "intersection"
             )
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert code == 0 and report["result"]["system"]["sets"] == []
-        assert code2 == 2 and "k-fold union refused" in refused["error"]
+        assert code2 == 0 and folded["result"]["system"]["sets"] == []
         assert peak < 1 << 20
 
     def test_duplicate_sets_warn_and_dedupe(self, capsys, tmp_path):
@@ -208,6 +208,30 @@ class TestVerifyCommands:
                              "--gadget", str(n3_gadget_path))
         assert code == 0
         assert fits["notes"] == []
+
+    def test_reports_name_the_instance_they_ran_on(self, capsys, tmp_path, n3_gadget_path):
+        # construct, witness and verify all report the four options that pick
+        # an instance, so reports on two gadgets never share their params
+        built = ["--d", "4", "--k", "4", "--gadget", str(n3_gadget_path)]
+        bundle = tmp_path / "instance.json"
+        code, _ = run_cli(capsys, "construct", "theorem1", *built, "--output", str(bundle))
+        assert code == 0
+        cases = [
+            (built, {"input": None, "d": 4, "k": 4, "gadget": str(n3_gadget_path)}),
+            (["--input", str(bundle)], {"input": str(bundle), "d": None, "k": None,
+                                        "gadget": None}),
+        ]
+        commands = [["verify", "theorem1"], ["verify", "theorem2"],
+                    ["witness", "union", "--subset", "0,3"],
+                    ["witness", "simplex", "--subset", "0,3"]]
+        for options, instance in cases:
+            for command in commands:
+                code, report = run_cli(capsys, *command, *options)
+                assert code == 0
+                assert {name: report["params"][name] for name in instance} == instance
+        for which in ("theorem1", "theorem2"):
+            code, report = run_cli(capsys, "construct", which, *built)
+            assert code == 0 and report["params"] == cases[0][1]
 
     def test_usage_error_leaves_the_parser_reusable(self, capsys):
         # cli_main builds its parser once; a rejected call must not change the next one

@@ -345,11 +345,12 @@ class TestUnionWitness:
         )
         for inst in instances:
             count = len(inst.gadget._pattern_points)
-            assert len(inst._bounds) == len(inst._taus) == len(set(inst._taus)) == count
-            assert all(inst.d < tau < inst.d + 1 for tau in inst._taus)
+            taus = [h.tau for h in inst._halfspaces]
+            assert len(taus) == len(set(taus)) == count
+            assert all(inst.d < tau < inst.d + 1 for tau in taus)
             low = 2 * count * (2 * inst.d + 1)
-            assert [tau * 4 * count for tau in inst._taus] == list(range(low, low + count))
-            assert inst._taus[1].denominator == 4 * count
+            assert [tau * 4 * count for tau in taus] == list(range(low, low + count))
+            assert taus[1].denominator == 4 * count
 
     def test_taus_hold_one_threshold_per_pattern(self, bundled_gadget, n3_gadget):
         # k enters no threshold: the same gadget gives the same taus at every
@@ -365,8 +366,9 @@ class TestUnionWitness:
         taus = {}
         for gadget, k in cases:
             inst = build_theorem1(4, k, gadget)
-            assert len(inst._taus) == len(gadget._pattern_points)
-            assert taus.setdefault(gadget, inst._taus) == inst._taus
+            got = [h.tau for h in inst._halfspaces]
+            assert len(got) == len(gadget._pattern_points)
+            assert taus.setdefault(gadget, got) == got
             inst2 = build_theorem2(inst)
             assert verify_theorem1(inst).shattered
             assert verify_theorem2(inst2).checked == 1 << len(gadget.boxes)
@@ -448,21 +450,28 @@ class TestVerifyTheorem1:
         assert report.checked == 32
         assert report.shattered
 
-    def test_vc_dim_of_a_closure_that_is_not_full(self, n3_gadget, monkeypatch):
-        # five sampled subsets cut too few sets for their 4-fold union to be
-        # the power set, so the report comes from vc_dim, not the popcount
-        inst = build_theorem1(4, 4, n3_gadget)
+    def test_vc_dim_of_a_closure_that_is_not_full(self, bundled_instance, monkeypatch):
+        # with point 0 one grid step up, the sets the instance's half-spaces
+        # cut are too few for their 2-fold union to be the power set, so the
+        # report comes from vc_dim, not the popcount
+        _, inst = TestWitnessTree.mutants(bundled_instance)
         # the run folds the cut sets once, and vc_dim reads that same closure
         closures = [_counting(monkeypatch, m, "union_closure") for m in (constructions, setsystem)]
-        report = verify_theorem1(inst, mode="sample", count=5, seed=1, compute_vc_dim=True)
+        report = verify_theorem1(inst, compute_vc_dim=True)
         assert sum(map(len, closures)) == 1
-        masks = constructions._selected_masks(12, "sample", 5, 1)
-        assert report.shattered and len(masks) == 5
-        # the verifier checks the public witnesses of the sampled subsets
-        halfspaces = [h for mask in masks for h in union_witness(inst, mask)]
-        system = halfspace_system(inst.points, halfspaces)
-        assert union_closure(system.sets, 12, 4).bit_count() < 1 << 12
-        assert report.union_vc_dim == vc_dim(k_fold_union(system, 4))[0]
+        assert not report.shattered
+        system = halfspace_system(inst.points, inst._halfspaces)
+        assert union_closure(system.sets, 5, inst.k).bit_count() < 1 << 5
+        assert report.union_vc_dim == vc_dim(k_fold_union(system, inst.k))[0] == 4
+
+    def test_sample_mode_reports_the_exhaustive_vc_dim(self, n3_gadget):
+        # the union is folded from all P half-spaces of the instance, not
+        # from the sampled subsets' witnesses, so five subsets report 12 too
+        inst = build_theorem1(4, 4, n3_gadget)
+        sampled = verify_theorem1(inst, mode="sample", count=5, seed=1, compute_vc_dim=True)
+        exhaustive = verify_theorem1(inst, compute_vc_dim=True)
+        assert sampled.checked == 5
+        assert sampled.union_vc_dim == exhaustive.union_vc_dim == 12
 
     def test_witness_error_is_a_failing_subset(self, bundled_instance, monkeypatch):
         # union 13, a leaf of the witness tree, is unreached
@@ -510,10 +519,10 @@ class TestHalfspaceKernel:
         # tau inside (d, d+1) cuts out the same points
         inst = build_theorem1(4, 4, n3_gadget)
         columns = [p._vertex_column for p in inst.points]
-        for number, b in enumerate(inst._bounds):
-            h = RestrictedHalfspace(b, inst._taus[number])
+        taus = [h.tau for h in inst._halfspaces]
+        for h in inst._halfspaces:
             want = sum(1 << i for i, p in enumerate(inst.points) if halfspace_contains(h, p))
-            assert {_halfspace_mask(b, tau, columns) for tau in inst._taus} == {want}
+            assert {_halfspace_mask(h.b, tau, columns) for tau in taus} == {want}
 
     def test_bound_sums_once_per_bound_tuple(self, n3_gadget, monkeypatch):
         # one _halfspace_mask per pattern: the 57 distinct witness half-spaces
@@ -525,9 +534,9 @@ class TestHalfspaceKernel:
         assert sorted((b, tau) for b, tau, _ in made) == sorted((h.b, h.tau) for h in halfspaces)
 
     def test_halfspaces_share_their_pattern_bounds_and_taus(self, bundled_gadget, n3_gadget):
-        # every half-space of every witness is made on its pattern's bound
-        # tuple and tau, the objects the instance keeps, wherever it sits in
-        # its witness; every pattern is some witness's
+        # every half-space of every witness is its pattern's, the object the
+        # instance keeps, wherever it sits in its witness; every pattern is
+        # some witness's
         for inst in (build_theorem1(4, 3, bundled_gadget), build_theorem1(4, 4, n3_gadget)):
             full = (1 << len(inst.points)) - 1
             used = set()
@@ -536,9 +545,9 @@ class TestHalfspaceKernel:
                 witness = union_witness(inst, mask)
                 assert len(witness) == len(numbers) <= inst.gadget.max_witness_size
                 for h, number in zip(witness, numbers):
-                    assert h.b is inst._bounds[number] and h.tau is inst._taus[number]
+                    assert h is inst._halfspaces[number]
                     used.add(number)
-            assert used == set(range(len(inst._taus)))
+            assert used == set(range(len(inst._halfspaces)))
 
 
 class TestTheorem2:
@@ -589,7 +598,7 @@ class TestTheorem2:
         # affinely dependent
         inst2 = build_theorem2(dataclasses.replace(bundled_instance))
         bad = _witness_patterns(gadget, 31 & ~13)[-1]
-        bad_halfspace = RestrictedHalfspace(inst2.base._bounds[bad], inst2.base._taus[bad])
+        bad_halfspace = inst2.base._halfspaces[bad]
 
         def dual(h, dual=dual_halfspace_to_point):
             return constructions._apex(4) if h == bad_halfspace else dual(h)
@@ -635,8 +644,8 @@ class TestTheorem2:
         assert report.zero_signs == 0
 
     def test_each_distinct_witness_is_processed_once(self, n3_gadget, monkeypatch):
-        # each run makes what it checks once per pattern that its witnesses
-        # take: all 57
+        # the instance makes its 57 half-spaces once, and each run makes what
+        # it checks once per half-space
         inst = build_theorem1(4, 4, n3_gadget)
         calls = {
             name: _counting(monkeypatch, constructions, name)
@@ -647,13 +656,14 @@ class TestTheorem2:
         counts = {name: len(record) for name, record in calls.items()}
         # one snap per menu value of each gadget axis, not one per pattern
         assert counts.pop("snap") == sum(len(values) for values in n3_gadget._menu)
-        assert counts == {"_halfspace_mask": 57, "RestrictedHalfspace": 0,
+        assert counts == {"_halfspace_mask": 57, "RestrictedHalfspace": 57,
                           "dual_halfspace_to_point": 0, "_vertex_signs": 0}
         inst2 = build_theorem2(inst)
         for run in (1, 2):
             assert verify_theorem2(inst2, mode="exhaustive").shattered
-            # each run has its own memo, so the second makes them again
-            assert len(calls["dual_halfspace_to_point"]) == len(calls["RestrictedHalfspace"])
+            # each run has its own vertex table, so the second makes them
+            # again from the same half-spaces
+            assert len(calls["RestrictedHalfspace"]) == 57
             assert len(calls["dual_halfspace_to_point"]) == 57 * run
             assert len(calls["_vertex_signs"]) == 58 * run  # the apex's too
         assert len(calls["_halfspace_mask"]) == 57
@@ -700,14 +710,15 @@ class TestTheorem2:
     def test_distinct_taus_keep_four_point_simplices_independent(self, monkeypatch):
         # 8 x-disjoint boxes (n=4, d=4, k=8): with the pattern taus only the
         # 93 subsets of more than d = 4 points fail; under one tau d + 1/2
-        # for every pattern, the dual vertices of all 70 four-point subsets
-        # are affinely dependent too
+        # for every pattern's half-space, the dual vertices of all 70
+        # four-point subsets are affinely dependent too
         inst = build_theorem1(4, 8, BoxGadget(n=4, dim=2, boxes=_disjoint_boxes(8)))
         subsets = [tuple(mask_to_indices(mask)) for mask in range(256)]
         report = verify_theorem2(build_theorem2(inst))
         assert set(report.failing_subsets) == {s for s in subsets if len(s) > 4}
         assert len(report.failing_subsets) == 93
-        monkeypatch.setitem(inst.__dict__, "_taus", (F(9, 2),) * len(inst._taus))
+        halfspaces = tuple(RestrictedHalfspace(h.b, F(9, 2)) for h in inst._halfspaces)
+        monkeypatch.setitem(inst.__dict__, "_halfspaces", halfspaces)
         report = verify_theorem2(build_theorem2(inst))
         assert set(report.failing_subsets) == {s for s in subsets if len(s) >= 4}
         assert len(report.failing_subsets) == 163
@@ -860,13 +871,13 @@ class TestWitnessTree:
             monkeypatch.undo()
 
     def test_patterns_sharing_bounds_fail_without_raising(self, n3_gadget, monkeypatch):
-        # pattern 1's row of half-spaces takes pattern 0's bounds, so the two
-        # share one bound tuple
+        # pattern 1's half-space takes pattern 0's bounds under its own tau,
+        # so the two share one bound tuple
         inst = build_theorem1(4, 4, n3_gadget)
-        bounds = list(inst._bounds)
-        bounds[1] = bounds[0]
-        monkeypatch.setitem(inst.__dict__, "_bounds", tuple(bounds))
-        assert inst._bounds[1] is inst._bounds[0]
+        halfspaces = list(inst._halfspaces)
+        halfspaces[1] = RestrictedHalfspace(halfspaces[0].b, halfspaces[1].tau)
+        monkeypatch.setitem(inst.__dict__, "_halfspaces", tuple(halfspaces))
+        assert inst._halfspaces[1].b is inst._halfspaces[0].b
         full = (1 << len(inst.points)) - 1
         for report in (verify_theorem1(inst), verify_theorem2(build_theorem2(inst))):
             assert report.failing_subsets
@@ -900,9 +911,9 @@ class TestWitnessTree:
         ]
         for inst in instances:
             menu = inst.gadget._pattern_points
-            assert len(inst._bounds) == len(menu)
-            for bounds, q in zip(inst._bounds, menu):
-                assert bounds == snap(_lift(q.coords, q.coords), inst.alpha)
+            assert len(inst._halfspaces) == len(menu)
+            for h, q in zip(inst._halfspaces, menu):
+                assert h.b == snap(_lift(q.coords, q.coords), inst.alpha)
 
     def test_single_subsets_on_fresh_instances(self, bundled_instance, n3_gadget):
         # every call is the first on its instance, so it builds the tables itself
@@ -953,7 +964,7 @@ class TestWitnessTree:
             monkeypatch.setattr(constructions, "dual_halfspace_to_point", dual)
             assert verify_theorem2(inst2).shattered
             fields = {f.name for f in dataclasses.fields(inst)}
-            assert set(inst.__dict__) - fields == {"_bounds", "_taus"}
+            assert set(inst.__dict__) - fields == {"_halfspaces"}
             assert set(inst2.__dict__) == {"base", "hyperplanes"}
             assert len(made) == 57
             assert all(vertex() is None for vertex in made)
@@ -995,9 +1006,9 @@ class TestWitnessTree:
         assert len(walks) == 2
         assert set(_memo(walks[0])) == set(_memo(walks[1])) == ancestors | {-1}
 
-    def test_sample_mode_makes_the_sampled_items(self, n3_gadget, monkeypatch):
-        # each sampled run makes what it checks for exactly the patterns of
-        # its sampled subsets' witnesses, each pattern once
+    def test_sample_mode_makes_each_pattern_item_once(self, n3_gadget, monkeypatch):
+        # a sampled run makes what it checks for every pattern, once each,
+        # although its witnesses take only some of the patterns
         inst = build_theorem1(4, 4, n3_gadget)
         full = (1 << 12) - 1
         items = {
@@ -1009,12 +1020,11 @@ class TestWitnessTree:
         calls = {name: _counting(monkeypatch, constructions, name) for name in names}
         assert verify_theorem1(inst, mode="sample", count=64, seed=5).shattered
         assert verify_theorem2(build_theorem2(inst), mode="sample", count=64, seed=5).shattered
-        assert 0 < len(items) < 57
-        bounds, taus = inst._bounds, inst._taus
-        masks = [(bounds.index(b), taus.index(tau)) for b, tau, _ in calls["_halfspace_mask"]]
-        made = [(bounds.index(h.b), taus.index(h.tau)) for (h,) in calls["dual_halfspace_to_point"]]
-        assert sorted(masks) == sorted(made) == sorted((p, p) for p in items)
-        assert len(calls["_vertex_signs"]) == len(items) + 1  # the apex's too
+        assert 0 < len(items) < len(inst._halfspaces) == 57
+        masks = [(b, tau) for b, tau, _ in calls["_halfspace_mask"]]
+        assert masks == [(h.b, h.tau) for h in inst._halfspaces]
+        assert [h for (h,) in calls["dual_halfspace_to_point"]] == list(inst._halfspaces)
+        assert len(calls["_vertex_signs"]) == 57 + 1  # the apex's too
 
     def test_each_subset_mask_is_validated_once(self, n3_gadget, monkeypatch):
         # the verifiers make their own masks and validate none; a public
@@ -1033,14 +1043,26 @@ class TestWitnessTree:
         # union_witness, which checks its range again
         assert sum(map(len, calls)) == 9
 
-    def test_verifier_walks_follow_the_public_witnesses(self, bundled_instance, n3_gadget):
+    def test_verifier_walks_follow_the_public_witnesses(
+        self, bundled_instance, n3_gadget, monkeypatch
+    ):
         # per subset, the node of each verifier's walk is the one derived
-        # from the public witness with the oracle predicates, and the union
-        # walk's memo holds each pattern's mask under its number
+        # from the public witness with the oracle predicates, and the mask
+        # table verify_theorem1 hands its walk holds each pattern's mask
+        # under its number
+        tables = []
+        build = constructions._union_walk
+
+        def recorded(gadget, masks):
+            tables.append(masks)
+            return build(gadget, masks)
+
+        monkeypatch.setattr(constructions, "_union_walk", recorded)
         for inst in self.instances(bundled_instance, n3_gadget):
             inst2 = build_theorem2(inst)
-            pattern_masks = {}
-            union_walk = constructions._union_walk(inst, pattern_masks)
+            assert verify_theorem1(inst).shattered
+            pattern_masks = tables[-1]
+            union_walk = build(inst.gadget, pattern_masks)
             simplex_walk = constructions._simplex_walk(inst2)
             cut = {}
             signs = {}
@@ -1063,8 +1085,7 @@ class TestWitnessTree:
                 node = simplex_walk(mask)
                 assert node[0].vertices == simplex.vertices
                 assert node[1:] == (pos, neg, on, zeros)
-            halfspaces = map(RestrictedHalfspace, inst._bounds, inst._taus)
-            assert pattern_masks == {p: cut[h] for p, h in enumerate(halfspaces)}
+            assert pattern_masks == [cut[h] for h in inst._halfspaces]
 
 
 class TestFiniteLevelIdentities:

@@ -299,6 +299,13 @@ class TestKFold:
         with pytest.raises(ValueError):
             k_fold_union(s, 0)
 
+    def test_empty_family_folds_to_itself_at_any_ground_size(self):
+        # no member means no union, so the 2^24 guard has nothing to refuse
+        s = SetSystem.from_masks(1 << 27, ())
+        assert k_fold_union(s, 2) == k_fold_intersection(s, 2) == s
+        with pytest.raises(ValueError, match="fold count"):
+            k_fold_union(s, 0)
+
     @given(systems(), st.integers(1, 3))
     @settings(max_examples=50, deadline=None)
     def test_contains_input_and_monotone_in_k(self, s, k):
