@@ -269,29 +269,31 @@ def _unions(gadget: BoxGadget) -> tuple[array, array]:
 
 def _witness_tree(
     gadget: BoxGadget, root: _Node, grow: Callable[[_Node, int], _Node]
-) -> Callable[[int], _Node]:
+) -> Callable[[int], tuple[_Node, int]]:
     """The one walk of the gadget's witness tree: a function of a union mask.
     Every witness of a gadget and of the instances built on it, public or
-    checked by a verifier, is a node of such a walk.
+    checked by a verifier, is one step past a node of such a walk.
 
     Each reached union's witness is its tree parent's plus one pattern
     numbered above all of the parent's (``_unions``); the root, the witness
-    of no pattern, is union -1. A union's node is ``grow(its parent's node,
-    the number of the pattern it adds)``, so a caller chooses what a node is
-    by its root and its step. The walk memoizes the node of every tree parent
-    it meets by union mask, the root's under -1, and builds a missing parent
-    by recursion. A union with no witness raises ConstructionError before
-    any parent is built. Only this walk reads the ``_closure`` tables. The
-    memo lives as long as the walk: ``witness_for`` and the public witness
-    functions of ``constructions`` drop it after one union, and each
-    theorem verifier keeps it for one run.
+    of no pattern, is union -1. The walk returns the pair (the node of the
+    union's tree parent, the number of the pattern it adds), so
+    ``grow(*walk(union))`` is the union's own node: a caller chooses what a
+    node is by its root and its step. The walk memoizes the node of every
+    tree parent it meets by union mask, the root's under -1, and builds a
+    missing parent by recursion. A union with no witness raises
+    ConstructionError before any parent is built. Only this walk reads the
+    ``_closure`` tables. The memo lives as long as the walk: ``witness_for``
+    and the public witness functions of ``constructions`` drop it after one
+    union, and each theorem verifier keeps it for one run.
     """
     pick, prev = gadget._closure
     return partial(_tree_node, pick, prev, {-1: root}, grow)
 
 
-def _tree_node(pick: array, prev: array, nodes: dict, grow: Callable, union: int) -> object:
-    """One call of a ``_witness_tree`` walk, whose memo is ``nodes``. A walk
+def _tree_node(pick: array, prev: array, nodes: dict, grow: Callable, union: int) -> tuple:
+    """One call of a ``_witness_tree`` walk, whose memo is ``nodes``: the
+    union's tree-parent node and the number of the pattern it adds. A walk
     that called itself through a closure would be a reference cycle, which
     keeps a dropped walk's memo alive until the cyclic collector runs."""
     number = pick[union]
@@ -304,8 +306,8 @@ def _tree_node(pick: array, prev: array, nodes: dict, grow: Callable, union: int
                 f"gadget has no witness for box subset {mask_to_indices(avoid)}; "
                 "the certificate is invalid"
             )
-        parent = nodes[prev[union]] = _tree_node(pick, prev, nodes, grow, prev[union])
-    return grow(parent, number)
+        parent = nodes[prev[union]] = grow(*_tree_node(pick, prev, nodes, grow, prev[union]))
+    return parent, number
 
 
 def witness_for(gadget: BoxGadget, subset: Iterable[int] | int) -> tuple[Point, ...] | None:
@@ -314,13 +316,18 @@ def witness_for(gadget: BoxGadget, subset: Iterable[int] | int) -> tuple[Point, 
     Returns None when no such set of at most ``max_witness_size`` candidate
     points exists; infeasibility is a value, not an error. Refuses families
     larger than the 2^24 guard. Each call walks the witness tree afresh,
-    with the witness as its node, so the gadget keeps no memo of it.
+    with the witness as its node, and adds the last point to its tree
+    parent's, so the gadget keeps no memo of it.
     """
     nboxes = len(gadget.boxes)
     union = ((1 << nboxes) - 1) & ~subset_mask(nboxes, subset)
     points = gadget._pattern_points
+
+    def grow(parent: tuple[Point, ...], number: int) -> tuple[Point, ...]:
+        return parent + (points[number],)
+
     try:
-        return _witness_tree(gadget, (), lambda parent, number: parent + (points[number],))(union)
+        return grow(*_witness_tree(gadget, (), grow)(union))
     except ConstructionError:
         return None
 

@@ -40,20 +40,23 @@ so a witness's ascending patterns give its half-spaces and, by duality,
 its vertices after the apex.
 Every witness comes from a walk of that tree through
 ``boxgadget._witness_tree``, whose caller supplies only the root and the
-step, so this module never reads the gadget's tables. ``union_witness``
-walks afresh with the witness as its node, and ``simplex_witness`` extends
-the apex by the duals of its half-spaces; a union with no witness raises.
-A new vertex's affine independence is checked against the integer
-annihilator of the simplex before it, usually by one dot product. Each
-verifier first makes what it checks per half-space, in one table by
-pattern number: its point mask, or its dual vertex with that vertex's
-signs. Its walk then memoizes every tree parent for that run, with its own
-nodes, which hold exactly what it checks (``_union_walk``,
-``_simplex_walk``): it checks the witnesses the public functions return,
-at one tree step, one table read and one OR per subset, and validates none
-of the masks it makes itself. Both verifiers count a subset with no
-witness, a dependent vertex, a witness of more than k half-spaces, or a
-simplex of dimension above k, as failing.
+step, so this module never reads the gadget's tables; the walk returns a
+union's tree-parent node and last pattern number, and the caller makes
+the last step. ``union_witness`` walks afresh with the witness as its
+node, and ``simplex_witness`` builds one ``OpenSimplex`` of the apex and
+the duals of its half-spaces, whose constructor checks their affine
+independence; a union with no witness raises. Each verifier first makes
+what it checks per half-space, in one table by pattern number: its point
+mask, or its dual vertex's column with that vertex's signs. Its walk then
+memoizes every tree parent for that run, with its own nodes, which hold
+exactly what it checks (``_union_walk``, ``_simplex_walk``), and the
+verifier adds each subset's last pattern inline: it checks the witnesses
+the public functions return, at one tree step, one table read and one OR
+per subset, and validates none of the masks it makes itself. A subset's
+last vertex is independent when its parent's integer annihilator has a
+vector with a nonzero dot product on its column. Both verifiers count a
+subset with no witness, a dependent vertex, a witness of more than k
+half-spaces, or a simplex of dimension above k, as failing.
 """
 
 from __future__ import annotations
@@ -63,7 +66,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
-from operator import itemgetter
+from operator import itemgetter, mul
 from typing import Callable, Iterable, Sequence
 
 from . import boxgadget  # boxgadget.verify is looked up where perfbench's tracer wraps it
@@ -75,8 +78,10 @@ from .geometry import (
     OpenSimplex,
     Point,
     RestrictedHalfspace,
+    _annihilate,
     _halfspace_mask,
     _hyperplane_row,
+    _identity,
     _vertex_signs,
     dual_halfspace_to_point,
     dual_point_to_hyperplane,
@@ -86,6 +91,7 @@ from .setsystem import union_closure, vc_dim
 
 AlphaTables = tuple[tuple[tuple[Fraction, Fraction], ...], ...]
 Halfspaces = tuple[RestrictedHalfspace, ...]
+Vertex = tuple[tuple[int, ...], int, int, int]  # a column and its (pos, neg, on) sign masks
 
 
 def _lift(lo: Sequence[Fraction], hi: Sequence[Fraction]) -> tuple[Fraction, ...]:
@@ -263,15 +269,15 @@ def union_witness(
     point lifts to its corner, which snaps onto the rescaled grid and gives
     the bounds of one half-space, under its pattern's threshold; the
     witness holds the instance's own half-spaces. Each call walks the
-    witness tree afresh, with the witness as its node, so the instance
-    keeps no memo of it.
+    witness tree afresh, with the witness as its node, and adds the last
+    half-space to its tree parent's, so the instance keeps no memo of it.
     """
     halfspaces = inst._halfspaces
 
     def grow(parent: Halfspaces, number: int) -> Halfspaces:
         return parent + (halfspaces[number],)
 
-    return _witness_tree(inst.gadget, (), grow)(subset_mask(len(inst.points), subset))
+    return grow(*_witness_tree(inst.gadget, (), grow)(subset_mask(len(inst.points), subset)))
 
 
 @dataclass(frozen=True)
@@ -297,12 +303,13 @@ def _selected_masks(
             raise ValueError("sample mode requires a positive count")
         if seed is None:
             raise ValueError("sample mode requires a seed")
+        if count >= 1 << npoints:  # every mask; drawing them all would take ~n 2^n draws
+            return range(1 << npoints)
         # Draw until there are enough distinct masks; random.sample over
         # range(1 << npoints) would overflow len() past 63 points.
         rng = random.Random(seed)
-        wanted = min(count, 1 << npoints)
         masks: set[int] = set()
-        while len(masks) < wanted:
+        while len(masks) < count:
             masks.add(rng.getrandbits(npoints))
         return sorted(masks)
     raise ValueError(f"unknown mode {mode!r}; expected 'exhaustive' or 'sample'")
@@ -310,13 +317,15 @@ def _selected_masks(
 
 def _union_walk(
     gadget: BoxGadget, masks: Sequence[int]
-) -> Callable[[int], tuple[int, int]]:
-    """The verifier's walk of the gadget's witness tree: per union mask, the
+) -> Callable[[int], tuple[tuple[int, int], int]]:
+    """The verifier's walk of the gadget's witness tree: per union mask, its
+    tree parent's node and the number of the pattern it adds. A node is the
     pair (OR of the point masks of its witness half-spaces, their number).
 
     ``masks`` holds, per pattern number, the point mask of that pattern's
-    half-space. A union's node is its parent's with its pattern's mask ORed
-    in, so each subset costs one tree step, one list read and one OR.
+    half-space. A node is its parent's with its pattern's mask ORed in; the
+    verifier makes a subset's own step, so each subset costs one tree step,
+    one list read and one OR.
     """
 
     def grow(parent: tuple[int, int], number: int) -> tuple[int, int]:
@@ -335,8 +344,9 @@ def verify_theorem1(
     """Check that every selected subset is realized exactly by its witness union.
 
     The witnesses are those of ``union_witness``, read from the verifier's
-    own walk of the witness tree (``_union_walk``), whose node per subset is
-    the OR of its half-spaces' masks and their number. Each of the
+    own walk of the witness tree (``_union_walk``), whose node per tree
+    parent is the OR of its half-spaces' masks and their number; a subset's
+    own node ORs in its last pattern's mask. Each of the
     instance's P half-spaces is cut against P once, by ``_halfspace_mask``
     on the points' vertex columns, before the walk. A subset whose witness
     cannot be built, or has more than k half-spaces, counts as failing. With
@@ -357,10 +367,12 @@ def verify_theorem1(
     walk = _union_walk(inst.gadget, pattern_masks)
     for pmask in masks:
         try:
-            got, size = walk(pmask)
+            (got, size), number = walk(pmask)
         except ConstructionError:
             failing.append(tuple(mask_to_indices(pmask)))
             continue
+        got |= pattern_masks[number]
+        size += 1
         if size > max_size:
             max_size = size
         if got != pmask or size > k:
@@ -406,54 +418,54 @@ def simplex_witness(inst2: Theorem2Instance, subset: Iterable[int] | int) -> Ope
     the +1 side of each hyperplane except that a witness half-space containing
     p puts its dual vertex strictly on the -1 side of H(p), so the open hull
     crosses H(p) exactly when p is selected. Affinely dependent vertices raise
-    ConstructionError. Each call grows the apex by the duals of
-    ``union_witness``'s half-spaces, so the instance keeps no memo of it;
-    each new vertex's independence is checked against the integer
-    annihilator of the simplex before it (``OpenSimplex._extended``).
+    ConstructionError. Each call builds the simplex from ``union_witness``'s
+    half-spaces in one ``OpenSimplex``, whose constructor checks that its
+    vertices are affinely independent, so the instance keeps no memo of it.
     """
     d = inst2.base.d
     pmask = subset_mask(len(inst2.base.points), subset)
-    simplex = OpenSimplex(ambient_dim=d, vertices=(_apex(d),))
+    duals = map(dual_halfspace_to_point, union_witness(inst2.base, pmask))
     try:
-        for h in union_witness(inst2.base, pmask):
-            simplex = simplex._extended(dual_halfspace_to_point(h))
+        return OpenSimplex(d, (_apex(d), *duals))
     except DegenerateSimplexError as err:
         raise ConstructionError(
             f"could not build an affinely independent simplex for subset mask {pmask}: {err}"
         ) from err
-    return simplex
+
+
+def _with_signs(node: tuple, vertex: Vertex) -> tuple[int, int, int, int]:
+    """The (pos, neg, on, zero-sign count) of a ``_simplex_walk`` node with
+    one more vertex, given as its (column, pos, neg, on) table entry."""
+    _, _, pos, neg, on, zeros = node
+    _, p, n, z = vertex
+    return pos | p, neg | n, on & z, zeros + z.bit_count()
 
 
 def _simplex_walk(
-    inst2: Theorem2Instance,
-) -> Callable[[int], tuple[OpenSimplex, int, int, int, int]]:
-    """The verifier's walk of inst2's witness tree: per union mask, the tuple
-    (simplex, pos, neg, on, zero-sign count) of its witness simplex.
+    gadget: BoxGadget, made: Sequence[Vertex], apex: Vertex
+) -> Callable[[int], tuple[tuple, int]]:
+    """The verifier's walk of the gadget's witness tree: per union mask, its
+    tree parent's node and the number of the pattern it adds. A node is the
+    tuple (annihilator, size, pos, neg, on, zero-sign count) of a witness
+    simplex with size + 1 vertices: an integer basis of the vectors
+    orthogonal to its vertex columns, the masks of the hyperplanes with some
+    vertex strictly on the +1 side, some strictly on the -1 side, and every
+    vertex on them, and the zero signs of every vertex added up.
 
-    pos, neg and on are the masks of the hyperplanes with some vertex
-    strictly on the +1 side, some strictly on the -1 side, and every vertex
-    on it; the count adds up the zero signs of every vertex. A union's node
-    extends its parent's simplex by the dual vertex of its pattern's
-    half-space (``OpenSimplex._extended`` raises DegenerateSimplexError on a
-    dependent one) and folds that vertex's signs in. Before the walk, each
-    of the base instance's P half-spaces gives its dual vertex, whose signs
-    are evaluated once, in integers, over every hyperplane.
+    ``made`` holds, per pattern number, the entry of its half-space's dual
+    vertex, and ``apex`` the apex's; the root is the apex alone. A node
+    folds its vertex's column into its parent's annihilator with
+    ``_annihilate``, which raises DegenerateSimplexError on a dependent one,
+    and its signs in with ``_with_signs``.
     """
-    d = inst2.base.d
-    signs_of = partial(_vertex_signs, [_hyperplane_row(h) for h in inst2.hyperplanes])
-    made = [  # per pattern number: its vertex and the vertex's sign masks
-        (v, *signs_of(v)) for v in map(dual_halfspace_to_point, inst2.base._halfspaces)
-    ]
 
-    def grow(parent: tuple, number: int) -> tuple[OpenSimplex, int, int, int, int]:
-        simplex, pos, neg, on, zeros = parent
-        v, p, n, z = made[number]
-        return simplex._extended(v), pos | p, neg | n, on & z, zeros + z.bit_count()
+    def grow(parent: tuple, number: int) -> tuple:
+        vertex = made[number]
+        return (_annihilate(parent[0], vertex[0]), parent[1] + 1, *_with_signs(parent, vertex))
 
-    apex = _apex(d)
-    pos, neg, on = signs_of(apex)
-    root = (OpenSimplex(ambient_dim=d, vertices=(apex,)), pos, neg, on, on.bit_count())
-    return _witness_tree(inst2.base.gadget, root, grow)
+    column, pos, neg, on = apex
+    root = (_annihilate(_identity(len(column)), column), 0, pos, neg, on, on.bit_count())
+    return _witness_tree(gadget, root, grow)
 
 
 def verify_theorem2(
@@ -465,30 +477,45 @@ def verify_theorem2(
     """Check each selected hyperplane subset against its witness simplex.
 
     The simplices are those of ``simplex_witness``, read from the verifier's
-    own walk of the witness tree (``_simplex_walk``), whose node per subset
-    carries the simplex's crossing masks and zero-sign count. Hyperplane i
-    is crossed when some vertex is strictly on each side of it, or every
-    vertex lies on it. Also counts sign-zero evaluations across every
-    (vertex, hyperplane) pair; a sound run reports zero_signs == 0, since
-    all incidences were engineered away by the threshold choice and the
-    apex. A subset whose simplex cannot be built, or has dimension above k,
-    counts as failing.
+    own walk of the witness tree (``_simplex_walk``) over a table, made
+    before the walk, of each pattern's dual vertex and its signs, evaluated
+    once, in integers, over every hyperplane. A subset's simplex adds its
+    last pattern's vertex to its tree parent's; the vertex is affinely
+    independent of the others exactly when some vector of the parent's
+    annihilator has a nonzero dot product with its column. Hyperplane i is
+    crossed when some vertex is strictly on each side of it, or every vertex
+    lies on it. Also counts sign-zero evaluations across every (vertex,
+    hyperplane) pair; a sound run reports zero_signs == 0, since all
+    incidences were engineered away by the threshold choice and the apex. A
+    subset whose simplex cannot be built, or has dimension above k, counts
+    as failing.
     """
     masks = _selected_masks(len(inst2.hyperplanes), mode, count, seed)
     k = inst2.k
     failing: list[tuple[int, ...]] = []
     zero_signs = 0
     max_size = 0
-    walk = _simplex_walk(inst2)
+    signs_of = partial(_vertex_signs, [_hyperplane_row(h) for h in inst2.hyperplanes])
+    made = [  # per pattern number: its dual vertex's column and sign masks
+        (v._vertex_column, *signs_of(v))
+        for v in map(dual_halfspace_to_point, inst2.base._halfspaces)
+    ]
+    apex = _apex(inst2.base.d)
+    walk = _simplex_walk(inst2.base.gadget, made, (apex._vertex_column, *signs_of(apex)))
     for hmask in masks:
         try:
-            simplex, pos, neg, on, zeros = walk(hmask)
+            parent, number = walk(hmask)
         except (ConstructionError, DegenerateSimplexError):
             failing.append(tuple(mask_to_indices(hmask)))
             continue
-        size = len(simplex.vertices) - 1
+        vertex = made[number]
+        if not any(sum(map(mul, n, vertex[0])) for n in parent[0]):  # a dependent vertex
+            failing.append(tuple(mask_to_indices(hmask)))
+            continue
+        size = parent[1] + 1
         if size > max_size:
             max_size = size
+        pos, neg, on, zeros = _with_signs(parent, vertex)
         zero_signs += zeros
         if (pos & neg) | on != hmask or size > k:
             failing.append(tuple(mask_to_indices(hmask)))

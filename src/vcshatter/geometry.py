@@ -178,47 +178,10 @@ class OpenSimplex:
                 raise ValueError("vertex dimension does not match ambient dimension")
         # Affine independence of the vertices is linear independence of their
         # (v, 1) vectors, which the integer vertex columns permute and scale.
-        # The identity annihilates the empty span; every column is folded in.
-        object.__setattr__(self, "_grown_from", (_identity(self.ambient_dim + 1), 0))
-        self._annihilator  # raises DegenerateSimplexError on a dependent column
-
-    @cached_property
-    def _annihilator(self) -> tuple[tuple[int, ...], ...]:
-        """An integer basis of the vectors orthogonal to every vertex column.
-
-        Folded by ``_annihilate`` from the basis this simplex was built with,
-        over the columns that basis does not yet annihilate; computed on first
-        use, so a simplex made by ``_extended`` pays for it only once it is
-        extended in turn.
-        """
-        basis, done = self._grown_from
-        for v in self.vertices[done:]:
-            basis = _annihilate(basis, v._vertex_column)
-        return basis
-
-    def _extended(self, vertex: Point) -> "OpenSimplex":
-        """This simplex with one more vertex, checked against this simplex's annihilator.
-
-        The new column is independent of the others exactly when some vector
-        of ``_annihilator`` is not orthogonal to it, as ``_annihilate``
-        decides; raises DegenerateSimplexError otherwise.
-        """
-        if vertex.dim != self.ambient_dim:
-            raise ValueError("vertex dimension does not match ambient dimension")
-        basis = self._annihilator
-        column = vertex._vertex_column
-        for n in basis:
-            if sum(map(mul, n, column)):
-                break
-        else:
-            raise DegenerateSimplexError("vertices are affinely dependent")
-        child = object.__new__(OpenSimplex)
-        child.__dict__.update(
-            ambient_dim=self.ambient_dim,
-            vertices=self.vertices + (vertex,),
-            _grown_from=(basis, len(self.vertices)),
-        )
-        return child
+        # The identity annihilates the empty span; every column is folded in,
+        # and a dependent one raises DegenerateSimplexError.
+        columns = (v._vertex_column for v in self.vertices)
+        reduce(_annihilate, columns, _identity(self.ambient_dim + 1))
 
     @property
     def simplex_dim(self) -> int:
@@ -231,8 +194,6 @@ class OpenSimplex:
 
 
 def dual_point_to_hyperplane(p: Point) -> DualHyperplane:
-    if p.dim < 2:
-        raise ValueError("point-to-hyperplane duality needs dimension >= 2")
     return DualHyperplane(p)
 
 

@@ -8,6 +8,7 @@ import re
 import weakref
 from fractions import Fraction
 from itertools import product
+from operator import mul
 from pathlib import Path
 
 import pytest
@@ -450,6 +451,21 @@ class TestVerifyTheorem1:
         assert report.checked == 32
         assert report.shattered
 
+    def test_sample_count_of_every_subset_draws_no_mask(self, monkeypatch):
+        # a count of at least 2^|P| selects every mask without drawing one,
+        # so the report is the exhaustive run's, failures included
+        squares = tuple(AxisBox((2 * i + 1,) * 2, (2 * i + 2,) * 2) for i in range(8))
+        inst = build_theorem1(4, 8, BoxGadget(n=4, dim=2, boxes=squares))
+        draws = _counting(monkeypatch, random.Random, "getrandbits")
+        runs = ((verify_theorem1, inst), (verify_theorem2, build_theorem2(inst)))
+        for verify_one, target in runs:
+            exhaustive = verify_one(target)
+            for count in (256, 257):
+                sampled = verify_one(target, mode="sample", count=count, seed=1)
+                assert dataclasses.replace(sampled, mode="exhaustive", seed=None) == exhaustive
+        assert len(exhaustive.failing_subsets) == 163
+        assert draws == []
+
     def test_vc_dim_of_a_closure_that_is_not_full(self, bundled_instance, monkeypatch):
         # with point 0 one grid step up, the sets the instance's half-spaces
         # cut are too few for their 2-fold union to be the power set, so the
@@ -890,14 +906,14 @@ class TestWitnessTree:
         for inst in self.instances(bundled_instance, n3_gadget):
             inst2 = build_theorem2(inst)
             walks = _recorded_walks(monkeypatch)
-            annihilations = _counting(monkeypatch, geometry, "_annihilate")
+            folds = [_counting(monkeypatch, m, "_annihilate") for m in (constructions, geometry)]
             assert verify_theorem2(inst2).shattered
             assert verify_theorem1(inst).shattered
             parents = _tree_parents(inst.gadget, range(1 << len(inst.points)))
             assert len(walks) == 2
             assert set(_memo(walks[0])) == set(_memo(walks[1])) == parents | {-1}
             # the apex's own fold, then at most one step per parent simplex
-            assert len(annihilations) <= 1 + len(parents)
+            assert sum(map(len, folds)) <= 1 + len(parents)
             monkeypatch.undo()
 
     def test_rows_equal_the_snapped_pattern_corners(self, bundled_instance, n3_gadget):
@@ -1046,26 +1062,32 @@ class TestWitnessTree:
     def test_verifier_walks_follow_the_public_witnesses(
         self, bundled_instance, n3_gadget, monkeypatch
     ):
-        # per subset, the node of each verifier's walk is the one derived
-        # from the public witness with the oracle predicates, and the mask
-        # table verify_theorem1 hands its walk holds each pattern's mask
-        # under its number
-        tables = []
-        build = constructions._union_walk
+        # per subset, each verifier's walk returns its tree parent's node and
+        # the number of its last pattern: the parent's node with that
+        # pattern's table entry added is the one derived from the public
+        # witness with the oracle predicates, and the parent's annihilator
+        # annihilates every vertex column but the last
+        builds = {name: getattr(constructions, name) for name in ("_union_walk", "_simplex_walk")}
+        tables = {}
+        for name, build in builds.items():
 
-        def recorded(gadget, masks):
-            tables.append(masks)
-            return build(gadget, masks)
+            def recorded(*args, name=name, build=build):
+                tables[name] = args
+                return build(*args)
 
-        monkeypatch.setattr(constructions, "_union_walk", recorded)
+            monkeypatch.setattr(constructions, name, recorded)
         for inst in self.instances(bundled_instance, n3_gadget):
             inst2 = build_theorem2(inst)
             assert verify_theorem1(inst).shattered
-            pattern_masks = tables[-1]
-            union_walk = build(inst.gadget, pattern_masks)
-            simplex_walk = constructions._simplex_walk(inst2)
+            assert verify_theorem2(inst2).shattered
+            union_walk = builds["_union_walk"](*tables["_union_walk"])
+            simplex_walk = builds["_simplex_walk"](*tables["_simplex_walk"])
+            _, pattern_masks = tables["_union_walk"]
+            _, made, apex = tables["_simplex_walk"]
+            hyperplanes = inst2.hyperplanes
+            vertex = constructions._apex(inst.d)
+            assert apex == (vertex._vertex_column, *sign_masks(vertex, hyperplanes))
             cut = {}
-            signs = {}
             for mask in range(1 << len(inst.points)):
                 witness = union_witness(inst, mask)
                 got = 0
@@ -1073,19 +1095,38 @@ class TestWitnessTree:
                     if h not in cut:
                         cut[h] = halfspace_cut(h, inst.points)
                     got |= cut[h]
-                assert union_walk(mask) == (got, len(witness))
+                (parent, size), number = union_walk(mask)
+                assert witness[-1] is inst._halfspaces[number]
+                assert (parent | pattern_masks[number], size + 1) == (got, len(witness))
                 simplex = simplex_witness(inst2, mask)
+                (basis, size, *signs), last = simplex_walk(mask)
+                assert last == number and size + 2 == len(simplex.vertices)
+                columns = [v._vertex_column for v in simplex.vertices[:-1]]
+                assert len(basis) == inst.d + 1 - len(columns)
+                assert not any(sum(map(mul, n, c)) for n in basis for c in columns)
+                vertex = simplex.vertices[-1]
+                assert made[number] == (vertex._vertex_column, *sign_masks(vertex, hyperplanes))
                 pos = neg = zeros = 0
                 on = (1 << len(inst.points)) - 1
                 for v in simplex.vertices:
-                    if v not in signs:
-                        signs[v] = sign_masks(v, inst2.hyperplanes)
-                    p, n, z = signs[v]
+                    p, n, z = sign_masks(v, hyperplanes)
                     pos, neg, on, zeros = pos | p, neg | n, on & z, zeros + z.bit_count()
-                node = simplex_walk(mask)
-                assert node[0].vertices == simplex.vertices
-                assert node[1:] == (pos, neg, on, zeros)
+                assert constructions._with_signs((basis, size, *signs), made[number]) == (
+                    pos, neg, on, zeros
+                )
             assert pattern_masks == [cut[h] for h in inst._halfspaces]
+
+    def test_verifier_builds_no_simplex(self, n3_gadget, monkeypatch):
+        # an exhaustive run folds the apex and each of the 511 tree parents
+        # once, and checks each subset's last vertex against its parent's
+        # annihilator without building a simplex
+        inst2 = build_theorem2(build_theorem1(4, 4, n3_gadget))
+        folds = [_counting(monkeypatch, m, "_annihilate") for m in (constructions, geometry)]
+        simplices = _counting(monkeypatch, OpenSimplex, "__post_init__")
+        assert verify_theorem2(inst2).shattered
+        assert len(_tree_parents(n3_gadget, range(1 << 12))) == 511
+        assert sum(map(len, folds)) == 512
+        assert simplices == []
 
 
 class TestFiniteLevelIdentities:
